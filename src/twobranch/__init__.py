@@ -24,7 +24,6 @@ from .loss_mining import (
     FAMILY_NAMES,
     LossConfig,
     TripletSet,
-    brute_force_loss,
     hinge_loss,
     mine_triplets,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TwoBranchError",
     "backward_and_step",
     "backward_branch",
-    "brute_force_loss",
     "forward_branch",
     "hinge_loss",
     "init_params",

@@ -18,6 +18,7 @@ import numpy as np
 import struct
 
 from .errors import ConfigError, ConsistencyError, FormatError
+from .tensor_core import check_finite
 
 FEATURE_MAGIC = b"DSPF"
 FEATURE_VERSION = 1
@@ -92,6 +93,7 @@ def load_feature_file(path):
             f"{expected}"
         )
     feats = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
+    check_finite(feats, path)
     ids_path = path + ".ids"
     if not os.path.exists(ids_path):
         raise ConsistencyError(f"{ids_path}: id file missing")

@@ -209,9 +209,8 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
     Returns:
         dict mapping parameter name to max relative error.
     """
-    from .loss_mining import hinge_loss, mine_triplets
+    from .loss_mining import hinge_loss, mine_triplets, triplet_violations
     from .network import backward_branch, forward_branch
-    from . import loss_mining
 
     params, inp_x, inp_y, graph, cfg, dropout_seed = _loss_fixture(seed)
 
@@ -223,22 +222,9 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
 
     emb_x, emb_y, tapes_x, tapes_y = forward()
     triplets = mine_triplets(emb_x, emb_y, graph, cfg)
-    for name in loss_mining.FAMILY_NAMES:
-        t = getattr(triplets, name)
-        if t.shape[0] == 0:
-            continue
-        views = {
-            "image_to_sentence": (emb_x, emb_y),
-            "sentence_to_image": (emb_y, emb_x),
-            "image_structure": (emb_x, emb_x),
-            "sentence_structure": (emb_y, emb_y),
-        }[name]
-        A, B = views
-        a, p, n = t[:, 0], t[:, 1], t[:, 2]
-        harsh = (cfg.margin
-                 + np.linalg.norm(A[a] - B[p], axis=1)
-                 - np.linalg.norm(A[a] - B[n], axis=1))
-        setattr(triplets, name, t[harsh > kink_margin])
+    _, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
+    for name, viol in viols.items():
+        setattr(triplets, name, getattr(triplets, name)[viol > kink_margin])
 
     # Checking the per-triplet mean keeps the value near unit scale, so
     # the round-off in the central difference stays far below the

@@ -17,8 +17,9 @@ members are never negatives: an item that shares a positive partner
 with the anchor (or with one of the anchor's positives, for the
 cross-view families) is treated as semantically positive.
 
-``brute_force_loss`` re-derives the same objective by exhaustive plain
-loops and exists as an oracle for the vectorized path.
+Every hinge is a difference of two entries of one pairwise distance
+matrix per view pair, and its gradient flows back through
+pairwise_distance_backward.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor_core import EPS_DIST, as_matrix, pairwise_distances
+from .tensor_core import (as_matrix, pairwise_distance_backward,
+                          pairwise_distances)
 
 FAMILY_NAMES = (
     "image_to_sentence",
@@ -34,6 +36,14 @@ FAMILY_NAMES = (
     "image_structure",
     "sentence_structure",
 )
+
+# family -> (anchor view, positive/negative view)
+FAMILY_VIEWS = {
+    "image_to_sentence": ("x", "y"),
+    "sentence_to_image": ("y", "x"),
+    "image_structure": ("x", "x"),
+    "sentence_structure": ("y", "y"),
+}
 
 
 @dataclass(frozen=True)
@@ -264,9 +274,8 @@ def mine_triplets(emb_x, emb_y, graph, cfg):
 class LossResult:
     """Loss value, embedding gradients and per-family diagnostics.
 
-    Iterates as (loss, grad_x, grad_y) so callers can unpack it like
-    the plain triple.  ``family_sums`` holds the unweighted hinge sums
-    and ``family_counts`` the mined triplet counts.
+    ``family_sums`` holds the unweighted hinge sums and
+    ``family_counts`` the mined triplet counts.
     """
 
     loss: float
@@ -275,167 +284,91 @@ class LossResult:
     family_sums: dict
     family_counts: dict
 
-    def __iter__(self):
-        return iter((self.loss, self.grad_x, self.grad_y))
+
+def _oriented(by_pair, name):
+    """A family's anchor-by-candidate view of a per-view-pair matrix.
+
+    Sentence -> image reads the transpose of the x-y matrix.
+    """
+    anchor, cand = FAMILY_VIEWS[name]
+    if anchor <= cand:
+        return by_pair[anchor, cand]
+    return by_pair[cand, anchor].T
 
 
-def _gathered_distances(A, B, ai, bi):
-    diff = A[ai] - B[bi]
-    return np.sqrt((diff * diff).sum(axis=1))
+def triplet_violations(emb_x, emb_y, triplets, margin):
+    """Hinge arguments m + d(a, p) - d(a, n) of every mined triplet.
+
+    One pairwise_distances matrix is computed per view pair that a
+    family with mined triplets uses.
+
+    Returns:
+        (dists, viols): ``dists`` maps a view pair ("x", "y"),
+        ("x", "x") or ("y", "y") to its distance matrix, ``viols`` maps
+        each family with mined triplets to one value per triplet.
+    """
+    emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
+    dists = {}
+    viols = {}
+    for name in FAMILY_NAMES:
+        t = getattr(triplets, name)
+        if t.shape[0] == 0:
+            continue
+        pair = tuple(sorted(FAMILY_VIEWS[name]))
+        if pair not in dists:
+            dists[pair] = pairwise_distances(emb[pair[0]], emb[pair[1]])
+        d = _oriented(dists, name)
+        a, p, n = t[:, 0], t[:, 1], t[:, 2]
+        viols[name] = margin + d[a, p] - d[a, n]
+    return dists, viols
 
 
-def _add_distance_grad(grad_a, grad_b, A, B, ai, bi, coeff):
-    """Accumulate coeff * d ||A[ai] - B[bi]|| into both gradients."""
-    diff = A[ai] - B[bi]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    scale = coeff / np.maximum(dist, EPS_DIST)
-    contrib = diff * scale[:, None]
-    np.add.at(grad_a, ai, contrib)
-    np.add.at(grad_b, bi, -contrib)
+def _entry_counts(shape, rows, cols):
+    flat = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
 
 
 def hinge_loss(emb_x, emb_y, triplets, cfg):
     """Weighted hinge loss over a TripletSet, with embedding gradients.
 
+    The loss's derivative with respect to the distances gathers +w at
+    (a, p) and -w at (a, n) for every active triplet, in one
+    coefficient matrix per view pair; pairwise_distance_backward turns
+    each into embedding gradients.
+
     Returns:
-        LossResult; unpacks as (loss, grad_x, grad_y).
+        LossResult.
     """
-    emb_x = as_matrix(emb_x, "emb_x")
-    emb_y = as_matrix(emb_y, "emb_y")
-    grad_x = np.zeros_like(emb_x)
-    grad_y = np.zeros_like(emb_y)
-    views = {
-        "image_to_sentence": (emb_x, emb_y, grad_x, grad_y),
-        "sentence_to_image": (emb_y, emb_x, grad_y, grad_x),
-        "image_structure": (emb_x, emb_x, grad_x, grad_x),
-        "sentence_structure": (emb_y, emb_y, grad_y, grad_y),
-    }
+    emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
+    dists, viols = triplet_violations(emb["x"], emb["y"], triplets,
+                                      cfg.margin)
+    coeffs = {pair: np.zeros_like(d) for pair, d in dists.items()}
     weights = cfg.family_weights()
-    sums = {}
-    counts = triplets.counts()
+    sums = dict.fromkeys(FAMILY_NAMES, 0.0)
     loss = 0.0
-    for name in FAMILY_NAMES:
-        t = getattr(triplets, name)
-        if t.shape[0] == 0:
-            sums[name] = 0.0
-            continue
-        A, B, gA, gB = views[name]
-        a, p, n = t[:, 0], t[:, 1], t[:, 2]
-        h = (cfg.margin
-             + _gathered_distances(A, B, a, p)
-             - _gathered_distances(A, B, a, n))
+    for name, h in viols.items():
         active = h > 0.0
         fam_sum = float(h[active].sum())
         sums[name] = fam_sum
         w = weights[name]
         loss += w * fam_sum
         if w != 0.0 and active.any():
-            aa, pp, nn = a[active], p[active], n[active]
-            _add_distance_grad(gA, gB, A, B, aa, pp, w)
-            _add_distance_grad(gA, gB, A, B, aa, nn, -w)
+            a, p, n = getattr(triplets, name)[active].T
+            coeff = _oriented(coeffs, name)
+            coeff += w * (_entry_counts(coeff.shape, a, p)
+                          - _entry_counts(coeff.shape, a, n))
+    grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
+    for (va, vb), coeff in coeffs.items():
+        if not coeff.any():
+            continue
+        ga, gb = pairwise_distance_backward(emb[va], emb[vb], dists[va, vb],
+                                            coeff)
+        grads[va] += ga
+        grads[vb] += gb
     return LossResult(
         loss=loss,
-        grad_x=grad_x,
-        grad_y=grad_y,
+        grad_x=grads["x"],
+        grad_y=grads["y"],
         family_sums=sums,
-        family_counts=counts,
+        family_counts=triplets.counts(),
     )
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-
-
-def brute_force_loss(emb_x, emb_y, graph, cfg):
-    """Exhaustive Eq.-5 loss by plain loops, for small batches only.
-
-    Independent of the mined path: no top-k truncation (every violated
-    triplet contributes) and per-pair distances via np.linalg.norm.
-    Matches hinge_loss(mine_triplets(...)) whenever top_k exceeds every
-    per-pair violation count.
-
-    Args:
-        emb_x, emb_y: embeddings, at most 30 rows per view.
-        graph: same protocol as mine_triplets.
-        cfg: LossConfig; top_k is ignored.
-
-    Returns:
-        float loss.
-    """
-    emb_x = as_matrix(emb_x, "emb_x")
-    emb_y = as_matrix(emb_y, "emb_y")
-    nx, ny = emb_x.shape[0], emb_y.shape[0]
-    if nx > 30 or ny > 30:
-        raise ConfigError(
-            f"brute_force_loss is for batches of <= 30 items per view, "
-            f"got {nx}x{ny}"
-        )
-    pos_y_by_x, pos_x_by_y = _positive_maps(graph.pos_pairs, nx, ny)
-    x_nb = _neighbor_sets(graph, "x", nx)
-    y_nb = _neighbor_sets(graph, "y", ny)
-    x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
-    y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
-
-    def dist(u, v):
-        return float(np.linalg.norm(u - v))
-
-    def hinge(d_pos, d_neg):
-        return max(0.0, cfg.margin + d_pos - d_neg)
-
-    total = 0.0
-    # family 1: anchor image i, positive sentence j, negative sentence k
-    for i in range(nx):
-        if not pos_y_by_x[i]:
-            continue
-        excluded = set()
-        for j in pos_y_by_x[i]:
-            excluded |= y_nb[j]
-        for j in pos_y_by_x[i]:
-            for k in range(ny):
-                if k in excluded:
-                    continue
-                if k in y_negonly and y_negonly[k] != i:
-                    continue
-                total += hinge(dist(emb_x[i], emb_y[j]),
-                               dist(emb_x[i], emb_y[k]))
-    # family 2: anchor sentence j, positive image i, negative image k
-    if cfg.lambda1 != 0.0:
-        part = 0.0
-        for j in range(ny):
-            if not pos_x_by_y[j]:
-                continue
-            excluded = set()
-            for i in pos_x_by_y[j]:
-                excluded |= x_nb[i]
-            for i in pos_x_by_y[j]:
-                for k in range(nx):
-                    if k in excluded:
-                        continue
-                    if k in x_negonly and x_negonly[k] != j:
-                        continue
-                    part += hinge(dist(emb_y[j], emb_x[i]),
-                                  dist(emb_y[j], emb_x[k]))
-        total += cfg.lambda1 * part
-    # family 3: within the image view
-    if cfg.lambda2 != 0.0:
-        part = 0.0
-        for i in range(nx):
-            for j in sorted(x_nb[i] - {i}):
-                for k in range(nx):
-                    if k in x_nb[i] or k in x_negonly:
-                        continue
-                    part += hinge(dist(emb_x[i], emb_x[j]),
-                                  dist(emb_x[i], emb_x[k]))
-        total += cfg.lambda2 * part
-    # family 4: within the sentence view
-    if cfg.lambda3 != 0.0:
-        part = 0.0
-        for j in range(ny):
-            for jj in sorted(y_nb[j] - {j}):
-                for k in range(ny):
-                    if k in y_nb[j] or k in y_negonly:
-                        continue
-                    part += hinge(dist(emb_y[j], emb_y[jj]),
-                                  dist(emb_y[j], emb_y[k]))
-        total += cfg.lambda3 * part
-    return total

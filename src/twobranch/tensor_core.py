@@ -23,9 +23,18 @@ from .errors import (
 )
 
 # Clamp floors.  EPS_NORM keeps row normalization defined at the origin;
-# EPS_DIST keeps the distance backward defined for coincident points.
+# EPS_DIST bounds the distance backward's weight for pairs that nearly
+# coincide.
 EPS_NORM = 1e-12
 EPS_DIST = 1e-12
+
+# The expansion ||u||^2 + ||v||^2 - 2 u.v carries an absolute error of a
+# few ulps of ||u||^2 + ||v||^2, which swamps a small squared distance.
+# Squared entries below this share of the largest ||u||^2 + ||v||^2 are
+# recomputed directly, at most DIRECT_CHUNK_FLOATS gathered floats at a
+# time so that a collapsed embedding cannot gather n * m rows at once.
+SMALL_DIST_SHARE = 1e-4
+DIRECT_CHUNK_FLOATS = 1 << 21
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -354,9 +363,12 @@ def pairwise_distances(a, b):
     """Euclidean distance between every row of a and every row of b.
 
     Uses the expansion ||u - v||^2 = ||u||^2 + ||v||^2 - 2 u.v with the
-    squared form clamped at zero before the square root.  When ``b is a``
-    the Gram-matrix form guarantees an exactly zero diagonal and an
-    exactly symmetric result.
+    squared form clamped at zero before the square root.  Entries whose
+    squared form is below SMALL_DIST_SHARE of the largest ||u||^2 +
+    ||v||^2 may have lost their low digits to cancellation and are
+    recomputed as the direct ||u - v||, so coinciding rows come out
+    exactly zero.  When ``b is a`` the Gram-matrix form guarantees an
+    exactly zero diagonal and an exactly symmetric result.
 
     Args:
         a: shape (n, d).
@@ -374,14 +386,23 @@ def pairwise_distances(a, b):
         )
     if b is a:
         gram = a @ a.T
-        sq_norms = np.diagonal(gram).copy()
-        sq = sq_norms[:, None] + sq_norms[None, :] - (gram + gram.T)
+        sq_a = sq_b = np.diagonal(gram).copy()
+        sq = sq_a[:, None] + sq_b[None, :] - (gram + gram.T)
     else:
         sq_a = (a * a).sum(axis=1)
         sq_b = (b * b).sum(axis=1)
         sq = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
+    scale = sq_a.max(initial=0.0) + sq_b.max(initial=0.0)
+    rows, cols = np.nonzero(sq < SMALL_DIST_SHARE * scale)
     np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    dist = np.sqrt(sq, out=sq)
+    chunk = max(1, DIRECT_CHUNK_FLOATS // max(1, a.shape[1]))
+    for start in range(0, rows.size, chunk):
+        r = rows[start:start + chunk]
+        c = cols[start:start + chunk]
+        diff = a[r] - b[c]
+        dist[r, c] = np.sqrt((diff * diff).sum(axis=1))
+    return dist
 
 
 def pairwise_distance_backward(a, b, dist, grad_dist):
@@ -389,8 +410,8 @@ def pairwise_distance_backward(a, b, dist, grad_dist):
 
     d(i,j) = ||a_i - b_j||, so dd/da_i = (a_i - b_j) / d(i,j) and the
     contributions are accumulated over j (and symmetrically for b).
-    Distances below EPS_DIST are clamped in the denominator, which
-    leaves coincident pairs with zero gradient direction.
+    Pairs at distance exactly zero coincide and contribute nothing;
+    other distances below EPS_DIST are clamped in the denominator.
 
     Args:
         a, b: the forward inputs.
@@ -410,7 +431,11 @@ def pairwise_distance_backward(a, b, dist, grad_dist):
             f"(a {a.shape}, b {b.shape}, dist {dist.shape}, "
             f"grad {grad_dist.shape})"
         )
-    w = grad_dist / np.maximum(dist, EPS_DIST)
+    # a coincident pair's weight would multiply a_i - b_j = 0, but the
+    # products below form it as w a_i - w b_j, where a weight of
+    # 1/EPS_DIST leaves rounding noise of 1e-4 instead of zero
+    w = np.divide(grad_dist, np.maximum(dist, EPS_DIST),
+                  out=np.zeros_like(grad_dist), where=dist > 0.0)
     grad_a = w.sum(axis=1)[:, None] * a - w @ b
     grad_b = w.sum(axis=0)[:, None] * b - w.T @ a
     return grad_a, grad_b

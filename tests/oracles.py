@@ -6,6 +6,8 @@ logic stays independent of the library code it checks.
 
 import numpy as np
 
+from twobranch.errors import ConfigError
+
 
 def dist(u, v):
     return float(np.sqrt(((u - v) ** 2).sum()))
@@ -20,6 +22,21 @@ def neighbor_sets(raw, n):
     for i in range(n):
         out[i].add(i)
     return out
+
+
+def positive_lists(pos_pairs, nx, ny):
+    """Sorted, de-duplicated positive partners of every x and every y."""
+    pos_y_of_x = [[] for _ in range(nx)]
+    pos_x_of_y = [[] for _ in range(ny)]
+    seen = set()
+    for xi, yi in np.asarray(pos_pairs):
+        if (int(xi), int(yi)) in seen:
+            continue
+        seen.add((int(xi), int(yi)))
+        pos_y_of_x[int(xi)].append(int(yi))
+        pos_x_of_y[int(yi)].append(int(xi))
+    return ([sorted(p) for p in pos_y_of_x],
+            [sorted(p) for p in pos_x_of_y])
 
 
 def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
@@ -37,15 +54,7 @@ def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
     x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
     y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
 
-    pos_y_of_x = [[] for _ in range(nx)]
-    pos_x_of_y = [[] for _ in range(ny)]
-    seen = set()
-    for xi, yi in np.asarray(graph.pos_pairs):
-        if (int(xi), int(yi)) in seen:
-            continue
-        seen.add((int(xi), int(yi)))
-        pos_y_of_x[int(xi)].append(int(yi))
-        pos_x_of_y[int(yi)].append(int(xi))
+    pos_y_of_x, pos_x_of_y = positive_lists(graph.pos_pairs, nx, ny)
 
     def top(per_pair):
         per_pair.sort(key=lambda t: (-t[3], t[2]))
@@ -122,6 +131,145 @@ def loss_of_families(fam, weights):
     for name, triples in fam.items():
         total += weights[name] * sum(v for (_, _, _, v) in triples)
     return total
+
+
+def brute_force_loss(emb_x, emb_y, graph, cfg):
+    """Exhaustive Eq.-5 loss by plain loops, for small batches only.
+
+    No top-k truncation (every violated triplet contributes) and
+    per-pair distances via np.linalg.norm.  Matches
+    hinge_loss(mine_triplets(...)) whenever top_k exceeds every
+    per-pair violation count.
+
+    Args:
+        emb_x, emb_y: embeddings, at most 30 rows per view.
+        graph: same protocol as mine_triplets.
+        cfg: LossConfig; top_k is ignored.
+
+    Returns:
+        float loss.
+    """
+    emb_x = np.asarray(emb_x, dtype=np.float64)
+    emb_y = np.asarray(emb_y, dtype=np.float64)
+    nx, ny = emb_x.shape[0], emb_y.shape[0]
+    if nx > 30 or ny > 30:
+        raise ConfigError(
+            f"brute_force_loss is for batches of <= 30 items per view, "
+            f"got {nx}x{ny}"
+        )
+    pos_y_by_x, pos_x_by_y = positive_lists(graph.pos_pairs, nx, ny)
+    x_nb = neighbor_sets(getattr(graph, "x_neighbors", None), nx)
+    y_nb = neighbor_sets(getattr(graph, "y_neighbors", None), ny)
+    x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
+    y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
+
+    def norm_dist(u, v):
+        return float(np.linalg.norm(u - v))
+
+    def hinge(d_pos, d_neg):
+        return max(0.0, cfg.margin + d_pos - d_neg)
+
+    total = 0.0
+    # family 1: anchor image i, positive sentence j, negative sentence k
+    for i in range(nx):
+        if not pos_y_by_x[i]:
+            continue
+        excluded = set()
+        for j in pos_y_by_x[i]:
+            excluded |= y_nb[j]
+        for j in pos_y_by_x[i]:
+            for k in range(ny):
+                if k in excluded:
+                    continue
+                if k in y_negonly and y_negonly[k] != i:
+                    continue
+                total += hinge(norm_dist(emb_x[i], emb_y[j]),
+                               norm_dist(emb_x[i], emb_y[k]))
+    # family 2: anchor sentence j, positive image i, negative image k
+    if cfg.lambda1 != 0.0:
+        part = 0.0
+        for j in range(ny):
+            if not pos_x_by_y[j]:
+                continue
+            excluded = set()
+            for i in pos_x_by_y[j]:
+                excluded |= x_nb[i]
+            for i in pos_x_by_y[j]:
+                for k in range(nx):
+                    if k in excluded:
+                        continue
+                    if k in x_negonly and x_negonly[k] != j:
+                        continue
+                    part += hinge(norm_dist(emb_y[j], emb_x[i]),
+                                  norm_dist(emb_y[j], emb_x[k]))
+        total += cfg.lambda1 * part
+    # family 3: within the image view
+    if cfg.lambda2 != 0.0:
+        part = 0.0
+        for i in range(nx):
+            for j in sorted(x_nb[i] - {i}):
+                for k in range(nx):
+                    if k in x_nb[i] or k in x_negonly:
+                        continue
+                    part += hinge(norm_dist(emb_x[i], emb_x[j]),
+                                  norm_dist(emb_x[i], emb_x[k]))
+        total += cfg.lambda2 * part
+    # family 4: within the sentence view
+    if cfg.lambda3 != 0.0:
+        part = 0.0
+        for j in range(ny):
+            for jj in sorted(y_nb[j] - {j}):
+                for k in range(ny):
+                    if k in y_nb[j] or k in y_negonly:
+                        continue
+                    part += hinge(norm_dist(emb_y[j], emb_y[jj]),
+                                  norm_dist(emb_y[j], emb_y[k]))
+        total += cfg.lambda3 * part
+    return total
+
+
+def gathered_hinge_loss(emb_x, emb_y, triplets, cfg):
+    """Hinge loss and gradients computed triplet by triplet.
+
+    Each distance is the direct ||A[a] - B[b]|| of a gathered row pair,
+    and each active triplet's gradient is scattered back row by row.
+
+    Returns:
+        (loss, grad_x, grad_y).
+    """
+    grad_x = np.zeros_like(emb_x)
+    grad_y = np.zeros_like(emb_y)
+    views = {
+        "image_to_sentence": (emb_x, emb_y, grad_x, grad_y),
+        "sentence_to_image": (emb_y, emb_x, grad_y, grad_x),
+        "image_structure": (emb_x, emb_x, grad_x, grad_x),
+        "sentence_structure": (emb_y, emb_y, grad_y, grad_y),
+    }
+
+    def add_distance_grad(g_a, g_b, A, B, ai, bi, coeff):
+        diff = A[ai] - B[bi]
+        d = np.sqrt((diff * diff).sum(axis=1))
+        contrib = diff * (coeff / np.maximum(d, 1e-12))[:, None]
+        np.add.at(g_a, ai, contrib)
+        np.add.at(g_b, bi, -contrib)
+
+    weights = cfg.family_weights()
+    loss = 0.0
+    for name, (A, B, g_a, g_b) in views.items():
+        t = getattr(triplets, name)
+        if t.shape[0] == 0:
+            continue
+        a, p, n = t[:, 0], t[:, 1], t[:, 2]
+        h = (cfg.margin + np.linalg.norm(A[a] - B[p], axis=1)
+             - np.linalg.norm(A[a] - B[n], axis=1))
+        active = h > 0.0
+        loss += weights[name] * float(h[active].sum())
+        if weights[name] != 0.0 and active.any():
+            add_distance_grad(g_a, g_b, A, B, a[active], p[active],
+                              weights[name])
+            add_distance_grad(g_a, g_b, A, B, a[active], n[active],
+                              -weights[name])
+    return loss, grad_x, grad_y
 
 
 def random_graph(rng, nx, ny, extra_pair_rate=0.3):

@@ -92,7 +92,7 @@ def test_criterion_2_mining_oracle():
                               lm.mine_triplets(emb_x, emb_y, graph,
                                                cfg_full),
                               cfg_full).loss
-        brute = lm.brute_force_loss(emb_x, emb_y, graph, cfg_full)
+        brute = oracles.brute_force_loss(emb_x, emb_y, graph, cfg_full)
         rel = abs(mined - brute) / max(1.0, abs(brute))
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-9, f"case {case}: mined {mined} brute {brute}"

@@ -99,6 +99,21 @@ class TestConfigParsing:
                        "--features-y", str(ret / "y.feat"),
                        "--pairs", str(ret / "pairs.tsv")) == 1
 
+    def test_non_finite_features_exit_one(self, workdir, tmp_path, caplog):
+        ret = workdir["ret"]
+        feats = data.load_feature_file(str(ret / "x.feat"))
+        feats.features[3, 1] = np.nan
+        bad = str(tmp_path / "x.feat")
+        data.save_feature_file(feats, bad)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli("train",
+                       "--features-x", bad,
+                       "--features-y", str(ret / "y.feat"),
+                       "--pairs", str(ret / "pairs.tsv"),
+                       "--checkpoint-out", str(ckpt)) == 1
+        assert not ckpt.exists()
+        assert bad in caplog.text and "non-finite" in caplog.text
+
 
 class TestTrainCommand:
     def test_train_csv_shape(self, workdir):

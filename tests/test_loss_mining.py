@@ -201,14 +201,6 @@ class TestHingeLoss:
         res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
         assert abs(res.loss - 0.10) < 1e-12
 
-    def test_result_tuple_unpacks(self):
-        emb_x = np.ones((2, 3))
-        emb_y = np.ones((2, 3))
-        loss, gx, gy = lm.hinge_loss(emb_x, emb_y, lm.TripletSet(),
-                                     lm.LossConfig())
-        assert loss == 0.0
-        assert gx.shape == emb_x.shape and gy.shape == emb_y.shape
-
     def test_loss_matches_enumerated_sums(self):
         cfg = lm.LossConfig(margin=0.15, lambda1=2.0, lambda2=0.4,
                             lambda3=0.2, top_k=50)
@@ -298,6 +290,49 @@ class TestHingeLoss:
             res.grad_y, central_difference(loss, emb_y)) < 1e-5
 
 
+class TestAgainstGatheredOracle:
+    def test_matches_on_random_batches(self):
+        cfg = lm.LossConfig(margin=0.2, lambda1=2.0, lambda2=0.3,
+                            lambda3=0.2, top_k=50)
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            graph = oracles.random_graph(rng, 12, 14)
+            emb_x = unit_rows(rng, 12, 6)
+            emb_y = unit_rows(rng, 14, 6)
+            trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
+            assert all(c > 0 for c in trip.counts().values())
+            res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+            loss, gx, gy = oracles.gathered_hinge_loss(emb_x, emb_y, trip,
+                                                       cfg)
+            assert abs(res.loss - loss) <= 1e-12 * abs(loss)
+            assert np.abs(res.grad_x - gx).max() < 1e-10
+            assert np.abs(res.grad_y - gy).max() < 1e-10
+
+    # at 1e-12 the backward's weight 1/d ~ 1e12 leaves rounding noise of
+    # about 1e-4 in w a - w b, so only finiteness is asked for
+    @pytest.mark.parametrize("gap, tol", [(0.0, 1e-5), (1e-9, 1e-5),
+                                          (1e-7, 1e-5), (1e-12, np.inf)])
+    def test_positive_on_top_of_anchor(self, gap, tol):
+        # x0's positive y0 sits `gap` from it, so the hinge reads a
+        # distance whose expansion form has lost all its digits.
+        rng = np.random.default_rng(18)
+        emb_x = unit_rows(rng, 3, 5)
+        emb_y = unit_rows(rng, 4, 5)
+        emb_y[0] = emb_x[0]
+        emb_y[0, 1] += gap
+        emb_y[1] = emb_x[0] + 0.02 * unit_rows(rng, 1, 5)[0]
+        trip = lm.TripletSet(
+            image_to_sentence=np.array([[0, 0, 1], [0, 0, 2], [1, 1, 3]]),
+            sentence_to_image=np.array([[0, 0, 1], [0, 0, 2]]))
+        cfg = lm.LossConfig(margin=0.5)
+        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        loss, gx, gy = oracles.gathered_hinge_loss(emb_x, emb_y, trip, cfg)
+        assert abs(res.loss - loss) < 1e-12
+        assert np.isfinite(res.grad_x).all() and np.isfinite(res.grad_y).all()
+        assert np.abs(res.grad_x - gx).max() < tol
+        assert np.abs(res.grad_y - gy).max() < tol
+
+
 class TestBruteForce:
     def test_equals_mined_loss(self):
         cfg = lm.LossConfig(margin=0.1, lambda1=2.0, lambda2=0.3,
@@ -310,7 +345,7 @@ class TestBruteForce:
             mined = lm.hinge_loss(
                 emb_x, emb_y,
                 lm.mine_triplets(emb_x, emb_y, graph, cfg), cfg).loss
-            brute = lm.brute_force_loss(emb_x, emb_y, graph, cfg)
+            brute = oracles.brute_force_loss(emb_x, emb_y, graph, cfg)
             assert abs(mined - brute) <= 1e-9 * max(1.0, brute)
 
     def test_lambda_zero_drops_structure_terms(self):
@@ -318,7 +353,7 @@ class TestBruteForce:
         graph = oracles.random_graph(rng, 8, 8)
         emb_x = unit_rows(rng, 8, 4)
         emb_y = unit_rows(rng, 8, 4)
-        bi_only = lm.brute_force_loss(
+        bi_only = oracles.brute_force_loss(
             emb_x, emb_y, graph,
             lm.LossConfig(margin=0.1, lambda2=0.0, lambda3=0.0))
         fam = oracles.enumerate_family_triplets(emb_x, emb_y, graph,
@@ -333,7 +368,7 @@ class TestBruteForce:
         emb_y = np.array([[0.01, 0.0], [100.01, 0.0]])
         graph = simple_graph([(0, 0), (1, 1)], 2, 2)
         cfg = lm.LossConfig(margin=1e-9)
-        assert lm.brute_force_loss(emb_x, emb_y, graph, cfg) == 0.0
+        assert oracles.brute_force_loss(emb_x, emb_y, graph, cfg) == 0.0
 
     def test_batch_size_guard(self):
         rng = np.random.default_rng(12)
@@ -341,7 +376,7 @@ class TestBruteForce:
         emb_x = unit_rows(rng, 31, 4)
         emb_y = unit_rows(rng, 10, 4)
         with pytest.raises(ConfigError):
-            lm.brute_force_loss(emb_x, emb_y, graph, lm.LossConfig())
+            oracles.brute_force_loss(emb_x, emb_y, graph, lm.LossConfig())
 
 
 @settings(max_examples=40, deadline=None)

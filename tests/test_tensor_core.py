@@ -286,6 +286,30 @@ class TestPairwiseDistances:
         d = tc.pairwise_distances(a, a)
         assert (d >= 0).all()
 
+    def test_small_entries_equal_direct_norm(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(6, 5))
+        b = rng.normal(size=(7, 5))
+        for j, gap in enumerate([0.0, 1e-12, 1e-9, 1e-7, 1e-4]):
+            b[j] = a[j] + gap * rng.normal(size=5)
+        d = tc.pairwise_distances(a, b)
+        direct = naive_distances(a, b)
+        small = direct < 1e-2
+        assert small.sum() == 5
+        assert np.array_equal(d[small], direct[small])
+
+    def test_near_duplicates_zero_diag_symmetric(self, monkeypatch):
+        # every entry is small; a tiny chunk recomputes them in 50 pieces
+        monkeypatch.setattr(tc, "DIRECT_CHUNK_FLOATS", 64)
+        a = np.ones((20, 8)) + 1e-9 * np.random.default_rng(20).normal(
+            size=(20, 8))
+        a[5] = a[3]
+        d = tc.pairwise_distances(a, a)
+        assert np.array_equal(np.diag(d), np.zeros(20))
+        assert np.array_equal(d, d.T)
+        assert d[3, 5] == 0.0
+        assert np.array_equal(d, naive_distances(a, a))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             tc.pairwise_distances(np.ones((2, 3)), np.ones((2, 4)))
@@ -305,6 +329,22 @@ class TestPairwiseDistances:
                                                np.array([[1.0]]))
         assert np.array_equal(ga, np.zeros_like(a))
         assert np.array_equal(gb, np.zeros_like(a))
+
+    def test_backward_ignores_coincident_pair_among_others(self):
+        # A coincident pair contributes nothing, so adding one must not
+        # move the gradient the other pairs produce.
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(2, 4))
+        b = rng.normal(size=(3, 4))
+        b[0] = a[0]
+        g = rng.normal(size=(2, 3))
+        d = tc.pairwise_distances(a, b)
+        ga, gb = tc.pairwise_distance_backward(a, b, d, g)
+        g_without = g.copy()
+        g_without[0, 0] = 0.0
+        ga0, gb0 = tc.pairwise_distance_backward(a, b, d, g_without)
+        assert np.abs(ga - ga0).max() < 1e-12
+        assert np.abs(gb - gb0).max() < 1e-12
 
     def test_backward_vs_finite_differences(self):
         rng = np.random.default_rng(17)
