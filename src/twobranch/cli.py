@@ -88,7 +88,6 @@ class ExperimentConfig:
     alpha: float = 0.7
     nms_overlap: float = 0.3
     iou_thresh: float = 0.5
-    threads: int = 1
     # paths
     features_x: str = ""
     features_y: str = ""
@@ -267,7 +266,7 @@ def cmd_train(cfg):
         bp, bo = best["snapshot"]
         save_checkpoint(bp, bo, cfg.best_checkpoint_out)
     if cfg.train_csv:
-        with open(cfg.train_csv, "w", encoding="utf-8") as fh:
+        with data_mod.atomic_write(cfg.train_csv) as fh:
             for line in config_echo(cfg):
                 fh.write(f"# {line}\n")
             fh.write("epoch,lr,mean_loss," + ",".join(FAMILY_NAMES)
@@ -311,8 +310,7 @@ def cmd_eval_localization(cfg):
     _require(cfg, "features_x", "features_y", "corpus", "checkpoint_in",
              "report")
     _, corpus, _, _, region_emb, phrase_emb = _load_localization(cfg)
-    dists = ev.query_distances(corpus, phrase_emb, region_emb,
-                               threads=cfg.threads)
+    dists = ev.query_distances(corpus, phrase_emb, region_emb)
     rows = []
     for k in (1, 5, 10):
         value = ev.localization_recall_at_k(corpus, dists, k,
@@ -364,13 +362,19 @@ def cmd_fuse(cfg):
     phrase_emb, _ = forward_branch(rp_params, "y", phrases.features, "eval")
 
     membership = {}
+    sentence_ids = set(fy.ids)
     for sent_id, phrase_id in data_mod.load_pair_file(cfg.membership):
+        if sent_id not in sentence_ids:
+            raise ConsistencyError(
+                f"{cfg.membership}: sentence {sent_id!r} is not in "
+                f"{cfg.features_y}"
+            )
         membership.setdefault(sent_id, []).append(phrases.row_of(phrase_id))
     phrase_rows_by_sentence = [membership.get(sid, []) for sid in fy.ids]
 
     fused = ev.fused_distance_matrix(
         d_global, phrase_emb, region_emb, corpus.region_rows_by_image(),
-        fx.ids, phrase_rows_by_sentence, cfg.alpha, threads=cfg.threads)
+        fx.ids, phrase_rows_by_sentence, cfg.alpha)
     report = ev.evaluate_retrieval(fused, graph.pos_y_by_x,
                                    graph.pos_x_by_y)
     ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))

@@ -12,6 +12,7 @@ Features are widened to float64 in memory; the file stays float32.
 """
 
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,26 @@ class FeatureSet:
             return self._row_of[fid]
         except KeyError:
             raise ConsistencyError(f"unknown feature id {fid!r}") from None
+
+
+@contextmanager
+def atomic_write(path, mode="w"):
+    """Write ``path`` through a temporary file in the same directory.
+
+    Yields the open temporary file ("w" is UTF-8 text, "wb" binary) and
+    moves it onto ``path`` with ``os.replace`` once the body finishes.
+    If the body raises, the temporary file is removed and ``path``
+    keeps its old bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_feature_file(fs, path):

@@ -1,17 +1,21 @@
 """Retrieval and phrase-localization metrics, plus distance fusion.
 
 Rankings sort ascending distance with ties broken by candidate index,
-so every metric is deterministic for fixed inputs.  The localization
-side consumes a proposal/GT corpus in the TSV format documented at
-``load_corpus_file`` and scores per-query distances produced by a
-region-phrase model.
+so every metric is deterministic for fixed inputs.  Retrieval reads
+each query's rank of its best positive, the positive with the lowest
+(distance, index): its rank is the number of candidates closer than it
+plus the number at the same distance with a lower index, and recall@k
+counts the queries whose rank is below k.  Box overlaps all come from
+``box_iou``.  The localization side consumes a proposal/GT corpus in
+the TSV format documented at ``load_corpus_file`` and scores per-query
+distances produced by a region-phrase model.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -23,16 +27,51 @@ from .tensor_core import as_matrix, pairwise_distances
 MAX_PROPOSALS_PER_QUERY = 100
 
 
-def _parallel_map(fn, items, threads):
-    """Apply fn preserving order, optionally on a thread pool."""
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # retrieval
+
+
+def _best_positive_ranks(distances, positives):
+    """Per query, the 0-based rank of its best positive.
+
+    The best positive is the one with the lowest (distance, index);
+    its rank is its position in a stable ascending sort of the row.
+    """
+    nq, nc = distances.shape
+    if len(positives) != nq:
+        raise ConsistencyError(
+            f"{len(positives)} positive sets for {nq} queries"
+        )
+    counts = np.array([len(pos) for pos in positives], dtype=np.int64)
+    if nq and counts.min() == 0:
+        raise EvaluationError(
+            f"query {int(np.argmin(counts))} has no positives")
+    query = np.repeat(np.arange(nq), counts)
+    cand = np.fromiter((int(c) for pos in positives for c in pos),
+                       dtype=np.int64, count=int(counts.sum()))
+    outside = (cand < 0) | (cand >= nc)
+    if outside.any():
+        first = int(np.argmax(outside))
+        raise ConsistencyError(
+            f"query {int(query[first])}: positive index {int(cand[first])} "
+            f"outside [0, {nc})"
+        )
+    if np.isnan(distances).any():
+        raise EvaluationError("distances contain NaN, which has no rank")
+    dist = distances[query, cand]
+    order = np.lexsort((cand, dist, query))
+    first = np.cumsum(counts) - counts
+    best = cand[order[first]][:, None]
+    best_dist = dist[order[first]][:, None]
+    ahead = (distances < best_dist) | (
+        (distances == best_dist) & (np.arange(nc) < best))
+    return np.count_nonzero(ahead, axis=1)
+
+
+def _recall_from_ranks(ranks, k):
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.shape[0]
 
 
 def recall_at_k(distances, positives, k):
@@ -41,29 +80,15 @@ def recall_at_k(distances, positives, k):
     Args:
         distances: (num_queries, num_candidates) matrix.
         positives: per-query collection of correct candidate indices;
-            every query must have at least one.
+            every query must have at least one, each in
+            [0, num_candidates).
         k: cutoff, >= 1.
 
     Returns:
         float percentage in [0, 100].
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     distances = as_matrix(distances, "distances")
-    nq, nc = distances.shape
-    if len(positives) != nq:
-        raise ConsistencyError(
-            f"{len(positives)} positive sets for {nq} queries"
-        )
-    hits = 0
-    for q in range(nq):
-        pos = set(int(p) for p in positives[q])
-        if not pos:
-            raise EvaluationError(f"query {q} has no positives")
-        top = np.argsort(distances[q], kind="stable")[:k]
-        if any(int(c) in pos for c in top):
-            hits += 1
-    return 100.0 * hits / nq
+    return _recall_from_ranks(_best_positive_ranks(distances, positives), k)
 
 
 @dataclass(frozen=True)
@@ -87,6 +112,9 @@ class RetrievalReport:
 def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
     """Recall@k in both directions from one cross-view distance matrix.
 
+    Each direction ranks its queries once and reads every k from those
+    ranks.
+
     Args:
         distances: (num_x, num_y) matrix of image-sentence distances.
         pos_y_by_x: per-image list of positive sentence indices.
@@ -97,9 +125,12 @@ def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
         RetrievalReport.
     """
     distances = as_matrix(distances, "distances")
-    i2s = {k: recall_at_k(distances, pos_y_by_x, k) for k in ks}
-    s2i = {k: recall_at_k(distances.T, pos_x_by_y, k) for k in ks}
-    return RetrievalReport(image_to_sentence=i2s, sentence_to_image=s2i)
+    i2s = _best_positive_ranks(distances, pos_y_by_x)
+    s2i = _best_positive_ranks(distances.T, pos_x_by_y)
+    return RetrievalReport(
+        image_to_sentence={k: _recall_from_ranks(i2s, k) for k in ks},
+        sentence_to_image={k: _recall_from_ranks(s2i, k) for k in ks},
+    )
 
 
 def mean_neighborhood_distance(emb, neighbors):
@@ -124,54 +155,29 @@ def mean_neighborhood_distance(emb, neighbors):
 # boxes
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box, corners (x1, y1) top-left exclusive-free."""
+def box_iou(a, b):
+    """Intersection over union of every box in a with every box in b.
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    Args:
+        a: (n, 4) array of (x1, y1, x2, y2).
+        b: (m, 4) array of (x1, y1, x2, y2).
 
-    def __post_init__(self):
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ConfigError(
-                f"box must have positive area, got "
-                f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
-
-    @property
-    def area(self):
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_tuple(self):
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-def iou(a, b):
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def _iou_one_vs_many(box, boxes):
-    """IoU of one (4,) box against an (n, 4) array."""
-    ix = (np.minimum(box[2], boxes[:, 2])
-          - np.maximum(box[0], boxes[:, 0]))
-    iy = (np.minimum(box[3], boxes[:, 3])
-          - np.maximum(box[1], boxes[:, 1]))
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area = (box[2] - box[0]) * (box[3] - box[1])
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    union = area + areas - inter
-    out = np.zeros(len(boxes))
-    nz = union > 0.0
-    out[nz] = inter[nz] / union[nz]
-    return out
+    Returns:
+        (n, m) matrix; 0 where the boxes are disjoint or only touch,
+        and where the union is empty.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    ix = (np.minimum(a[:, None, 2], b[None, :, 2])
+          - np.maximum(a[:, None, 0], b[None, :, 0]))
+    iy = (np.minimum(a[:, None, 3], b[None, :, 3])
+          - np.maximum(a[:, None, 1], b[None, :, 1]))
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter),
+                     where=union > 0.0)
 
 
 def nms(boxes, scores, overlap_thresh, ascending_is_better=True):
@@ -196,24 +202,15 @@ def nms(boxes, scores, overlap_thresh, ascending_is_better=True):
         raise ConsistencyError(
             f"{boxes.shape[0]} boxes for {scores.shape[0]} scores"
         )
-    if ascending_is_better:
-        order = list(np.argsort(scores, kind="stable"))
-    else:
-        order = list(np.argsort(-scores, kind="stable"))
+    order = np.argsort(scores if ascending_is_better else -scores,
+                       kind="stable")
+    suppresses = box_iou(boxes, boxes) > overlap_thresh
     kept = []
-    alive = np.ones(len(order), dtype=bool)
-    for rank, idx in enumerate(order):
-        if not alive[rank]:
-            continue
-        kept.append(int(idx))
-        rest = [r for r in range(rank + 1, len(order)) if alive[r]]
-        if not rest:
-            continue
-        rest_idx = [order[r] for r in rest]
-        overlaps = _iou_one_vs_many(boxes[idx], boxes[rest_idx])
-        for r, ov in zip(rest, overlaps):
-            if ov > overlap_thresh:
-                alive[r] = False
+    alive = np.ones(boxes.shape[0], dtype=bool)
+    for idx in order:
+        if alive[idx]:
+            kept.append(int(idx))
+            alive &= ~suppresses[idx]
     return kept
 
 
@@ -384,7 +381,7 @@ def load_corpus_file(path, phrases, regions):
 # localization metrics
 
 
-def query_distances(corpus, phrase_emb, region_emb, threads=1):
+def query_distances(corpus, phrase_emb, region_emb):
     """Per-query distances phrase -> each proposal.
 
     Args:
@@ -399,12 +396,11 @@ def query_distances(corpus, phrase_emb, region_emb, threads=1):
     """
     phrase_emb = as_matrix(phrase_emb, "phrase_emb")
     region_emb = as_matrix(region_emb, "region_emb")
-
-    def one(q):
+    out = []
+    for q in corpus.queries:
         diff = region_emb[q.proposal_rows] - phrase_emb[q.phrase_row]
-        return np.sqrt((diff * diff).sum(axis=1))
-
-    return _parallel_map(one, corpus.queries, threads)
+        out.append(np.sqrt((diff * diff).sum(axis=1)))
+    return out
 
 
 def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
@@ -430,13 +426,8 @@ def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
         if q.gt_boxes.shape[0] == 0:
             continue
         top = np.argsort(dist, kind="stable")[:k]
-        found = False
-        for p in top:
-            if _iou_one_vs_many(q.proposal_boxes[p], q.gt_boxes).max() \
-                    >= iou_thresh:
-                found = True
-                break
-        if found:
+        best = box_iou(q.proposal_boxes[top], q.gt_boxes).max(axis=1)
+        if (best >= iou_thresh).any():
             hits += 1
     if not corpus.queries:
         raise EvaluationError("corpus has no queries")
@@ -465,7 +456,9 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
         )
     pooled = {}
     gt_count = {}
+    ious = []
     for qi, (q, dist) in enumerate(zip(corpus.queries, distances)):
+        ious.append(box_iou(q.proposal_boxes, q.gt_boxes))
         keep = nms(q.proposal_boxes, dist, nms_overlap,
                    ascending_is_better=True)
         entries = pooled.setdefault(q.phrase_id, [])
@@ -487,16 +480,14 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
             q = corpus.queries[qi]
             if q.gt_boxes.shape[0] == 0:
                 continue
-            used = consumed.setdefault(qi, set())
-            ious = _iou_one_vs_many(q.proposal_boxes[p], q.gt_boxes)
-            best, best_iou = -1, 0.0
-            for g in range(q.gt_boxes.shape[0]):
-                if g in used:
-                    continue
-                if ious[g] > best_iou:
-                    best, best_iou = g, float(ious[g])
-            if best >= 0 and best_iou >= iou_thresh:
-                used.add(best)
+            used = consumed.setdefault(
+                qi, np.zeros(q.gt_boxes.shape[0], dtype=bool))
+            # the first unused GT box of highest positive IoU
+            row = ious[qi][p]
+            open_iou = np.where(~used & (row > 0.0), row, 0.0)
+            best = int(np.argmax(open_iou))
+            if open_iou[best] > 0.0 and open_iou[best] >= iou_thresh:
+                used[best] = True
                 correct += 1
                 precisions.append(correct / rank)
         per_phrase[phrase_id] = (float(np.mean(precisions))
@@ -518,32 +509,20 @@ def weighted_distance(d_global, d_rp, alpha):
     return (1.0 - alpha) * d_global + alpha * d_rp
 
 
-def region_phrase_distance(phrase_emb_rows, region_emb_rows):
-    """Mean over sentence phrases of the best-matching region distance.
-
-    Args:
-        phrase_emb_rows: (p, d) embedded phrases of one sentence.
-        region_emb_rows: (r, d) embedded regions of one image.
-
-    Returns:
-        float, or None when the sentence has no phrases (callers fall
-        back to the global distance).
-    """
-    phrase_emb_rows = np.asarray(phrase_emb_rows, dtype=np.float64)
-    if phrase_emb_rows.size == 0:
-        return None
-    region_emb_rows = np.asarray(region_emb_rows, dtype=np.float64)
-    if region_emb_rows.size == 0:
-        raise EvaluationError("image has no regions to match phrases")
-    d = pairwise_distances(as_matrix(phrase_emb_rows, "phrases"),
-                           as_matrix(region_emb_rows, "regions"))
-    return float(d.min(axis=1).mean())
-
-
 def fused_distance_matrix(d_global, phrase_emb, region_emb,
                           region_rows_by_image, image_ids,
-                          phrase_rows_by_sentence, alpha, threads=1):
+                          phrase_rows_by_sentence, alpha):
     """Weighted fusion over a whole retrieval grid.
+
+    The region-phrase part of cell (image, sentence) is the mean over
+    the sentence's phrases of the phrase's distance to its closest
+    region of the image.  The per-(image, phrase) minima come from one
+    ``pairwise_distances`` per image; each sentence's minima are then
+    gathered and added left to right, one phrase position at a time,
+    and divided by the sentence's phrase count.  That order equals
+    numpy's ``mean`` bitwise for fewer than 8 phrases per sentence;
+    from 8 up, ``mean`` sums pairwise and the two may differ by about
+    one ulp.
 
     Args:
         d_global: (num_images, num_sentences) global distances.
@@ -557,8 +536,6 @@ def fused_distance_matrix(d_global, phrase_emb, region_emb,
     Returns:
         (num_images, num_sentences) fused matrix.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     d_global = as_matrix(d_global, "d_global")
     phrase_emb = as_matrix(phrase_emb, "phrase_emb")
     region_emb = as_matrix(region_emb, "region_emb")
@@ -572,35 +549,36 @@ def fused_distance_matrix(d_global, phrase_emb, region_emb,
             f"{len(phrase_rows_by_sentence)} phrase lists for "
             f"{n_sent} columns"
         )
-    sentences_with_phrases = [
-        j for j in range(n_sent) if phrase_rows_by_sentence[j]
-    ]
+    # (sentences x longest phrase list) phrase rows, padded with the
+    # index of an all-zero column appended to the minima
+    n_phrases = phrase_emb.shape[0]
+    counts = np.array([len(rows) for rows in phrase_rows_by_sentence],
+                      dtype=np.int64)
+    listed = np.fromiter((int(r) for rows in phrase_rows_by_sentence
+                          for r in rows), dtype=np.int64)
+    if listed.size and (listed.min() < 0 or listed.max() >= n_phrases):
+        raise ConsistencyError(
+            f"a sentence names a phrase row outside [0, {n_phrases})"
+        )
+    index = np.full((n_sent, counts.max(initial=0)), n_phrases)
+    index[np.arange(index.shape[1]) < counts[:, None]] = listed
 
-    # Best-region distance per (image, phrase), NaN when the image has
-    # no regions; reading a NaN for a phrase-bearing sentence is the
-    # zero-region error case.
-    def min_per_phrase(i):
-        rows = region_rows_by_image.get(image_ids[i], [])
-        if not rows:
-            return np.full(phrase_emb.shape[0], np.nan)
-        d = pairwise_distances(phrase_emb, region_emb[np.asarray(rows)])
-        return d.min(axis=1)
-
-    mins = _parallel_map(min_per_phrase, list(range(n_img)), threads)
-    fused = d_global.copy()
-    for i in range(n_img):
-        m = mins[i]
-        for j in sentences_with_phrases:
-            rows = phrase_rows_by_sentence[j]
-            vals = m[np.asarray(rows)]
-            if np.isnan(vals).any():
-                raise EvaluationError(
-                    f"image {image_ids[i]!r} has no regions to match "
-                    f"phrases"
-                )
-            d_rp = float(vals.mean())
-            fused[i, j] = (1.0 - alpha) * d_global[i, j] + alpha * d_rp
-    return fused
+    mins = np.zeros((n_img, n_phrases + 1))
+    for i, image_id in enumerate(image_ids):
+        rows = region_rows_by_image.get(image_id, [])
+        if rows:
+            d = pairwise_distances(phrase_emb, region_emb[np.asarray(rows)])
+            mins[i, :n_phrases] = d.min(axis=1)
+        elif index.shape[1]:
+            raise EvaluationError(
+                f"image {image_id!r} has no regions to match phrases"
+            )
+    total = np.zeros((n_img, n_sent))
+    for position in range(index.shape[1]):
+        total += mins[:, index[:, position]]
+    d_rp = total / np.maximum(counts, 1)
+    fused = weighted_distance(d_global, d_rp, alpha)
+    return np.where(counts > 0, fused, d_global)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +590,7 @@ def write_report_csv(path, rows, config_lines=()):
 
     Floats are written with repr so re-runs are byte-comparable.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for line in config_lines:
             fh.write(f"# {line}\n")
         fh.write("metric,direction,k,value\n")

@@ -14,8 +14,9 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ConsistencyError, FormatError
-from .evaluation import _iou_one_vs_many
+from .evaluation import box_iou
 from .network import forward_branch, learning_rate
 from .training import train
 
@@ -77,16 +78,12 @@ def mine_hard_negatives(params, corpus, phrases, regions, cap=50,
         for q in queries:
             prop_dists = np.linalg.norm(
                 region_emb[q.proposal_rows] - anchor, axis=1)
-            for p in range(q.proposal_rows.shape[0]):
-                dist = float(prop_dists[p])
-                if dist >= threshold:
-                    continue
-                if q.gt_boxes.shape[0] > 0:
-                    overlap = _iou_one_vs_many(
-                        q.proposal_boxes[p], q.gt_boxes).max()
-                    if overlap >= iou_thresh:
-                        continue
-                row = int(q.proposal_rows[p])
+            near = np.flatnonzero(~(prop_dists >= threshold))
+            if near.size and q.gt_boxes.shape[0] > 0:
+                overlap = box_iou(q.proposal_boxes[near], q.gt_boxes)
+                near = near[~(overlap.max(axis=1) >= iou_thresh)]
+            for row, dist in zip(q.proposal_rows[near].tolist(),
+                                 prop_dists[near].tolist()):
                 if row not in candidates or dist < candidates[row]:
                     candidates[row] = dist
         ranked = sorted(((d, r) for r, d in candidates.items()))[:cap]
@@ -96,7 +93,7 @@ def mine_hard_negatives(params, corpus, phrases, regions, cap=50,
 
 def save_hard_negatives(hn, path):
     """TSV: phrase_id, region row, distance; one line per negative."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for phrase_id in sorted(hn.by_phrase):
             for row, dist in hn.by_phrase[phrase_id]:
                 fh.write(f"{phrase_id}\t{row}\t{repr(float(dist))}\n")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ChecksumError, ConfigError, DimensionError, FormatError
 from . import tensor_core as tc
+from .data import atomic_write
 
 CHECKPOINT_MAGIC = b"DSPE"
 CHECKPOINT_VERSION = 1
@@ -326,7 +327,7 @@ def save_checkpoint(params, opt, path):
         chunks.append(mat.tobytes())
     payload = b"".join(chunks)
     digest = hashlib.sha256(payload).digest()[:8]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(payload)
         fh.write(digest)
 

@@ -6,7 +6,8 @@ logic stays independent of the library code it checks.
 
 import numpy as np
 
-from twobranch.errors import ConfigError
+from twobranch.errors import ConfigError, EvaluationError
+from twobranch.tensor_core import as_matrix, pairwise_distances
 
 
 def dist(u, v):
@@ -359,3 +360,27 @@ def naive_average_precision(flags):
     if not precisions:
         return 0.0
     return sum(precisions) / len(precisions)
+
+
+def region_phrase_distance(phrase_emb_rows, region_emb_rows):
+    """Mean over sentence phrases of the best-matching region distance.
+
+    The per-cell fusion oracle.
+
+    Args:
+        phrase_emb_rows: (p, d) embedded phrases of one sentence.
+        region_emb_rows: (r, d) embedded regions of one image.
+
+    Returns:
+        float, or None when the sentence has no phrases (callers fall
+        back to the global distance).
+    """
+    phrase_emb_rows = np.asarray(phrase_emb_rows, dtype=np.float64)
+    if phrase_emb_rows.size == 0:
+        return None
+    region_emb_rows = np.asarray(region_emb_rows, dtype=np.float64)
+    if region_emb_rows.size == 0:
+        raise EvaluationError("image has no regions to match phrases")
+    d = pairwise_distances(as_matrix(phrase_emb_rows, "phrases"),
+                           as_matrix(region_emb_rows, "regions"))
+    return float(d.min(axis=1).mean())

@@ -214,11 +214,9 @@ def test_criterion_6_metric_oracles():
 
     for _ in range(100):
         vals = rng.uniform(0, 50, size=8)
-        a = ev.Box(vals[0], vals[1], vals[0] + 1 + vals[2],
-                   vals[1] + 1 + vals[3])
-        b = ev.Box(vals[4], vals[5], vals[4] + 1 + vals[6],
-                   vals[5] + 1 + vals[7])
-        assert ev.iou(a, b) == oracles.naive_iou(a.as_tuple(), b.as_tuple())
+        a = (vals[0], vals[1], vals[0] + 1 + vals[2], vals[1] + 1 + vals[3])
+        b = (vals[4], vals[5], vals[4] + 1 + vals[6], vals[5] + 1 + vals[7])
+        assert ev.box_iou([a], [b])[0, 0] == oracles.naive_iou(a, b)
 
     for _ in range(100):
         n = int(rng.integers(2, 26))
@@ -375,8 +373,8 @@ def test_criterion_8_hard_negative_pipeline():
                 assert len(owner) == 1
                 q = owner[0]
                 p = q.proposal_rows.tolist().index(row)
-                best = ev._iou_one_vs_many(q.proposal_boxes[p],
-                                           q.gt_boxes).max()
+                best = ev.box_iou(q.proposal_boxes[p],
+                                  q.gt_boxes).max()
                 assert best < 0.5
                 total_checked += 1
 
@@ -407,7 +405,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
             "--train-csv", str(tmp_path / "train.csv"),
             "--x-hidden-dim", "16", "--y-hidden-dim", "16",
             "--embed-dim", "8", "--epochs", "6", "--batch-pairs", "6",
-            "--seed", "0", "--threads", "1"]
+            "--seed", "0"]
     assert cli.main(args) == 0
     csv_first = (tmp_path / "train.csv").read_bytes()
     ckpt_first = (tmp_path / "model.ckpt").read_bytes()

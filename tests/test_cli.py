@@ -92,6 +92,12 @@ class TestConfigParsing:
         path.write_text("granularity = 3\n")
         assert run_cli("train", "--config", str(path)) == 1
 
+    def test_threads_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("threads = 1\n")
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            cli.parse_config_file(str(path))
+
     def test_missing_required_key_exits_one(self, workdir):
         ret = workdir["ret"]
         assert run_cli("train",
@@ -351,6 +357,17 @@ class TestFuse:
         rows = [l for l in report.read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 7
+
+    def test_unknown_membership_sentence_exits_one(self, workdir, tmp_path,
+                                                   caplog):
+        corpus, membership = self.build_bridge_files(workdir, tmp_path)
+        with open(membership, "a") as fh:
+            fh.write("sent_missing\tphrase_000\n")
+        report = tmp_path / "fused.csv"
+        assert run_cli(*self.fuse_args(workdir, corpus, membership, report,
+                                       0.7)) == 1
+        assert "'sent_missing'" in caplog.text
+        assert not report.exists()
 
 
 class TestGradCheckCommand:

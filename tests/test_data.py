@@ -1,5 +1,7 @@
 """Tests for feature files, pair files, graphs, batching, generators."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,36 @@ class TestPairFile:
             fh.write("img_0\tsent_0\textra\n")
         with pytest.raises(FormatError):
             data.load_pair_file(path)
+
+
+class TestAtomicWrite:
+    def test_replaces_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with data.atomic_write(path, "wb") as fh:
+            fh.write(b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        with data.atomic_write(str(path)) as fh:
+            fh.write("caf\u00e9\n")
+        assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_raise_midway_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        with pytest.raises(RuntimeError):
+            with data.atomic_write(path) as fh:
+                fh.write("half of the new")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with data.atomic_write(tmp_path / "absent" / "out.txt") as fh:
+                fh.write("x")
+        assert os.listdir(tmp_path) == []
 
 
 class TestBuildGraph:

@@ -1,5 +1,7 @@
 """Tests for retrieval metrics, localization metrics, and fusion."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,42 @@ class TestRecallAtK:
         with pytest.raises(ConsistencyError):
             ev.recall_at_k(d, [[0]], 1)
 
+    def test_positive_outside_candidates_rejected(self):
+        d = np.zeros((1, 3))
+        for bad in (-1, 3):
+            with pytest.raises(ConsistencyError, match="outside"):
+                ev.recall_at_k(d, [[bad]], 1)
+            with pytest.raises(ConsistencyError, match="outside"):
+                ev.evaluate_retrieval(d, [[bad]], [[0], [0], [0]])
+            with pytest.raises(ConsistencyError, match="outside"):
+                ev.evaluate_retrieval(d.T, [[0], [0], [0]], [[bad]])
+
+    def test_nan_distance_rejected(self):
+        d = np.array([[0.1, np.nan, 0.3]])
+        with pytest.raises(EvaluationError):
+            ev.recall_at_k(d, [[0]], 1)
+
+    def test_heavy_ties_match_sort_oracle_at_every_k(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            nq = int(rng.integers(1, 12))
+            nc = int(rng.integers(1, 25))
+            # few distinct values: positives tie with each other and
+            # with negatives on both sides of the cutoffs
+            d = np.round(rng.random((nq, nc)) * 3.0) / 3.0
+            pos = [rng.choice(nc, size=int(rng.integers(1, min(nc, 4) + 1)),
+                              replace=False).tolist() for _ in range(nq)]
+            for k in range(1, nc + 2):
+                assert ev.recall_at_k(d, pos, k) == \
+                    oracles.naive_recall_at_k(d, pos, k)
+            pos_t = [[q for q in range(nq) if c in pos[q]]
+                     for c in range(nc)]
+            if all(pos_t):
+                report = ev.evaluate_retrieval(d, pos, pos_t,
+                                               ks=range(1, nq + 2))
+                for k, value in report.sentence_to_image.items():
+                    assert value == oracles.naive_recall_at_k(d.T, pos_t, k)
+
     def test_evaluate_retrieval_directions(self):
         rng = np.random.default_rng(7)
         d = rng.random((6, 9))
@@ -87,46 +125,55 @@ class TestMeanNeighborhoodDistance:
         assert ev.mean_neighborhood_distance(emb, [{0}, {1}]) == 0.0
 
 
+def iou(a, b):
+    return ev.box_iou([a], [b])[0, 0]
+
+
 class TestIou:
     def test_identical(self):
-        b = ev.Box(0, 0, 10, 10)
-        assert ev.iou(b, b) == 1.0
+        b = (0, 0, 10, 10)
+        assert iou(b, b) == 1.0
 
     def test_quarter_overlap(self):
-        a = ev.Box(0, 0, 10, 10)
-        b = ev.Box(5, 5, 15, 15)
-        assert ev.iou(a, b) == 25.0 / 175.0
+        a = (0, 0, 10, 10)
+        b = (5, 5, 15, 15)
+        assert iou(a, b) == 25.0 / 175.0
 
     def test_disjoint(self):
-        a = ev.Box(0, 0, 10, 10)
-        b = ev.Box(20, 20, 30, 30)
-        assert ev.iou(a, b) == 0.0
+        a = (0, 0, 10, 10)
+        b = (20, 20, 30, 30)
+        assert iou(a, b) == 0.0
 
     def test_touching_edge(self):
-        a = ev.Box(0, 0, 10, 10)
-        b = ev.Box(10, 0, 20, 10)
-        assert ev.iou(a, b) == 0.0
+        a = (0, 0, 10, 10)
+        b = (10, 0, 20, 10)
+        assert iou(a, b) == 0.0
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             vals = rng.uniform(0, 50, size=8)
-            a = ev.Box(vals[0], vals[1], vals[0] + 1 + vals[2],
-                       vals[1] + 1 + vals[3])
-            b = ev.Box(vals[4], vals[5], vals[4] + 1 + vals[6],
-                       vals[5] + 1 + vals[7])
-            assert ev.iou(a, b) == ev.iou(b, a)
-            assert 0.0 <= ev.iou(a, b) <= 1.0
-            assert ev.iou(a, a) == 1.0
-            got = ev.iou(a, b)
-            want = oracles.naive_iou(a.as_tuple(), b.as_tuple())
+            a = (vals[0], vals[1], vals[0] + 1 + vals[2],
+                 vals[1] + 1 + vals[3])
+            b = (vals[4], vals[5], vals[4] + 1 + vals[6],
+                 vals[5] + 1 + vals[7])
+            assert iou(a, b) == iou(b, a)
+            assert 0.0 <= iou(a, b) <= 1.0
+            assert iou(a, a) == 1.0
+            got = iou(a, b)
+            want = oracles.naive_iou(a, b)
             assert got == want
 
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ConfigError):
-            ev.Box(0, 0, 0, 10)
-        with pytest.raises(ConfigError):
-            ev.Box(5, 5, 4, 10)
+    def test_matrix_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(10)
+        a = random_boxes(rng, 7)
+        b = np.concatenate([random_boxes(rng, 4), a[:2]])
+        got = ev.box_iou(a, b)
+        assert got.shape == (7, 6)
+        for i in range(7):
+            for j in range(6):
+                assert got[i, j] == oracles.naive_iou(a[i], b[j])
+        assert ev.box_iou(a, np.zeros((0, 4))).shape == (7, 0)
 
 
 def random_boxes(rng, n):
@@ -163,6 +210,16 @@ class TestNms:
             got_desc = ev.nms(boxes, dist, 0.4, ascending_is_better=False)
             want_desc = oracles.naive_nms(boxes, dist.tolist(), 0.4)
             assert got_desc == want_desc
+
+    def test_tied_scores_match_naive_oracle(self):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            boxes = random_boxes(rng, 30)
+            dist = rng.integers(0, 4, size=30).astype(np.float64)
+            assert ev.nms(boxes, dist, 0.3) == \
+                oracles.naive_nms(boxes, (-dist).tolist(), 0.3)
+            assert ev.nms(boxes, dist, 0.3, ascending_is_better=False) == \
+                oracles.naive_nms(boxes, dist.tolist(), 0.3)
 
     def test_kept_boxes_weakly_overlap(self):
         rng = np.random.default_rng(9)
@@ -405,6 +462,18 @@ class TestPhraseMap:
         _, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert abs(per_phrase["cat"] - (1.0 + 2.0 / 3.0) / 2.0) < 1e-15
 
+    def test_tied_gt_overlap_consumes_lower_index(self):
+        # the 2nd-ranked box overlaps both GT boxes at exactly 0.8 and
+        # takes GT 0, so the 3rd, which only reaches GT 0, misses
+        corpus = single_query_corpus(
+            proposals=[(50, 50, 60, 60), (0, 0, 10, 10), (0, 0, 10, 5)],
+            gts=[(0, 0, 10, 8), (0, 2, 10, 10)])
+        assert oracles.naive_iou((0, 0, 10, 10), (0, 0, 10, 8)) == \
+            oracles.naive_iou((0, 0, 10, 10), (0, 2, 10, 10)) == 0.8
+        dist = [np.array([0.1, 0.2, 0.3])]
+        _, per_phrase, _ = ev.phrase_map(corpus, dist, nms_overlap=0.9)
+        assert per_phrase["cat"] == 0.5
+
     def test_nms_prunes_before_ranking(self):
         far = (50.0, 50.0, 60.0, 60.0)
         corpus = single_query_corpus(
@@ -494,17 +563,6 @@ class TestQueryDistances:
                                     phrase_emb[q.phrase_row])
                 assert abs(vec[j] - want) < 1e-12
 
-    def test_threads_do_not_change_values(self):
-        d = data.gen_localization(3, 2, 6, 5, seed=5)
-        rng = np.random.default_rng(1)
-        phrase_emb = rng.normal(size=(d.phrases.n, 3))
-        region_emb = rng.normal(size=(d.regions.n, 3))
-        corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
-        one = ev.query_distances(corpus, phrase_emb, region_emb, threads=1)
-        four = ev.query_distances(corpus, phrase_emb, region_emb, threads=4)
-        for a, b in zip(one, four):
-            assert np.array_equal(a, b)
-
 
 class TestWeightedDistance:
     def test_endpoints(self):
@@ -532,21 +590,21 @@ class TestRegionPhraseDistance:
     def test_min_over_regions(self):
         phrase = np.array([[0.0, 0.0]])
         regions = np.array([[0.4, 0.0], [0.2, 0.0], [0.9, 0.0]])
-        assert abs(ev.region_phrase_distance(phrase, regions) - 0.2) < 1e-12
+        assert abs(oracles.region_phrase_distance(phrase, regions) - 0.2) < 1e-12
 
     def test_mean_over_phrases(self):
         phrases = np.array([[0.0, 0.0], [10.0, 0.0]])
         regions = np.array([[0.2, 0.0], [10.4, 0.0], [50.0, 50.0]])
-        got = ev.region_phrase_distance(phrases, regions)
+        got = oracles.region_phrase_distance(phrases, regions)
         assert abs(got - 0.3) < 1e-12
 
     def test_zero_phrases_returns_none(self):
-        assert ev.region_phrase_distance(np.zeros((0, 2)),
+        assert oracles.region_phrase_distance(np.zeros((0, 2)),
                                          np.ones((3, 2))) is None
 
     def test_zero_regions_rejected(self):
         with pytest.raises(EvaluationError):
-            ev.region_phrase_distance(np.ones((1, 2)), np.zeros((0, 2)))
+            oracles.region_phrase_distance(np.ones((1, 2)), np.zeros((0, 2)))
 
 
 def fusion_fixture():
@@ -638,11 +696,62 @@ class TestFusedDistanceMatrix:
                                      region_rows, image_ids, phrase_rows,
                                      alpha=1.5)
 
-    def test_threads_bitwise_equal(self):
-        args = fusion_fixture()
-        one = ev.fused_distance_matrix(*args, alpha=0.6, threads=1)
-        four = ev.fused_distance_matrix(*args, alpha=0.6, threads=4)
-        assert np.array_equal(one, four)
+    def check_against_cell_oracle(self, seed, lengths, embed, exact):
+        rng = np.random.default_rng(seed)
+        n_img, n_phr, n_reg = 4, 9, 12
+        phrase_emb = embed(rng, n_phr)
+        region_emb = embed(rng, n_reg)
+        region_rows = {f"im_{i}": sorted(rng.choice(
+            n_reg, size=int(rng.integers(1, 5)), replace=False).tolist())
+            for i in range(n_img)}
+        image_ids = list(region_rows)
+        # rows drawn with replacement, so sentences repeat phrases
+        phrase_rows = [rng.integers(0, n_phr, size=n).tolist()
+                       for n in lengths]
+        d_global = rng.random((n_img, len(lengths)))
+        for alpha in (1.0, 0.6):
+            fused = ev.fused_distance_matrix(
+                d_global, phrase_emb, region_emb, region_rows, image_ids,
+                phrase_rows, alpha=alpha)
+            for i, image_id in enumerate(image_ids):
+                for j, rows in enumerate(phrase_rows):
+                    d_rp = oracles.region_phrase_distance(
+                        phrase_emb[rows], region_emb[region_rows[image_id]])
+                    if d_rp is None:
+                        want = d_global[i, j]
+                    else:
+                        want = (1.0 - alpha) * d_global[i, j] + alpha * d_rp
+                    if exact:
+                        assert fused[i, j] == want
+                    else:
+                        assert abs(fused[i, j] - want) < 1e-12
+
+    def test_matches_cell_oracle_bitwise_below_eight_phrases(self):
+        # Integer coordinates make every distance exact whichever rows
+        # share a matrix product, so only the summation order is tested.
+        def embed(rng, n):
+            return rng.integers(-4, 5, size=(n, 3)).astype(np.float64)
+
+        for seed in range(6):
+            self.check_against_cell_oracle(seed, list(range(8)) * 2, embed,
+                                           exact=True)
+
+    def test_matches_cell_oracle_from_eight_phrases(self):
+        def embed(rng, n):
+            return rng.normal(size=(n, 5))
+
+        for seed in range(6):
+            self.check_against_cell_oracle(seed, [8, 9, 12, 0, 3, 16],
+                                           embed, exact=False)
+
+    def test_phrase_row_out_of_range(self):
+        (d_global, phrase_emb, region_emb, region_rows, image_ids,
+         phrase_rows) = fusion_fixture()
+        for bad in (-1, phrase_emb.shape[0]):
+            with pytest.raises(ConsistencyError):
+                ev.fused_distance_matrix(
+                    d_global, phrase_emb, region_emb, region_rows,
+                    image_ids, [[0], [1, bad], [], [3]], alpha=0.5)
 
 
 class TestReportCsv:
@@ -658,3 +767,17 @@ class TestReportCsv:
         assert text[0] == "# alpha=0.7"
         assert text[1] == "metric,direction,k,value"
         assert text[2] == f"recall,image_to_sentence,1,{62.5!r}"
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        ev.write_report_csv(str(path), [("recall", "i2s", 1, 50.0)])
+        before = path.read_bytes()
+
+        def rows():
+            yield ("recall", "i2s", 1, 75.0)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            ev.write_report_csv(str(path), rows(), config_lines=("a = 1",))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.csv"]

@@ -2,6 +2,7 @@
 
 import copy
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ class TestMineHardNegatives:
                 assert len(owner) == 1
                 q = owner[0]
                 p = q.proposal_rows.tolist().index(row)
-                best = ev._iou_one_vs_many(q.proposal_boxes[p],
-                                           q.gt_boxes).max()
+                best = ev.box_iou(q.proposal_boxes[p],
+                                  q.gt_boxes).max()
                 assert best < 0.5
 
     def test_gt_and_jitter_rows_never_mined(self):
@@ -179,6 +180,19 @@ class TestHardNegativeIO:
         nonempty = {k: v for k, v in hn.by_phrase.items() if v}
         assert back.by_phrase == nonempty
         assert back.cap == 50
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "negatives.tsv"
+        hn_mod.save_hard_negatives(
+            hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)]}), path)
+        before = path.read_bytes()
+        # the second phrase's distance cannot be formatted
+        broken = hn_mod.HardNegativeSet(
+            by_phrase={"a": [(4, 0.25)], "b": [(5, "far")]})
+        with pytest.raises(ValueError):
+            hn_mod.save_hard_negatives(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["negatives.tsv"]
 
     def test_malformed_lines(self, tmp_path):
         path = str(tmp_path / "negatives.tsv")

@@ -1,5 +1,8 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,34 @@ class TestCheckpoint:
         p2, opt2 = nw.load_checkpoint(a)
         nw.save_checkpoint(p2, opt2, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        p, opt = self.trained_state()
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(p, opt, path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, blob):
+                self.fh.write(blob[:len(blob) // 2])
+                raise OSError("disk full")
+
+        real = nw.atomic_write
+
+        @contextmanager
+        def failing(target, mode="w"):
+            with real(target, mode) as fh:
+                yield HalfWriter(fh)
+
+        monkeypatch.setattr(nw, "atomic_write", failing)
+        p2, opt2 = self.trained_state(seed=1)
+        with pytest.raises(OSError):
+            nw.save_checkpoint(p2, opt2, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         p, opt = self.trained_state(seed=2)
