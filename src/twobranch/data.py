@@ -161,7 +161,8 @@ class CorrespondenceGraph:
     ``x_neighbors[i]`` is the set of x rows sharing at least one
     positive partner with row i (always including i itself), and
     symmetrically for y.  Index spaces are the rows of the two
-    FeatureSets the ids came from.
+    FeatureSets the ids came from.  Reserved hard-negative rows exist
+    only inside mini-batches (``MiniBatch.x_negative_only``).
     """
 
     x_ids: list
@@ -171,8 +172,6 @@ class CorrespondenceGraph:
     y_neighbors: list
     pos_y_by_x: list
     pos_x_by_y: list
-    x_negative_only: dict = field(default_factory=dict)
-    y_negative_only: dict = field(default_factory=dict)
 
     @property
     def num_x(self):
@@ -267,7 +266,12 @@ class MiniBatch:
     cover every dataset positive between in-batch items, so co-sampled
     positives are never treated as negatives.  Reserved hard-negative
     rows appear in ``x_negative_only`` (batch-local x row -> the one
-    batch-local y row they may serve as a negative for).
+    batch-local y row they may serve as a negative for); only the x
+    view has them.
+
+    The batch keeps the graph as index lists and sets, the protocol
+    ``loss_mining.mine_triplets`` reads; mining builds its boolean
+    masks from them.
     """
 
     x_rows: np.ndarray
@@ -278,7 +282,6 @@ class MiniBatch:
     x_neighbors: list
     y_neighbors: list
     x_negative_only: dict = field(default_factory=dict)
-    y_negative_only: dict = field(default_factory=dict)
 
     @property
     def num_x(self):

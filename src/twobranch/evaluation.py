@@ -11,6 +11,7 @@ the TSV format documented at ``load_corpus_file`` and scores per-query
 distances produced by a region-phrase model.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,6 +318,11 @@ def corpus_from_rows(rows, phrases, regions):
     for row in rows:
         image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
         feat = row[7] if len(row) > 7 else None
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}): box "
+                f"({x1}, {y1}, {x2}, {y2}) is not finite"
+            )
         if not (x2 > x1 and y2 > y1):
             raise ConsistencyError(
                 f"query ({image_id}, {phrase_id}): box "

@@ -60,10 +60,12 @@ def mine_hard_negatives(params, corpus, phrases, regions, cap=50,
     """
     region_emb, _ = forward_branch(params, "x", regions.features, "eval")
     phrase_emb, _ = forward_branch(params, "y", phrases.features, "eval")
+    by_phrase = {}
+    for q in corpus.queries:
+        by_phrase.setdefault(q.phrase_id, []).append(q)
     out = {}
     skipped = []
-    for phrase_id in corpus.unique_phrases():
-        queries = corpus.queries_of_phrase(phrase_id)
+    for phrase_id, queries in by_phrase.items():
         gt_rows = sorted({
             int(r) for q in queries for r in q.gt_rows if int(r) >= 0
         })

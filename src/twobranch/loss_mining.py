@@ -17,18 +17,29 @@ members are never negatives: an item that shares a positive partner
 with the anchor (or with one of the anchor's positives, for the
 cross-view families) is treated as semantically positive.
 
+Mining builds boolean masks once per batch: the positive incidence P
+(x by y), the reflexive neighbor masks Nx and Ny, and each reserved x
+row's one y anchor.  The (anchor, positive) pairs are the nonzeros of
+P, P^T, Nx - I and Ny - I in row-major order.  The rows of P @ Ny and
+P^T @ Nx exclude candidates of the cross-view families, an anchor's own
+neighbor row those of the structure families.  A reserved x row is a
+candidate only for its own sentence -> image anchor, never in image
+structure.  Each pair keeps its top_k candidates with positive
+violation, largest first, ties by lower candidate index.
+
 Every hinge is a difference of two entries of one pairwise distance
 matrix per view pair, and its gradient flows back through
 pairwise_distance_backward.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor_core import (as_matrix, pairwise_distance_backward,
-                          pairwise_distances)
+from .tensor_core import (DIRECT_CHUNK_FLOATS, as_matrix,
+                          pairwise_distance_backward, pairwise_distances)
 
 FAMILY_NAMES = (
     "image_to_sentence",
@@ -103,119 +114,93 @@ class TripletSet:
         return sum(self.counts().values())
 
 
-def _neighbor_sets(graph, view, n_items):
-    """Neighborhoods as list-of-sets, reflexivity enforced."""
-    attr = getattr(graph, f"{view}_neighbors", None)
-    out = [set() for _ in range(n_items)]
-    if attr is not None:
-        if len(attr) != n_items:
-            raise DimensionError(
-                f"{view}_neighbors has {len(attr)} entries for {n_items} rows"
-            )
-        for i, members in enumerate(attr):
-            out[i] = set(members)
-    for i in range(n_items):
-        out[i].add(i)
-    return out
-
-
-def _positive_maps(pos_pairs, nx, ny):
-    pos_y_by_x = [[] for _ in range(nx)]
-    pos_x_by_y = [[] for _ in range(ny)]
-    seen = set()
-    for xi, yi in pos_pairs:
-        xi, yi = int(xi), int(yi)
-        if not (0 <= xi < nx and 0 <= yi < ny):
-            raise DimensionError(
-                f"positive pair ({xi}, {yi}) outside batch of {nx}x{ny}"
-            )
-        if (xi, yi) in seen:
-            continue
-        seen.add((xi, yi))
-        pos_y_by_x[xi].append(yi)
-        pos_x_by_y[yi].append(xi)
-    for lst in pos_y_by_x:
-        lst.sort()
-    for lst in pos_x_by_y:
-        lst.sort()
-    return pos_y_by_x, pos_x_by_y
-
-
-def _select_top(anchor, pos, cand, viol, top_k):
-    """Strictly violated candidates, largest first, ties by lower index."""
-    mask = viol > 0.0
-    if not mask.any():
-        return []
-    cand_m = cand[mask]
-    viol_m = viol[mask]
-    order = np.lexsort((cand_m, -viol_m))[:top_k]
-    return [(anchor, pos, int(cand_m[o])) for o in order]
-
-
-def _mine_cross(dist, pos_by_anchor, opp_neighbors, opp_negative_only,
-                n_opp, margin, top_k):
-    """Families 1 and 2: anchor one view, positive/negative the other.
-
-    The exclusion pool of an anchor is the union of its positives'
-    same-view neighborhoods (a superset of the positives themselves).
-    Rows listed in ``opp_negative_only`` are reserved hard negatives:
-    they qualify only for the anchor they were mined for.
-    """
-    rows = []
-    for anchor, positives in enumerate(pos_by_anchor):
-        if not positives:
-            continue
-        excluded = set()
-        for p in positives:
-            excluded |= opp_neighbors[p]
-        cand = np.array(
-            [c for c in range(n_opp)
-             if c not in excluded
-             and opp_negative_only.get(c, anchor) == anchor],
-            dtype=np.int64,
+def _neighbor_mask(graph, view, n):
+    """Reflexive same-view neighbor mask from per-row collections."""
+    members = getattr(graph, f"{view}_neighbors", None)
+    mask = np.eye(n, dtype=bool)
+    if members is None:
+        return mask
+    if len(members) != n:
+        raise DimensionError(
+            f"{view}_neighbors has {len(members)} entries for {n} rows"
         )
-        if cand.size == 0:
-            continue
-        d_anchor = dist[anchor]
-        d_cand = d_anchor[cand]
-        for p in positives:
-            viol = margin + d_anchor[p] - d_cand
-            rows.extend(_select_top(anchor, p, cand, viol, top_k))
-    return _as_triplet_array(rows)
-
-
-def _mine_structure(dist, neighbors, negative_only, n_items, margin, top_k):
-    """Families 3 and 4: anchor, positive and negative share one view.
-
-    Positives are the anchor's neighbors other than itself (ordered
-    pairs, so (i, j) and (j, i) are mined separately).  Negatives are
-    rows outside N(anchor); reserved hard-negative rows never appear.
-    """
-    rows = []
-    blocked = set(negative_only)
-    for anchor in range(n_items):
-        positives = sorted(neighbors[anchor] - {anchor})
-        if not positives:
-            continue
-        excluded = neighbors[anchor] | blocked
-        cand = np.array(
-            [c for c in range(n_items) if c not in excluded],
-            dtype=np.int64,
+    sizes = [len(m) for m in members]
+    cols = np.fromiter(chain.from_iterable(members), dtype=np.int64,
+                       count=sum(sizes))
+    rows = np.repeat(np.arange(n), sizes)
+    bad = np.flatnonzero((cols < 0) | (cols >= n))
+    if bad.size:
+        raise DimensionError(
+            f"{view}_neighbors[{rows[bad[0]]}] holds {cols[bad[0]]}, "
+            f"outside [0, {n})"
         )
-        if cand.size == 0:
-            continue
-        d_anchor = dist[anchor]
-        d_cand = d_anchor[cand]
-        for p in positives:
-            viol = margin + d_anchor[p] - d_cand
-            rows.extend(_select_top(anchor, p, cand, viol, top_k))
-    return _as_triplet_array(rows)
+    mask[rows, cols] = True
+    return mask
 
 
-def _as_triplet_array(rows):
-    if not rows:
-        return _EMPTY.copy()
-    return np.array(rows, dtype=np.int64)
+def _graph_masks(graph, nx, ny):
+    """Validated boolean masks of a batch's correspondence graph.
+
+    Returns:
+        (pos, x_nb, y_nb, owner): the positive incidence (nx, ny), the
+        reflexive neighbor masks (nx, nx) and (ny, ny), and per x row
+        the y anchor it is reserved for, or -1.
+    """
+    pairs = np.asarray(graph.pos_pairs, dtype=np.int64).reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= (nx, ny))).any(axis=1)
+    if outside.any():
+        xi, yi = pairs[outside][0]
+        raise DimensionError(
+            f"positive pair ({xi}, {yi}) outside batch of {nx}x{ny}"
+        )
+    pos = np.zeros((nx, ny), dtype=bool)
+    pos[pairs[:, 0], pairs[:, 1]] = True
+    x_nb = _neighbor_mask(graph, "x", nx)
+    y_nb = _neighbor_mask(graph, "y", ny)
+    owner = np.full(nx, -1, dtype=np.int64)
+    reserved = getattr(graph, "x_negative_only", None) or {}
+    for row, anchor in reserved.items():
+        if not (0 <= row < nx and 0 <= anchor < ny):
+            raise DimensionError(
+                f"x_negative_only maps x row {row} to y anchor {anchor}, "
+                f"outside batch of {nx}x{ny}"
+            )
+        owner[row] = anchor
+    return pos, x_nb, y_nb, owner
+
+
+def _top_violations(dist, anchors, positives, allowed, margin, top_k):
+    """Top_k strictly violated negatives per (anchor, positive) pair.
+
+    Row r's violations are margin + dist[a, p] - dist[a, :] with
+    a = anchors[r] and p = positives[r]; candidates outside
+    ``allowed[a]`` or not above zero are dropped.  Rows are worked in
+    blocks of at most DIRECT_CHUNK_FLOATS violations.
+
+    Returns:
+        (k, 3) int64 triplets, pair by pair in input order, violation
+        descending within a pair, ties by lower negative index.
+    """
+    block = max(1, DIRECT_CHUNK_FLOATS // max(1, dist.shape[1]))
+    parts = [_EMPTY]
+    for start in range(0, anchors.size, block):
+        a = anchors[start:start + block]
+        p = positives[start:start + block]
+        d = dist[a]
+        viol = (margin + d[np.arange(a.size), p])[:, None] - d
+        viol[~(allowed[a] & (viol > 0.0))] = -np.inf
+        # a stable sort keeps equal violations in candidate order
+        order = np.argsort(-viol, axis=1, kind="stable")[:, :top_k]
+        keep = np.take_along_axis(viol, order, axis=1) > -np.inf
+        rows = np.nonzero(keep)[0]
+        parts.append(np.column_stack((a[rows], p[rows], order[keep])))
+    return np.concatenate(parts)
+
+
+def _excluded(pos, opp_nb):
+    """Candidates in the neighborhood of any of an anchor's positives."""
+    # a float product runs on BLAS; an integer one does not
+    return pos.astype(np.float64) @ opp_nb.astype(np.float64) > 0.0
 
 
 def mine_triplets(emb_x, emb_y, graph, cfg):
@@ -227,13 +212,17 @@ def mine_triplets(emb_x, emb_y, graph, cfg):
         graph: object exposing ``pos_pairs`` ((k, 2) array of (x, y)
             row indices), ``x_neighbors``/``y_neighbors`` (per-row
             same-view neighbor collections) and optionally
-            ``x_negative_only``/``y_negative_only`` (dict mapping a
-            reserved row to the single opposite-view anchor it may
-            serve as negative for).
+            ``x_negative_only`` (dict mapping a reserved x row to the
+            single y anchor it may serve as negative for).
         cfg: LossConfig.
 
     Families whose weight in ``cfg`` is exactly zero are skipped and
     come back empty; they would contribute neither loss nor gradient.
+
+    Raises:
+        DimensionError: a positive pair, a neighbor member or an
+            ``x_negative_only`` row or anchor outside the batch, or a
+            neighbor list whose length is not the view's row count.
 
     Returns:
         TripletSet.
@@ -241,28 +230,28 @@ def mine_triplets(emb_x, emb_y, graph, cfg):
     emb_x = as_matrix(emb_x, "emb_x")
     emb_y = as_matrix(emb_y, "emb_y")
     nx, ny = emb_x.shape[0], emb_y.shape[0]
-    pos_y_by_x, pos_x_by_y = _positive_maps(graph.pos_pairs, nx, ny)
-    x_neighbors = _neighbor_sets(graph, "x", nx)
-    y_neighbors = _neighbor_sets(graph, "y", ny)
-    x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
-    y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
+    pos, x_nb, y_nb, owner = _graph_masks(graph, nx, ny)
+    reserved = owner >= 0
+
+    def mine(dist, pairs, allowed):
+        return _top_violations(dist, *np.nonzero(pairs), allowed,
+                               cfg.margin, cfg.top_k)
 
     d_xy = pairwise_distances(emb_x, emb_y)
     out = TripletSet()
-    out.image_to_sentence = _mine_cross(
-        d_xy, pos_y_by_x, y_neighbors, y_negonly, ny, cfg.margin, cfg.top_k)
+    out.image_to_sentence = mine(d_xy, pos, ~_excluded(pos, y_nb))
     if cfg.lambda1 > 0:
-        out.sentence_to_image = _mine_cross(
-            d_xy.T, pos_x_by_y, x_neighbors, x_negonly, nx,
-            cfg.margin, cfg.top_k)
+        own = ~reserved | (owner == np.arange(ny)[:, None])
+        out.sentence_to_image = mine(d_xy.T, pos.T,
+                                     ~_excluded(pos.T, x_nb) & own)
     if cfg.lambda2 > 0:
         d_xx = pairwise_distances(emb_x, emb_x)
-        out.image_structure = _mine_structure(
-            d_xx, x_neighbors, x_negonly, nx, cfg.margin, cfg.top_k)
+        out.image_structure = mine(d_xx, x_nb & ~np.eye(nx, dtype=bool),
+                                   ~x_nb & ~reserved)
     if cfg.lambda3 > 0:
         d_yy = pairwise_distances(emb_y, emb_y)
-        out.sentence_structure = _mine_structure(
-            d_yy, y_neighbors, y_negonly, ny, cfg.margin, cfg.top_k)
+        out.sentence_structure = mine(d_yy, y_nb & ~np.eye(ny, dtype=bool),
+                                      ~y_nb)
     return out
 
 

@@ -334,6 +334,15 @@ class TestCorpusIO:
         with pytest.raises(ConsistencyError):
             ev.corpus_from_rows(rows, phrases, regions)
 
+    def test_non_finite_box(self):
+        # an infinite corner has positive "area", but the IoU of the box
+        # with itself would read inf - inf
+        phrases, regions = tiny_sets()
+        box = (0.0, 0.0, float("inf"), 10.0)
+        rows = [("im_a", "P", "cat", *box, 0), ("im_a", "G", "cat", *box, 1)]
+        with pytest.raises(ConsistencyError, match=r"\(im_a, cat\).*finite"):
+            ev.corpus_from_rows(rows, phrases, regions)
+
     def test_generated_corpus_loads(self, tmp_path):
         d = data.gen_localization(3, 2, 8, 6, seed=1)
         path = str(tmp_path / "corpus.tsv")

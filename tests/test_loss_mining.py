@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from twobranch import data
 from twobranch import loss_mining as lm
-from twobranch.errors import ConfigError
+from twobranch.errors import ConfigError, DimensionError
 
 
 def simple_graph(pairs, nx, ny, x_nb=None, y_nb=None, x_negonly=None):
@@ -96,21 +97,85 @@ class TestMineTriplets:
         assert 0 not in negatives
         assert negatives == {2}
 
+    @staticmethod
+    def assert_matches_enumerator(emb_x, emb_y, graph, cfg, tag):
+        trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
+        fam = oracles.enumerate_family_triplets(emb_x, emb_y, graph,
+                                                cfg.margin, cfg.top_k)
+        for name in lm.FAMILY_NAMES:
+            want = [(a, p, n) for (a, p, n, _) in fam[name]]
+            got = [tuple(r) for r in getattr(trip, name).tolist()]
+            assert got == want, f"{tag} family {name}"
+
+    # (integer embeddings, reserved x row, top_k); integer coordinates
+    # make many distances tie exactly, in the miner and the oracle
+    # alike, and at margin 1 make some violations exactly zero
+    ENUMERATOR_CASES = [
+        (False, False, 50),
+        (True, False, 50),
+        (False, True, 50),
+        (True, True, 1),
+        (True, True, 3),
+        (True, True, 50),
+    ]
+
     def test_matches_enumerator_on_random_batches(self):
+        for tied, reserved, top_k in self.ENUMERATOR_CASES:
+            cfg = lm.LossConfig(margin=1.0 if tied else 0.1, lambda1=2.0,
+                                lambda2=0.3, lambda3=0.2, top_k=top_k)
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                graph = oracles.random_graph(rng, 12, 14)
+                emb_x = unit_rows(rng, 12, 5)
+                emb_y = unit_rows(rng, 14, 5)
+                if tied:
+                    emb_x = np.round(3.0 * emb_x)
+                    emb_y = np.round(3.0 * emb_y)
+                if reserved:
+                    # an extra x row, reserved as a negative for one y,
+                    # the way batches carry mined hard negatives
+                    emb_x = np.vstack([emb_x, emb_x[int(rng.integers(12))]])
+                    graph.x_neighbors.append({12})
+                    graph.x_negative_only = {12: int(rng.integers(14))}
+                self.assert_matches_enumerator(
+                    emb_x, emb_y, graph, cfg,
+                    f"tied={tied} reserved={reserved} top_k={top_k} "
+                    f"seed {seed}")
+
+    def test_matches_enumerator_on_fine_tune_batches(self):
+        # augmented batches with reserved hard-negative rows, as
+        # hard_negatives.fine_tune samples them
+        rng = np.random.default_rng(21)
+        x_ids = [f"im{i}" for i in range(12)]
+        y_ids = [f"s{j}" for j in range(36)]
+        pairs = [(f"im{j // 3}", f"s{j}") for j in range(36)]
+        pairs += [(f"im{(j // 3 + 1) % 12}", f"s{j}") for j in (0, 7, 20)]
+        graph = data.build_graph(pairs, x_ids, y_ids)
+        extra = {j: [(j // 3 + k) % 12 for k in (2, 5, 8)]
+                 for j in range(0, 36, 2)}
+        cfg = lm.LossConfig(margin=0.2, lambda1=2.0, lambda2=0.3,
+                            lambda3=0.2, top_k=4)
+        batches = list(data.epoch_batches(graph, 10, True, rng,
+                                          extra_negatives=extra,
+                                          negatives_per_anchor=2))
+        assert any(b.x_negative_only for b in batches)
+        assert any(b.augmented_y_rows for b in batches)
+        for i, batch in enumerate(batches):
+            emb_x = unit_rows(rng, batch.num_x, 5)
+            emb_y = unit_rows(rng, batch.num_y, 5)
+            self.assert_matches_enumerator(emb_x, emb_y, batch, cfg,
+                                           f"batch {i}")
+
+    def test_mined_in_blocks(self, monkeypatch):
+        # a block bound of 40 violations mines 2-3 rows per block
+        monkeypatch.setattr(lm, "DIRECT_CHUNK_FLOATS", 40)
         cfg = lm.LossConfig(margin=0.1, lambda1=2.0, lambda2=0.3,
-                            lambda3=0.2, top_k=50)
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            graph = oracles.random_graph(rng, 12, 14)
-            emb_x = unit_rows(rng, 12, 5)
-            emb_y = unit_rows(rng, 14, 5)
-            trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
-            fam = oracles.enumerate_family_triplets(emb_x, emb_y, graph,
-                                                    cfg.margin, cfg.top_k)
-            for name in lm.FAMILY_NAMES:
-                want = [(a, p, n) for (a, p, n, _) in fam[name]]
-                got = [tuple(r) for r in getattr(trip, name).tolist()]
-                assert got == want, f"seed {seed} family {name}"
+                            lambda3=0.2, top_k=3)
+        rng = np.random.default_rng(22)
+        graph = oracles.random_graph(rng, 12, 14)
+        emb_x = np.round(3.0 * unit_rows(rng, 12, 5))
+        emb_y = np.round(3.0 * unit_rows(rng, 14, 5))
+        self.assert_matches_enumerator(emb_x, emb_y, graph, cfg, "blocks")
 
     def test_top_k_truncates_to_largest(self):
         cfg_two = lm.LossConfig(margin=0.1, lambda2=0.5, top_k=2)
@@ -165,6 +230,24 @@ class TestMineTriplets:
         assert anchors_of_reserved == [0]
         f3 = trip.image_structure.tolist()
         assert all(2 not in row for row in f3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("pos_pairs", np.array([[0, 0], [1, 3]])),
+        ("y_neighbors", [{0}, {1}]),
+        ("x_neighbors", [{0, 2}, {1}]),
+        ("x_neighbors", [{0, -1}, {1}]),
+        ("y_neighbors", [{0}, {1, 3}, {2}]),
+        ("x_negative_only", {2: 0}),
+        ("x_negative_only", {-1: 0}),
+        ("x_negative_only", {1: 3}),
+        ("x_negative_only", {1: -1}),
+    ])
+    def test_graph_index_outside_batch(self, field, value):
+        graph = simple_graph([(0, 0), (1, 1)], 2, 3)
+        setattr(graph, field, value)
+        with pytest.raises(DimensionError):
+            lm.mine_triplets(np.eye(2, 3), np.eye(3), graph,
+                             lm.LossConfig(lambda2=0.3))
 
     def test_family3_empty_without_shared_sentences(self):
         # Image-sentence data where no two images share a sentence.
