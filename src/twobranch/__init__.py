@@ -16,6 +16,7 @@ from .errors import (
     ConsistencyError,
     ContractViolationError,
     DimensionError,
+    DivergenceError,
     EvaluationError,
     FormatError,
     TwoBranchError,
@@ -51,6 +52,7 @@ __all__ = [
     "ConsistencyError",
     "ContractViolationError",
     "DimensionError",
+    "DivergenceError",
     "EvaluationError",
     "FAMILY_NAMES",
     "FormatError",

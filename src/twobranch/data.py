@@ -379,35 +379,6 @@ def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
     )
 
 
-def sample_minibatch(graph, batch_pairs, augment, rng, extra_negatives=None,
-                     negatives_per_anchor=10):
-    """Sample ``batch_pairs`` positive pairs without replacement.
-
-    With ``augment`` on, each batch image gets one extra distinct
-    positive sentence appended when the dataset has one, so batches
-    vary in size.  ``extra_negatives`` (dataset y row -> dataset x
-    rows) appends reserved hard-negative rows for in-batch anchors,
-    at most ``negatives_per_anchor`` each.
-
-    Returns:
-        MiniBatch.
-    """
-    if graph.num_pairs == 0:
-        raise ConfigError("cannot sample from a graph with no pairs")
-    if batch_pairs < 1:
-        raise ConfigError(f"batch_pairs must be >= 1, got {batch_pairs}")
-    if batch_pairs > graph.num_pairs:
-        raise ConfigError(
-            f"batch_pairs={batch_pairs} exceeds dataset size "
-            f"{graph.num_pairs}"
-        )
-    pair_rows = np.sort(rng.choice(graph.num_pairs, size=batch_pairs,
-                                   replace=False))
-    return _build_batch(graph, pair_rows, augment, rng,
-                        extra_negatives=extra_negatives,
-                        negatives_per_anchor=negatives_per_anchor)
-
-
 def epoch_batches(graph, batch_pairs, augment, rng, extra_negatives=None,
                   negatives_per_anchor=10):
     """Partition one epoch into disjoint batches of batch_pairs pairs.

@@ -35,3 +35,7 @@ class ConsistencyError(TwoBranchError):
 
 class EvaluationError(TwoBranchError):
     """An evaluation query cannot be scored."""
+
+
+class DivergenceError(TwoBranchError):
+    """Training produced NaN or infinite values."""

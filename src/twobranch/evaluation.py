@@ -134,24 +134,6 @@ def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
     )
 
 
-def mean_neighborhood_distance(emb, neighbors):
-    """Mean embedded distance over ordered within-neighborhood pairs.
-
-    Pairs (i, j) with j in N(i), j != i.  Returns 0.0 when no such
-    pair exists.
-    """
-    emb = as_matrix(emb, "emb")
-    dists = []
-    for i, members in enumerate(neighbors):
-        for j in sorted(members):
-            if j == i:
-                continue
-            dists.append(float(np.linalg.norm(emb[i] - emb[j])))
-    if not dists:
-        return 0.0
-    return float(np.mean(dists))
-
-
 # ---------------------------------------------------------------------------
 # boxes
 

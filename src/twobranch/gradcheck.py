@@ -237,8 +237,8 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
         return hinge_loss(ex, ey, triplets, cfg).loss * scale
 
     result = hinge_loss(emb_x, emb_y, triplets, cfg)
-    grads_x, _ = backward_branch(tapes_x, result.grad_x * scale)
-    grads_y, _ = backward_branch(tapes_y, result.grad_y * scale)
+    grads_x = backward_branch(tapes_x, result.grad_x * scale)
+    grads_y = backward_branch(tapes_y, result.grad_y * scale)
 
     errors = {}
     for branch, grads, bp in (("x", grads_x, params.x),

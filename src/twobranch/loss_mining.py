@@ -25,7 +25,9 @@ P^T @ Nx exclude candidates of the cross-view families, an anchor's own
 neighbor row those of the structure families.  A reserved x row is a
 candidate only for its own sentence -> image anchor, never in image
 structure.  Each pair keeps its top_k candidates with positive
-violation, largest first, ties by lower candidate index.
+violation, largest first, ties by lower candidate index; a pair with
+more than top_k candidates is partitioned to its top_k-th largest
+violation, so only top_k entries are sorted.
 
 Every hinge is a difference of two entries of one pairwise distance
 matrix per view pair, and its gradient flows back through
@@ -169,6 +171,24 @@ def _graph_masks(graph, nx, ny):
     return pos, x_nb, y_nb, owner
 
 
+def _partitioned_top(keys, top_k):
+    """Columns of each row's top_k smallest keys, smallest first.
+
+    Equal keys come in column order.  Each row must hold more than top_k
+    finite keys.
+    """
+    cut = np.partition(keys, top_k - 1, axis=1)[:, top_k - 1, None]
+    # all keys below the cut, then the lowest-column ties at it
+    below = keys < cut
+    ties = keys == cut
+    ties &= (np.cumsum(ties, axis=1, dtype=np.int32)
+             <= top_k - below.sum(axis=1, keepdims=True))
+    cols = np.nonzero(below | ties)[1].reshape(-1, top_k)
+    order = np.argsort(np.take_along_axis(keys, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def _top_violations(dist, anchors, positives, allowed, margin, top_k):
     """Top_k strictly violated negatives per (anchor, positive) pair.
 
@@ -181,19 +201,29 @@ def _top_violations(dist, anchors, positives, allowed, margin, top_k):
         (k, 3) int64 triplets, pair by pair in input order, violation
         descending within a pair, ties by lower negative index.
     """
-    block = max(1, DIRECT_CHUNK_FLOATS // max(1, dist.shape[1]))
+    m = dist.shape[1]
+    block = max(1, DIRECT_CHUNK_FLOATS // max(1, m))
     parts = [_EMPTY]
     for start in range(0, anchors.size, block):
         a = anchors[start:start + block]
         p = positives[start:start + block]
         d = dist[a]
-        viol = (margin + d[np.arange(a.size), p])[:, None] - d
-        viol[~(allowed[a] & (viol > 0.0))] = -np.inf
-        # a stable sort keeps equal violations in candidate order
-        order = np.argsort(-viol, axis=1, kind="stable")[:, :top_k]
-        keep = np.take_along_axis(viol, order, axis=1) > -np.inf
+        # minus the violation, exactly: x - y is -(y - x) in floating
+        # point, so an ascending sort puts the largest violation first
+        neg = d - (margin + d[np.arange(a.size), p])[:, None]
+        ok = allowed[a] & (neg < 0.0)
+        neg[~ok] = np.inf
+        # A row with more than top_k candidates is partitioned before it
+        # is sorted; a row of mostly dropped ones sorts fast as it is,
+        # and a stable sort keeps equal violations in candidate order.
+        big = ok.sum(axis=1) > top_k
+        cand = np.empty((a.size, min(top_k, m)), dtype=np.int64)
+        cand[~big] = np.argsort(neg[~big], axis=1, kind="stable")[:, :top_k]
+        if big.any():
+            cand[big] = _partitioned_top(neg[big], top_k)
+        keep = np.take_along_axis(neg, cand, axis=1) < np.inf
         rows = np.nonzero(keep)[0]
-        parts.append(np.column_stack((a[rows], p[rows], order[keep])))
+        parts.append(np.column_stack((a[rows], p[rows], cand[keep])))
     return np.concatenate(parts)
 
 

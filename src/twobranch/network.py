@@ -197,7 +197,10 @@ def forward_branch(params, branch, inputs, mode, rng=None):
 
 
 def backward_branch(tapes, grad_emb):
-    """Chain the layer backwards; returns dict of parameter gradients."""
+    """Chain the layer backwards; returns dict of parameter gradients.
+
+    The inputs are data, so no gradient flows into them.
+    """
     if tapes is None:
         raise ConfigError("backward requires train-mode tapes")
     g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
@@ -205,11 +208,11 @@ def backward_branch(tapes, grad_emb):
     g, g_w2, g_b2 = tc.affine_backward(g, tapes.affine2)
     g = tc.dropout_backward(g, tapes.dropout)
     g = tc.relu_backward(g, tapes.relu)
-    g, g_w1, g_b1 = tc.affine_backward(g, tapes.affine1)
+    g_w1, g_b1 = tc.affine_param_backward(g, tapes.affine1)
     return {
         "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
         "gamma": g_gamma, "beta": g_beta,
-    }, g
+    }
 
 
 def _learned_tensors(params):
@@ -243,14 +246,22 @@ def sgd_step(params, opt, grads):
                 f"gradient for {name} has shape {grad.shape}, parameter "
                 f"has {theta.shape}"
             )
-        if name.endswith(_DECAYED_SUFFIXES):
-            grad = grad + opt.weight_decay * theta
         vel = opt.velocity.get(name)
         if vel is None:
-            vel = np.zeros_like(theta)
-        vel = opt.momentum * vel + grad
-        opt.velocity[name] = vel
-        theta -= opt.lr * vel
+            # a zero start, not a copy of grad: 0 + -0.0 is +0.0
+            vel = opt.velocity[name] = np.zeros_like(theta)
+        # one scratch array holds the decay term, then lr * vel; the
+        # operation order is the formula's, so the bits are too
+        scratch = np.empty_like(theta)
+        vel *= opt.momentum
+        if name.endswith(_DECAYED_SUFFIXES):
+            np.multiply(opt.weight_decay, theta, out=scratch)
+            scratch += grad
+            vel += scratch
+        else:
+            vel += grad
+        np.multiply(opt.lr, vel, out=scratch)
+        theta -= scratch
 
 
 def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
@@ -260,8 +271,8 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
         dict mapping tensor name to the L2 norm of its gradient, for
         logging and divergence checks.
     """
-    bx, _ = backward_branch(tapes_x, grad_emb_x)
-    by, _ = backward_branch(tapes_y, grad_emb_y)
+    bx = backward_branch(tapes_x, grad_emb_x)
+    by = backward_branch(tapes_y, grad_emb_y)
     grads = {f"x.{k}": v for k, v in bx.items()}
     grads.update({f"y.{k}": v for k, v in by.items()})
     report = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
@@ -277,7 +288,9 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
 # where each record is
 #   u32 name length | name utf-8 | u64 rows | u64 cols | rows*cols f64
 # records are sorted by name, and the checksum is the first 8 bytes of
-# SHA-256 over everything before it.
+# SHA-256 over everything before it.  The file is written as a stream:
+# each header and each array goes to the file and the hash as it is,
+# with no copy of the whole payload in memory.
 
 
 def _named_tensors(params, opt):
@@ -305,6 +318,12 @@ def _named_tensors(params, opt):
     return out
 
 
+def non_finite_tensors(params, opt):
+    """Names of the checkpoint records that hold NaN or infinity."""
+    return [name for name, arr in _named_tensors(params, opt).items()
+            if not np.all(np.isfinite(arr))]
+
+
 def _as_record_matrix(arr):
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
@@ -316,20 +335,22 @@ def _as_record_matrix(arr):
 
 def save_checkpoint(params, opt, path):
     """Write params + optimizer state to ``path`` (see layout above)."""
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     tensors = _named_tensors(params, opt)
-    for name in sorted(tensors):
-        mat = np.ascontiguousarray(_as_record_matrix(tensors[name]))
-        raw_name = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw_name)))
-        chunks.append(raw_name)
-        chunks.append(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
-        chunks.append(mat.tobytes())
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(payload).digest()[:8]
+    digest = hashlib.sha256()
     with atomic_write(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(digest)
+
+        def put(buf):
+            digest.update(buf)
+            fh.write(buf)
+
+        put(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
+        for name in sorted(tensors):
+            mat = np.ascontiguousarray(_as_record_matrix(tensors[name]))
+            raw_name = name.encode("utf-8")
+            put(struct.pack("<I", len(raw_name)) + raw_name
+                + struct.pack("<QQ", mat.shape[0], mat.shape[1]))
+            put(mat)
+        fh.write(digest.digest()[:8])
 
 
 def _read_exact(buf, pos, count, what):
@@ -349,14 +370,15 @@ def load_checkpoint(path):
         (params, opt).
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
         raise ChecksumError(f"{path}: file too short to be a checkpoint")
+    # slices of a memoryview are views; each tensor is copied once below
     payload, stored = blob[:-8], blob[-8:]
     if hashlib.sha256(payload).digest()[:8] != stored:
         raise ChecksumError(f"{path}: checksum mismatch")
     if payload[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {payload[:4]!r}")
+        raise FormatError(f"{path}: bad magic {bytes(payload[:4])!r}")
     (version,) = struct.unpack("<I", payload[4:8])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
@@ -367,7 +389,7 @@ def load_checkpoint(path):
         raw, pos = _read_exact(payload, pos, 4, "name length")
         (name_len,) = struct.unpack("<I", raw)
         raw, pos = _read_exact(payload, pos, name_len, "name")
-        name = raw.decode("utf-8")
+        name = str(raw, "utf-8")
         raw, pos = _read_exact(payload, pos, 16, f"{name} shape")
         rows, cols = struct.unpack("<QQ", raw)
         raw, pos = _read_exact(payload, pos, rows * cols * 8, f"{name} data")

@@ -102,12 +102,7 @@ def affine_forward(x, w, b):
     return out, AffineTape(x=x, w=w)
 
 
-def affine_backward(grad_out, tape):
-    """Backward for affine_forward.
-
-    Returns:
-        (grad_x, grad_w, grad_b).
-    """
+def _affine_grad_out(grad_out, tape):
     _consume(tape)
     grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != (tape.x.shape[0], tape.w.shape[1]):
@@ -115,10 +110,33 @@ def affine_backward(grad_out, tape):
             f"affine backward: grad_out shape {grad_out.shape} does not match "
             f"output shape {(tape.x.shape[0], tape.w.shape[1])}"
         )
+    return grad_out
+
+
+def affine_backward(grad_out, tape):
+    """Backward for affine_forward.
+
+    Returns:
+        (grad_x, grad_w, grad_b).
+    """
+    grad_out = _affine_grad_out(grad_out, tape)
     grad_x = grad_out @ tape.w.T
     grad_w = tape.x.T @ grad_out
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
+
+
+def affine_param_backward(grad_out, tape):
+    """affine_backward without grad_x, for a layer whose input is data.
+
+    Skips the (n, d_in) product grad_out @ w.T; grad_w and grad_b are
+    the same expressions as in affine_backward, so the same bits.
+
+    Returns:
+        (grad_w, grad_b).
+    """
+    grad_out = _affine_grad_out(grad_out, tape)
+    return tape.x.T @ grad_out, grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

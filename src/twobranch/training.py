@@ -7,6 +7,11 @@ mined-triplet count before the weighted combination, so a family's
 force on the parameters does not depend on how many triplets the other
 families happened to yield; the recorded loss is the same weighted
 per-family mean.
+
+Training stops with DivergenceError, naming the epoch and step, as soon
+as an embedding, the loss or a gradient norm is NaN or infinite, and at
+the end of an epoch if any tensor a checkpoint would hold is; so a
+diverged run never reaches a checkpoint.
 """
 
 import logging
@@ -15,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
+from .errors import DivergenceError
 from .loss_mining import (FAMILY_NAMES, TripletSet, hinge_loss,
                           mine_triplets)
-from .network import backward_and_step, forward_branch, learning_rate
+from .network import (backward_and_step, forward_branch, learning_rate,
+                      non_finite_tensors)
 
 log = logging.getLogger("twobranch")
 
@@ -35,6 +42,10 @@ class EpochStats:
 def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
     """One forward/mine/loss/backward/update cycle.
 
+    Raises:
+        DivergenceError: an embedding, the loss or a gradient norm is
+            not finite.
+
     Returns:
         (weighted per-family mean loss, mined family counts) for the
         batch.
@@ -43,6 +54,10 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
     inp_y = features_y.features[batch.y_rows]
     emb_x, tapes_x = forward_branch(params, "x", inp_x, "train", rng=rng)
     emb_y, tapes_y = forward_branch(params, "y", inp_y, "train", rng=rng)
+    # NaN embeddings would mine no triplets and pass for a quiet batch
+    for view, emb in (("x", emb_x), ("y", emb_y)):
+        if not np.all(np.isfinite(emb)):
+            raise DivergenceError(f"non-finite {view} embeddings")
     triplets = mine_triplets(emb_x, emb_y, batch, loss_cfg)
     counts = triplets.counts()
     if triplets.total == 0:
@@ -61,7 +76,12 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
         loss += part.loss * scale
         grad_x += part.grad_x * scale
         grad_y += part.grad_y * scale
-    backward_and_step(params, opt, tapes_x, tapes_y, grad_x, grad_y)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"loss is {loss}")
+    norms = backward_and_step(params, opt, tapes_x, tapes_y, grad_x, grad_y)
+    bad = [name for name, norm in norms.items() if not np.isfinite(norm)]
+    if bad:
+        raise DivergenceError(f"non-finite gradient of {', '.join(bad)}")
     return loss, counts
 
 
@@ -80,6 +100,10 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
             after the epoch's parameters are in place (for best-model
             tracking).
 
+    Raises:
+        DivergenceError: a value went non-finite; the message names the
+            epoch and, for a step's check, the step (both 0-based).
+
     Returns:
         list of EpochStats.
     """
@@ -96,11 +120,21 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
             if batch.num_x < 2 or batch.num_y < 2:
                 skipped += 1
                 continue
-            loss, fam = train_step(params, opt, batch, features_x,
-                                   features_y, loss_cfg, rng)
+            try:
+                loss, fam = train_step(params, opt, batch, features_x,
+                                       features_y, loss_cfg, rng)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"epoch {opt.epoch} step {len(losses)}: {exc}"
+                ) from None
             losses.append(loss)
             for name in FAMILY_NAMES:
                 counts[name] += fam[name]
+        bad = non_finite_tensors(params, opt)
+        if bad:
+            raise DivergenceError(
+                f"epoch {opt.epoch}: non-finite {', '.join(bad)}"
+            )
         stats = EpochStats(
             epoch=opt.epoch,
             lr=opt.lr,

@@ -4,8 +4,14 @@ Everything here favors plain loops over vectorization so the reference
 logic stays independent of the library code it checks.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 
+from twobranch import data
+from twobranch import network as nw
+from twobranch import tensor_core as tc
 from twobranch.errors import ConfigError, EvaluationError
 from twobranch.tensor_core import as_matrix, pairwise_distances
 
@@ -384,3 +390,102 @@ def region_phrase_distance(phrase_emb_rows, region_emb_rows):
     d = pairwise_distances(as_matrix(phrase_emb_rows, "phrases"),
                            as_matrix(region_emb_rows, "regions"))
     return float(d.min(axis=1).mean())
+
+
+def mean_neighborhood_distance(emb, neighbors):
+    """Mean embedded distance over ordered within-neighborhood pairs.
+
+    Pairs (i, j) with j in N(i), j != i.  Returns 0.0 when no such
+    pair exists.
+    """
+    emb = as_matrix(emb, "emb")
+    dists = []
+    for i, members in enumerate(neighbors):
+        for j in sorted(members):
+            if j == i:
+                continue
+            dists.append(float(np.linalg.norm(emb[i] - emb[j])))
+    if not dists:
+        return 0.0
+    return float(np.mean(dists))
+
+
+def sample_minibatch(graph, batch_pairs, augment, rng, extra_negatives=None,
+                     negatives_per_anchor=10):
+    """Sample ``batch_pairs`` positive pairs without replacement.
+
+    With ``augment`` on, each batch image gets one extra distinct
+    positive sentence appended when the dataset has one, so batches
+    vary in size.  ``extra_negatives`` (dataset y row -> dataset x
+    rows) appends reserved hard-negative rows for in-batch anchors,
+    at most ``negatives_per_anchor`` each.
+
+    Returns:
+        MiniBatch.
+    """
+    if graph.num_pairs == 0:
+        raise ConfigError("cannot sample from a graph with no pairs")
+    if batch_pairs < 1:
+        raise ConfigError(f"batch_pairs must be >= 1, got {batch_pairs}")
+    if batch_pairs > graph.num_pairs:
+        raise ConfigError(
+            f"batch_pairs={batch_pairs} exceeds dataset size "
+            f"{graph.num_pairs}"
+        )
+    pair_rows = np.sort(rng.choice(graph.num_pairs, size=batch_pairs,
+                                   replace=False))
+    return data._build_batch(graph, pair_rows, augment, rng,
+                             extra_negatives=extra_negatives,
+                             negatives_per_anchor=negatives_per_anchor)
+
+
+# ---------------------------------------------------------------------------
+# network: the copying forms that streamed checkpoints, the in-place SGD
+# step and the first layer's parameter-only backward replaced
+
+
+def joined_checkpoint_bytes(params, opt):
+    """A checkpoint file's bytes, built as one joined payload."""
+    chunks = [nw.CHECKPOINT_MAGIC, struct.pack("<I", nw.CHECKPOINT_VERSION)]
+    tensors = nw._named_tensors(params, opt)
+    for name in sorted(tensors):
+        mat = np.ascontiguousarray(nw._as_record_matrix(tensors[name]))
+        raw_name = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(raw_name)))
+        chunks.append(raw_name)
+        chunks.append(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
+        chunks.append(mat.tobytes())
+    payload = b"".join(chunks)
+    return payload + hashlib.sha256(payload).digest()[:8]
+
+
+def out_of_place_sgd_step(params, opt, grads):
+    """v <- momentum * v + (grad + wd * theta); theta <- theta - lr * v.
+
+    The decay term applies to affine weight matrices only; every
+    operation makes a new array.
+    """
+    for name, theta in nw._learned_tensors(params):
+        grad = grads[name]
+        if name.endswith((".w1", ".w2")):
+            grad = grad + opt.weight_decay * theta
+        vel = opt.velocity.get(name)
+        if vel is None:
+            vel = np.zeros_like(theta)
+        vel = opt.momentum * vel + grad
+        opt.velocity[name] = vel
+        theta -= opt.lr * vel
+
+
+def full_backward_branch(tapes, grad_emb):
+    """backward_branch through affine_backward, input gradient dropped."""
+    g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
+    g, g_gamma, g_beta = tc.batchnorm_backward(g, tapes.batchnorm)
+    g, g_w2, g_b2 = tc.affine_backward(g, tapes.affine2)
+    g = tc.dropout_backward(g, tapes.dropout)
+    g = tc.relu_backward(g, tapes.relu)
+    _, g_w1, g_b1 = tc.affine_backward(g, tapes.affine1)
+    return {
+        "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
+        "gamma": g_gamma, "beta": g_beta,
+    }

@@ -154,7 +154,7 @@ def test_criterion_4_structure_term_effect():
                            np.random.default_rng(seed))
             emb_y, _ = nw.forward_branch(params, "y", syn.y.features,
                                          "eval")
-            values[lam3] = ev.mean_neighborhood_distance(
+            values[lam3] = oracles.mean_neighborhood_distance(
                 emb_y, syn.graph.y_neighbors)
         results.append((values[0.2], values[0.0]))
         if values[0.2] <= values[0.0]:

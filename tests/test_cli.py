@@ -122,6 +122,26 @@ class TestConfigParsing:
 
 
 class TestTrainCommand:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_nonzero_without_checkpoint(self, workdir,
+                                                         tmp_path, caplog):
+        ret = workdir["ret"]
+        ckpt = tmp_path / "m.ckpt"
+        best = tmp_path / "best.ckpt"
+        assert run_cli("train",
+                       "--features-x", str(ret / "x.feat"),
+                       "--features-y", str(ret / "y.feat"),
+                       "--pairs", str(ret / "pairs.tsv"),
+                       "--checkpoint-out", str(ckpt),
+                       "--best-checkpoint-out", str(best),
+                       "--x-hidden-dim", "16", "--y-hidden-dim", "16",
+                       "--embed-dim", "8", "--epochs", "3",
+                       "--batch-pairs", "6", "--seed", "0",
+                       "--lr0", "1e200") == 2
+        assert os.listdir(tmp_path) == []
+        assert "epoch 0 step" in caplog.text
+        assert "non-finite" in caplog.text
+
     def test_train_csv_shape(self, workdir):
         lines = (workdir["ret"] / "train.csv").read_text().splitlines()
         comments = [l for l in lines if l.startswith("# ")]

@@ -226,7 +226,7 @@ class TestSampleMinibatch:
     def test_plain_batch_size(self):
         d = small_corpus()
         rng = np.random.default_rng(0)
-        batch = data.sample_minibatch(d.graph, 6, False, rng)
+        batch = oracles.sample_minibatch(d.graph, 6, False, rng)
         assert batch.num_y == 6
         assert batch.pair_indices.shape == (6,)
 
@@ -234,13 +234,13 @@ class TestSampleMinibatch:
         d = small_corpus()
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            batch = data.sample_minibatch(d.graph, 10, False, rng)
+            batch = oracles.sample_minibatch(d.graph, 10, False, rng)
             assert len(set(batch.pair_indices.tolist())) == 10
 
     def test_augment_gives_two_positives_per_image(self):
         d = small_corpus()
         rng = np.random.default_rng(3)
-        batch = data.sample_minibatch(d.graph, 6, True, rng)
+        batch = oracles.sample_minibatch(d.graph, 6, True, rng)
         for i in range(batch.num_x):
             owned = np.sum(batch.pos_pairs[:, 0] == i)
             assert owned >= 2
@@ -248,8 +248,10 @@ class TestSampleMinibatch:
 
     def test_fixed_seed_reproduces_composition(self):
         d = small_corpus()
-        a = data.sample_minibatch(d.graph, 8, True, np.random.default_rng(9))
-        b = data.sample_minibatch(d.graph, 8, True, np.random.default_rng(9))
+        a = oracles.sample_minibatch(d.graph, 8, True,
+                                     np.random.default_rng(9))
+        b = oracles.sample_minibatch(d.graph, 8, True,
+                                     np.random.default_rng(9))
         assert np.array_equal(a.x_rows, b.x_rows)
         assert np.array_equal(a.y_rows, b.y_rows)
         assert np.array_equal(a.pos_pairs, b.pos_pairs)
@@ -257,7 +259,7 @@ class TestSampleMinibatch:
     def test_batch_positives_match_graph(self):
         d = small_corpus()
         rng = np.random.default_rng(4)
-        batch = data.sample_minibatch(d.graph, 8, True, rng)
+        batch = oracles.sample_minibatch(d.graph, 8, True, rng)
         have = {(int(a), int(b)) for a, b in batch.pos_pairs}
         for i, xr in enumerate(batch.x_rows):
             for j, yr in enumerate(batch.y_rows):
@@ -267,10 +269,11 @@ class TestSampleMinibatch:
     def test_oversized_batch_rejected(self):
         d = small_corpus()
         with pytest.raises(ConfigError):
-            data.sample_minibatch(d.graph, d.graph.num_pairs + 1, False,
-                                  np.random.default_rng(0))
+            oracles.sample_minibatch(d.graph, d.graph.num_pairs + 1, False,
+                                     np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            data.sample_minibatch(d.graph, 0, False, np.random.default_rng(0))
+            oracles.sample_minibatch(d.graph, 0, False,
+                                     np.random.default_rng(0))
 
 
 class TestEpochBatches:

@@ -118,11 +118,11 @@ class TestMeanNeighborhoodDistance:
     def test_hand_pair(self):
         emb = np.array([[0.0, 0.0], [3.0, 4.0]])
         neighbors = [{0, 1}, {0, 1}]
-        assert ev.mean_neighborhood_distance(emb, neighbors) == 5.0
+        assert oracles.mean_neighborhood_distance(emb, neighbors) == 5.0
 
     def test_self_only_is_zero(self):
         emb = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert ev.mean_neighborhood_distance(emb, [{0}, {1}]) == 0.0
+        assert oracles.mean_neighborhood_distance(emb, [{0}, {1}]) == 0.0
 
 
 def iou(a, b):

@@ -1,11 +1,13 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import oracles
 from twobranch import network as nw
 from twobranch.errors import (ChecksumError, ConfigError,
                               ContractViolationError, DimensionError,
@@ -15,6 +17,12 @@ from twobranch.errors import (ChecksumError, ConfigError,
 def small_params(seed=0, dropout=0.0):
     return nw.init_params(nw.BranchSpec(6, 5, 4, dropout),
                           nw.BranchSpec(7, 5, 4, dropout), seed=seed)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike ==, tells -0.0 from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
 
 
 class TestInit:
@@ -201,6 +209,33 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             nw.sgd_step(p, opt, grads)
 
+    def test_matches_out_of_place_oracle_bitwise(self):
+        # weights are decayed, biases and batch-norm scales are not;
+        # signed zeros in theta and grad check the zero first velocity
+        got, want = small_params(seed=15), small_params(seed=15)
+        for p in (got, want):
+            p.x.b1[:2] = -0.0
+        opt_got = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
+                                    weight_decay=0.0005)
+        opt_want = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
+                                     weight_decay=0.0005)
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            grads = {name: rng.normal(size=t.shape)
+                     for name, t in nw._learned_tensors(got)}
+            for g in grads.values():
+                g.flat[:3] = (0.0, -0.0, -0.0)
+            kept = {name: g.copy() for name, g in grads.items()}
+            nw.sgd_step(got, opt_got, grads)
+            oracles.out_of_place_sgd_step(want, opt_want, kept)
+            for name, g in grads.items():
+                assert same_bits(g, kept[name]), name
+            for (name, a), (_, b) in zip(nw._learned_tensors(got),
+                                         nw._learned_tensors(want)):
+                assert same_bits(a, b), name
+                assert same_bits(opt_got.velocity[name],
+                                 opt_want.velocity[name]), name
+
 
 class TestBackward:
     def test_tape_single_use(self):
@@ -211,6 +246,21 @@ class TestBackward:
         nw.backward_branch(tapes, np.ones_like(emb))
         with pytest.raises(ContractViolationError):
             nw.backward_branch(tapes, np.ones_like(emb))
+
+    def test_gradients_match_affine_backward_oracle(self):
+        # two forward passes on one seed give two equal sets of tapes
+        p = small_params(seed=16, dropout=0.3)
+        x = np.random.default_rng(16).normal(size=(9, 6))
+        emb, tapes = nw.forward_branch(p, "x", x, "train",
+                                       rng=np.random.default_rng(17))
+        _, twin = nw.forward_branch(p, "x", x, "train",
+                                    rng=np.random.default_rng(17))
+        grad_emb = np.random.default_rng(18).normal(size=emb.shape)
+        got = nw.backward_branch(tapes, grad_emb)
+        want = oracles.full_backward_branch(twin, grad_emb)
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert same_bits(got[name], g), name
 
     def test_eval_tape_unusable(self):
         p = small_params(seed=13)
@@ -269,6 +319,41 @@ class TestCheckpoint:
         p2, opt2 = nw.load_checkpoint(a)
         nw.save_checkpoint(p2, opt2, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_match_joined_oracle(self, tmp_path):
+        fresh = small_params(seed=5)
+        states = [(fresh, nw.OptimizerState()), self.trained_state(seed=5)]
+        for i, (p, opt) in enumerate(states):
+            path = tmp_path / f"{i}.ckpt"
+            nw.save_checkpoint(p, opt, path)
+            assert path.read_bytes() == oracles.joined_checkpoint_bytes(p, opt)
+
+    def test_save_and_load_memory_bounded(self, tmp_path):
+        # about 5 MB: the weights and their velocities dominate
+        p = nw.init_params(nw.BranchSpec(300, 400, 64),
+                           nw.BranchSpec(350, 400, 64), seed=6)
+        opt = nw.OptimizerState()
+        nw.sgd_step(p, opt, {name: np.ones_like(t)
+                             for name, t in nw._learned_tensors(p)})
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            nw.save_checkpoint(p, opt, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            p2, _ = nw.load_checkpoint(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert 4e6 < size < 6e6
+        # streamed: no copy of the file while saving; loading holds the
+        # file once and each tensor once
+        assert save_peak < 0.1 * size
+        assert load_peak - before < 2.1 * size
+        assert np.array_equal(p2.y.w1, p.y.w1)
+        assert p2.y.w1.flags.writeable and p2.y.w1.flags.aligned
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         p, opt = self.trained_state()

@@ -3,8 +3,11 @@
 import copy
 
 import numpy as np
+import pytest
 
+import oracles
 from twobranch import data, network as nw, training
+from twobranch.errors import DivergenceError
 from twobranch.loss_mining import FAMILY_NAMES, LossConfig, TripletSet, \
     hinge_loss, mine_triplets
 
@@ -103,12 +106,39 @@ class TestTrain:
         assert [s.epoch for s in seen] == [0, 1, 2]
 
 
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exploding_step_names_epoch_and_step(self):
+        d, params, opt = setup_problem(10)
+        opt.lr0 = 1e200
+        seen = []
+        with pytest.raises(DivergenceError,
+                           match=r"^epoch 0 step [1-9]\d*: non-finite "):
+            training.train(params, opt, d.graph, d.x, d.y, LossConfig(), 3,
+                           6, True, np.random.default_rng(10),
+                           on_epoch=seen.append)
+        assert seen == []
+
+    def test_non_finite_state_fails_at_epoch_end(self):
+        # batch statistics normalize in train mode, so the embeddings
+        # stay finite; the running variance does not
+        d, params, opt = setup_problem(11)
+        params.x.running_var[0] = np.inf
+        seen = []
+        with pytest.raises(DivergenceError,
+                           match=r"^epoch 0: non-finite x\.running_var$"):
+            training.train(params, opt, d.graph, d.x, d.y, LossConfig(), 1,
+                           6, True, np.random.default_rng(11),
+                           on_epoch=seen.append)
+        assert seen == []
+
+
 class TestTrainStep:
     def test_loss_is_weighted_family_mean(self):
         d, params, opt = setup_problem(7, dropout=0.0)
         cfg = LossConfig(lambda2=0.5)
-        batch = data.sample_minibatch(d.graph, 5, True,
-                                      np.random.default_rng(7))
+        batch = oracles.sample_minibatch(d.graph, 5, True,
+                                         np.random.default_rng(7))
         mirror = copy.deepcopy(params)
         got_loss, counts = training.train_step(
             params, opt, batch, d.x, d.y, cfg, np.random.default_rng(8))
@@ -135,8 +165,8 @@ class TestTrainStep:
     def test_parameters_change(self):
         d, params, opt = setup_problem(9)
         before = copy.deepcopy(params)
-        batch = data.sample_minibatch(d.graph, 5, True,
-                                      np.random.default_rng(9))
+        batch = oracles.sample_minibatch(d.graph, 5, True,
+                                         np.random.default_rng(9))
         loss, _ = training.train_step(params, opt, batch, d.x, d.y,
                                       LossConfig(), np.random.default_rng(9))
         assert loss > 0.0
