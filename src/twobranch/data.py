@@ -186,14 +186,15 @@ class CorrespondenceGraph:
         return self.pos_pairs.shape[0]
 
 
-def build_graph(pairs, x_ids, y_ids, dedupe=True, max_x_per_y=None):
+def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
     """Resolve id pairs against the two id universes and close
     neighborhoods by shared partner at depth 1.
+
+    A repeated (x, y) pair is dropped, keeping the first.
 
     Args:
         pairs: iterable of (x_id, y_id).
         x_ids, y_ids: id lists from the two FeatureSets.
-        dedupe: drop repeated (x, y) pairs, keeping the first.
         max_x_per_y: optional cap on partners per y (extra pairs
             beyond the cap are dropped in input order); used for
             region-phrase training where one phrase may have many
@@ -215,7 +216,7 @@ def build_graph(pairs, x_ids, y_ids, dedupe=True, max_x_per_y=None):
         if y_id not in y_row:
             raise ConsistencyError(f"pair references unknown y id {y_id!r}")
         key = (x_row[x_id], y_row[y_id])
-        if dedupe and key in seen:
+        if key in seen:
             continue
         seen.add(key)
         if max_x_per_y is not None:

@@ -163,7 +163,7 @@ def box_iou(a, b):
                      where=union > 0.0)
 
 
-def nms(boxes, scores, overlap_thresh, ascending_is_better=True):
+def nms(boxes, scores, overlap_thresh):
     """Greedy non-maximum suppression.
 
     Repeatedly keeps the best-scoring remaining box and drops every
@@ -172,8 +172,7 @@ def nms(boxes, scores, overlap_thresh, ascending_is_better=True):
 
     Args:
         boxes: (n, 4) array of (x1, y1, x2, y2).
-        scores: (n,) array; "best" is smallest when
-            ascending_is_better (distances), largest otherwise.
+        scores: (n,) array of distances; the smallest is best.
         overlap_thresh: IoU above this suppresses.
 
     Returns:
@@ -185,8 +184,7 @@ def nms(boxes, scores, overlap_thresh, ascending_is_better=True):
         raise ConsistencyError(
             f"{boxes.shape[0]} boxes for {scores.shape[0]} scores"
         )
-    order = np.argsort(scores if ascending_is_better else -scores,
-                       kind="stable")
+    order = np.argsort(scores, kind="stable")
     suppresses = box_iou(boxes, boxes) > overlap_thresh
     kept = []
     alive = np.ones(boxes.shape[0], dtype=bool)
@@ -226,9 +224,6 @@ class LocalizationCorpus:
                 have.add(q.phrase_id)
                 seen.append(q.phrase_id)
         return seen
-
-    def queries_of_phrase(self, phrase_id):
-        return [q for q in self.queries if q.phrase_id == phrase_id]
 
     def region_rows_by_image(self):
         """Sorted unique proposal feature rows per image id."""
@@ -447,8 +442,7 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
     ious = []
     for qi, (q, dist) in enumerate(zip(corpus.queries, distances)):
         ious.append(box_iou(q.proposal_boxes, q.gt_boxes))
-        keep = nms(q.proposal_boxes, dist, nms_overlap,
-                   ascending_is_better=True)
+        keep = nms(q.proposal_boxes, dist, nms_overlap)
         entries = pooled.setdefault(q.phrase_id, [])
         for p in keep:
             entries.append((float(dist[p]), qi, int(p)))

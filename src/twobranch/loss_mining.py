@@ -291,17 +291,16 @@ def mine_triplets(emb_x, emb_y, graph, cfg):
 
 @dataclass
 class LossResult:
-    """Loss value, embedding gradients and per-family diagnostics.
+    """Loss value, embedding gradients and per-family hinge sums.
 
-    ``family_sums`` holds the unweighted hinge sums and
-    ``family_counts`` the mined triplet counts.
+    ``family_sums`` holds each family's hinge sum, neither weighted nor
+    scaled.
     """
 
     loss: float
     grad_x: np.ndarray
     grad_y: np.ndarray
     family_sums: dict
-    family_counts: dict
 
 
 def _oriented(by_pair, name):
@@ -347,17 +346,23 @@ def _entry_counts(shape, rows, cols):
     return flat.reshape(shape)
 
 
-def hinge_loss(emb_x, emb_y, triplets, cfg):
+def hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
     """Weighted hinge loss over a TripletSet, with embedding gradients.
 
-    The loss's derivative with respect to the distances gathers +w at
-    (a, p) and -w at (a, n) for every active triplet, in one
+    The loss's derivative with respect to the distances gathers +c at
+    (a, p) and -c at (a, n) for every active triplet, in one
     coefficient matrix per view pair; pairwise_distance_backward turns
     each into embedding gradients.
+
+    Args:
+        scales: optional family name -> factor s_f.  Family f adds
+            w_f * s_f times its hinge sum to the loss, so c = w_f * s_f;
+            a family not named has s_f = 1.
 
     Returns:
         LossResult.
     """
+    scales = scales or {}
     emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
     dists, viols = triplet_violations(emb["x"], emb["y"], triplets,
                                       cfg.margin)
@@ -369,12 +374,12 @@ def hinge_loss(emb_x, emb_y, triplets, cfg):
         active = h > 0.0
         fam_sum = float(h[active].sum())
         sums[name] = fam_sum
-        w = weights[name]
-        loss += w * fam_sum
-        if w != 0.0 and active.any():
+        c = weights[name] * scales.get(name, 1.0)
+        loss += c * fam_sum
+        if c != 0.0 and active.any():
             a, p, n = getattr(triplets, name)[active].T
             coeff = _oriented(coeffs, name)
-            coeff += w * (_entry_counts(coeff.shape, a, p)
+            coeff += c * (_entry_counts(coeff.shape, a, p)
                           - _entry_counts(coeff.shape, a, n))
     grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
     for (va, vb), coeff in coeffs.items():
@@ -389,5 +394,4 @@ def hinge_loss(emb_x, emb_y, triplets, cfg):
         grad_x=grads["x"],
         grad_y=grads["y"],
         family_sums=sums,
-        family_counts=triplets.counts(),
     )

@@ -1,12 +1,12 @@
 """Epoch-driven SGD training over a correspondence graph.
 
 One training step runs a single train-mode forward per branch, mines
-triplets on those embeddings, computes the hinge loss, and applies one
-momentum-SGD update.  Each constraint family is normalized by its own
-mined-triplet count before the weighted combination, so a family's
-force on the parameters does not depend on how many triplets the other
-families happened to yield; the recorded loss is the same weighted
-per-family mean.
+triplets on those embeddings, computes the hinge loss in one call, and
+applies one momentum-SGD update.  Each constraint family is normalized
+by its own mined-triplet count, passed to hinge_loss as the family's
+scale 1/count, so a family's force on the parameters does not depend on
+how many triplets the other families happened to yield; the recorded
+loss is the same weighted per-family mean.
 
 Training stops with DivergenceError, naming the epoch and step, as soon
 as an embedding, the loss or a gradient norm is NaN or infinite, and at
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DivergenceError
-from .loss_mining import (FAMILY_NAMES, TripletSet, hinge_loss,
-                          mine_triplets)
+from .loss_mining import FAMILY_NAMES, hinge_loss, mine_triplets
 from .network import (backward_and_step, forward_branch, learning_rate,
                       non_finite_tensors)
 
@@ -60,29 +59,19 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
             raise DivergenceError(f"non-finite {view} embeddings")
     triplets = mine_triplets(emb_x, emb_y, batch, loss_cfg)
     counts = triplets.counts()
+    # with nothing mined, momentum would still move the weights
     if triplets.total == 0:
         return 0.0, counts
-    loss = 0.0
-    grad_x = np.zeros_like(emb_x)
-    grad_y = np.zeros_like(emb_y)
-    for name in FAMILY_NAMES:
-        mined = getattr(triplets, name)
-        if mined.shape[0] == 0:
-            continue
-        only = TripletSet()
-        setattr(only, name, mined)
-        part = hinge_loss(emb_x, emb_y, only, loss_cfg)
-        scale = 1.0 / mined.shape[0]
-        loss += part.loss * scale
-        grad_x += part.grad_x * scale
-        grad_y += part.grad_y * scale
-    if not np.isfinite(loss):
-        raise DivergenceError(f"loss is {loss}")
-    norms = backward_and_step(params, opt, tapes_x, tapes_y, grad_x, grad_y)
+    scales = {name: 1.0 / n for name, n in counts.items() if n}
+    result = hinge_loss(emb_x, emb_y, triplets, loss_cfg, scales=scales)
+    if not np.isfinite(result.loss):
+        raise DivergenceError(f"loss is {result.loss}")
+    norms = backward_and_step(params, opt, tapes_x, tapes_y, result.grad_x,
+                              result.grad_y)
     bad = [name for name, norm in norms.items() if not np.isfinite(norm)]
     if bad:
         raise DivergenceError(f"non-finite gradient of {', '.join(bad)}")
-    return loss, counts
+    return result.loss, counts
 
 
 def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,

@@ -13,6 +13,7 @@ from twobranch import data
 from twobranch import network as nw
 from twobranch import tensor_core as tc
 from twobranch.errors import ConfigError, EvaluationError
+from twobranch.loss_mining import FAMILY_NAMES, TripletSet, hinge_loss
 from twobranch.tensor_core import as_matrix, pairwise_distances
 
 
@@ -279,6 +280,32 @@ def gathered_hinge_loss(emb_x, emb_y, triplets, cfg):
     return loss, grad_x, grad_y
 
 
+def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
+    """The weighted per-family mean loss, one hinge_loss call per family.
+
+    Each family with mined triplets gets its own one-family TripletSet;
+    its loss and gradients are divided by its triplet count and summed.
+
+    Returns:
+        (loss, grad_x, grad_y).
+    """
+    loss = 0.0
+    grad_x = np.zeros_like(emb_x)
+    grad_y = np.zeros_like(emb_y)
+    for name in FAMILY_NAMES:
+        mined = getattr(triplets, name)
+        if mined.shape[0] == 0:
+            continue
+        only = TripletSet()
+        setattr(only, name, mined)
+        part = hinge_loss(emb_x, emb_y, only, cfg)
+        scale = 1.0 / mined.shape[0]
+        loss += part.loss * scale
+        grad_x += part.grad_x * scale
+        grad_y += part.grad_y * scale
+    return loss, grad_x, grad_y
+
+
 def random_graph(rng, nx, ny, extra_pair_rate=0.3):
     """Random correspondence structure over nx x-rows and ny y-rows.
 
@@ -390,6 +417,11 @@ def region_phrase_distance(phrase_emb_rows, region_emb_rows):
     d = pairwise_distances(as_matrix(phrase_emb_rows, "phrases"),
                            as_matrix(region_emb_rows, "regions"))
     return float(d.min(axis=1).mean())
+
+
+def queries_of_phrase(corpus, phrase_id):
+    """A LocalizationCorpus's queries of one phrase, in corpus order."""
+    return [q for q in corpus.queries if q.phrase_id == phrase_id]
 
 
 def mean_neighborhood_distance(emb, neighbors):

@@ -357,7 +357,7 @@ def test_criterion_8_hard_negative_pipeline():
         phrase_emb, _ = nw.forward_branch(params, "y", d.phrases.features,
                                           "eval")
         for phrase_id, entries in hn.by_phrase.items():
-            queries = corpus.queries_of_phrase(phrase_id)
+            queries = oracles.queries_of_phrase(corpus, phrase_id)
             anchor = phrase_emb[queries[0].phrase_row]
             gt_rows = [int(r) for q in queries for r in q.gt_rows
                        if int(r) >= 0]

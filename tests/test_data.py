@@ -182,8 +182,6 @@ class TestBuildGraph:
         pairs = [("img_0", "sent_0"), ("img_0", "sent_0")]
         g = data.build_graph(pairs, ["img_0"], ["sent_0"])
         assert g.num_pairs == 1
-        g2 = data.build_graph(pairs, ["img_0"], ["sent_0"], dedupe=False)
-        assert g2.num_pairs == 2
 
     def test_max_x_per_y_keeps_first(self):
         x_ids = ["reg_0", "reg_1", "reg_2"]

@@ -207,9 +207,6 @@ class TestNms:
             got = ev.nms(boxes, dist, 0.4)
             want = oracles.naive_nms(boxes, (-dist).tolist(), 0.4)
             assert got == want
-            got_desc = ev.nms(boxes, dist, 0.4, ascending_is_better=False)
-            want_desc = oracles.naive_nms(boxes, dist.tolist(), 0.4)
-            assert got_desc == want_desc
 
     def test_tied_scores_match_naive_oracle(self):
         for seed in range(8):
@@ -218,8 +215,6 @@ class TestNms:
             dist = rng.integers(0, 4, size=30).astype(np.float64)
             assert ev.nms(boxes, dist, 0.3) == \
                 oracles.naive_nms(boxes, (-dist).tolist(), 0.3)
-            assert ev.nms(boxes, dist, 0.3, ascending_is_better=False) == \
-                oracles.naive_nms(boxes, dist.tolist(), 0.3)
 
     def test_kept_boxes_weakly_overlap(self):
         rng = np.random.default_rng(9)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from twobranch import data, evaluation as ev, hard_negatives as hn_mod
 from twobranch import network as nw, training
 from twobranch.errors import ConsistencyError, FormatError
@@ -38,7 +39,7 @@ def expected_negatives(params, corpus, phrases, regions, cap,
     out = {}
     skipped = []
     for phrase_id in corpus.unique_phrases():
-        queries = corpus.queries_of_phrase(phrase_id)
+        queries = oracles.queries_of_phrase(corpus, phrase_id)
         gt_rows = sorted({int(r) for q in queries for r in q.gt_rows
                           if int(r) >= 0})
         if not gt_rows:
@@ -100,7 +101,7 @@ class TestMineHardNegatives:
         phrase_emb, _ = nw.forward_branch(params, "y", d.phrases.features,
                                           "eval")
         for phrase_id, entries in hn.by_phrase.items():
-            queries = corpus.queries_of_phrase(phrase_id)
+            queries = oracles.queries_of_phrase(corpus, phrase_id)
             anchor = phrase_emb[queries[0].phrase_row]
             gt_rows = [int(r) for q in queries for r in q.gt_rows
                        if int(r) >= 0]

@@ -27,6 +27,11 @@ def unit_rows(rng, n, d):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def array_relative_error(got, want):
+    """Largest absolute difference over the largest reference entry."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 class TestLossConfig:
     def test_defaults(self):
         cfg = lm.LossConfig()
@@ -414,6 +419,51 @@ class TestAgainstGatheredOracle:
         assert np.isfinite(res.grad_x).all() and np.isfinite(res.grad_y).all()
         assert np.abs(res.grad_x - gx).max() < tol
         assert np.abs(res.grad_y - gy).max() < tol
+
+
+class TestAgainstPerFamilyOracle:
+    CFG = lm.LossConfig(margin=0.2, lambda1=2.0, lambda2=0.3, lambda3=0.2,
+                        top_k=50)
+
+    def mined_batch(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        graph = oracles.random_graph(rng, 12, 14)
+        emb_x = unit_rows(rng, 12, 6)
+        emb_y = unit_rows(rng, 14, 6)
+        trip = lm.mine_triplets(emb_x, emb_y, graph, self.CFG)
+        assert all(c > 0 for c in trip.counts().values())
+        return emb_x, emb_y, trip
+
+    def test_count_scales_match_per_family_loop(self):
+        for seed in range(12):
+            emb_x, emb_y, trip = self.mined_batch(seed)
+            scales = {name: 1.0 / n for name, n in trip.counts().items()}
+            res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG, scales=scales)
+            loss, gx, gy = oracles.per_family_hinge_loss(emb_x, emb_y, trip,
+                                                         self.CFG)
+            assert abs(res.loss - loss) <= 1e-12 * abs(loss)
+            assert array_relative_error(res.grad_x, gx) <= 1e-12
+            assert array_relative_error(res.grad_y, gy) <= 1e-12
+
+    def test_unnamed_families_keep_unit_scale(self):
+        emb_x, emb_y, trip = self.mined_batch(0)
+        plain = lm.hinge_loss(emb_x, emb_y, trip, self.CFG)
+        for scales in ({}, dict.fromkeys(lm.FAMILY_NAMES, 1.0),
+                       {"image_structure": 1.0}):
+            res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG, scales=scales)
+            assert res.loss == plain.loss
+            assert np.array_equal(res.grad_x, plain.grad_x)
+            assert np.array_equal(res.grad_y, plain.grad_y)
+
+    def test_scale_multiplies_one_family(self):
+        emb_x, emb_y, trip = self.mined_batch(1)
+        plain = lm.hinge_loss(emb_x, emb_y, trip, self.CFG)
+        res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG,
+                            scales={"sentence_structure": 3.0})
+        assert res.family_sums == plain.family_sums
+        extra = 2.0 * self.CFG.lambda3 * plain.family_sums[
+            "sentence_structure"]
+        assert abs(res.loss - (plain.loss + extra)) <= 1e-12 * res.loss
 
 
 class TestBruteForce:

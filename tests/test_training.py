@@ -8,8 +8,7 @@ import pytest
 import oracles
 from twobranch import data, network as nw, training
 from twobranch.errors import DivergenceError
-from twobranch.loss_mining import FAMILY_NAMES, LossConfig, TripletSet, \
-    hinge_loss, mine_triplets
+from twobranch.loss_mining import FAMILY_NAMES, LossConfig, mine_triplets
 
 
 def setup_problem(seed=0, dropout=0.5):
@@ -20,6 +19,15 @@ def setup_problem(seed=0, dropout=0.5):
     opt = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
                             weight_decay=0.0005)
     return d, params, opt
+
+
+def assert_close_to_scale(got, want, rel):
+    """Every tensor of ``got`` within ``rel`` times the largest entry
+    of any tensor of ``want``."""
+    assert got.keys() == want.keys()
+    scale = max(np.abs(t).max() for t in want.values())
+    for name, tensor in want.items():
+        assert np.abs(got[name] - tensor).max() <= rel * scale, name
 
 
 def run(seed, epochs=8):
@@ -140,27 +148,27 @@ class TestTrainStep:
         batch = oracles.sample_minibatch(d.graph, 5, True,
                                          np.random.default_rng(7))
         mirror = copy.deepcopy(params)
+        mirror_opt = copy.deepcopy(opt)
         got_loss, counts = training.train_step(
             params, opt, batch, d.x, d.y, cfg, np.random.default_rng(8))
 
-        emb_x, _ = nw.forward_branch(mirror, "x",
-                                     d.x.features[batch.x_rows], "train",
-                                     rng=np.random.default_rng(8))
-        emb_y, _ = nw.forward_branch(mirror, "y",
-                                     d.y.features[batch.y_rows], "train",
-                                     rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        emb_x, tapes_x = nw.forward_branch(
+            mirror, "x", d.x.features[batch.x_rows], "train", rng=rng)
+        emb_y, tapes_y = nw.forward_branch(
+            mirror, "y", d.y.features[batch.y_rows], "train", rng=rng)
         trip = mine_triplets(emb_x, emb_y, batch, cfg)
         assert trip.counts() == counts
-        want = 0.0
-        for name in FAMILY_NAMES:
-            mined = getattr(trip, name)
-            if mined.shape[0] == 0:
-                continue
-            only = TripletSet()
-            setattr(only, name, mined)
-            part = hinge_loss(emb_x, emb_y, only, cfg)
-            want += part.loss / mined.shape[0]
+        want, grad_x, grad_y = oracles.per_family_hinge_loss(
+            emb_x, emb_y, trip, cfg)
         assert abs(got_loss - want) < 1e-12
+        nw.backward_and_step(mirror, mirror_opt, tapes_x, tapes_y, grad_x,
+                             grad_y)
+        # batch norm cancels b2, whose gradient is rounding noise, so
+        # each tensor is judged against the largest entry of its kind
+        assert_close_to_scale(dict(nw._learned_tensors(params)),
+                              dict(nw._learned_tensors(mirror)), 1e-12)
+        assert_close_to_scale(opt.velocity, mirror_opt.velocity, 1e-12)
 
     def test_parameters_change(self):
         d, params, opt = setup_problem(9)
