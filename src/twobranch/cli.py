@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
 
 import argparse
-import copy
 import logging
 import os
 import sys
@@ -121,7 +120,7 @@ def _parse_bool(text):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _coerce(name, value):
@@ -160,14 +159,17 @@ def parse_config_file(path):
 
 
 def resolve_config(args):
-    """defaults <- config file <- explicit command-line flags."""
+    """defaults <- config file <- explicit command-line flags.
+
+    Flag values arrive as strings and are coerced like file values.
+    """
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         values.update(parse_config_file(config_path))
     for name in _CONFIG_FIELDS:
         if hasattr(args, name):
-            values[name] = getattr(args, name)
+            values[name] = _coerce(name, getattr(args, name))
     return ExperimentConfig(**values)
 
 
@@ -212,10 +214,26 @@ def _check_dims(params, fx, fy, what):
         )
 
 
-def _embed(params, fx, fy):
+def _embed(checkpoint, fx, fy, what):
+    """Load ``checkpoint`` and embed both feature sets in eval mode."""
+    params, _ = load_checkpoint(checkpoint)
+    _check_dims(params, fx, fy, what)
     emb_x, _ = forward_branch(params, "x", fx.features, "eval")
     emb_y, _ = forward_branch(params, "y", fy.features, "eval")
     return emb_x, emb_y
+
+
+def _load_localization(features_x, features_y, corpus, checkpoint, what):
+    """Region and phrase files, their corpus, and both embeddings.
+
+    Returns:
+        (corpus, phrase FeatureSet, region_emb, phrase_emb).
+    """
+    regions = data_mod.load_feature_file(features_x)
+    phrases = data_mod.load_feature_file(features_y)
+    corpus = ev.load_corpus_file(corpus, phrases, regions)
+    region_emb, phrase_emb = _embed(checkpoint, regions, phrases, what)
+    return corpus, phrases, region_emb, phrase_emb
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +259,16 @@ def cmd_train(cfg):
                              momentum=cfg.momentum,
                              weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    best = {"loss": None, "snapshot": None}
+    best_loss = None
 
     def on_epoch(stats):
-        if best["loss"] is None or stats.mean_loss < best["loss"]:
-            best["loss"] = stats.mean_loss
-            best["snapshot"] = copy.deepcopy((params, opt))
+        # written now, before the next epoch moves the state; train has
+        # already checked that every tensor in it is finite
+        nonlocal best_loss
+        if best_loss is None or stats.mean_loss < best_loss:
+            best_loss = stats.mean_loss
+            if cfg.best_checkpoint_out:
+                save_checkpoint(params, opt, cfg.best_checkpoint_out)
 
     if cfg.hard_negatives:
         hn = hn_mod.load_hard_negatives(cfg.hard_negatives, cap=cfg.hn_cap)
@@ -262,9 +284,6 @@ def cmd_train(cfg):
             params, opt, graph, fx, fy, loss_cfg, cfg.epochs,
             cfg.batch_pairs, cfg.augment, rng, on_epoch=on_epoch)
     save_checkpoint(params, opt, cfg.checkpoint_out)
-    if cfg.best_checkpoint_out and best["snapshot"] is not None:
-        bp, bo = best["snapshot"]
-        save_checkpoint(bp, bo, cfg.best_checkpoint_out)
     if cfg.train_csv:
         with data_mod.atomic_write(cfg.train_csv) as fh:
             for line in config_echo(cfg):
@@ -284,9 +303,7 @@ def cmd_eval_retrieval(cfg):
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_in",
              "report")
     fx, fy, graph = _load_xy(cfg)
-    params, _ = load_checkpoint(cfg.checkpoint_in)
-    _check_dims(params, fx, fy, "eval-retrieval")
-    emb_x, emb_y = _embed(params, fx, fy)
+    emb_x, emb_y = _embed(cfg.checkpoint_in, fx, fy, "eval-retrieval")
     dist = pairwise_distances(emb_x, emb_y)
     report = ev.evaluate_retrieval(dist, graph.pos_y_by_x, graph.pos_x_by_y)
     ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))
@@ -295,21 +312,12 @@ def cmd_eval_retrieval(cfg):
     return 0
 
 
-def _load_localization(cfg):
-    regions = data_mod.load_feature_file(cfg.features_x)
-    phrases = data_mod.load_feature_file(cfg.features_y)
-    corpus = ev.load_corpus_file(cfg.corpus, phrases, regions)
-    params, _ = load_checkpoint(cfg.checkpoint_in)
-    _check_dims(params, regions, phrases, "localization")
-    region_emb, _ = forward_branch(params, "x", regions.features, "eval")
-    phrase_emb, _ = forward_branch(params, "y", phrases.features, "eval")
-    return params, corpus, regions, phrases, region_emb, phrase_emb
-
-
 def cmd_eval_localization(cfg):
     _require(cfg, "features_x", "features_y", "corpus", "checkpoint_in",
              "report")
-    _, corpus, _, _, region_emb, phrase_emb = _load_localization(cfg)
+    corpus, _, region_emb, phrase_emb = _load_localization(
+        cfg.features_x, cfg.features_y, cfg.corpus, cfg.checkpoint_in,
+        "eval-localization")
     dists = ev.query_distances(corpus, phrase_emb, region_emb)
     rows = []
     for k in (1, 5, 10):
@@ -330,9 +338,11 @@ def cmd_eval_localization(cfg):
 def cmd_mine_negatives(cfg):
     _require(cfg, "features_x", "features_y", "corpus", "checkpoint_in",
              "hard_negatives")
-    params, corpus, regions, phrases, _, _ = _load_localization(cfg)
+    corpus, _, region_emb, phrase_emb = _load_localization(
+        cfg.features_x, cfg.features_y, cfg.corpus, cfg.checkpoint_in,
+        "mine-negatives")
     hn, skipped = hn_mod.mine_hard_negatives(
-        params, corpus, phrases, regions, cap=cfg.hn_cap,
+        corpus, phrase_emb, region_emb, cap=cfg.hn_cap,
         iou_thresh=cfg.iou_thresh)
     hn_mod.save_hard_negatives(hn, cfg.hard_negatives)
     log.info("mined %d hard negatives over %d phrases (%d skipped)",
@@ -348,18 +358,11 @@ def cmd_fuse(cfg):
              "rp_checkpoint", "rp_features_x", "rp_features_y", "corpus",
              "membership", "report")
     fx, fy, graph = _load_xy(cfg)
-    params, _ = load_checkpoint(cfg.checkpoint_in)
-    _check_dims(params, fx, fy, "fuse")
-    emb_x, emb_y = _embed(params, fx, fy)
+    emb_x, emb_y = _embed(cfg.checkpoint_in, fx, fy, "fuse")
     d_global = pairwise_distances(emb_x, emb_y)
-
-    regions = data_mod.load_feature_file(cfg.rp_features_x)
-    phrases = data_mod.load_feature_file(cfg.rp_features_y)
-    corpus = ev.load_corpus_file(cfg.corpus, phrases, regions)
-    rp_params, _ = load_checkpoint(cfg.rp_checkpoint)
-    _check_dims(rp_params, regions, phrases, "fuse (region-phrase)")
-    region_emb, _ = forward_branch(rp_params, "x", regions.features, "eval")
-    phrase_emb, _ = forward_branch(rp_params, "y", phrases.features, "eval")
+    corpus, phrases, region_emb, phrase_emb = _load_localization(
+        cfg.rp_features_x, cfg.rp_features_y, cfg.corpus, cfg.rp_checkpoint,
+        "fuse (region-phrase)")
 
     membership = {}
     sentence_ids = set(fy.ids)
@@ -469,20 +472,10 @@ def cmd_grad_check(args):
 def _add_config_flags(parser):
     parser.add_argument("--config", default=None,
                         help="flat key = value config file")
-    for name, f in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        kind = _field_kind(f)
-        if kind == "bool":
-            parser.add_argument(flag, dest=name, type=_parse_bool,
-                                default=argparse.SUPPRESS, metavar="BOOL")
-        elif kind == "int":
-            parser.add_argument(flag, dest=name, type=int,
-                                default=argparse.SUPPRESS)
-        elif kind == "float":
-            parser.add_argument(flag, dest=name, type=float,
-                                default=argparse.SUPPRESS)
-        else:
-            parser.add_argument(flag, dest=name, default=argparse.SUPPRESS)
+    # values stay strings here; resolve_config coerces them like a file's
+    for name in _CONFIG_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            default=argparse.SUPPRESS)
 
 
 def build_parser():

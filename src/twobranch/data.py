@@ -84,12 +84,12 @@ def atomic_write(path, mode="w"):
 def save_feature_file(fs, path):
     """Write a FeatureSet as float32 binary plus the .ids sibling."""
     data = np.ascontiguousarray(fs.features, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQQ", FEATURE_VERSION, data.shape[0],
                              data.shape[1]))
         fh.write(data.tobytes())
-    with open(path + ".ids", "w", encoding="utf-8") as fh:
+    with atomic_write(path + ".ids") as fh:
         for fid in fs.ids:
             fh.write(fid + "\n")
 
@@ -128,7 +128,7 @@ def load_feature_file(path):
 
 
 def save_pair_file(pairs, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for x_id, y_id in pairs:
             fh.write(f"{x_id}\t{y_id}\n")
 

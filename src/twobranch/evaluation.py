@@ -240,7 +240,7 @@ def save_corpus_file(rows, path):
     Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2,
     feature_row_index or None).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in rows:
             image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
             cols = [image_id, kind, phrase_id,

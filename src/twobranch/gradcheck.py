@@ -243,8 +243,7 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
     errors = {}
     for branch, grads, bp in (("x", grads_x, params.x),
                               ("y", grads_y, params.y)):
-        for attr in ("w1", "b1", "w2", "b2", "gamma", "beta"):
-            theta = getattr(bp, attr)
+        for attr, grad in grads.items():
             errors[f"loss/{branch}.{attr}"] = check_gradient(
-                loss_value, theta, grads[attr], h)
+                loss_value, getattr(bp, attr), grad, h)
     return errors

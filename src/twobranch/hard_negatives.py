@@ -9,6 +9,7 @@ the structure-preserving terms entirely.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from .data import atomic_write
 from .errors import ConsistencyError, FormatError
-from .evaluation import box_iou
-from .network import forward_branch, learning_rate
+from .evaluation import box_iou, query_distances
+from .network import learning_rate
 from .training import train
 
 log = logging.getLogger("twobranch")
@@ -28,58 +29,59 @@ class HardNegativeSet:
     """Per-phrase mined negatives: lists of (region_row, distance).
 
     Lists are sorted by (distance, row) ascending and hold at most
-    ``cap`` entries each.
+    ``cap`` entries each, the cap that mining or loading was given.
     """
 
     by_phrase: dict = field(default_factory=dict)
-    cap: int = 50
 
     @property
     def total(self):
         return sum(len(v) for v in self.by_phrase.values())
 
 
-def mine_hard_negatives(params, corpus, phrases, regions, cap=50,
+def _closest(candidates, cap):
+    """The ``cap`` smallest (distance, row) of (row, distance) pairs."""
+    return [(r, d) for d, r in sorted((d, r) for r, d in candidates)[:cap]]
+
+
+def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
                         iou_thresh=0.5):
     """Collect the closest qualifying proposals per unique phrase.
 
     Args:
-        params: trained first-stage NetworkParams (x = regions,
-            y = phrases).
         corpus: LocalizationCorpus.
-        phrases, regions: the FeatureSets the corpus indexes into.
+        phrase_emb, region_emb: eval-mode embeddings of the phrase and
+            region FeatureSets the corpus indexes into, from a trained
+            first-stage model (x = regions, y = phrases).
         cap: keep at most this many negatives per phrase.
         iou_thresh: overlap at or above this disqualifies a proposal
             (it localizes some ground truth too well).
 
-    A phrase whose ground-truth boxes carry no feature rows has no
-    distance reference and is skipped.
+    Proposal distances are ``evaluation.query_distances``, the ones
+    localization is scored on.  A phrase whose ground-truth boxes carry
+    no feature rows has no distance reference and is skipped.
 
     Returns:
         (HardNegativeSet, skipped phrase ids).
     """
-    region_emb, _ = forward_branch(params, "x", regions.features, "eval")
-    phrase_emb, _ = forward_branch(params, "y", phrases.features, "eval")
     by_phrase = {}
-    for q in corpus.queries:
-        by_phrase.setdefault(q.phrase_id, []).append(q)
+    for q, dists in zip(corpus.queries,
+                        query_distances(corpus, phrase_emb, region_emb)):
+        by_phrase.setdefault(q.phrase_id, []).append((q, dists))
     out = {}
     skipped = []
     for phrase_id, queries in by_phrase.items():
         gt_rows = sorted({
-            int(r) for q in queries for r in q.gt_rows if int(r) >= 0
+            int(r) for q, _ in queries for r in q.gt_rows if int(r) >= 0
         })
         if not gt_rows:
             skipped.append(phrase_id)
             continue
-        phrase_row = queries[0].phrase_row
-        anchor = phrase_emb[phrase_row]
+        anchor = phrase_emb[queries[0][0].phrase_row]
         gt_dists = np.linalg.norm(region_emb[gt_rows] - anchor, axis=1)
         threshold = float(gt_dists.min())
         candidates = {}
-        for q in queries:
-            prop_dists = np.linalg.norm(
-                region_emb[q.proposal_rows] - anchor, axis=1)
+        for q, prop_dists in queries:
             near = np.flatnonzero(~(prop_dists >= threshold))
             if near.size and q.gt_boxes.shape[0] > 0:
                 overlap = box_iou(q.proposal_boxes[near], q.gt_boxes)
@@ -88,9 +90,8 @@ def mine_hard_negatives(params, corpus, phrases, regions, cap=50,
                                  prop_dists[near].tolist()):
                 if row not in candidates or dist < candidates[row]:
                     candidates[row] = dist
-        ranked = sorted(((d, r) for r, d in candidates.items()))[:cap]
-        out[phrase_id] = [(r, d) for d, r in ranked]
-    return HardNegativeSet(by_phrase=out, cap=cap), skipped
+        out[phrase_id] = _closest(candidates.items(), cap)
+    return HardNegativeSet(by_phrase=out), skipped
 
 
 def save_hard_negatives(hn, path):
@@ -102,6 +103,8 @@ def save_hard_negatives(hn, path):
 
 
 def load_hard_negatives(path, cap=50):
+    """Read a save_hard_negatives TSV, keeping each phrase's ``cap``
+    closest entries by (distance, row)."""
     by_phrase = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -118,8 +121,14 @@ def load_hard_negatives(path, cap=50):
                 dist = float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(dist):
+                raise FormatError(
+                    f"{path}:{lineno}: distance {parts[2]!r} is not finite"
+                )
             by_phrase.setdefault(parts[0], []).append((row, dist))
-    return HardNegativeSet(by_phrase=by_phrase, cap=cap)
+    return HardNegativeSet(by_phrase={
+        phrase_id: _closest(entries, cap)
+        for phrase_id, entries in by_phrase.items()})
 
 
 def negatives_by_anchor_row(hn, phrase_features):

@@ -28,6 +28,12 @@ CHECKPOINT_VERSION = 1
 # weight decay applies to them only.
 _DECAYED_SUFFIXES = (".w1", ".w2")
 
+# A branch's checkpoint records, one per BranchParams field; the first
+# six are the tensors the optimizer updates.
+_BRANCH_RECORDS = ("w1", "b1", "w2", "b2", "gamma", "beta",
+                   "running_mean", "running_var")
+_LEARNED_RECORDS = _BRANCH_RECORDS[:6]
+
 
 @dataclass(frozen=True)
 class BranchSpec:
@@ -218,7 +224,7 @@ def backward_branch(tapes, grad_emb):
 def _learned_tensors(params):
     """Yield (name, array) for every tensor the optimizer updates."""
     for prefix, bp in (("x", params.x), ("y", params.y)):
-        for attr in ("w1", "b1", "w2", "b2", "gamma", "beta"):
+        for attr in _LEARNED_RECORDS:
             yield f"{prefix}.{attr}", getattr(bp, attr)
 
 
@@ -293,11 +299,26 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
 # with no copy of the whole payload in memory.
 
 
+def _record_shapes(spec):
+    """In-memory shape of each of a branch's records, by field name."""
+    hidden, embed = spec.hidden_dim, spec.embed_dim
+    return {
+        "w1": (spec.input_dim, hidden), "b1": (hidden,),
+        "w2": (hidden, embed), "b2": (embed,),
+        "gamma": (embed,), "beta": (embed,),
+        "running_mean": (embed,), "running_var": (embed,),
+    }
+
+
+def _stored_shape(shape):
+    """A record's on-disk (rows, cols): scalars are 1x1, vectors rows."""
+    return (1,) * (2 - len(shape)) + tuple(shape)
+
+
 def _named_tensors(params, opt):
     out = {}
     for prefix, bp in (("x", params.x), ("y", params.y)):
-        for attr in ("w1", "b1", "w2", "b2", "gamma", "beta",
-                     "running_mean", "running_var"):
+        for attr in _BRANCH_RECORDS:
             out[f"{prefix}.{attr}"] = getattr(bp, attr)
     for name, vel in opt.velocity.items():
         out[f"v.{name}"] = vel
@@ -326,11 +347,9 @@ def non_finite_tensors(params, opt):
 
 def _as_record_matrix(arr):
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1)
-    if arr.ndim == 2:
-        return arr
-    raise FormatError(f"cannot serialize array of ndim {arr.ndim}")
+    if arr.ndim > 2:
+        raise FormatError(f"cannot serialize array of ndim {arr.ndim}")
+    return arr.reshape(_stored_shape(arr.shape))
 
 
 def save_checkpoint(params, opt, path):
@@ -402,108 +421,61 @@ def load_checkpoint(path):
     return _rebuild(tensors, path)
 
 
-def _scalar(tensors, name, path):
-    try:
-        mat = tensors.pop(name)
-    except KeyError:
-        raise FormatError(f"{path}: missing record {name}") from None
-    if mat.shape != (1, 1):
-        raise FormatError(f"{path}: record {name} is not a scalar")
-    return float(mat[0, 0])
-
-
-def _vector(tensors, name, path):
-    try:
-        mat = tensors.pop(name)
-    except KeyError:
-        raise FormatError(f"{path}: missing record {name}") from None
-    if mat.shape[0] != 1:
-        raise FormatError(f"{path}: record {name} is not a row vector")
-    return mat.reshape(-1)
-
-
-def _matrix(tensors, name, path):
-    try:
-        return tensors.pop(name)
-    except KeyError:
-        raise FormatError(f"{path}: missing record {name}") from None
-
-
 def _rebuild(tensors, path):
-    seed = int(_scalar(tensors, "meta.seed", path))
-    bn_momentum = _scalar(tensors, "meta.bn_momentum", path)
-    bn_eps = _scalar(tensors, "meta.bn_eps", path)
-    branches = {}
-    for prefix in ("x", "y"):
-        bp = BranchParams(
-            w1=_matrix(tensors, f"{prefix}.w1", path),
-            b1=_vector(tensors, f"{prefix}.b1", path),
-            w2=_matrix(tensors, f"{prefix}.w2", path),
-            b2=_vector(tensors, f"{prefix}.b2", path),
-            gamma=_vector(tensors, f"{prefix}.gamma", path),
-            beta=_vector(tensors, f"{prefix}.beta", path),
-            running_mean=_vector(tensors, f"{prefix}.running_mean", path),
-            running_var=_vector(tensors, f"{prefix}.running_var", path),
-        )
-        dropout_p = _scalar(tensors, f"{prefix}.dropout_p", path)
+    def take(name, shape):
+        """Pop record ``name`` as an array of in-memory ``shape``."""
         try:
-            spec = BranchSpec(
-                input_dim=bp.w1.shape[0],
-                hidden_dim=bp.w1.shape[1],
-                embed_dim=bp.w2.shape[1],
-                dropout_p=dropout_p,
+            mat = tensors.pop(name)
+        except KeyError:
+            raise FormatError(f"{path}: missing record {name}") from None
+        if mat.shape != _stored_shape(shape):
+            raise FormatError(
+                f"{path}: record {name} has shape {mat.shape}, expected "
+                f"{_stored_shape(shape)}"
             )
+        return mat.reshape(shape)
+
+    specs, branches = {}, {}
+    for prefix in ("x", "y"):
+        # the two weight matrices size the branch; take() checks the rest
+        try:
+            (input_dim, hidden_dim), (_, embed_dim) = (
+                tensors[f"{prefix}.{attr}"].shape for attr in ("w1", "w2"))
+        except KeyError as exc:
+            raise FormatError(
+                f"{path}: missing record {exc.args[0]}") from None
+        try:
+            specs[prefix] = BranchSpec(
+                input_dim, hidden_dim, embed_dim,
+                dropout_p=float(take(f"{prefix}.dropout_p", ())))
         except ConfigError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        expected = {
-            "w2": (spec.hidden_dim, spec.embed_dim),
-            "b1": (spec.hidden_dim,),
-            "b2": (spec.embed_dim,),
-            "gamma": (spec.embed_dim,),
-            "beta": (spec.embed_dim,),
-            "running_mean": (spec.embed_dim,),
-            "running_var": (spec.embed_dim,),
-        }
-        for attr, shape in expected.items():
-            if getattr(bp, attr).shape != shape:
-                raise FormatError(
-                    f"{path}: {prefix}.{attr} has shape "
-                    f"{getattr(bp, attr).shape}, expected {shape}"
-                )
-        branches[prefix] = (spec, bp)
-    opt = OptimizerState(
-        lr0=_scalar(tensors, "opt.lr0", path),
-        lr=_scalar(tensors, "opt.lr", path),
-        momentum=_scalar(tensors, "opt.momentum", path),
-        weight_decay=_scalar(tensors, "opt.weight_decay", path),
-        epoch=int(_scalar(tensors, "opt.epoch", path)),
-    )
-    params = NetworkParams(
-        spec_x=branches["x"][0],
-        spec_y=branches["y"][0],
-        x=branches["x"][1],
-        y=branches["y"][1],
-        seed=seed,
-        bn_momentum=bn_momentum,
-        bn_eps=bn_eps,
-    )
-    if params.spec_x.embed_dim != params.spec_y.embed_dim:
+        shapes = _record_shapes(specs[prefix])
+        branches[prefix] = BranchParams(**{
+            attr: take(f"{prefix}.{attr}", shapes[attr])
+            for attr in _BRANCH_RECORDS})
+    if specs["x"].embed_dim != specs["y"].embed_dim:
         raise FormatError(f"{path}: branch embed dims differ")
-    for name in list(tensors):
-        if name.startswith("v."):
-            tensor_name = name[2:]
-            ref = dict(_learned_tensors(params)).get(tensor_name)
-            if ref is None:
-                raise FormatError(f"{path}: velocity for unknown {tensor_name}")
-            vel = tensors.pop(name)
-            if tensor_name.split(".")[1] in ("b1", "b2", "gamma", "beta"):
-                vel = vel.reshape(-1)
-            if vel.shape != ref.shape:
-                raise FormatError(
-                    f"{path}: velocity {tensor_name} has shape {vel.shape}, "
-                    f"parameter has {ref.shape}"
-                )
-            opt.velocity[tensor_name] = vel
+    params = NetworkParams(
+        spec_x=specs["x"], spec_y=specs["y"],
+        x=branches["x"], y=branches["y"],
+        seed=int(take("meta.seed", ())),
+        bn_momentum=float(take("meta.bn_momentum", ())),
+        bn_eps=float(take("meta.bn_eps", ())),
+    )
+    opt = OptimizerState(
+        lr0=float(take("opt.lr0", ())),
+        lr=float(take("opt.lr", ())),
+        momentum=float(take("opt.momentum", ())),
+        weight_decay=float(take("opt.weight_decay", ())),
+        epoch=int(take("opt.epoch", ())),
+    )
+    learned = dict(_learned_tensors(params))
+    for name in [n for n in tensors if n.startswith("v.")]:
+        ref = learned.get(name[2:])
+        if ref is None:
+            raise FormatError(f"{path}: velocity for unknown {name[2:]}")
+        opt.velocity[name[2:]] = take(name, ref.shape)
     if tensors:
         raise FormatError(
             f"{path}: unrecognized records {sorted(tensors)[:3]}"

@@ -10,8 +10,10 @@ loss is the same weighted per-family mean.
 
 Training stops with DivergenceError, naming the epoch and step, as soon
 as an embedding, the loss or a gradient norm is NaN or infinite, and at
-the end of an epoch if any tensor a checkpoint would hold is; so a
-diverged run never reaches a checkpoint.
+the end of an epoch if any tensor a checkpoint would hold is.  The
+epoch callback runs only after that end-of-epoch check, so a checkpoint
+written from it (the command line's best-epoch checkpoint) holds finite
+tensors, and a diverged run's state never reaches a checkpoint.
 """
 
 import logging
@@ -86,8 +88,10 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
 
     Args:
         on_epoch: optional callback receiving each EpochStats, called
-            after the epoch's parameters are in place (for best-model
-            tracking).
+            once the epoch's parameters are in place and checked finite,
+            before ``opt.epoch`` advances; a checkpoint saved there is
+            this epoch's state (the command line saves its best-epoch
+            checkpoint so).
 
     Raises:
         DivergenceError: a value went non-finite; the message names the

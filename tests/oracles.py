@@ -4,6 +4,7 @@ Everything here favors plain loops over vectorization so the reference
 logic stays independent of the library code it checks.
 """
 
+import copy
 import hashlib
 import struct
 
@@ -476,12 +477,21 @@ def sample_minibatch(graph, batch_pairs, augment, rng, extra_negatives=None,
 # step and the first layer's parameter-only backward replaced
 
 
-def joined_checkpoint_bytes(params, opt):
-    """A checkpoint file's bytes, built as one joined payload."""
+def checkpoint_records(params, opt):
+    """The records a checkpoint of (params, opt) holds: name -> 2-D array."""
+    return {name: nw._as_record_matrix(t)
+            for name, t in nw._named_tensors(params, opt).items()}
+
+
+def records_checkpoint_bytes(records):
+    """A checkpoint file's bytes holding ``records`` in name order.
+
+    The checksum is valid whatever the records hold, so a malformed
+    record set reaches the loader's record checks.
+    """
     chunks = [nw.CHECKPOINT_MAGIC, struct.pack("<I", nw.CHECKPOINT_VERSION)]
-    tensors = nw._named_tensors(params, opt)
-    for name in sorted(tensors):
-        mat = np.ascontiguousarray(nw._as_record_matrix(tensors[name]))
+    for name in sorted(records):
+        mat = np.ascontiguousarray(records[name], dtype="<f8")
         raw_name = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw_name)))
         chunks.append(raw_name)
@@ -489,6 +499,36 @@ def joined_checkpoint_bytes(params, opt):
         chunks.append(mat.tobytes())
     payload = b"".join(chunks)
     return payload + hashlib.sha256(payload).digest()[:8]
+
+
+def joined_checkpoint_bytes(params, opt):
+    """A checkpoint file's bytes, built as one joined payload."""
+    return records_checkpoint_bytes(checkpoint_records(params, opt))
+
+
+def deepcopy_best_train(train, path):
+    """``train`` that also keeps the best epoch by copying it.
+
+    Each epoch whose mean loss beats every earlier one (the first epoch
+    always does) deep-copies the parameters and optimizer state before
+    the caller's on_epoch runs; once training returns, the last copy is
+    saved to ``path``.
+    """
+    def wrapped(params, opt, *args, on_epoch, **kwargs):
+        best = {"loss": None, "state": None}
+
+        def copy_then_call(stats):
+            if best["loss"] is None or stats.mean_loss < best["loss"]:
+                best["loss"] = stats.mean_loss
+                best["state"] = copy.deepcopy((params, opt))
+            on_epoch(stats)
+
+        history = train(params, opt, *args, on_epoch=copy_then_call,
+                        **kwargs)
+        nw.save_checkpoint(*best["state"], path)
+        return history
+
+    return wrapped
 
 
 def out_of_place_sgd_step(params, opt, grads):

@@ -349,13 +349,12 @@ def test_criterion_8_hard_negative_pipeline():
             return ev.localization_recall_at_k(corpus, dists, 1)
 
         pre = r1(params)
-        hn, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                           d.regions, cap=50)
-
         region_emb, _ = nw.forward_branch(params, "x", d.regions.features,
                                           "eval")
         phrase_emb, _ = nw.forward_branch(params, "y", d.phrases.features,
                                           "eval")
+        hn, _ = hn_mod.mine_hard_negatives(corpus, phrase_emb, region_emb,
+                                           cap=50)
         for phrase_id, entries in hn.by_phrase.items():
             queries = oracles.queries_of_phrase(corpus, phrase_id)
             anchor = phrase_emb[queries[0].phrase_row]

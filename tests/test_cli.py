@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from twobranch import cli, data
-from twobranch.errors import ConfigError
+from twobranch import network as nw
+from twobranch.errors import ConfigError, DivergenceError
 
 
 def run_cli(*argv):
@@ -98,6 +100,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key 'threads'"):
             cli.parse_config_file(str(path))
 
+    @pytest.mark.parametrize("flag, value", [("--augment", "maybe"),
+                                             ("--epochs", "soon"),
+                                             ("--margin", "wide")])
+    def test_bad_flag_value_exits_one(self, flag, value, caplog):
+        assert run_cli("train", flag, value) == 1
+        key = flag[2:].replace("-", "_")
+        assert f"config key {key}" in caplog.text
+        assert value in caplog.text
+
     def test_missing_required_key_exits_one(self, workdir):
         ret = workdir["ret"]
         assert run_cli("train",
@@ -141,6 +152,57 @@ class TestTrainCommand:
         assert os.listdir(tmp_path) == []
         assert "epoch 0 step" in caplog.text
         assert "non-finite" in caplog.text
+
+    def train_args(self, workdir, tmp_path, *extra):
+        ret = workdir["ret"]
+        return ("train",
+                "--features-x", str(ret / "x.feat"),
+                "--features-y", str(ret / "y.feat"),
+                "--pairs", str(ret / "pairs.tsv"),
+                "--checkpoint-out", str(tmp_path / "model.ckpt"),
+                "--best-checkpoint-out", str(tmp_path / "best.ckpt"),
+                "--x-hidden-dim", "16", "--y-hidden-dim", "16",
+                "--embed-dim", "8", "--batch-pairs", "6") + extra
+
+    def test_best_checkpoint_of_earlier_epoch(self, workdir, tmp_path,
+                                              monkeypatch):
+        oracle = tmp_path / "oracle" / "best.ckpt"
+        oracle.parent.mkdir()
+        monkeypatch.setattr(cli, "train",
+                            oracles.deepcopy_best_train(cli.train, oracle))
+        assert run_cli(*self.train_args(
+            workdir, tmp_path, "--train-csv", str(tmp_path / "t.csv"),
+            "--epochs", "4", "--lr0", "12", "--lambda2", "0.3",
+            "--seed", "2")) == 0
+        rows = [l.split(",") for l in (tmp_path / "t.csv").read_text()
+                .splitlines() if not l.startswith("#")][1:]
+        losses = [float(r[2]) for r in rows]
+        best_epoch = losses.index(min(losses))
+        assert best_epoch < len(losses) - 1
+        best = (tmp_path / "best.ckpt").read_bytes()
+        assert best == oracle.read_bytes()
+        assert best != (tmp_path / "model.ckpt").read_bytes()
+        _, opt = nw.load_checkpoint(tmp_path / "best.ckpt")
+        assert opt.epoch == best_epoch
+
+    def test_divergence_after_improving_epoch_leaves_best(
+            self, workdir, tmp_path, monkeypatch, caplog):
+        real_train = cli.train
+
+        def one_epoch_then_diverge(params, opt, graph, fx, fy, loss_cfg,
+                                   epochs, *args, **kwargs):
+            real_train(params, opt, graph, fx, fy, loss_cfg, 1, *args,
+                       **kwargs)
+            raise DivergenceError("epoch 1 step 0: loss is nan")
+
+        monkeypatch.setattr(cli, "train", one_epoch_then_diverge)
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "3",
+                                        "--seed", "0")) == 2
+        assert "epoch 1 step 0" in caplog.text
+        assert os.listdir(tmp_path) == ["best.ckpt"]
+        params, opt = nw.load_checkpoint(tmp_path / "best.ckpt")
+        assert opt.epoch == 0
+        assert nw.non_finite_tensors(params, opt) == []
 
     def test_train_csv_shape(self, workdir):
         lines = (workdir["ret"] / "train.csv").read_text().splitlines()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twobranch import data
+from twobranch import data, evaluation
 from twobranch.errors import ConfigError, ConsistencyError, FormatError
 
 
@@ -140,6 +140,24 @@ class TestAtomicWrite:
                 raise RuntimeError("interrupted")
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("save, good, bad", [
+        (data.save_pair_file, [("a", "b")], [("c", "d"), ("e",)]),
+        (evaluation.save_corpus_file,
+         [("im", "P", "ph", 0.0, 0.0, 1.0, 1.0, 0)],
+         [("im", "G", "ph", 0.0, 0.0, 1.0, 1.0, None),
+          ("im", "P", "ph", "left", 0.0, 1.0, 1.0, 0)]),
+    ])
+    def test_generated_file_keeps_old_bytes_on_failed_write(
+            self, tmp_path, save, good, bad):
+        path = tmp_path / "out.tsv"
+        save(good, str(path))
+        before = path.read_bytes()
+        # the second row cannot be written, after the first was
+        with pytest.raises(ValueError):
+            save(bad, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.tsv"]
 
     def test_missing_directory_leaves_nothing(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -31,6 +31,13 @@ def localization_setup(seed=0, stage1_epochs=10):
     return d, graph, params, opt, corpus
 
 
+def embeddings(params, phrases, regions):
+    """Eval-mode (phrase_emb, region_emb), as mine-negatives embeds them."""
+    phrase_emb, _ = nw.forward_branch(params, "y", phrases.features, "eval")
+    region_emb, _ = nw.forward_branch(params, "x", regions.features, "eval")
+    return phrase_emb, region_emb
+
+
 def expected_negatives(params, corpus, phrases, regions, cap,
                        iou_thresh=0.5):
     """Recompute the mining rule with plain loops."""
@@ -79,8 +86,8 @@ def expected_negatives(params, corpus, phrases, regions, cap,
 class TestMineHardNegatives:
     def test_matches_loop_oracle(self):
         d, _, params, _, corpus = localization_setup(seed=0)
-        hn, skipped = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                                 d.regions, cap=50)
+        hn, skipped = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         want, want_skipped = expected_negatives(params, corpus, d.phrases,
                                                 d.regions, cap=50)
         assert skipped == want_skipped == []
@@ -94,8 +101,8 @@ class TestMineHardNegatives:
 
     def test_conditions_hold_per_entry(self):
         d, _, params, _, corpus = localization_setup(seed=1)
-        hn, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                           d.regions, cap=50)
+        hn, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         region_emb, _ = nw.forward_branch(params, "x", d.regions.features,
                                           "eval")
         phrase_emb, _ = nw.forward_branch(params, "y", d.phrases.features,
@@ -124,8 +131,8 @@ class TestMineHardNegatives:
 
     def test_gt_and_jitter_rows_never_mined(self):
         d, _, params, _, corpus = localization_setup(seed=2)
-        hn, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                           d.regions, cap=50)
+        hn, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         for entries in hn.by_phrase.values():
             for row, _ in entries:
                 rid = d.regions.ids[row]
@@ -133,11 +140,11 @@ class TestMineHardNegatives:
 
     def test_cap_keeps_closest_prefix(self):
         d, _, params, _, corpus = localization_setup(seed=0)
-        full, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                             d.regions, cap=50)
+        full, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         assert any(len(v) > 2 for v in full.by_phrase.values())
-        capped, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                               d.regions, cap=2)
+        capped, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=2)
         for phrase_id, entries in full.by_phrase.items():
             assert capped.by_phrase[phrase_id] == entries[:2]
             assert len(capped.by_phrase[phrase_id]) <= 2
@@ -145,10 +152,10 @@ class TestMineHardNegatives:
     def test_deterministic(self):
         d, _, params, _, corpus = localization_setup(seed=3,
                                                      stage1_epochs=0)
-        a, sk_a = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                             d.regions, cap=10)
-        b, sk_b = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                             d.regions, cap=10)
+        a, sk_a = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=10)
+        b, sk_b = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=10)
         assert a.by_phrase == b.by_phrase
         assert sk_a == sk_b
 
@@ -164,8 +171,8 @@ class TestMineHardNegatives:
         corpus = ev.corpus_from_rows(rows, phrases, regions)
         params = nw.init_params(nw.BranchSpec(5, 6, 4, 0.0),
                                 nw.BranchSpec(4, 6, 4, 0.0), seed=0)
-        hn, skipped = hn_mod.mine_hard_negatives(params, corpus, phrases,
-                                                 regions)
+        hn, skipped = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, phrases, regions))
         assert skipped == ["cat"]
         assert hn.by_phrase == {}
 
@@ -173,14 +180,29 @@ class TestMineHardNegatives:
 class TestHardNegativeIO:
     def test_round_trip(self, tmp_path):
         d, _, params, _, corpus = localization_setup(seed=0)
-        hn, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                           d.regions, cap=50)
+        hn, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         path = str(tmp_path / "negatives.tsv")
         hn_mod.save_hard_negatives(hn, path)
         back = hn_mod.load_hard_negatives(path, cap=50)
         nonempty = {k: v for k, v in hn.by_phrase.items() if v}
         assert back.by_phrase == nonempty
-        assert back.cap == 50
+
+    def test_load_keeps_cap_closest_per_phrase(self, tmp_path):
+        path = tmp_path / "negatives.tsv"
+        path.write_text("a\t9\t0.5\na\t4\t0.25\nb\t1\t0.9\n"
+                        "a\t7\t0.25\na\t2\t0.75\n")
+        back = hn_mod.load_hard_negatives(str(path), cap=2)
+        assert back.by_phrase == {"a": [(4, 0.25), (7, 0.25)],
+                                  "b": [(1, 0.9)]}
+        assert back.total == 3
+
+    @pytest.mark.parametrize("dist", ["nan", "inf", "-inf"])
+    def test_non_finite_distance_rejected(self, tmp_path, dist):
+        path = tmp_path / "negatives.tsv"
+        path.write_text(f"a\t3\t0.5\na\t4\t{dist}\n")
+        with pytest.raises(FormatError, match=":2:"):
+            hn_mod.load_hard_negatives(str(path))
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "negatives.tsv"
@@ -290,8 +312,8 @@ class TestFineTune:
 
     def test_mined_negatives_join_training(self):
         d, graph, params, opt, corpus = localization_setup(seed=0)
-        hn, _ = hn_mod.mine_hard_negatives(params, corpus, d.phrases,
-                                           d.regions, cap=50)
+        hn, _ = hn_mod.mine_hard_negatives(
+            corpus, *embeddings(params, d.phrases, d.regions), cap=50)
         assert hn.total > 0
         history = hn_mod.fine_tune(params, opt, graph, d.regions, d.phrases,
                                    hn, LossConfig(lambda2=0.0, lambda3=0.0),

@@ -1,6 +1,7 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
 import os
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -420,3 +421,66 @@ class TestCheckpoint:
         p2, _ = nw.load_checkpoint(path)
         after, _ = nw.forward_branch(p2, "x", x, "eval")
         assert np.array_equal(before, after)
+
+
+class TestCheckpointRecordFaults:
+    """Each malformed record set, with a valid checksum, is a FormatError."""
+
+    def records(self):
+        p, opt = TestCheckpoint().trained_state(seed=8)
+        return oracles.checkpoint_records(p, opt)
+
+    def assert_rejected(self, tmp_path, records, match):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(oracles.records_checkpoint_bytes(records))
+        with pytest.raises(FormatError, match=re.escape(match)):
+            nw.load_checkpoint(path)
+
+    def test_valid_records_load(self, tmp_path):
+        path = tmp_path / "good.ckpt"
+        path.write_bytes(oracles.records_checkpoint_bytes(self.records()))
+        p, opt = nw.load_checkpoint(path)
+        assert p.spec_x == nw.BranchSpec(6, 5, 4, 0.3)
+        assert opt.epoch == 7 and len(opt.velocity) == 12
+
+    @pytest.mark.parametrize("name", [
+        "x.w1", "x.w2", "y.b1", "y.gamma", "x.running_var", "x.dropout_p",
+        "meta.seed", "meta.bn_eps", "opt.lr", "opt.epoch"])
+    def test_missing_record(self, tmp_path, name):
+        records = self.records()
+        del records[name]
+        self.assert_rejected(tmp_path, records, "missing record")
+
+    @pytest.mark.parametrize("name, shape", [
+        ("x.b1", (1, 6)), ("x.b1", (5, 1)), ("y.w2", (4, 4)),
+        ("y.beta", (1, 3)), ("x.running_mean", (2, 2)),
+        ("meta.bn_momentum", (1, 2)), ("opt.lr0", (2, 1)),
+        ("v.x.w2", (5, 3)), ("v.x.gamma", (1, 5))])
+    def test_record_of_wrong_shape(self, tmp_path, name, shape):
+        records = self.records()
+        records[name] = np.zeros(shape)
+        self.assert_rejected(tmp_path, records, name.removeprefix("v."))
+
+    @pytest.mark.parametrize("name", ["v.x.running_mean", "v.z.w1",
+                                      "v.y.w3"])
+    def test_velocity_for_unknown_tensor(self, tmp_path, name):
+        records = self.records()
+        records[name] = np.zeros((1, 4))
+        self.assert_rejected(tmp_path, records, "velocity for unknown")
+
+    def test_unrecognized_record(self, tmp_path):
+        records = self.records()
+        records["x.w3"] = np.zeros((1, 1))
+        self.assert_rejected(tmp_path, records, "unrecognized records")
+
+    def test_branch_embed_dims_differ(self, tmp_path):
+        records = self.records()
+        narrow = nw.init_params(nw.BranchSpec(6, 5, 3),
+                                nw.BranchSpec(7, 5, 3), seed=9)
+        for name, mat in oracles.checkpoint_records(
+                narrow, nw.OptimizerState()).items():
+            if name.startswith("y."):
+                records[name] = mat
+        for name in [n for n in records if n.startswith("v.")]:
+            del records[name]
+        self.assert_rejected(tmp_path, records, "embed dims differ")
