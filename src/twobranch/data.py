@@ -42,6 +42,7 @@ class FeatureSet:
             raise ConsistencyError(
                 f"{len(self.ids)} ids for {self.features.shape[0]} feature rows"
             )
+        _check_ids(self.ids)
         if len(set(self.ids)) != len(self.ids):
             raise ConsistencyError("feature ids are not unique")
         self._row_of = {fid: i for i, fid in enumerate(self.ids)}
@@ -59,6 +60,16 @@ class FeatureSet:
             return self._row_of[fid]
         except KeyError:
             raise ConsistencyError(f"unknown feature id {fid!r}") from None
+
+
+def _check_ids(ids):
+    """Each id must survive a line of an .ids file: a non-blank str
+    without a line break (load_feature_file skips blank lines)."""
+    for fid in ids:
+        if not isinstance(fid, str) or "\n" in fid or "\r" in fid \
+                or not fid.strip():
+            raise ConsistencyError(
+                f"feature id {fid!r} is not a non-blank one-line string")
 
 
 @contextmanager
@@ -82,7 +93,13 @@ def atomic_write(path, mode="w"):
 
 
 def save_feature_file(fs, path):
-    """Write a FeatureSet as float32 binary plus the .ids sibling."""
+    """Write a FeatureSet as float32 binary plus the .ids sibling.
+
+    The ids are checked and their text built before either file is
+    touched, so a bad id cannot leave new features beside old ids.
+    """
+    _check_ids(fs.ids)
+    ids_text = "".join(fid + "\n" for fid in fs.ids)
     data = np.ascontiguousarray(fs.features, dtype="<f4")
     with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
@@ -90,8 +107,7 @@ def save_feature_file(fs, path):
                              data.shape[1]))
         fh.write(data.tobytes())
     with atomic_write(path + ".ids") as fh:
-        for fid in fs.ids:
-            fh.write(fid + "\n")
+        fh.write(ids_text)
 
 
 def load_feature_file(path):

@@ -12,12 +12,15 @@ batch-norm statistics and the optimizer state to a single binary file.
 """
 
 import hashlib
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChecksumError, ConfigError, DimensionError, FormatError
+from .errors import (ChecksumError, ConfigError, ContractViolationError,
+                     DimensionError, FormatError)
 from . import tensor_core as tc
 from .data import atomic_write
 
@@ -33,6 +36,11 @@ _DECAYED_SUFFIXES = (".w1", ".w2")
 _BRANCH_RECORDS = ("w1", "b1", "w2", "b2", "gamma", "beta",
                    "running_mean", "running_var")
 _LEARNED_RECORDS = _BRANCH_RECORDS[:6]
+
+# Floats per block of the SGD update: a block of each of theta, grad,
+# velocity and the scratch (256 KB apiece) stays in cache from the
+# first of the update's six passes to the last.
+SGD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,12 +239,19 @@ def _learned_tensors(params):
 def sgd_step(params, opt, grads):
     """Apply one momentum-SGD update in place.
 
+    Each tensor is updated in contiguous flat blocks of SGD_BLOCK
+    floats through one small reused scratch, so the update streams
+    through memory once instead of once per operation.  Every element
+    sees the formula's operations in the formula's order, so the bits
+    do not depend on the block size.
+
     Args:
-        params: NetworkParams, updated in place.
+        params: NetworkParams, updated in place; every learned tensor
+            must be C-contiguous.
         opt: OptimizerState; velocities are created lazily and updated
             in place.
         grads: dict mapping tensor name (e.g. "x.w1") to gradient; must
-            cover every learned tensor exactly.
+            cover every learned tensor exactly.  Left unmodified.
     """
     expected = {name for name, _ in _learned_tensors(params)}
     if set(grads) != expected:
@@ -245,6 +260,7 @@ def sgd_step(params, opt, grads):
         raise ConfigError(
             f"gradient dict mismatch: missing {missing}, unknown {extra}"
         )
+    scratch = np.empty(SGD_BLOCK)
     for name, theta in _learned_tensors(params):
         grad = grads[name]
         if grad.shape != theta.shape:
@@ -256,18 +272,24 @@ def sgd_step(params, opt, grads):
         if vel is None:
             # a zero start, not a copy of grad: 0 + -0.0 is +0.0
             vel = opt.velocity[name] = np.zeros_like(theta)
-        # one scratch array holds the decay term, then lr * vel; the
-        # operation order is the formula's, so the bits are too
-        scratch = np.empty_like(theta)
-        vel *= opt.momentum
-        if name.endswith(_DECAYED_SUFFIXES):
-            np.multiply(opt.weight_decay, theta, out=scratch)
-            scratch += grad
-            vel += scratch
-        else:
-            vel += grad
-        np.multiply(opt.lr, vel, out=scratch)
-        theta -= scratch
+        if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
+            raise ContractViolationError(
+                f"{name}: SGD updates C-contiguous tensors in place")
+        flat = [a.reshape(-1) for a in (theta, grad, vel)]
+        decayed = name.endswith(_DECAYED_SUFFIXES)
+        for start in range(0, theta.size, SGD_BLOCK):
+            t, g, v = (a[start:start + SGD_BLOCK] for a in flat)
+            # the scratch holds the decay term, then lr * vel
+            s = scratch[:t.size]
+            v *= opt.momentum
+            if decayed:
+                np.multiply(opt.weight_decay, t, out=s)
+                s += g
+                v += s
+            else:
+                v += g
+            np.multiply(opt.lr, v, out=s)
+            t -= s
 
 
 def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
@@ -294,9 +316,49 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
 # where each record is
 #   u32 name length | name utf-8 | u64 rows | u64 cols | rows*cols f64
 # records are sorted by name, and the checksum is the first 8 bytes of
-# SHA-256 over everything before it.  The file is written as a stream:
-# each header and each array goes to the file and the hash as it is,
-# with no copy of the whole payload in memory.
+# SHA-256 over everything before it.  Both directions stream: a save
+# writes each header and each array as it is, and a load reads the
+# records one at a time, each array straight into its own memory, so
+# neither holds a second copy of the payload.  One worker thread hashes
+# the same buffers in order while the caller does the file I/O, and a
+# load compares the checksum before it returns or reports a format
+# fault.
+
+# Bytes read at a time while hashing the rest of a file whose records
+# failed to parse.
+_DRAIN_BYTES = 1 << 20
+
+
+class _Checksum:
+    """The checkpoint checksum of the buffers passed to update(), in order.
+
+    Hashing runs on one worker thread (hashlib releases the GIL for
+    large buffers), so it overlaps the caller's file I/O; each buffer
+    must stay unchanged until wait() returns.
+    """
+
+    def __init__(self):
+        self._digest = hashlib.sha256()
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._queued = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._pool.shutdown()
+
+    def update(self, buf):
+        self._queued.append(self._pool.submit(self._digest.update, buf))
+
+    def wait(self):
+        for job in self._queued:
+            job.result()
+        self._queued.clear()
+
+    def value(self):
+        self.wait()
+        return self._digest.digest()[:8]
 
 
 def _record_shapes(spec):
@@ -355,11 +417,10 @@ def _as_record_matrix(arr):
 def save_checkpoint(params, opt, path):
     """Write params + optimizer state to ``path`` (see layout above)."""
     tensors = _named_tensors(params, opt)
-    digest = hashlib.sha256()
-    with atomic_write(path, "wb") as fh:
+    with _Checksum() as checksum, atomic_write(path, "wb") as fh:
 
         def put(buf):
-            digest.update(buf)
+            checksum.update(buf)
             fh.write(buf)
 
         put(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
@@ -369,54 +430,66 @@ def save_checkpoint(params, opt, path):
             put(struct.pack("<I", len(raw_name)) + raw_name
                 + struct.pack("<QQ", mat.shape[0], mat.shape[1]))
             put(mat)
-        fh.write(digest.digest()[:8])
-
-
-def _read_exact(buf, pos, count, what):
-    end = pos + count
-    if end > len(buf):
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return buf[pos:end], end
+        fh.write(checksum.value())
 
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint.
 
-    The trailing checksum is verified before anything is parsed, so a
-    truncated or corrupted file fails loudly.
+    Records are read one at a time, each array straight into its own
+    memory, while one worker thread hashes the same bytes, so the peak
+    is about one file size.  The checksum is verified before anything
+    is returned and before any format fault is reported: a truncated or
+    corrupted file raises ChecksumError, and a header that claims more
+    bytes than the file has left is never allocated.
 
     Returns:
         (params, opt).
     """
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
-        raise ChecksumError(f"{path}: file too short to be a checkpoint")
-    # slices of a memoryview are views; each tensor is copied once below
-    payload, stored = blob[:-8], blob[-8:]
-    if hashlib.sha256(payload).digest()[:8] != stored:
-        raise ChecksumError(f"{path}: checksum mismatch")
-    if payload[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {bytes(payload[:4])!r}")
-    (version,) = struct.unpack("<I", payload[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    pos = 8
-    tensors = {}
-    order = []
-    while pos < len(payload):
-        raw, pos = _read_exact(payload, pos, 4, "name length")
-        (name_len,) = struct.unpack("<I", raw)
-        raw, pos = _read_exact(payload, pos, name_len, "name")
-        name = str(raw, "utf-8")
-        raw, pos = _read_exact(payload, pos, 16, f"{name} shape")
-        rows, cols = struct.unpack("<QQ", raw)
-        raw, pos = _read_exact(payload, pos, rows * cols * 8, f"{name} data")
-        if name in tensors:
-            raise FormatError(f"{path}: duplicate record {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        order.append(name)
-    if order != sorted(order):
+    with open(path, "rb") as fh, _Checksum() as checksum:
+        end = os.fstat(fh.fileno()).st_size - 8
+        if end < len(CHECKPOINT_MAGIC) + 4:
+            raise ChecksumError(f"{path}: file too short to be a checkpoint")
+
+        def read(count, what, shape=None):
+            """The next ``count`` payload bytes, queued for hashing: a
+            bytearray, or a float64 array of ``shape``."""
+            if count > end - fh.tell():
+                raise FormatError(f"checkpoint truncated while reading {what}")
+            buf = bytearray(count) if shape is None else np.empty(shape, "<f8")
+            if fh.readinto(buf) != count:
+                raise FormatError(f"checkpoint truncated while reading {what}")
+            checksum.update(buf)
+            return buf
+
+        tensors, fault = {}, None
+        try:
+            head = read(8, "header")
+            if head[:4] != CHECKPOINT_MAGIC:
+                raise FormatError(f"{path}: bad magic {bytes(head[:4])!r}")
+            (version,) = struct.unpack("<I", head[4:])
+            if version != CHECKPOINT_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            while fh.tell() < end:
+                (name_len,) = struct.unpack("<I", read(4, "name length"))
+                name = read(name_len, "name").decode("utf-8")
+                rows, cols = struct.unpack("<QQ", read(16, f"{name} shape"))
+                mat = read(rows * cols * 8, f"{name} data", (rows, cols))
+                if name in tensors:
+                    raise FormatError(f"{path}: duplicate record {name}")
+                tensors[name] = mat
+        except (FormatError, ValueError) as exc:
+            # a corrupt header can also fail to decode as UTF-8 or claim
+            # a shape numpy rejects; the checksum decides the report
+            fault = exc
+            while chunk := fh.read(min(end - fh.tell(), _DRAIN_BYTES)):
+                checksum.update(chunk)
+                checksum.wait()
+        if checksum.value() != fh.read(8):
+            raise ChecksumError(f"{path}: checksum mismatch")
+    if fault is not None:
+        raise fault
+    if list(tensors) != sorted(tensors):
         raise FormatError(f"{path}: records not sorted by name")
     return _rebuild(tensors, path)
 

@@ -36,6 +36,13 @@ class TestFeatureSet:
         with pytest.raises(ConsistencyError):
             data.FeatureSet(ids=["a"], features=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [7, "c\nd", "c\r", "", "  \t"])
+    def test_id_not_one_line_string(self, bad):
+        # an .ids file holds one id per line and skips blank lines, so
+        # none of these could be saved and read back
+        with pytest.raises(ConsistencyError, match="feature id"):
+            data.FeatureSet(ids=["c", bad], features=np.zeros((2, 3)))
+
 
 class TestFeatureFile:
     def test_round_trip_bitwise(self, tmp_path):
@@ -76,6 +83,19 @@ class TestFeatureFile:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(FormatError):
             data.load_feature_file(path)
+
+    def test_bad_id_keeps_old_files(self, tmp_path):
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(
+            data.FeatureSet(ids=["a", "b"], features=np.ones((2, 3))), path)
+        before = [open(p, "rb").read() for p in (path, path + ".ids")]
+        fs = data.FeatureSet(ids=["c", "d"], features=np.zeros((2, 3)))
+        fs.ids[1] = 7
+        with pytest.raises(ConsistencyError):
+            data.save_feature_file(fs, path)
+        assert [open(p, "rb").read() for p in (path, path + ".ids")] \
+            == before
+        assert sorted(os.listdir(tmp_path)) == ["feat.bin", "feat.bin.ids"]
 
     def test_id_file_row_mismatch(self, tmp_path):
         rng = np.random.default_rng(4)

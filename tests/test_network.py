@@ -1,7 +1,10 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
+import hashlib
 import os
 import re
+import struct
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -18,6 +21,16 @@ from twobranch.errors import (ChecksumError, ConfigError,
 def small_params(seed=0, dropout=0.0):
     return nw.init_params(nw.BranchSpec(6, 5, 4, dropout),
                           nw.BranchSpec(7, 5, 4, dropout), seed=seed)
+
+
+def big_state():
+    """About 5 MB of checkpoint: the weights and velocities dominate."""
+    p = nw.init_params(nw.BranchSpec(300, 400, 64),
+                       nw.BranchSpec(350, 400, 64), seed=6)
+    opt = nw.OptimizerState()
+    nw.sgd_step(p, opt, {name: np.ones_like(t)
+                         for name, t in nw._learned_tensors(p)})
+    return p, opt
 
 
 def same_bits(a, b):
@@ -211,6 +224,16 @@ class TestSgdStep:
             nw.sgd_step(p, opt, grads)
 
     def test_matches_out_of_place_oracle_bitwise(self):
+        self.assert_matches_oracle()
+
+    def test_matches_oracle_in_ragged_blocks(self, monkeypatch):
+        # every tensor of 5 floats or more spans blocks; x.w1 (30) ends
+        # on a block of 2
+        monkeypatch.setattr(nw, "SGD_BLOCK", 7)
+        self.assert_matches_oracle()
+
+    @staticmethod
+    def assert_matches_oracle():
         # weights are decayed, biases and batch-norm scales are not;
         # signed zeros in theta and grad check the zero first velocity
         got, want = small_params(seed=15), small_params(seed=15)
@@ -236,6 +259,27 @@ class TestSgdStep:
                 assert same_bits(a, b), name
                 assert same_bits(opt_got.velocity[name],
                                  opt_want.velocity[name]), name
+
+    def test_warm_step_memory_bounded(self):
+        # velocities exist, so only the blocked update's scratch remains
+        p, opt = big_state()
+        grads = {name: np.ones_like(t) for name, t in nw._learned_tensors(p)}
+        assert p.y.w1.nbytes > 4 * nw.SGD_BLOCK * 8
+        tracemalloc.start()
+        try:
+            nw.sgd_step(p, opt, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * nw.SGD_BLOCK * 8
+
+    def test_non_contiguous_parameter_rejected(self):
+        # a flat view of it would be a copy, and the update would be lost
+        p = small_params()
+        p.x.w1 = np.asfortranarray(p.x.w1)
+        opt = nw.OptimizerState()
+        with pytest.raises(ContractViolationError, match="x.w1"):
+            nw.sgd_step(p, opt, self.zero_grads(p))
 
 
 class TestBackward:
@@ -330,12 +374,7 @@ class TestCheckpoint:
             assert path.read_bytes() == oracles.joined_checkpoint_bytes(p, opt)
 
     def test_save_and_load_memory_bounded(self, tmp_path):
-        # about 5 MB: the weights and their velocities dominate
-        p = nw.init_params(nw.BranchSpec(300, 400, 64),
-                           nw.BranchSpec(350, 400, 64), seed=6)
-        opt = nw.OptimizerState()
-        nw.sgd_step(p, opt, {name: np.ones_like(t)
-                             for name, t in nw._learned_tensors(p)})
+        p, opt = big_state()
         path = tmp_path / "big.ckpt"
         tracemalloc.start()
         try:
@@ -349,12 +388,109 @@ class TestCheckpoint:
             tracemalloc.stop()
         size = path.stat().st_size
         assert 4e6 < size < 6e6
-        # streamed: no copy of the file while saving; loading holds the
-        # file once and each tensor once
+        # streamed: no copy of the file while saving; loading reads
+        # each tensor straight into its own array
         assert save_peak < 0.1 * size
-        assert load_peak - before < 2.1 * size
+        assert load_peak - before < 1.1 * size
         assert np.array_equal(p2.y.w1, p.y.w1)
         assert p2.y.w1.flags.writeable and p2.y.w1.flags.aligned
+
+    @pytest.mark.parametrize("field, value", [
+        ("name length", 2**32 - 1), ("rows", 2**40), ("rows", 2**20)])
+    def test_oversized_header_fails_checksum_unallocated(
+            self, tmp_path, field, value):
+        # the first record, "meta.bn_eps", claims more bytes than the
+        # file holds (8 MB of data, 2**20 rows, could be allocated);
+        # the bytes after the header are unchanged, so the checksum no
+        # longer matches
+        p, opt = big_state()
+        path = tmp_path / "big.ckpt"
+        nw.save_checkpoint(p, opt, path)
+        raw = bytearray(path.read_bytes())
+        if field == "name length":
+            raw[8:12] = struct.pack("<I", value)
+        else:
+            at = 12 + len("meta.bn_eps")
+            raw[at:at + 8] = struct.pack("<Q", value)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChecksumError, match="checksum mismatch"):
+                nw.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(raw)
+
+    @pytest.mark.parametrize("at, patch", [
+        (12, b"\xff"), (23, struct.pack("<QQ", 0, 2**64 - 1))],
+        ids=["name", "shape"])
+    def test_undecodable_header_fails_checksum(self, tmp_path, at, patch):
+        # a name byte that is not UTF-8, or a shape numpy cannot make,
+        # in the first record ("meta.bn_eps") of a corrupted file
+        p, opt = self.trained_state(seed=10)
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(p, opt, path)
+        raw = bytearray(path.read_bytes())
+        raw[at:at + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            nw.load_checkpoint(path)
+
+    def test_hashing_keeps_order_under_fast_thread_switching(self, tmp_path):
+        # the worker thread hashes while the caller writes and reads; a
+        # buffer hashed out of order or twice would change the bytes
+        states = [self.trained_state(seed=11), big_state()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i, (p, opt) in enumerate(states * 2):
+                path = tmp_path / f"{i}.ckpt"
+                nw.save_checkpoint(p, opt, path)
+                assert path.read_bytes() == \
+                    oracles.joined_checkpoint_bytes(p, opt)
+                p2, _ = nw.load_checkpoint(path)
+                assert np.array_equal(p2.y.w1, p.y.w1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_trailing_bytes_are_format_error(self, tmp_path):
+        p, opt = self.trained_state(seed=9)
+        payload = oracles.joined_checkpoint_bytes(p, opt)[:-8] + b"\0\0\0"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+        with pytest.raises(FormatError,
+                           match="truncated while reading name length"):
+            nw.load_checkpoint(path)
+
+    def test_blocked_steps_bytes_match_oracle(self, tmp_path, monkeypatch):
+        # trained_state's three steps, taken in blocks of 7 floats, and
+        # a mirror stepped out of place on the same gradients
+        monkeypatch.setattr(nw, "SGD_BLOCK", 7)
+        states = []
+        for blocked in (True, False):
+            p = small_params(seed=0, dropout=0.3)
+            opt = nw.OptimizerState(lr0=0.1, lr=0.05, momentum=0.9,
+                                    weight_decay=0.0005, epoch=7)
+            rng = np.random.default_rng(0)
+            for _ in range(3):
+                ex, tx = nw.forward_branch(p, "x", rng.normal(size=(6, 6)),
+                                           "train", rng=rng)
+                ey, ty = nw.forward_branch(p, "y", rng.normal(size=(6, 7)),
+                                           "train", rng=rng)
+                gx, gy = rng.normal(size=ex.shape), rng.normal(size=ey.shape)
+                if blocked:
+                    nw.backward_and_step(p, opt, tx, ty, gx, gy)
+                    continue
+                grads = {f"x.{k}": g
+                         for k, g in nw.backward_branch(tx, gx).items()}
+                grads.update({f"y.{k}": g
+                              for k, g in nw.backward_branch(ty, gy).items()})
+                oracles.out_of_place_sgd_step(p, opt, grads)
+            states.append((p, opt))
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(*states[0], path)
+        assert path.read_bytes() == oracles.joined_checkpoint_bytes(*states[1])
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         p, opt = self.trained_state()
@@ -404,7 +540,6 @@ class TestCheckpoint:
             nw.load_checkpoint(path)
 
     def test_wrong_magic_is_format_error(self, tmp_path):
-        import hashlib
         body = b"XXXX" + b"\x00" * 16
         digest = hashlib.sha256(body).digest()[:8]
         path = tmp_path / "bad.ckpt"
