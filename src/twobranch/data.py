@@ -24,6 +24,10 @@ from .tensor_core import check_finite
 FEATURE_MAGIC = b"DSPF"
 FEATURE_VERSION = 1
 
+# float32 values read and widened at a time by load_feature_file
+# (256 KB of file).
+WIDEN_FLOATS = 1 << 16
+
 
 @dataclass
 class FeatureSet:
@@ -111,36 +115,50 @@ def save_feature_file(fs, path):
 
 
 def load_feature_file(path):
-    """Read a feature file and its .ids sibling into a FeatureSet."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a feature file and its .ids sibling into a FeatureSet.
+
+    The header and the payload size (from the file's size) are checked,
+    and the .ids file's presence, before any payload is read.  The
+    float32 payload is then read and widened in chunks of WIDEN_FLOATS
+    straight into the float64 array, so the peak is that array plus one
+    chunk, about 2x the payload.
+    """
     header = len(FEATURE_MAGIC) + 4 + 16
-    if len(blob) < header:
-        raise FormatError(f"{path}: too short for a feature file header")
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    version, rows, cols = struct.unpack("<IQQ", blob[4:header])
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = rows * cols * 4
-    payload = blob[header:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises "
-            f"{expected}"
-        )
-    feats = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-    check_finite(feats, path)
-    ids_path = path + ".ids"
-    if not os.path.exists(ids_path):
-        raise ConsistencyError(f"{ids_path}: id file missing")
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise FormatError(f"{path}: too short for a feature file header")
+        if head[:4] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        version, rows, cols = struct.unpack("<IQQ", head[4:])
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        expected = rows * cols * 4
+        size = os.fstat(fh.fileno()).st_size - header
+        if size != expected:
+            raise FormatError(
+                f"{path}: payload holds {size} bytes, header promises "
+                f"{expected}"
+            )
+        ids_path = path + ".ids"
+        if not os.path.exists(ids_path):
+            raise ConsistencyError(f"{ids_path}: id file missing")
+        feats = np.empty((rows, cols))
+        flat = feats.reshape(-1)
+        chunk = np.empty(min(flat.size, WIDEN_FLOATS), "<f4")
+        for start in range(0, flat.size, WIDEN_FLOATS):
+            part = chunk[:flat.size - start]
+            if fh.readinto(part) != part.nbytes:
+                raise FormatError(f"{path}: payload shrank while reading")
+            check_finite(part, path)
+            flat[start:start + part.size] = part
     with open(ids_path, encoding="utf-8") as fh:
         ids = [line.rstrip("\n") for line in fh if line.strip() != ""]
     if len(ids) != rows:
         raise ConsistencyError(
             f"{ids_path}: {len(ids)} ids for {rows} feature rows"
         )
-    return FeatureSet(ids=ids, features=feats.astype(np.float64))
+    return FeatureSet(ids=ids, features=feats)
 
 
 def save_pair_file(pairs, path):

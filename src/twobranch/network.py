@@ -16,6 +16,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import prod, sqrt
 
 import numpy as np
 
@@ -41,6 +42,10 @@ _LEARNED_RECORDS = _BRANCH_RECORDS[:6]
 # velocity and the scratch (256 KB apiece) stays in cache from the
 # first of the update's six passes to the last.
 SGD_BLOCK = 1 << 15
+
+# Floats per row slab of the SGD update: the update forms a first-layer
+# weight gradient one slab at a time (512 rows at 2048 columns).
+GRAD_SLAB_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -236,22 +241,64 @@ def _learned_tensors(params):
             yield f"{prefix}.{attr}", getattr(bp, attr)
 
 
+def _row_slabs(rows, row_floats):
+    """(start, stop) row ranges of about GRAD_SLAB_FLOATS floats.
+
+    A slab has at least two rows unless the tensor has one: a one-row
+    tail joins the slab before it, since a one-row WeightGrad slab can
+    differ in bits from the same row of the whole product.
+    """
+    height = max(2, GRAD_SLAB_FLOATS // row_floats)
+    bounds = list(range(0, rows, height)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _update_blocks(theta, grad, vel):
+    """Yield matching flat blocks of theta, grad and vel, at most
+    SGD_BLOCK floats each, one row slab after another; a WeightGrad
+    forms each slab's rows as the walk reaches it."""
+    for start, stop in _row_slabs(theta.shape[0], prod(theta.shape[1:])):
+        rows = (grad.rows(start, stop) if isinstance(grad, tc.WeightGrad)
+                else grad[start:stop])
+        flat = [a.reshape(-1) for a in (theta[start:stop], rows,
+                                        vel[start:stop])]
+        for block in range(0, flat[0].size, SGD_BLOCK):
+            yield tuple(a[block:block + SGD_BLOCK] for a in flat)
+
+
 def sgd_step(params, opt, grads):
     """Apply one momentum-SGD update in place.
 
-    Each tensor is updated in contiguous flat blocks of SGD_BLOCK
-    floats through one small reused scratch, so the update streams
-    through memory once instead of once per operation.  Every element
-    sees the formula's operations in the formula's order, so the bits
-    do not depend on the block size.
+    Each tensor is walked in row slabs of about GRAD_SLAB_FLOATS floats,
+    and each slab in contiguous flat blocks of SGD_BLOCK floats through
+    one small reused scratch, so the update streams through memory once
+    instead of once per operation.  A slab's gradient is a view of an
+    array gradient or one product of a tc.WeightGrad, so beyond the
+    parameters and velocities the step holds one slab of a first-layer
+    gradient (8 MB), never the whole matrix (98 MB for y.w1 at the
+    paper shape).  Every element sees the formula's operations in the
+    formula's order, and a WeightGrad slab has the bits of the whole
+    product's rows, so the bits depend on neither size.
+
+    Every shape and contiguity is checked before the first write: a
+    rejected call leaves the parameters and velocities as they were and
+    creates no velocity.
 
     Args:
         params: NetworkParams, updated in place; every learned tensor
             must be C-contiguous.
         opt: OptimizerState; velocities are created lazily and updated
             in place.
-        grads: dict mapping tensor name (e.g. "x.w1") to gradient; must
-            cover every learned tensor exactly.  Left unmodified.
+        grads: dict mapping tensor name (e.g. "x.w1") to gradient, an
+            array or a tc.WeightGrad; must cover every learned tensor
+            exactly.  Left unmodified.
+
+    Returns:
+        dict mapping tensor name to the L2 norm of its gradient, summed
+        from the blocks as the update reads them, for logging and
+        divergence checks.
     """
     expected = {name for name, _ in _learned_tensors(params)}
     if set(grads) != expected:
@@ -260,25 +307,29 @@ def sgd_step(params, opt, grads):
         raise ConfigError(
             f"gradient dict mismatch: missing {missing}, unknown {extra}"
         )
-    scratch = np.empty(SGD_BLOCK)
     for name, theta in _learned_tensors(params):
-        grad = grads[name]
-        if grad.shape != theta.shape:
-            raise DimensionError(
-                f"gradient for {name} has shape {grad.shape}, parameter "
-                f"has {theta.shape}"
-            )
+        # a velocity not yet made will be zeros_like(theta)
+        vel = opt.velocity.get(name, theta)
+        for what, arr in (("gradient", grads[name]), ("velocity", vel)):
+            if arr.shape != theta.shape:
+                raise DimensionError(
+                    f"{what} for {name} has shape {arr.shape}, parameter "
+                    f"has {theta.shape}"
+                )
+        if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
+            raise ContractViolationError(
+                f"{name}: SGD updates C-contiguous tensors in place")
+    scratch = np.empty(SGD_BLOCK)
+    norms = {}
+    for name, theta in _learned_tensors(params):
         vel = opt.velocity.get(name)
         if vel is None:
             # a zero start, not a copy of grad: 0 + -0.0 is +0.0
             vel = opt.velocity[name] = np.zeros_like(theta)
-        if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
-            raise ContractViolationError(
-                f"{name}: SGD updates C-contiguous tensors in place")
-        flat = [a.reshape(-1) for a in (theta, grad, vel)]
         decayed = name.endswith(_DECAYED_SUFFIXES)
-        for start in range(0, theta.size, SGD_BLOCK):
-            t, g, v = (a[start:start + SGD_BLOCK] for a in flat)
+        sq = 0.0
+        for t, g, v in _update_blocks(theta, grads[name], vel):
+            sq += float(np.dot(g, g))
             # the scratch holds the decay term, then lr * vel
             s = scratch[:t.size]
             v *= opt.momentum
@@ -290,22 +341,25 @@ def sgd_step(params, opt, grads):
                 v += g
             np.multiply(opt.lr, v, out=s)
             t -= s
+        norms[name] = sqrt(sq)
+    return norms
 
 
 def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
     """Backprop both branches and take one optimizer step.
 
+    The first layers' weight gradients stay unformed WeightGrads, which
+    sgd_step forms one row slab at a time.
+
     Returns:
-        dict mapping tensor name to the L2 norm of its gradient, for
-        logging and divergence checks.
+        sgd_step's dict mapping tensor name to the L2 norm of its
+        gradient, for logging and divergence checks.
     """
     bx = backward_branch(tapes_x, grad_emb_x)
     by = backward_branch(tapes_y, grad_emb_y)
     grads = {f"x.{k}": v for k, v in bx.items()}
     grads.update({f"y.{k}": v for k, v in by.items()})
-    report = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
-    sgd_step(params, opt, grads)
-    return report
+    return sgd_step(params, opt, grads)
 
 
 # ---------------------------------------------------------------------------

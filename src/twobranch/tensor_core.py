@@ -7,8 +7,10 @@ Every differentiable op follows the same shape:
 
 A tape caches exactly what the backward pass needs and may be consumed
 once; a second backward call on the same tape raises
-ContractViolationError.  All arrays are C-contiguous float64 and all
-results are deterministic for fixed inputs.
+ContractViolationError.  All arrays are C-contiguous float64, except
+that affine_param_backward returns its weight gradient as a WeightGrad,
+formed from two such arrays when it is read; all results are
+deterministic for fixed inputs.
 """
 
 from dataclasses import dataclass, field
@@ -126,17 +128,43 @@ def affine_backward(grad_out, tape):
     return grad_x, grad_w, grad_b
 
 
+class WeightGrad:
+    """The weight gradient x.T @ grad_out of an affine layer, unformed.
+
+    ``rows(start, stop)`` forms rows start:stop of it, so a consumer
+    that walks it in slabs never holds the whole (d_in, d_out) matrix;
+    ``np.asarray`` forms all of it.  A slab of two or more rows has the
+    bits of the same rows of the whole product (a one-row operand takes
+    numpy's matrix-vector path, whose bits can differ).
+    """
+
+    def __init__(self, x, grad_out):
+        self.x = x
+        self.grad_out = grad_out
+
+    @property
+    def shape(self):
+        return (self.x.shape[1], self.grad_out.shape[1])
+
+    def rows(self, start, stop):
+        return self.x[:, start:stop].T @ self.grad_out
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.x.T @ self.grad_out, dtype=dtype)
+
+
 def affine_param_backward(grad_out, tape):
     """affine_backward without grad_x, for a layer whose input is data.
 
-    Skips the (n, d_in) product grad_out @ w.T; grad_w and grad_b are
-    the same expressions as in affine_backward, so the same bits.
+    Skips the (n, d_in) product grad_out @ w.T.  grad_w is returned as
+    a WeightGrad, which np.asarray forms with affine_backward's
+    expression, and grad_b is affine_backward's, so the same bits.
 
     Returns:
         (grad_w, grad_b).
     """
     grad_out = _affine_grad_out(grad_out, tape)
-    return tape.x.T @ grad_out, grad_out.sum(axis=0)
+    return WeightGrad(tape.x, grad_out), grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -535,10 +535,10 @@ def out_of_place_sgd_step(params, opt, grads):
     """v <- momentum * v + (grad + wd * theta); theta <- theta - lr * v.
 
     The decay term applies to affine weight matrices only; every
-    operation makes a new array.
+    operation makes a new array, and a WeightGrad is formed whole.
     """
     for name, theta in nw._learned_tensors(params):
-        grad = grads[name]
+        grad = np.asarray(grads[name])
         if name.endswith((".w1", ".w2")):
             grad = grad + opt.weight_decay * theta
         vel = opt.velocity.get(name)

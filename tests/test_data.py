@@ -1,13 +1,17 @@
 """Tests for feature files, pair files, graphs, batching, generators."""
 
 import os
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from twobranch import data, evaluation
-from twobranch.errors import ConfigError, ConsistencyError, FormatError
+from twobranch.errors import (ConfigError, ConsistencyError, DimensionError,
+                              FormatError)
 
 
 def make_features(rng, n, d):
@@ -114,6 +118,90 @@ class TestFeatureFile:
         data.save_feature_file(fs, path)
         (tmp_path / "feat.bin.ids").unlink()
         with pytest.raises(ConsistencyError):
+            data.load_feature_file(path)
+
+    def test_load_memory_bounded(self, tmp_path):
+        # the float64 array is 2x the float32 payload; the parent read
+        # the file into bytes, sliced the payload off and widened it
+        fs = make_features(np.random.default_rng(6), 500, 6000)
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(fs, path)
+        payload = fs.n * fs.dim * 4
+        tracemalloc.start()
+        try:
+            back = data.load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * payload
+        assert back.ids == fs.ids
+        assert back.features.tobytes() == \
+            fs.features.astype(np.float64).tobytes()
+
+    def test_widened_in_ragged_chunks(self, tmp_path, monkeypatch):
+        # 35 floats in chunks of 4 end on a chunk of 3; a non-finite
+        # value in that last chunk is still found
+        monkeypatch.setattr(data, "WIDEN_FLOATS", 4)
+        fs = make_features(np.random.default_rng(9), 7, 5)
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(fs, path)
+        back = data.load_feature_file(path)
+        assert back.features.tobytes() == \
+            fs.features.astype(np.float64).tobytes()
+        fs.features[6, 4] = np.nan
+        data.save_feature_file(fs, path)
+        with pytest.raises(DimensionError, match="non-finite"):
+            data.load_feature_file(path)
+
+    def test_missing_id_file_reported_before_payload_read(self, tmp_path):
+        fs = make_features(np.random.default_rng(7), 200, 300)
+        fs.features[5, 7] = np.nan
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(fs, path)
+        (tmp_path / "feat.bin.ids").unlink()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConsistencyError, match="id file missing"):
+                data.load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fs.n * fs.dim * 4
+
+    @pytest.mark.parametrize("fault, message", [
+        ("short_header", "{path}: too short for a feature file header"),
+        ("magic", "{path}: bad magic b'XXXX'"),
+        ("version", "{path}: unsupported version 2"),
+        ("short_payload",
+         "{path}: payload holds 43 bytes, header promises 48"),
+        ("long_payload",
+         "{path}: payload holds 51 bytes, header promises 48"),
+        ("missing_ids", "{path}.ids: id file missing"),
+        ("non_finite", "{path} contains non-finite values"),
+    ])
+    def test_fault_messages(self, tmp_path, fault, message):
+        fs = make_features(np.random.default_rng(8), 4, 3)
+        if fault == "non_finite":
+            fs.features[3, 2] = np.inf
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(fs, path)
+        blob = bytearray(open(path, "rb").read())
+        if fault == "short_header":
+            blob = blob[:19]
+        elif fault == "magic":
+            blob[:4] = b"XXXX"
+        elif fault == "version":
+            blob[4:8] = struct.pack("<I", 2)
+        elif fault == "short_payload":
+            blob = blob[:-5]
+        elif fault == "long_payload":
+            blob += b"\0\0\0"
+        elif fault == "missing_ids":
+            os.remove(path + ".ids")
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises((ConsistencyError, DimensionError, FormatError),
+                           match="^" + re.escape(message.format(path=path))
+                           + "$"):
             data.load_feature_file(path)
 
 

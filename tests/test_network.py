@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 from twobranch import network as nw
+from twobranch import tensor_core as tc
 from twobranch.errors import (ChecksumError, ConfigError,
                               ContractViolationError, DimensionError,
                               FormatError)
@@ -273,6 +274,25 @@ class TestSgdStep:
             tracemalloc.stop()
         assert peak < 4 * nw.SGD_BLOCK * 8
 
+    def test_warm_backward_and_step_memory_bounded(self, monkeypatch):
+        # the first-layer weight gradients are formed one slab of 10
+        # rows at a time, never whole; the parent formed both whole
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 4000, raising=False)
+        p, opt = big_state()
+        rng = np.random.default_rng(6)
+        ex, tx = nw.forward_branch(p, "x", rng.normal(size=(8, 300)),
+                                   "train", rng=rng)
+        ey, ty = nw.forward_branch(p, "y", rng.normal(size=(8, 350)),
+                                   "train", rng=rng)
+        gx, gy = rng.normal(size=ex.shape), rng.normal(size=ey.shape)
+        tracemalloc.start()
+        try:
+            nw.backward_and_step(p, opt, tx, ty, gx, gy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.y.w1.nbytes
+
     def test_non_contiguous_parameter_rejected(self):
         # a flat view of it would be a copy, and the update would be lost
         p = small_params()
@@ -280,6 +300,51 @@ class TestSgdStep:
         opt = nw.OptimizerState()
         with pytest.raises(ContractViolationError, match="x.w1"):
             nw.sgd_step(p, opt, self.zero_grads(p))
+
+    @pytest.mark.parametrize("fault", [
+        "grad_shape", "lazy_grad_shape", "velocity_shape",
+        "param_layout", "velocity_layout"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rejected_step_writes_nothing(self, fault, warm):
+        # every fault sits on the last tensors of y, after the 11 others
+        # a check inside the update loop would already have stepped
+        p = small_params(seed=17)
+        opt = nw.OptimizerState()
+        if warm:
+            nw.sgd_step(p, opt, {name: np.full_like(t, 0.5) for name, t
+                                 in nw._learned_tensors(p)})
+            del opt.velocity["y.beta"], opt.velocity["y.w2"]
+        grads = {name: np.ones_like(t) for name, t in nw._learned_tensors(p)}
+        error = DimensionError
+        if fault == "grad_shape":
+            grads["y.beta"] = np.ones(3)
+        elif fault == "lazy_grad_shape":
+            grads["y.w2"] = tc.WeightGrad(np.ones((4, 6)), np.ones((4, 4)))
+        elif fault == "velocity_shape":
+            opt.velocity["y.beta"] = np.zeros(3)
+        elif fault == "param_layout":
+            p.y.w2 = np.asfortranarray(p.y.w2)
+            error = ContractViolationError
+        else:
+            opt.velocity["y.w2"] = np.asfortranarray(np.zeros((5, 4)))
+            error = ContractViolationError
+        params = {name: t.copy() for name, t in nw._learned_tensors(p)}
+        velocity = {name: v.copy() for name, v in opt.velocity.items()}
+        with pytest.raises(error, match="y"):
+            nw.sgd_step(p, opt, grads)
+        for name, t in nw._learned_tensors(p):
+            assert same_bits(t, params[name]), name
+        assert opt.velocity.keys() == velocity.keys()
+        for name, v in opt.velocity.items():
+            assert same_bits(v, velocity[name]), name
+
+    def test_matches_oracle_in_row_slabs(self, monkeypatch):
+        # slabs of 2 rows of 5 floats: x.w1 (6 rows) ends on a full
+        # slab, y.w1 (7 rows) folds its one-row tail into a slab of 3;
+        # the vectors fit one slab of 10
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
+        monkeypatch.setattr(nw, "SGD_BLOCK", 7)
+        self.assert_matches_oracle()
 
 
 class TestBackward:
@@ -305,7 +370,7 @@ class TestBackward:
         want = oracles.full_backward_branch(twin, grad_emb)
         assert got.keys() == want.keys()
         for name, g in want.items():
-            assert same_bits(got[name], g), name
+            assert same_bits(np.asarray(got[name]), g), name
 
     def test_eval_tape_unusable(self):
         p = small_params(seed=13)
@@ -314,19 +379,44 @@ class TestBackward:
         with pytest.raises(ConfigError):
             nw.backward_branch(tapes, np.ones_like(emb))
 
-    def test_backward_and_step_reports_norms(self):
-        p = small_params(seed=14)
+    @staticmethod
+    def twin_step(seed, grad_x_row=None):
+        """backward_and_step's report for a seeded two-branch batch, and
+        the oracle gradients of the same tapes, keyed alike."""
+        p = small_params(seed=seed, dropout=0.3)
         opt = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
-                                weight_decay=0.0)
-        rng = np.random.default_rng(9)
-        ex, tx = nw.forward_branch(p, "x", rng.normal(size=(5, 6)),
-                                   "train", rng=rng)
-        ey, ty = nw.forward_branch(p, "y", rng.normal(size=(5, 7)),
-                                   "train", rng=rng)
-        report = nw.backward_and_step(p, opt, tx, ty,
-                                      np.ones_like(ex), np.ones_like(ey))
-        assert "x.w1" in report and "y.w2" in report
-        assert all(v >= 0 for v in report.values())
+                                weight_decay=0.0005)
+        rng = np.random.default_rng(seed)
+        inp_x, inp_y = rng.normal(size=(7, 6)), rng.normal(size=(7, 7))
+        tapes = []
+        for _ in range(2):
+            dropout = np.random.default_rng(seed + 1)
+            tapes.append([
+                nw.forward_branch(p, "x", inp_x, "train", rng=dropout)[1],
+                nw.forward_branch(p, "y", inp_y, "train", rng=dropout)[1]])
+        gx, gy = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        if grad_x_row is not None:
+            gx[2] = grad_x_row
+        want = {f"{view}.{k}": g for view, tape, grad in
+                (("x", tapes[1][0], gx), ("y", tapes[1][1], gy))
+                for k, g in oracles.full_backward_branch(tape, grad).items()}
+        return nw.backward_and_step(p, opt, *tapes[0], gx, gy), want
+
+    def test_backward_and_step_reports_norms(self, monkeypatch):
+        # small slabs and blocks, so that each norm sums many of them
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
+        monkeypatch.setattr(nw, "SGD_BLOCK", 3)
+        report, want = self.twin_step(19)
+        assert report.keys() == want.keys()
+        for name, g in want.items():
+            norm = np.linalg.norm(g)
+            assert abs(report[name] - norm) <= 1e-12 * norm, name
+        # a NaN row of one branch's grad_emb reaches every gradient of
+        # that branch, and train_step's divergence check names them
+        report, _ = self.twin_step(20, grad_x_row=np.nan)
+        bad = {name for name, norm in report.items()
+               if not np.isfinite(norm)}
+        assert bad == {name for name in report if name.startswith("x.")}
 
 
 class TestCheckpoint:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from twobranch import network as nw
 from twobranch import tensor_core as tc
 from twobranch.errors import (BatchTooSmallError, ConfigError,
                               ContractViolationError, DimensionError)
@@ -83,6 +85,89 @@ class TestAffine:
         tc.affine_backward(np.ones((2, 2)), tape)
         with pytest.raises(ContractViolationError):
             tc.affine_backward(np.ones((2, 2)), tape)
+
+
+class TestWeightGradSlabs:
+    """network.sgd_step forms a first-layer weight gradient in row slabs
+    of two or more rows, and its bits match the whole product's only
+    while every such slab has the bits of the whole product's rows.  A
+    BLAS that breaks that assumption fails here first."""
+
+    @staticmethod
+    def assert_slabs_match(n, d_in, d_out, heights, starts=None):
+        """rows() of every slab of 2 or more rows, in slabs of each
+        height from row 0 on, equals those rows of x.T @ g bitwise; the
+        slabs checked may be limited to those whose start is in
+        ``starts``."""
+        rng = np.random.default_rng(d_in)
+        x, g = rng.normal(size=(n, d_in)), rng.normal(size=(n, d_out))
+        lazy = tc.WeightGrad(x, g)
+        whole = x.T @ g
+        assert lazy.shape == whole.shape
+        assert np.asarray(lazy).tobytes() == whole.tobytes()
+        for height in heights:
+            for start in range(0, d_in, height):
+                stop = min(start + height, d_in)
+                if stop - start < 2 or (starts is not None
+                                        and start not in starts):
+                    continue
+                assert lazy.rows(start, stop).tobytes() == \
+                    whole[start:stop].tobytes(), (height, start)
+
+    @pytest.mark.parametrize("n, d_in, d_out", [
+        (7, 6, 5), (7, 7, 5), (6, 20, 24), (6, 16, 24), (8, 300, 400),
+        (8, 350, 400)])
+    def test_every_height_at_test_shapes(self, n, d_in, d_out):
+        self.assert_slabs_match(n, d_in, d_out, range(2, d_in + 1))
+
+    def test_paper_shape(self):
+        # 689 rows: a 500-pair batch with augmentation; 512 rows is the
+        # update's slab height at 2048 columns, 5998 leaves a tail of 2;
+        # the small heights are checked on their first slabs and tail
+        d_in = 6000
+        self.assert_slabs_match(689, d_in, 2048, (512, 513, 5998))
+        self.assert_slabs_match(
+            689, d_in, 2048, (2, 3, 7),
+            starts=set(range(64)) | set(range(d_in - 9, d_in)))
+
+    @pytest.mark.parametrize("slab_floats, dims", [
+        (15, (6, 7, 5)), (25, (6, 7, 5)), (256, (1025, 513, 64))])
+    def test_one_row_remainder_matches_oracle(self, monkeypatch,
+                                              slab_floats, dims):
+        # a branch whose d_in leaves one row after its last full slab
+        # folds that row into the slab before; two steps by
+        # backward_and_step match the out-of-place oracle bit for bit
+        d_in_x, d_in_y, hidden = dims
+        height = slab_floats // hidden
+        assert 1 in (d_in_x % height, d_in_y % height)
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", slab_floats)
+        states = []
+        for slabbed in (True, False):
+            p = nw.init_params(nw.BranchSpec(d_in_x, hidden, 4, 0.3),
+                               nw.BranchSpec(d_in_y, hidden, 4, 0.3), seed=3)
+            opt = nw.OptimizerState()
+            rng = np.random.default_rng(3)
+            for _ in range(2):
+                ex, tx = nw.forward_branch(
+                    p, "x", rng.normal(size=(6, d_in_x)), "train", rng=rng)
+                ey, ty = nw.forward_branch(
+                    p, "y", rng.normal(size=(6, d_in_y)), "train", rng=rng)
+                gx, gy = rng.normal(size=ex.shape), rng.normal(size=ey.shape)
+                if slabbed:
+                    nw.backward_and_step(p, opt, tx, ty, gx, gy)
+                    continue
+                grads = {f"x.{k}": g
+                         for k, g in nw.backward_branch(tx, gx).items()}
+                grads.update({f"y.{k}": g
+                              for k, g in nw.backward_branch(ty, gy).items()})
+                oracles.out_of_place_sgd_step(p, opt, grads)
+            states.append((p, opt))
+        (got, got_opt), (want, want_opt) = states
+        for (name, a), (_, b) in zip(nw._learned_tensors(got),
+                                     nw._learned_tensors(want)):
+            assert a.tobytes() == b.tobytes(), name
+            assert got_opt.velocity[name].tobytes() == \
+                want_opt.velocity[name].tobytes(), name
 
 
 class TestRelu:

@@ -142,6 +142,25 @@ class TestDivergence:
 
 
 class TestTrainStep:
+    def test_nan_gradient_row_names_its_branch(self, monkeypatch):
+        # the step's own norms carry the NaN: every y gradient, no x one
+        real_hinge_loss = training.hinge_loss
+
+        def nan_row_in_y(*args, **kwargs):
+            result = real_hinge_loss(*args, **kwargs)
+            result.grad_y[1] = np.nan
+            return result
+
+        monkeypatch.setattr(training, "hinge_loss", nan_row_in_y)
+        d, params, opt = setup_problem(11)
+        batch = oracles.sample_minibatch(d.graph, 5, True,
+                                         np.random.default_rng(11))
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite gradient of y\.w1, y\.b1, "
+                                 r"y\.w2, y\.b2, y\.gamma, y\.beta$"):
+            training.train_step(params, opt, batch, d.x, d.y, LossConfig(),
+                                np.random.default_rng(11))
+
     def test_loss_is_weighted_family_mean(self):
         d, params, opt = setup_problem(7, dropout=0.0)
         cfg = LossConfig(lambda2=0.5)
