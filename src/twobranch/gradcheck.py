@@ -167,7 +167,8 @@ def run_layer_checks(seed, h=1e-5):
 
 
 def _loss_fixture(seed):
-    """A frozen tiny batch: params, inputs, graph, config, dropout seed."""
+    """A frozen tiny batch: params, inputs, batch masks, config, dropout
+    seed."""
     from types import SimpleNamespace
 
     from .loss_mining import LossConfig
@@ -182,20 +183,17 @@ def _loss_fixture(seed):
     params = init_params(spec_x, spec_y, seed=seed)
     inp_x = rng.normal(size=(nx, 6))
     inp_y = rng.normal(size=(ny, 8))
-    pairs = [(i, i) for i in range(nx)] + [(0, 5), (1, 6)]
-    y_nb = [set() for _ in range(ny)]
-    for grouped in ([0, 5], [1, 6]):
-        for a in grouped:
-            y_nb[a].update(grouped)
-    graph = SimpleNamespace(
-        pos_pairs=np.array(pairs, dtype=np.int64),
-        x_neighbors=[{i} for i in range(nx)],
-        y_neighbors=[s | {j} for j, s in enumerate(y_nb)],
-    )
+    # x row i pairs with y row i; x0 and x1 each have a second sentence,
+    # y5 and y6, which makes {y0, y5} and {y1, y6} neighborhoods
+    pos = np.eye(nx, ny, dtype=bool)
+    pos[[0, 1], [5, 6]] = True
+    batch = SimpleNamespace(pos=pos, x_nb=np.eye(nx, dtype=bool),
+                            y_nb=pos.T @ pos,
+                            owner=np.full(nx, -1, dtype=np.int64))
     cfg = LossConfig(margin=0.2, lambda1=2.0, lambda2=0.4, lambda3=0.2,
                      top_k=50)
     dropout_seed = int(rng.integers(1 << 31))
-    return params, inp_x, inp_y, graph, cfg, dropout_seed
+    return params, inp_x, inp_y, batch, cfg, dropout_seed
 
 
 def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
@@ -212,7 +210,7 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
     from .loss_mining import hinge_loss, mine_triplets, triplet_violations
     from .network import backward_branch, forward_branch
 
-    params, inp_x, inp_y, graph, cfg, dropout_seed = _loss_fixture(seed)
+    params, inp_x, inp_y, batch, cfg, dropout_seed = _loss_fixture(seed)
 
     def forward():
         rng = np.random.default_rng(dropout_seed)
@@ -221,7 +219,7 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
         return emb_x, emb_y, tapes_x, tapes_y
 
     emb_x, emb_y, tapes_x, tapes_y = forward()
-    triplets = mine_triplets(emb_x, emb_y, graph, cfg)
+    triplets = mine_triplets(emb_x, emb_y, batch, cfg)
     _, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
     for name, viol in viols.items():
         setattr(triplets, name, getattr(triplets, name)[viol > kink_margin])

@@ -15,8 +15,8 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write
-from .errors import ConsistencyError, FormatError
+from .data import atomic_write, check_first_field
+from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import box_iou, query_distances
 from .network import learning_rate
 from .training import train
@@ -37,6 +37,11 @@ class HardNegativeSet:
     @property
     def total(self):
         return sum(len(v) for v in self.by_phrase.values())
+
+
+def _check_cap(cap):
+    if cap < 1:
+        raise ConfigError(f"hard-negative cap must be >= 1, got {cap}")
 
 
 def _closest(candidates, cap):
@@ -63,7 +68,11 @@ def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
 
     Returns:
         (HardNegativeSet, skipped phrase ids).
+
+    Raises:
+        ConfigError: ``cap`` below 1.
     """
+    _check_cap(cap)
     by_phrase = {}
     for q, dists in zip(corpus.queries,
                         query_distances(corpus, phrase_emb, region_emb)):
@@ -99,12 +108,14 @@ def save_hard_negatives(hn, path):
     with atomic_write(path) as fh:
         for phrase_id in sorted(hn.by_phrase):
             for row, dist in hn.by_phrase[phrase_id]:
+                check_first_field(phrase_id, path)
                 fh.write(f"{phrase_id}\t{row}\t{repr(float(dist))}\n")
 
 
 def load_hard_negatives(path, cap=50):
     """Read a save_hard_negatives TSV, keeping each phrase's ``cap``
-    closest entries by (distance, row)."""
+    closest entries by (distance, row); ``cap`` must be at least 1."""
+    _check_cap(cap)
     by_phrase = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -149,9 +160,15 @@ def fine_tune(params, opt, graph, features_x, features_y, hn, loss_cfg,
     from epoch 0.  Mined negatives join batches as reserved rows for
     their phrase whenever that phrase is sampled.
 
+    Raises:
+        ConfigError: ``negatives_per_anchor`` below 1.
+
     Returns:
         list of EpochStats.
     """
+    if negatives_per_anchor < 1:
+        raise ConfigError(f"negatives_per_anchor must be >= 1, got "
+                          f"{negatives_per_anchor}")
     if loss_cfg.lambda2 != 0.0 or loss_cfg.lambda3 != 0.0:
         log.warning(
             "fine-tuning forces lambda2/lambda3 to 0 (was %g/%g)",

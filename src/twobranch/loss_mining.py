@@ -17,17 +17,20 @@ members are never negatives: an item that shares a positive partner
 with the anchor (or with one of the anchor's positives, for the
 cross-view families) is treated as semantically positive.
 
-Mining builds boolean masks once per batch: the positive incidence P
-(x by y), the reflexive neighbor masks Nx and Ny, and each reserved x
-row's one y anchor.  The (anchor, positive) pairs are the nonzeros of
-P, P^T, Nx - I and Ny - I in row-major order.  The rows of P @ Ny and
-P^T @ Nx exclude candidates of the cross-view families, an anchor's own
-neighbor row those of the structure families.  A reserved x row is a
-candidate only for its own sentence -> image anchor, never in image
-structure.  Each pair keeps its top_k candidates with positive
-violation, largest first, ties by lower candidate index; a pair with
-more than top_k candidates is partitioned to its top_k-th largest
-violation, so only top_k entries are sorted.
+A batch carries its correspondence graph as the four arrays that
+``data._build_batch`` makes once per batch (see ``data.MiniBatch``):
+the positive incidence P (x by y), the reflexive neighbor masks Nx and
+Ny, and ``owner``, each reserved x row's one y anchor or -1.  Mining
+reads them as they are, after one check of their shapes and values.
+The (anchor, positive) pairs are the nonzeros of P, P^T, Nx - I and
+Ny - I in row-major order.  The rows of P @ Ny and P^T @ Nx exclude
+candidates of the cross-view families, an anchor's own neighbor row
+those of the structure families.  A reserved x row is a candidate only
+for its own sentence -> image anchor, never in image structure.  Each
+pair keeps its top_k candidates with positive violation, largest
+first, ties by lower candidate index; a pair with more than top_k
+candidates is partitioned to its top_k-th largest violation, so only
+top_k entries are sorted.
 
 Every hinge is a difference of two entries of one pairwise distance
 matrix per view pair, and its gradient flows back through
@@ -35,7 +38,6 @@ pairwise_distance_backward.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -116,58 +118,23 @@ class TripletSet:
         return sum(self.counts().values())
 
 
-def _neighbor_mask(graph, view, n):
-    """Reflexive same-view neighbor mask from per-row collections."""
-    members = getattr(graph, f"{view}_neighbors", None)
-    mask = np.eye(n, dtype=bool)
-    if members is None:
-        return mask
-    if len(members) != n:
-        raise DimensionError(
-            f"{view}_neighbors has {len(members)} entries for {n} rows"
-        )
-    sizes = [len(m) for m in members]
-    cols = np.fromiter(chain.from_iterable(members), dtype=np.int64,
-                       count=sum(sizes))
-    rows = np.repeat(np.arange(n), sizes)
-    bad = np.flatnonzero((cols < 0) | (cols >= n))
-    if bad.size:
-        raise DimensionError(
-            f"{view}_neighbors[{rows[bad[0]]}] holds {cols[bad[0]]}, "
-            f"outside [0, {n})"
-        )
-    mask[rows, cols] = True
-    return mask
-
-
-def _graph_masks(graph, nx, ny):
-    """Validated boolean masks of a batch's correspondence graph.
-
-    Returns:
-        (pos, x_nb, y_nb, owner): the positive incidence (nx, ny), the
-        reflexive neighbor masks (nx, nx) and (ny, ny), and per x row
-        the y anchor it is reserved for, or -1.
-    """
-    pairs = np.asarray(graph.pos_pairs, dtype=np.int64).reshape(-1, 2)
-    outside = ((pairs < 0) | (pairs >= (nx, ny))).any(axis=1)
-    if outside.any():
-        xi, yi = pairs[outside][0]
-        raise DimensionError(
-            f"positive pair ({xi}, {yi}) outside batch of {nx}x{ny}"
-        )
-    pos = np.zeros((nx, ny), dtype=bool)
-    pos[pairs[:, 0], pairs[:, 1]] = True
-    x_nb = _neighbor_mask(graph, "x", nx)
-    y_nb = _neighbor_mask(graph, "y", ny)
-    owner = np.full(nx, -1, dtype=np.int64)
-    reserved = getattr(graph, "x_negative_only", None) or {}
-    for row, anchor in reserved.items():
-        if not (0 <= row < nx and 0 <= anchor < ny):
+def _checked_masks(batch, nx, ny):
+    """A batch's (pos, x_nb, y_nb, owner), checked against embeddings of
+    nx and ny rows."""
+    pos, x_nb, y_nb, owner = (np.asarray(a) for a in (
+        batch.pos, batch.x_nb, batch.y_nb, batch.owner))
+    for name, mask, shape in (("pos", pos, (nx, ny)),
+                              ("x_nb", x_nb, (nx, nx)),
+                              ("y_nb", y_nb, (ny, ny))):
+        if mask.dtype != bool or mask.shape != shape:
             raise DimensionError(
-                f"x_negative_only maps x row {row} to y anchor {anchor}, "
-                f"outside batch of {nx}x{ny}"
-            )
-        owner[row] = anchor
+                f"{name} is {mask.dtype} {mask.shape}, expected bool {shape}")
+    if not (x_nb.diagonal().all() and y_nb.diagonal().all()):
+        raise DimensionError(
+            "a neighbor mask leaves a row out of its own neighborhood")
+    if owner.dtype.kind != "i" or owner.shape != (nx,) \
+            or ((owner < -1) | (owner >= ny)).any():
+        raise DimensionError(f"owner must be {nx} ints in [-1, {ny})")
     return pos, x_nb, y_nb, owner
 
 
@@ -233,26 +200,28 @@ def _excluded(pos, opp_nb):
     return pos.astype(np.float64) @ opp_nb.astype(np.float64) > 0.0
 
 
-def mine_triplets(emb_x, emb_y, graph, cfg):
+def mine_triplets(emb_x, emb_y, batch, cfg):
     """Enumerate the top_k most violated triplets of every family.
 
     Args:
-        emb_x, emb_y: embeddings, rows aligned with the batch index
-            space of ``graph``.
-        graph: object exposing ``pos_pairs`` ((k, 2) array of (x, y)
-            row indices), ``x_neighbors``/``y_neighbors`` (per-row
-            same-view neighbor collections) and optionally
-            ``x_negative_only`` (dict mapping a reserved x row to the
-            single y anchor it may serve as negative for).
+        emb_x, emb_y: embeddings, rows aligned with the batch's x and
+            y rows.
+        batch: a ``data.MiniBatch``, or any object with its four
+            arrays: ``pos`` (nx, ny) bool positive incidence, ``x_nb``
+            (nx, nx) and ``y_nb`` (ny, ny) bool neighbor masks with
+            every diagonal entry set, and ``owner`` (nx,) ints, the y
+            anchor each reserved x row may serve as a negative for, or
+            -1.
         cfg: LossConfig.
 
     Families whose weight in ``cfg`` is exactly zero are skipped and
     come back empty; they would contribute neither loss nor gradient.
 
     Raises:
-        DimensionError: a positive pair, a neighbor member or an
-            ``x_negative_only`` row or anchor outside the batch, or a
-            neighbor list whose length is not the view's row count.
+        DimensionError: a mask not bool or not sized to the
+            embeddings' rows, a neighbor mask with an unset diagonal
+            entry, or an ``owner`` of the wrong shape, not integer, or
+            with an entry outside [-1, ny).
 
     Returns:
         TripletSet.
@@ -260,7 +229,7 @@ def mine_triplets(emb_x, emb_y, graph, cfg):
     emb_x = as_matrix(emb_x, "emb_x")
     emb_y = as_matrix(emb_y, "emb_y")
     nx, ny = emb_x.shape[0], emb_y.shape[0]
-    pos, x_nb, y_nb, owner = _graph_masks(graph, nx, ny)
+    pos, x_nb, y_nb, owner = _checked_masks(batch, nx, ny)
     reserved = owner >= 0
 
     def mine(dist, pairs, allowed):

@@ -7,6 +7,7 @@ logic stays independent of the library code it checks.
 import copy
 import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,33 +23,28 @@ def dist(u, v):
     return float(np.sqrt(((u - v) ** 2).sum()))
 
 
-def neighbor_sets(raw, n):
-    """Copy neighborhoods into list-of-sets with reflexivity."""
-    out = [set() for _ in range(n)]
-    if raw is not None:
-        for i, members in enumerate(raw):
-            out[i] = set(members)
-    for i in range(n):
-        out[i].add(i)
-    return out
+def mask_sets(mask):
+    """Row i's set of columns j with mask[i, j] set."""
+    return [{j for j in range(mask.shape[1]) if mask[i, j]}
+            for i in range(mask.shape[0])]
 
 
-def positive_lists(pos_pairs, nx, ny):
-    """Sorted, de-duplicated positive partners of every x and every y."""
-    pos_y_of_x = [[] for _ in range(nx)]
-    pos_x_of_y = [[] for _ in range(ny)]
-    seen = set()
-    for xi, yi in np.asarray(pos_pairs):
-        if (int(xi), int(yi)) in seen:
-            continue
-        seen.add((int(xi), int(yi)))
-        pos_y_of_x[int(xi)].append(int(yi))
-        pos_x_of_y[int(yi)].append(int(xi))
-    return ([sorted(p) for p in pos_y_of_x],
-            [sorted(p) for p in pos_x_of_y])
+def batch_lists(batch):
+    """A batch's masks as per-row collections.
+
+    Returns:
+        (pos_y_of_x, pos_x_of_y, x_nb, y_nb, x_negonly): sorted
+        positive partners of every x and every y, neighbor sets, and
+        reserved x row -> its y anchor.
+    """
+    pos_y_of_x = [sorted(s) for s in mask_sets(batch.pos)]
+    pos_x_of_y = [sorted(s) for s in mask_sets(batch.pos.T)]
+    x_negonly = {i: int(a) for i, a in enumerate(batch.owner) if a >= 0}
+    return (pos_y_of_x, pos_x_of_y, mask_sets(batch.x_nb),
+            mask_sets(batch.y_nb), x_negonly)
 
 
-def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
+def enumerate_family_triplets(emb_x, emb_y, batch, margin, top_k):
     """All-loops enumeration of the four constraint families.
 
     Returns:
@@ -58,12 +54,7 @@ def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
         (anchor, positive).
     """
     nx, ny = emb_x.shape[0], emb_y.shape[0]
-    x_nb = neighbor_sets(getattr(graph, "x_neighbors", None), nx)
-    y_nb = neighbor_sets(getattr(graph, "y_neighbors", None), ny)
-    x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
-    y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
-
-    pos_y_of_x, pos_x_of_y = positive_lists(graph.pos_pairs, nx, ny)
+    pos_y_of_x, pos_x_of_y, x_nb, y_nb, x_negonly = batch_lists(batch)
 
     def top(per_pair):
         per_pair.sort(key=lambda t: (-t[3], t[2]))
@@ -76,12 +67,10 @@ def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
         banned = set()
         for p in pos_y_of_x[a]:
             banned |= y_nb[p]
-        for p in sorted(pos_y_of_x[a]):
+        for p in pos_y_of_x[a]:
             cands = []
             for n in range(ny):
                 if n in banned:
-                    continue
-                if n in y_negonly and y_negonly[n] != a:
                     continue
                 v = margin + dist(emb_x[a], emb_y[p]) - dist(emb_x[a],
                                                              emb_y[n])
@@ -93,7 +82,7 @@ def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
         banned = set()
         for p in pos_x_of_y[a]:
             banned |= x_nb[p]
-        for p in sorted(pos_x_of_y[a]):
+        for p in pos_x_of_y[a]:
             cands = []
             for n in range(nx):
                 if n in banned:
@@ -120,7 +109,7 @@ def enumerate_family_triplets(emb_x, emb_y, graph, margin, top_k):
             fam["image_structure"].extend(top(cands))
 
     for a in range(ny):
-        banned = y_nb[a] | set(y_negonly)
+        banned = y_nb[a]
         for p in sorted(y_nb[a] - {a}):
             cands = []
             for n in range(ny):
@@ -142,7 +131,7 @@ def loss_of_families(fam, weights):
     return total
 
 
-def brute_force_loss(emb_x, emb_y, graph, cfg):
+def brute_force_loss(emb_x, emb_y, batch, cfg):
     """Exhaustive Eq.-5 loss by plain loops, for small batches only.
 
     No top-k truncation (every violated triplet contributes) and
@@ -152,7 +141,7 @@ def brute_force_loss(emb_x, emb_y, graph, cfg):
 
     Args:
         emb_x, emb_y: embeddings, at most 30 rows per view.
-        graph: same protocol as mine_triplets.
+        batch: the masks mine_triplets reads.
         cfg: LossConfig; top_k is ignored.
 
     Returns:
@@ -166,11 +155,7 @@ def brute_force_loss(emb_x, emb_y, graph, cfg):
             f"brute_force_loss is for batches of <= 30 items per view, "
             f"got {nx}x{ny}"
         )
-    pos_y_by_x, pos_x_by_y = positive_lists(graph.pos_pairs, nx, ny)
-    x_nb = neighbor_sets(getattr(graph, "x_neighbors", None), nx)
-    y_nb = neighbor_sets(getattr(graph, "y_neighbors", None), ny)
-    x_negonly = dict(getattr(graph, "x_negative_only", None) or {})
-    y_negonly = dict(getattr(graph, "y_negative_only", None) or {})
+    pos_y_by_x, pos_x_by_y, x_nb, y_nb, x_negonly = batch_lists(batch)
 
     def norm_dist(u, v):
         return float(np.linalg.norm(u - v))
@@ -189,8 +174,6 @@ def brute_force_loss(emb_x, emb_y, graph, cfg):
         for j in pos_y_by_x[i]:
             for k in range(ny):
                 if k in excluded:
-                    continue
-                if k in y_negonly and y_negonly[k] != i:
                     continue
                 total += hinge(norm_dist(emb_x[i], emb_y[j]),
                                norm_dist(emb_x[i], emb_y[k]))
@@ -229,7 +212,7 @@ def brute_force_loss(emb_x, emb_y, graph, cfg):
         for j in range(ny):
             for jj in sorted(y_nb[j] - {j}):
                 for k in range(ny):
-                    if k in y_nb[j] or k in y_negonly:
+                    if k in y_nb[j]:
                         continue
                     part += hinge(norm_dist(emb_y[j], emb_y[jj]),
                                   norm_dist(emb_y[j], emb_y[k]))
@@ -307,14 +290,41 @@ def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
     return loss, grad_x, grad_y
 
 
+def batch_masks(pairs, nx, ny, x_neighbors=(), y_neighbors=(),
+                owner=None):
+    """The four arrays mine_triplets reads, filled in by loops.
+
+    Args:
+        pairs: (x row, y row) positives.
+        x_neighbors, y_neighbors: per-row neighbor collections; every
+            row is its own neighbor whether listed or not.
+        owner: reserved x row -> its y anchor.
+    """
+    pos = np.zeros((nx, ny), dtype=bool)
+    for xi, yi in pairs:
+        pos[xi, yi] = True
+
+    def neighbor_mask(members, n):
+        mask = np.eye(n, dtype=bool)
+        for i, row in enumerate(members):
+            for j in row:
+                mask[i, j] = True
+        return mask
+
+    owner_arr = np.full(nx, -1, dtype=np.int64)
+    for row, anchor in (owner or {}).items():
+        owner_arr[row] = anchor
+    return SimpleNamespace(pos=pos, x_nb=neighbor_mask(x_neighbors, nx),
+                           y_nb=neighbor_mask(y_neighbors, ny),
+                           owner=owner_arr)
+
+
 def random_graph(rng, nx, ny, extra_pair_rate=0.3):
-    """Random correspondence structure over nx x-rows and ny y-rows.
+    """Random batch masks over nx x-rows and ny y-rows.
 
     Every x gets one partner; extra pairs create shared-partner
     neighborhoods so all four families can fire.
     """
-    from types import SimpleNamespace
-
     pairs = [(i, int(rng.integers(ny))) for i in range(nx)]
     n_extra = int(extra_pair_rate * nx)
     for _ in range(n_extra):
@@ -334,9 +344,56 @@ def random_graph(rng, nx, ny, extra_pair_rate=0.3):
     for members in by_x.values():
         for j in members:
             y_nb[j] |= members
+    return batch_masks(pairs, nx, ny, x_nb, y_nb)
 
-    return SimpleNamespace(pos_pairs=np.array(pairs, dtype=np.int64),
-                           x_neighbors=x_nb, y_neighbors=y_nb)
+
+def batch_graph_masks(batch, graph, extra_negatives=None):
+    """A MiniBatch's pos, x_nb and y_nb rebuilt from its dataset graph.
+
+    Cell (i, j) of ``pos`` is set when dataset rows x_rows[i] and
+    y_rows[j] are a positive pair, and a neighbor cell when the rows are
+    dataset neighbors or i == j.  A reserved x row (owner >= 0) has no
+    positives and only itself as neighbor, though an unreserved row may
+    list it.  Also asserts that the unreserved x rows are those of the
+    sampled pairs, that the y rows are the sampled ones and then the
+    augmented ones, and that every reserved row is in no sampled pair
+    and is listed in its anchor's ``extra_negatives``.
+
+    Returns:
+        (pos, x_nb, y_nb) bool arrays.
+    """
+    x_rows = [int(r) for r in batch.x_rows]
+    y_rows = [int(r) for r in batch.y_rows]
+    reserved = [int(a) >= 0 for a in batch.owner]
+    sampled_x, sampled_y = [], []
+    for p in batch.pair_indices:
+        xi, yi = (int(v) for v in graph.pos_pairs[p])
+        if xi not in sampled_x:
+            sampled_x.append(xi)
+        if yi not in sampled_y:
+            sampled_y.append(yi)
+    assert [r for r, res in zip(x_rows, reserved) if not res] == sampled_x
+    assert y_rows == sampled_y + list(batch.augmented_y_rows)
+    for i, row in enumerate(x_rows):
+        if reserved[i]:
+            anchor = y_rows[int(batch.owner[i])]
+            assert row not in sampled_x
+            assert row in extra_negatives[anchor]
+    nx, ny = len(x_rows), len(y_rows)
+    pos = np.zeros((nx, ny), dtype=bool)
+    x_nb = np.zeros((nx, nx), dtype=bool)
+    y_nb = np.zeros((ny, ny), dtype=bool)
+    for i in range(nx):
+        for j in range(ny):
+            pos[i, j] = (not reserved[i]
+                         and y_rows[j] in graph.pos_y_by_x[x_rows[i]])
+        for k in range(nx):
+            x_nb[i, k] = i == k or (
+                not reserved[i] and x_rows[k] in graph.x_neighbors[x_rows[i]])
+    for j in range(ny):
+        for k in range(ny):
+            y_nb[j, k] = j == k or y_rows[k] in graph.y_neighbors[y_rows[j]]
+    return pos, x_nb, y_nb
 
 
 def naive_recall_at_k(dist_matrix, positives_of_query, k):

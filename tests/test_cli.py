@@ -379,6 +379,40 @@ class TestLocalizationPipeline:
                        "--report", str(tmp_path / "loc2.csv")) == 0
 
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_mine_negatives_cap_below_one_exits_one(self, workdir, tmp_path,
+                                                     cap):
+        loc = workdir["loc"]
+        negatives = tmp_path / "hn.tsv"
+        assert run_cli("mine-negatives",
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--corpus", str(loc / "corpus.tsv"),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--hard-negatives", str(negatives),
+                       "--hn-cap", cap) == 1
+        assert not negatives.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hn-cap", "0"), ("--hn-cap", "-1"),
+        ("--negatives-per-anchor", "0"), ("--negatives-per-anchor", "-1"),
+    ])
+    def test_fine_tune_count_below_one_exits_one(self, workdir, tmp_path,
+                                                 flag, value):
+        loc = workdir["loc"]
+        negatives = tmp_path / "hn.tsv"
+        negatives.write_text("phrase_000\t5\t0.5\nphrase_001\t2\t0.25\n")
+        assert run_cli("train",
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--pairs", str(loc / "pairs.tsv"),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--checkpoint-out", str(tmp_path / "ft.ckpt"),
+                       "--hard-negatives", str(negatives),
+                       "--fine-tune-epochs", "1", "--batch-pairs", "6",
+                       flag, value) == 1
+        assert not (tmp_path / "ft.ckpt").exists()
+
 class TestFuse:
     def build_bridge_files(self, workdir, tmp_path):
         ret, loc = workdir["ret"], workdir["loc"]

@@ -212,6 +212,16 @@ class TestPairFile:
         data.save_pair_file(pairs, path)
         assert data.load_pair_file(path) == pairs
 
+    def test_round_trip_keeps_spaces_and_refuses_comment_rows(self,
+                                                               tmp_path):
+        path = tmp_path / "pairs.tsv"
+        pairs = [(" b", "y 1 "), ("a#", "#y")]
+        data.save_pair_file(pairs, str(path))
+        assert data.load_pair_file(str(path)) == pairs
+        with pytest.raises(ConsistencyError, match="'#a'"):
+            data.save_pair_file(pairs + [("#a", "y1")], str(path))
+        assert data.load_pair_file(str(path)) == pairs
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = str(tmp_path / "pairs.tsv")
         with open(path, "w") as fh:
@@ -366,8 +376,7 @@ class TestSampleMinibatch:
         rng = np.random.default_rng(3)
         batch = oracles.sample_minibatch(d.graph, 6, True, rng)
         for i in range(batch.num_x):
-            owned = np.sum(batch.pos_pairs[:, 0] == i)
-            assert owned >= 2
+            assert batch.pos[i].sum() >= 2
         assert batch.num_y == 6 + len(batch.augmented_y_rows)
 
     def test_fixed_seed_reproduces_composition(self):
@@ -378,17 +387,17 @@ class TestSampleMinibatch:
                                      np.random.default_rng(9))
         assert np.array_equal(a.x_rows, b.x_rows)
         assert np.array_equal(a.y_rows, b.y_rows)
-        assert np.array_equal(a.pos_pairs, b.pos_pairs)
+        for name in ("pos", "x_nb", "y_nb", "owner"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_batch_positives_match_graph(self):
         d = small_corpus()
         rng = np.random.default_rng(4)
         batch = oracles.sample_minibatch(d.graph, 8, True, rng)
-        have = {(int(a), int(b)) for a, b in batch.pos_pairs}
         for i, xr in enumerate(batch.x_rows):
             for j, yr in enumerate(batch.y_rows):
                 linked = int(yr) in d.graph.pos_y_by_x[int(xr)]
-                assert ((i, j) in have) == linked
+                assert batch.pos[i, j] == linked
 
     def test_oversized_batch_rejected(self):
         d = small_corpus()
@@ -398,6 +407,46 @@ class TestSampleMinibatch:
         with pytest.raises(ConfigError):
             oracles.sample_minibatch(d.graph, 0, False,
                                      np.random.default_rng(0))
+
+
+class TestBuildBatch:
+    def test_masks_match_graph_oracle(self):
+        # random graphs with shared partners, batches with augmentation
+        # on and off, and reserved hard-negative rows that may also be
+        # dataset neighbors or positives of batch rows
+        batches = reserved = augmented = 0
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            nx, ny = int(rng.integers(2, 12)), int(rng.integers(2, 20))
+            x_ids = [f"x{i}" for i in range(nx)]
+            y_ids = [f"y{j}" for j in range(ny)]
+            pairs = [(x_ids[int(rng.integers(nx))], y_ids[j])
+                     for j in range(ny)]
+            pairs += [(x_ids[int(rng.integers(nx))],
+                       y_ids[int(rng.integers(ny))])
+                      for _ in range(int(rng.integers(ny)))]
+            graph = data.build_graph(pairs, x_ids, y_ids)
+            extra = None
+            if case % 3:
+                extra = {j: rng.integers(nx, size=int(rng.integers(6)))
+                         .tolist() for j in range(ny) if rng.random() < 0.6}
+            for augment in (False, True):
+                for per_anchor in (1, 3):
+                    size = int(rng.integers(2, graph.num_pairs + 1))
+                    for batch in data.epoch_batches(
+                            graph, size, augment, rng,
+                            extra_negatives=extra,
+                            negatives_per_anchor=per_anchor):
+                        want = oracles.batch_graph_masks(batch, graph, extra)
+                        for name, mask in zip(("pos", "x_nb", "y_nb"), want):
+                            got = getattr(batch, name)
+                            assert got.dtype == bool, name
+                            assert np.array_equal(got, mask), name
+                        assert batch.owner.dtype == np.int64
+                        batches += 1
+                        reserved += int((batch.owner >= 0).sum())
+                        augmented += len(batch.augmented_y_rows)
+        assert batches > 2000 and reserved > 1000 and augmented > 1000
 
 
 class TestEpochBatches:

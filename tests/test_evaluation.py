@@ -256,6 +256,15 @@ class TestCorpusIO:
         ev.save_corpus_file(rows, path)
         assert ev.load_corpus_rows(path) == rows
 
+    def test_round_trip_refuses_comment_rows(self, tmp_path):
+        rows = corpus_rows_fixture()
+        path = str(tmp_path / "corpus.tsv")
+        ev.save_corpus_file(rows, path)
+        bad = rows + [("#img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0)]
+        with pytest.raises(ConsistencyError, match="'#img'"):
+            ev.save_corpus_file(bad, path)
+        assert ev.load_corpus_rows(path) == rows
+
     def test_comments_and_blanks(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:

@@ -188,6 +188,18 @@ class TestHardNegativeIO:
         nonempty = {k: v for k, v in hn.by_phrase.items() if v}
         assert back.by_phrase == nonempty
 
+    def test_round_trip_refuses_comment_rows(self, tmp_path):
+        path = str(tmp_path / "negatives.tsv")
+        hn = hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)],
+                                               "p#": [(1, 0.25)]})
+        hn_mod.save_hard_negatives(hn, path)
+        assert hn_mod.load_hard_negatives(path).by_phrase == hn.by_phrase
+        bad = hn_mod.HardNegativeSet(by_phrase={**hn.by_phrase,
+                                                "#p": [(2, 0.75)]})
+        with pytest.raises(ConsistencyError, match="'#p'"):
+            hn_mod.save_hard_negatives(bad, path)
+        assert hn_mod.load_hard_negatives(path).by_phrase == hn.by_phrase
+
     def test_load_keeps_cap_closest_per_phrase(self, tmp_path):
         path = tmp_path / "negatives.tsv"
         path.write_text("a\t9\t0.5\na\t4\t0.25\nb\t1\t0.9\n"

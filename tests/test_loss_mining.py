@@ -13,13 +13,15 @@ from twobranch import loss_mining as lm
 from twobranch.errors import ConfigError, DimensionError
 
 
-def simple_graph(pairs, nx, ny, x_nb=None, y_nb=None, x_negonly=None):
-    return SimpleNamespace(
-        pos_pairs=np.array(pairs, dtype=np.int64),
-        x_neighbors=x_nb if x_nb is not None else [{i} for i in range(nx)],
-        y_neighbors=y_nb if y_nb is not None else [{j} for j in range(ny)],
-        x_negative_only=x_negonly or {},
-    )
+def with_reserved_x_row(batch, anchor):
+    """``batch`` plus one x row, reserved as a negative for y row
+    ``anchor``, the way batches carry mined hard negatives."""
+    nx, ny = batch.pos.shape
+    x_nb = np.eye(nx + 1, dtype=bool)
+    x_nb[:nx, :nx] = batch.x_nb
+    pos = np.vstack([batch.pos, np.zeros((1, ny), dtype=bool)])
+    return SimpleNamespace(pos=pos, x_nb=x_nb, y_nb=batch.y_nb,
+                           owner=np.append(batch.owner, anchor))
 
 
 def unit_rows(rng, n, d):
@@ -62,7 +64,7 @@ class TestMineTriplets:
         # d_other from x0.  x1 is placed far away on its own axis.
         emb_x = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         emb_y = np.array([[0.2, 0.0, 0.0], [d_other, 0.0, 0.0]])
-        graph = simple_graph([(0, 0), (1, 1)], 2, 2)
+        graph = oracles.batch_masks([(0, 0), (1, 1)], 2, 2)
         return emb_x, emb_y, graph
 
     def test_close_negative_is_mined(self):
@@ -90,11 +92,8 @@ class TestMineTriplets:
         # a negative for (x0, y0) even though it is the closest row.
         emb_x = np.array([[0.0, 0.0]])
         emb_y = np.array([[0.3, 0.0], [0.31, 0.0], [0.35, 0.0]])
-        graph = SimpleNamespace(
-            pos_pairs=np.array([[0, 0], [0, 1]], dtype=np.int64),
-            x_neighbors=[{0}],
-            y_neighbors=[{0, 1}, {0, 1}, {2}],
-        )
+        graph = oracles.batch_masks([(0, 0), (0, 1)], 1, 3,
+                                    y_neighbors=[{0, 1}, {0, 1}, {2}])
         cfg = lm.LossConfig(margin=0.1, top_k=50)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
         negatives = set(trip.image_to_sentence[:, 2].tolist())
@@ -137,11 +136,8 @@ class TestMineTriplets:
                     emb_x = np.round(3.0 * emb_x)
                     emb_y = np.round(3.0 * emb_y)
                 if reserved:
-                    # an extra x row, reserved as a negative for one y,
-                    # the way batches carry mined hard negatives
                     emb_x = np.vstack([emb_x, emb_x[int(rng.integers(12))]])
-                    graph.x_neighbors.append({12})
-                    graph.x_negative_only = {12: int(rng.integers(14))}
+                    graph = with_reserved_x_row(graph, int(rng.integers(14)))
                 self.assert_matches_enumerator(
                     emb_x, emb_y, graph, cfg,
                     f"tied={tied} reserved={reserved} top_k={top_k} "
@@ -163,7 +159,7 @@ class TestMineTriplets:
         batches = list(data.epoch_batches(graph, 10, True, rng,
                                           extra_negatives=extra,
                                           negatives_per_anchor=2))
-        assert any(b.x_negative_only for b in batches)
+        assert any((b.owner >= 0).any() for b in batches)
         assert any(b.augmented_y_rows for b in batches)
         for i, batch in enumerate(batches):
             emb_x = unit_rows(rng, batch.num_x, 5)
@@ -222,12 +218,9 @@ class TestMineTriplets:
         # with anchor y0 and the structure families never see it.
         emb_x = np.array([[0.0, 0.0], [1.0, 0.0], [0.05, 0.0]])
         emb_y = np.array([[0.1, 0.0], [1.1, 0.0]])
-        graph = SimpleNamespace(
-            pos_pairs=np.array([[0, 0], [1, 1]], dtype=np.int64),
-            x_neighbors=[{0, 1}, {0, 1}, {2}],
-            y_neighbors=[{0}, {1}],
-            x_negative_only={2: 0},
-        )
+        graph = oracles.batch_masks([(0, 0), (1, 1)], 3, 2,
+                                    x_neighbors=[{0, 1}, {0, 1}, {2}],
+                                    owner={2: 0})
         cfg = lm.LossConfig(margin=0.5, lambda2=0.3, top_k=50)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
         f2 = [tuple(r) for r in trip.sentence_to_image.tolist()]
@@ -237,18 +230,19 @@ class TestMineTriplets:
         assert all(2 not in row for row in f3)
 
     @pytest.mark.parametrize("field, value", [
-        ("pos_pairs", np.array([[0, 0], [1, 3]])),
-        ("y_neighbors", [{0}, {1}]),
-        ("x_neighbors", [{0, 2}, {1}]),
-        ("x_neighbors", [{0, -1}, {1}]),
-        ("y_neighbors", [{0}, {1, 3}, {2}]),
-        ("x_negative_only", {2: 0}),
-        ("x_negative_only", {-1: 0}),
-        ("x_negative_only", {1: 3}),
-        ("x_negative_only", {1: -1}),
+        ("pos", np.zeros((2, 4), dtype=bool)),
+        ("pos", np.zeros((2, 3), dtype=np.int64)),
+        ("x_nb", np.eye(2, 3, dtype=bool)),
+        ("x_nb", np.array([[True, True], [True, False]])),
+        ("y_nb", np.eye(2, dtype=bool)),
+        ("y_nb", np.eye(3, 4, dtype=bool)),
+        ("owner", np.array([-1, -1, -1])),
+        ("owner", np.array([-1.0, -1.0])),
+        ("owner", np.array([-1, 3])),
+        ("owner", np.array([-2, -1])),
     ])
-    def test_graph_index_outside_batch(self, field, value):
-        graph = simple_graph([(0, 0), (1, 1)], 2, 3)
+    def test_mask_not_fitting_batch(self, field, value):
+        graph = oracles.batch_masks([(0, 0), (1, 1)], 2, 3)
         setattr(graph, field, value)
         with pytest.raises(DimensionError):
             lm.mine_triplets(np.eye(2, 3), np.eye(3), graph,
@@ -259,10 +253,8 @@ class TestMineTriplets:
         rng = np.random.default_rng(5)
         pairs = [(i, 2 * i) for i in range(5)] + [(i, 2 * i + 1)
                                                   for i in range(5)]
-        x_nb = [{i} for i in range(5)]
         y_nb = [{2 * (j // 2), 2 * (j // 2) + 1} for j in range(10)]
-        graph = SimpleNamespace(pos_pairs=np.array(pairs, dtype=np.int64),
-                                x_neighbors=x_nb, y_neighbors=y_nb)
+        graph = oracles.batch_masks(pairs, 5, 10, y_neighbors=y_nb)
         emb_x = unit_rows(rng, 5, 4)
         emb_y = unit_rows(rng, 10, 4)
         cfg = lm.LossConfig(lambda2=0.3, lambda3=0.2)
@@ -499,7 +491,7 @@ class TestBruteForce:
         # Two tight, far-apart pair clusters; margin tiny.
         emb_x = np.array([[0.0, 0.0], [100.0, 0.0]])
         emb_y = np.array([[0.01, 0.0], [100.01, 0.0]])
-        graph = simple_graph([(0, 0), (1, 1)], 2, 2)
+        graph = oracles.batch_masks([(0, 0), (1, 1)], 2, 2)
         cfg = lm.LossConfig(margin=1e-9)
         assert oracles.brute_force_loss(emb_x, emb_y, graph, cfg) == 0.0
 
