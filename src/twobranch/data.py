@@ -6,9 +6,12 @@ On-disk formats:
     then rows*cols little-endian float32, row-major.  A sibling
     "<path>.ids" text file lists one id per line, count = rows.
   * Pair file: UTF-8 TSV with two columns ``x_id<TAB>y_id``; blank
-    lines and ``#`` comments allowed, so no x_id may begin with ``#``.
+    lines and ``#`` comments allowed, so no x_id may begin with ``#``
+    and no id may hold a tab or a line break (``tsv_line``).
 
-Features are widened to float64 in memory; the file stays float32.
+A FeatureSet keeps float32 or float64 features as given (a file loads
+as float32, the generators make float64); consumers widen what they
+compute on with ``tensor_core.as_matrix``, which is exact.
 """
 
 import os
@@ -24,20 +27,27 @@ from .tensor_core import check_finite
 FEATURE_MAGIC = b"DSPF"
 FEATURE_VERSION = 1
 
-# float32 values read and widened at a time by load_feature_file
-# (256 KB of file).
-WIDEN_FLOATS = 1 << 16
+# float32 values read and checked, or converted and written, at a time
+# by the feature-file functions (256 KB of file).
+IO_FLOATS = 1 << 16
 
 
 @dataclass
 class FeatureSet:
-    """Row-aligned ids and feature vectors for one view."""
+    """Row-aligned ids and feature vectors for one view.
+
+    float32 and float64 features are kept as given; any other dtype is
+    widened to float64.
+    """
 
     ids: list
     features: np.ndarray
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        arr = np.asarray(self.features)
+        keep = arr.dtype if arr.dtype in (np.float32, np.float64) \
+            else np.float64
+        self.features = np.ascontiguousarray(arr, dtype=keep)
         if self.features.ndim != 2:
             raise ConsistencyError(
                 f"features must be 2-D, got shape {self.features.shape}"
@@ -100,16 +110,20 @@ def save_feature_file(fs, path):
     """Write a FeatureSet as float32 binary plus the .ids sibling.
 
     The ids are checked and their text built before either file is
-    touched, so a bad id cannot leave new features beside old ids.
+    touched, so a bad id cannot leave new features beside old ids.  The
+    payload is converted and written in row chunks of about IO_FLOATS
+    floats, so beyond the FeatureSet the save holds one chunk.
     """
     _check_ids(fs.ids)
     ids_text = "".join(fid + "\n" for fid in fs.ids)
-    data = np.ascontiguousarray(fs.features, dtype="<f4")
+    rows, cols = fs.features.shape
+    step = max(1, IO_FLOATS // max(1, cols))
     with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQQ", FEATURE_VERSION, data.shape[0],
-                             data.shape[1]))
-        fh.write(data.tobytes())
+        fh.write(struct.pack("<IQQ", FEATURE_VERSION, rows, cols))
+        for start in range(0, rows, step):
+            fh.write(np.ascontiguousarray(fs.features[start:start + step],
+                                          dtype="<f4"))
     with atomic_write(path + ".ids") as fh:
         fh.write(ids_text)
 
@@ -119,9 +133,9 @@ def load_feature_file(path):
 
     The header and the payload size (from the file's size) are checked,
     and the .ids file's presence, before any payload is read.  The
-    float32 payload is then read and widened in chunks of WIDEN_FLOATS
-    straight into the float64 array, so the peak is that array plus one
-    chunk, about 2x the payload.
+    float32 payload is then read straight into the FeatureSet's array,
+    and checked for finiteness, in chunks of IO_FLOATS, so the peak is
+    about 1x the payload.
     """
     header = len(FEATURE_MAGIC) + 4 + 16
     with open(path, "rb") as fh:
@@ -143,15 +157,13 @@ def load_feature_file(path):
         ids_path = path + ".ids"
         if not os.path.exists(ids_path):
             raise ConsistencyError(f"{ids_path}: id file missing")
-        feats = np.empty((rows, cols))
+        feats = np.empty((rows, cols), "<f4")
         flat = feats.reshape(-1)
-        chunk = np.empty(min(flat.size, WIDEN_FLOATS), "<f4")
-        for start in range(0, flat.size, WIDEN_FLOATS):
-            part = chunk[:flat.size - start]
+        for start in range(0, flat.size, IO_FLOATS):
+            part = flat[start:start + IO_FLOATS]
             if fh.readinto(part) != part.nbytes:
                 raise FormatError(f"{path}: payload shrank while reading")
             check_finite(part, path)
-            flat[start:start + part.size] = part
     with open(ids_path, encoding="utf-8") as fh:
         ids = [line.rstrip("\n") for line in fh if line.strip() != ""]
     if len(ids) != rows:
@@ -161,22 +173,30 @@ def load_feature_file(path):
     return FeatureSet(ids=ids, features=feats)
 
 
-def check_first_field(value, path):
-    """Refuse a TSV row whose first field would read back as a comment.
+def tsv_line(fields, path):
+    """One TSV line of ``fields``, refused if it would not read back.
 
-    The package's TSV readers skip lines that begin with ``#``.
+    The package's TSV readers split lines on line breaks (text mode
+    counts ``\\r`` as one) and columns on tabs, and skip blank lines and
+    lines that begin with ``#``.  So a field holding a tab or a line
+    break, a first field that begins with ``#`` and a row of blank
+    fields raise ConsistencyError; inside ``atomic_write`` the old file
+    then stays.  Each field is written as ``str(field)``.
     """
-    if str(value).startswith("#"):
-        raise ConsistencyError(
-            f"{path}: first field {value!r} begins with '#', so the row "
-            f"would read back as a comment")
+    line = "\t".join(map(str, fields))
+    if line.count("\t") != len(fields) - 1 or "\n" in line \
+            or "\r" in line or line.startswith("#") or not line.strip():
+        raise ConsistencyError(f"{path}: row {tuple(fields)!r} would not "
+                               "read back: a field holds a tab or a line "
+                               "break, the first begins with '#', or all "
+                               "are blank")
+    return line + "\n"
 
 
 def save_pair_file(pairs, path):
     with atomic_write(path) as fh:
         for x_id, y_id in pairs:
-            check_first_field(x_id, path)
-            fh.write(f"{x_id}\t{y_id}\n")
+            fh.write(tsv_line((x_id, y_id), path))
 
 
 def load_pair_file(path):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import atomic_write, check_first_field
+from .data import atomic_write, tsv_line
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -243,13 +243,12 @@ def save_corpus_file(rows, path):
     with atomic_write(path) as fh:
         for row in rows:
             image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
-            check_first_field(image_id, path)
             cols = [image_id, kind, phrase_id,
                     repr(float(x1)), repr(float(y1)),
                     repr(float(x2)), repr(float(y2))]
             if len(row) > 7 and row[7] is not None:
                 cols.append(str(int(row[7])))
-            fh.write("\t".join(cols) + "\n")
+            fh.write(tsv_line(cols, path))
 
 
 def load_corpus_rows(path):

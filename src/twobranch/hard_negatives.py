@@ -15,7 +15,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write, check_first_field
+from .data import atomic_write, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import box_iou, query_distances
 from .network import learning_rate
@@ -108,8 +108,7 @@ def save_hard_negatives(hn, path):
     with atomic_write(path) as fh:
         for phrase_id in sorted(hn.by_phrase):
             for row, dist in hn.by_phrase[phrase_id]:
-                check_first_field(phrase_id, path)
-                fh.write(f"{phrase_id}\t{row}\t{repr(float(dist))}\n")
+                fh.write(tsv_line((phrase_id, row, repr(float(dist))), path))
 
 
 def load_hard_negatives(path, cap=50):

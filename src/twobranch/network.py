@@ -44,7 +44,11 @@ _LEARNED_RECORDS = _BRANCH_RECORDS[:6]
 SGD_BLOCK = 1 << 15
 
 # Floats per row slab of the SGD update: the update forms a first-layer
-# weight gradient one slab at a time (512 rows at 2048 columns).
+# weight gradient one slab at a time (512 rows at 2048 columns).  An
+# eval forward pass runs in row slabs of about as many hidden-layer
+# floats, also 512 rows at the paper shape: each slab's first product
+# packs the whole first-layer weight again, and slabs sized by 6000
+# input floats (174 rows) made that forward pass about 3% slower.
 GRAD_SLAB_FLOATS = 1 << 20
 
 
@@ -176,6 +180,19 @@ class BranchTapes:
 def forward_branch(params, branch, inputs, mode, rng=None):
     """Run one branch.
 
+    Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  In
+    train mode the layers run once over all rows.  In eval mode they run
+    over the row slabs of ``_row_slabs`` (about GRAD_SLAB_FLOATS
+    hidden-layer floats each), each slab widened on its own and its
+    embeddings written into one (n, embed_dim) output, so the pass
+    never holds a widened copy of all inputs or their whole hidden
+    layer.  The bits are those of one pass over all rows: every eval
+    layer is row-local (the two products, ReLU, identity dropout, batch
+    norm with running statistics and the row L2 norm), and a slab has
+    at least 2 rows unless the input has 1, so no slab's product takes
+    numpy's one-row matrix-vector path where the whole product would
+    not.
+
     Args:
         params: NetworkParams.
         branch: "x" or "y".
@@ -195,12 +212,25 @@ def forward_branch(params, branch, inputs, mode, rng=None):
         spec, p = params.spec_y, params.y
     else:
         raise ConfigError(f"branch must be 'x' or 'y', got {branch!r}")
-    inputs = tc.as_matrix(inputs, "inputs")
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2:
+        raise DimensionError(f"inputs must be 2-D, got shape {inputs.shape}")
     if inputs.shape[1] != spec.input_dim:
         raise DimensionError(
             f"branch {branch}: inputs have {inputs.shape[1]} columns, "
             f"expected {spec.input_dim}"
         )
+    if mode != "eval":
+        return _run_layers(params, spec, p, inputs, mode, rng)
+    emb = np.empty((inputs.shape[0], spec.embed_dim))
+    for start, stop in _row_slabs(inputs.shape[0], spec.hidden_dim):
+        emb[start:stop], _ = _run_layers(params, spec, p,
+                                         inputs[start:stop], mode, rng)
+    return emb, None
+
+
+def _run_layers(params, spec, p, inputs, mode, rng):
+    """forward_branch's layer sequence over all rows of ``inputs``."""
     h, t_aff1 = tc.affine_forward(inputs, p.w1, p.b1)
     h, t_relu = tc.relu_forward(h)
     h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
@@ -245,8 +275,9 @@ def _row_slabs(rows, row_floats):
     """(start, stop) row ranges of about GRAD_SLAB_FLOATS floats.
 
     A slab has at least two rows unless the tensor has one: a one-row
-    tail joins the slab before it, since a one-row WeightGrad slab can
-    differ in bits from the same row of the whole product.
+    tail joins the slab before it, since a product with a one-row
+    operand takes numpy's matrix-vector path, whose bits can differ from
+    the same row of the whole product.
     """
     height = max(2, GRAD_SLAB_FLOATS // row_floats)
     bounds = list(range(0, rows, height)) + [rows]

@@ -7,9 +7,11 @@ Every differentiable op follows the same shape:
 
 A tape caches exactly what the backward pass needs and may be consumed
 once; a second backward call on the same tape raises
-ContractViolationError.  All arrays are C-contiguous float64, except
-that affine_param_backward returns its weight gradient as a WeightGrad,
-formed from two such arrays when it is read; all results are
+ContractViolationError.  Matrix inputs may be float32 (feature files
+load as float32): ``as_matrix`` widens them to C-contiguous float64,
+which is exact, and every op returns C-contiguous float64 results.
+affine_param_backward returns its weight gradient as a WeightGrad,
+formed from two such arrays when it is read.  All results are
 deterministic for fixed inputs.
 """
 
@@ -43,7 +45,11 @@ BN_MOMENTUM = 0.1
 
 
 def as_matrix(x, name="array"):
-    """Validate and return ``x`` as a 2-D C-contiguous float64 array."""
+    """Validate and return ``x`` as a 2-D C-contiguous float64 array.
+
+    A float32 input is widened, which is exact, so an op sees the same
+    values whether its caller held float32 or float64.
+    """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")

@@ -40,6 +40,17 @@ class TestFeatureSet:
         with pytest.raises(ConsistencyError):
             data.FeatureSet(ids=["a"], features=np.zeros(3))
 
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64),
+        (np.uint8, np.float64), (bool, np.float64)])
+    def test_keeps_float32_and_float64_widens_others(self, dtype, kept):
+        given = np.asfortranarray(np.arange(6).reshape(2, 3).astype(dtype))
+        fs = data.FeatureSet(ids=["a", "b"], features=given)
+        assert fs.features.dtype == kept
+        assert fs.features.flags.c_contiguous
+        assert np.array_equal(fs.features, given)
+
     @pytest.mark.parametrize("bad", [7, "c\nd", "c\r", "", "  \t"])
     def test_id_not_one_line_string(self, bad):
         # an .ids file holds one id per line and skips blank lines, so
@@ -121,8 +132,8 @@ class TestFeatureFile:
             data.load_feature_file(path)
 
     def test_load_memory_bounded(self, tmp_path):
-        # the float64 array is 2x the float32 payload; the parent read
-        # the file into bytes, sliced the payload off and widened it
+        # the payload is read straight into the FeatureSet's float32
+        # array; the parent widened it into a float64 array, 2x the file
         fs = make_features(np.random.default_rng(6), 500, 6000)
         path = str(tmp_path / "feat.bin")
         data.save_feature_file(fs, path)
@@ -133,21 +144,43 @@ class TestFeatureFile:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * payload
+        assert peak < 1.1 * payload
         assert back.ids == fs.ids
-        assert back.features.tobytes() == \
-            fs.features.astype(np.float64).tobytes()
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == fs.features.tobytes()
 
-    def test_widened_in_ragged_chunks(self, tmp_path, monkeypatch):
-        # 35 floats in chunks of 4 end on a chunk of 3; a non-finite
-        # value in that last chunk is still found
-        monkeypatch.setattr(data, "WIDEN_FLOATS", 4)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_memory_bounded(self, tmp_path, dtype):
+        # the payload is converted and written one row chunk at a time;
+        # the bytes are the header and the whole array as float32
+        fs = data.FeatureSet(
+            ids=[f"row_{i:03d}" for i in range(500)],
+            features=np.random.default_rng(10).normal(
+                size=(500, 6000)).astype(dtype))
+        path = tmp_path / "feat.bin"
+        payload = fs.n * fs.dim * 4
+        tracemalloc.start()
+        try:
+            data.save_feature_file(fs, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * payload
+        assert path.read_bytes() == data.FEATURE_MAGIC + struct.pack(
+            "<IQQ", data.FEATURE_VERSION, fs.n, fs.dim) \
+            + fs.features.astype("<f4").tobytes()
+
+    def test_read_in_ragged_chunks(self, tmp_path, monkeypatch):
+        # 35 floats read in chunks of 12 end on a chunk of 11, and 7
+        # rows written 2 at a time end on one row; a non-finite value
+        # in the last chunk is still found
+        monkeypatch.setattr(data, "IO_FLOATS", 12)
         fs = make_features(np.random.default_rng(9), 7, 5)
         path = str(tmp_path / "feat.bin")
         data.save_feature_file(fs, path)
         back = data.load_feature_file(path)
-        assert back.features.tobytes() == \
-            fs.features.astype(np.float64).tobytes()
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == fs.features.tobytes()
         fs.features[6, 4] = np.nan
         data.save_feature_file(fs, path)
         with pytest.raises(DimensionError, match="non-finite"):
@@ -221,6 +254,20 @@ class TestPairFile:
         with pytest.raises(ConsistencyError, match="'#a'"):
             data.save_pair_file(pairs + [("#a", "y1")], str(path))
         assert data.load_pair_file(str(path)) == pairs
+
+    @pytest.mark.parametrize("bad", [
+        ("a\tb", "y1"), ("a", "y\n1"), ("a\r", "y1"), (" ", " ")])
+    def test_round_trip_refuses_rows_that_would_not_read_back(
+            self, tmp_path, bad):
+        # a tab adds a column, a line break (text mode counts \r) ends
+        # the line, and a blank row is skipped
+        path = tmp_path / "pairs.tsv"
+        pairs = [("a", "y1"), ("b", "y2")]
+        data.save_pair_file(pairs, str(path))
+        with pytest.raises(ConsistencyError, match="would not read back"):
+            data.save_pair_file(pairs + [bad], str(path))
+        assert data.load_pair_file(str(path)) == pairs
+        assert os.listdir(tmp_path) == ["pairs.tsv"]
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = str(tmp_path / "pairs.tsv")

@@ -265,6 +265,19 @@ class TestCorpusIO:
             ev.save_corpus_file(bad, path)
         assert ev.load_corpus_rows(path) == rows
 
+    @pytest.mark.parametrize("bad", [
+        ("im\ta", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0),
+        ("img", "P", "ca\nt", 0.0, 0.0, 5.0, 5.0, 0),
+        ("img", "P", "cat\r", 0.0, 0.0, 5.0, 5.0, None)])
+    def test_round_trip_refuses_tabs_and_line_breaks(self, tmp_path, bad):
+        rows = corpus_rows_fixture()
+        path = tmp_path / "corpus.tsv"
+        ev.save_corpus_file(rows, str(path))
+        with pytest.raises(ConsistencyError, match="would not read back"):
+            ev.save_corpus_file(rows + [bad], str(path))
+        assert ev.load_corpus_rows(str(path)) == rows
+        assert os.listdir(tmp_path) == ["corpus.tsv"]
+
     def test_comments_and_blanks(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:

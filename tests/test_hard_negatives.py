@@ -200,6 +200,20 @@ class TestHardNegativeIO:
             hn_mod.save_hard_negatives(bad, path)
         assert hn_mod.load_hard_negatives(path).by_phrase == hn.by_phrase
 
+    @pytest.mark.parametrize("phrase_id", ["p\tq", "p\nq", "p\rq"])
+    def test_round_trip_refuses_tabs_and_line_breaks(self, tmp_path,
+                                                     phrase_id):
+        path = tmp_path / "negatives.tsv"
+        hn = hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)]})
+        hn_mod.save_hard_negatives(hn, str(path))
+        bad = hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)],
+                                                phrase_id: [(2, 0.75)]})
+        with pytest.raises(ConsistencyError, match="would not read back"):
+            hn_mod.save_hard_negatives(bad, str(path))
+        assert hn_mod.load_hard_negatives(str(path)).by_phrase == \
+            hn.by_phrase
+        assert os.listdir(tmp_path) == ["negatives.tsv"]
+
     def test_load_keeps_cap_closest_per_phrase(self, tmp_path):
         path = tmp_path / "negatives.tsv"
         path.write_text("a\t9\t0.5\na\t4\t0.25\nb\t1\t0.9\n"

@@ -114,6 +114,13 @@ class TestForward:
         with pytest.raises(DimensionError):
             nw.forward_branch(p, "x", np.ones((3, 7)), "eval")
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_inputs_must_be_matrix(self, mode):
+        p = small_params()
+        with pytest.raises(DimensionError, match="2-D"):
+            nw.forward_branch(p, "x", np.ones(6), mode,
+                              rng=np.random.default_rng(0))
+
     def test_train_needs_two_rows(self):
         p = small_params()
         from twobranch.errors import BatchTooSmallError
@@ -139,6 +146,80 @@ class TestForward:
         nw.forward_branch(p, "x", np.random.default_rng(5).normal(
             size=(8, 6)), "eval")
         assert np.array_equal(p.x.running_mean, before)
+
+
+class TestEvalSlabs:
+    """forward_branch runs eval mode in row slabs of _row_slabs and must
+    give the bits of one float64 pass over all rows.  That holds while
+    every eval layer is row-local and a product over a slab of 2 or more
+    rows has the bits of the same rows of the whole product; a BLAS
+    that breaks this fails here first."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        """Paper-shape parameters with non-trivial biases, batch-norm
+        affine terms and running statistics."""
+        p = nw.init_params(nw.BranchSpec(4096, 2048, 512),
+                           nw.BranchSpec(6000, 2048, 512), seed=4)
+        rng = np.random.default_rng(12)
+        for bp in (p.x, p.y):
+            for name in ("b1", "b2", "beta", "running_mean"):
+                v = getattr(bp, name)
+                v[...] = rng.normal(scale=0.1, size=v.shape)
+            bp.gamma[...] = rng.uniform(0.5, 1.5, size=bp.gamma.shape)
+            bp.running_var[...] = rng.uniform(0.5, 2.0,
+                                              size=bp.running_var.shape)
+        return p
+
+    @staticmethod
+    def assert_matches_whole(monkeypatch, params, branch, inputs):
+        got, tapes = nw.forward_branch(params, branch, inputs, "eval")
+        assert tapes is None and got.dtype == np.float64
+        with monkeypatch.context() as m:
+            m.setattr(nw, "GRAD_SLAB_FLOATS", 1 << 62)
+            whole, _ = nw.forward_branch(
+                params, branch, inputs.astype(np.float64), "eval")
+        assert got.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("branch, n", [
+        ("y", 1), ("y", 2), ("y", 3), ("y", 513), ("y", 700), ("x", 513)])
+    def test_paper_shape(self, paper, monkeypatch, dtype, branch, n):
+        # slabs hold 512 rows at 2048 hidden units: 513 rows fold a
+        # one-row tail into the slab before, and 700 end on a ragged
+        # slab of 188
+        d_in = paper.spec_x.input_dim if branch == "x" \
+            else paper.spec_y.input_dim
+        inputs = np.random.default_rng(n).normal(size=(n, d_in)) \
+            .astype(dtype)
+        self.assert_matches_whole(monkeypatch, paper, branch, inputs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("height, n", [(2, 5), (4, 13)])
+    def test_forced_one_row_tail(self, paper, monkeypatch, dtype, height,
+                                 n):
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", height * 2048)
+        assert list(nw._row_slabs(n, 2048))[-1] == (n - height - 1, n)
+        inputs = np.random.default_rng(n).normal(size=(n, 6000)) \
+            .astype(dtype)
+        self.assert_matches_whole(monkeypatch, paper, "y", inputs)
+
+    def test_never_holds_widened_inputs(self, monkeypatch):
+        # slabs of 100 rows: a widened copy of all inputs would be 2x
+        # their float32 bytes, one slab's is a twentieth of them
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 100 * 64)
+        p = nw.init_params(nw.BranchSpec(600, 64, 16),
+                           nw.BranchSpec(600, 64, 16), seed=2)
+        inputs = np.random.default_rng(2).normal(size=(4000, 600)) \
+            .astype(np.float32)
+        tracemalloc.start()
+        try:
+            emb, _ = nw.forward_branch(p, "y", inputs, "eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.shape == (4000, 16)
+        assert peak < 0.25 * inputs.nbytes
 
 
 class TestSchedule:

@@ -60,6 +60,25 @@ class TestTrain:
         assert [h.family_counts for h in hist_a] == \
             [h.family_counts for h in hist_b]
 
+    def test_float32_features_train_like_their_float64_copy(self):
+        # forward_branch widens a gathered float32 batch, exactly, so a
+        # run on float32 features (as files load) has the bits of a run
+        # on their float64 copy
+        runs = []
+        for dtype in (np.float32, np.float64):
+            d, params, opt = setup_problem(4)
+            fx, fy = (data.FeatureSet(ids=fs.ids, features=fs.features
+                                      .astype(np.float32).astype(dtype))
+                      for fs in (d.x, d.y))
+            assert fx.features.dtype == fy.features.dtype == dtype
+            history = training.train(params, opt, d.graph, fx, fy,
+                                     LossConfig(), 3, 6, True,
+                                     np.random.default_rng(4))
+            runs.append(([h.mean_loss for h in history],
+                         {name: t.tobytes() for name, t in
+                          nw._named_tensors(params, opt).items()}))
+        assert runs[0] == runs[1]
+
     def test_lr_follows_schedule(self):
         d, params, opt = setup_problem(1)
         history = training.train(params, opt, d.graph, d.x, d.y,
