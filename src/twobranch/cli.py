@@ -387,6 +387,9 @@ def cmd_fuse(cfg):
 
 
 def cmd_gen_synthetic(args):
+    if args.heldout_clusters < 0:
+        raise ConfigError(
+            f"heldout_clusters must be >= 0, got {args.heldout_clusters}")
     os.makedirs(args.out_dir, exist_ok=True)
     if args.mode == "retrieval":
         total = args.clusters + args.heldout_clusters
@@ -416,8 +419,8 @@ def cmd_gen_synthetic(args):
             loc.pairs, os.path.join(args.out_dir, "pairs.tsv"))
         ev.save_corpus_file(
             loc.corpus_rows, os.path.join(args.out_dir, "corpus.tsv"))
-        log.info("wrote localization corpus (%d queries worth of rows) "
-                 "to %s", len(loc.corpus_rows), args.out_dir)
+        log.info("wrote localization corpus (%d rows) to %s",
+                 len(loc.corpus_rows), args.out_dir)
     return 0
 
 

@@ -606,10 +606,15 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
     Returns:
         LocalizationData.
     """
-    for name, v in (("num_phrases", num_phrases),
-                    ("images_per_phrase", images_per_phrase)):
-        if v < 1:
-            raise ConfigError(f"{name} must be >= 1, got {v}")
+    for name, v, low in (("num_phrases", num_phrases, 1),
+                         ("images_per_phrase", images_per_phrase, 1),
+                         ("feat_dim_region", feat_dim_region, 1),
+                         ("feat_dim_phrase", feat_dim_phrase, 1),
+                         ("jitter_per_gt", jitter_per_gt, 0),
+                         ("background_per_image", background_per_image, 0),
+                         ("noise_sigma", noise_sigma, 0)):
+        if v < low:
+            raise ConfigError(f"{name} must be >= {low}, got {v}")
     rng = np.random.default_rng(seed)
     latents = rng.normal(size=(num_phrases, latent_dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)

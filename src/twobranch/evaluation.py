@@ -6,13 +6,13 @@ each query's rank of its best positive, the positive with the lowest
 (distance, index): its rank is the number of candidates closer than it
 plus the number at the same distance with a lower index, and recall@k
 counts the queries whose rank is below k.  Box overlaps all come from
-``box_iou``.  The localization side consumes a proposal/GT corpus in
-the TSV format documented at ``load_corpus_file`` and scores per-query
-distances produced by a region-phrase model.
+``box_iou``.  The localization side reads a proposal/GT corpus in the
+TSV format documented at ``load_corpus_file`` into the columns of
+``LocalizationCorpus`` and scores the (P,) proposal distances of a
+region-phrase model on all queries at once.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import (
     EvaluationError,
     FormatError,
 )
-from .tensor_core import as_matrix, pairwise_distances
+from .tensor_core import (DIRECT_CHUNK_FLOATS, as_matrix, pairwise_distances,
+                          row_distances)
 
 MAX_PROPOSALS_PER_QUERY = 100
 
@@ -142,100 +143,103 @@ def box_iou(a, b):
     """Intersection over union of every box in a with every box in b.
 
     Args:
-        a: (n, 4) array of (x1, y1, x2, y2).
-        b: (m, 4) array of (x1, y1, x2, y2).
+        a: (..., n, 4) array of (x1, y1, x2, y2); one box may be (4,).
+        b: (..., m, 4) array of (x1, y1, x2, y2); the leading axes of a
+            and b broadcast.
 
     Returns:
-        (n, m) matrix; 0 where the boxes are disjoint or only touch,
+        (..., n, m) array; 0 where the boxes are disjoint or only touch,
         and where the union is empty.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ix = (np.minimum(a[:, None, 2], b[None, :, 2])
-          - np.maximum(a[:, None, 0], b[None, :, 0]))
-    iy = (np.minimum(a[:, None, 3], b[None, :, 3])
-          - np.maximum(a[:, None, 1], b[None, :, 1]))
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))[..., :, None, :]
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))[..., None, :, :]
+    ix = (np.minimum(a[..., 2], b[..., 2])
+          - np.maximum(a[..., 0], b[..., 0]))
+    iy = (np.minimum(a[..., 3], b[..., 3])
+          - np.maximum(a[..., 1], b[..., 1]))
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter),
                      where=union > 0.0)
-
-
-def nms(boxes, scores, overlap_thresh):
-    """Greedy non-maximum suppression.
-
-    Repeatedly keeps the best-scoring remaining box and drops every
-    remaining box whose IoU with it exceeds overlap_thresh.  Score
-    ties break toward the lower index.
-
-    Args:
-        boxes: (n, 4) array of (x1, y1, x2, y2).
-        scores: (n,) array of distances; the smallest is best.
-        overlap_thresh: IoU above this suppresses.
-
-    Returns:
-        list of kept indices, best first.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if boxes.shape[0] != scores.shape[0]:
-        raise ConsistencyError(
-            f"{boxes.shape[0]} boxes for {scores.shape[0]} scores"
-        )
-    order = np.argsort(scores, kind="stable")
-    suppresses = box_iou(boxes, boxes) > overlap_thresh
-    kept = []
-    alive = np.ones(boxes.shape[0], dtype=bool)
-    for idx in order:
-        if alive[idx]:
-            kept.append(int(idx))
-            alive &= ~suppresses[idx]
-    return kept
 
 
 # ---------------------------------------------------------------------------
 # localization corpus
 
 
-@dataclass
-class LocalizationQuery:
-    """One (image, phrase) evaluation unit."""
+def _padded(item_query, num_queries, items):
+    """(queries, most items of a query) grid of ``items``, which come
+    grouped by ``item_query``; -1 after a query's last item."""
+    rank = np.arange(items.shape[0]) - np.searchsorted(item_query,
+                                                       item_query)
+    grid = np.full((num_queries, rank.max(initial=-1) + 1), -1)
+    grid[item_query, rank] = items
+    return grid
 
-    image_id: str
-    phrase_id: str
-    phrase_row: int
+
+@dataclass(frozen=True)
+class LocalizationCorpus:
+    """(image, phrase) queries and their boxes, stored as columns.
+
+    Queries are numbered in the order their (image, phrase) pair first
+    appears in the rows.  Per query: ``image_ids`` (Q,) str,
+    ``query_phrase`` (Q,) index into ``phrase_ids`` (the distinct
+    phrase ids in order of first appearance) and ``phrase_rows`` (Q,)
+    phrase feature rows.  Proposals are grouped by query, in row order
+    within a query: ``proposal_boxes`` (P, 4) of (x1, y1, x2, y2),
+    ``proposal_rows`` (P,) region feature rows and ``proposal_query``
+    (P,).  GT boxes are laid out alike in ``gt_boxes``, ``gt_rows``
+    (-1 for a box without a feature row) and ``gt_query``.
+    """
+
+    image_ids: np.ndarray
+    phrase_ids: list
+    query_phrase: np.ndarray
+    phrase_rows: np.ndarray
     proposal_boxes: np.ndarray
     proposal_rows: np.ndarray
+    proposal_query: np.ndarray
     gt_boxes: np.ndarray
     gt_rows: np.ndarray
+    gt_query: np.ndarray
 
-
-@dataclass
-class LocalizationCorpus:
-    queries: list = field(default_factory=list)
-
-    def unique_phrases(self):
-        seen = []
-        have = set()
-        for q in self.queries:
-            if q.phrase_id not in have:
-                have.add(q.phrase_id)
-                seen.append(q.phrase_id)
-        return seen
+    @property
+    def num_queries(self):
+        return self.image_ids.shape[0]
 
     def region_rows_by_image(self):
         """Sorted unique proposal feature rows per image id."""
-        out = {}
-        for q in self.queries:
-            out.setdefault(q.image_id, set()).update(
-                int(r) for r in q.proposal_rows)
-        return {k: sorted(v) for k, v in out.items()}
+        names, image = np.unique(self.image_ids, return_inverse=True)
+        stride = int(self.proposal_rows.max(initial=0)) + 1
+        keys = np.unique(image[self.proposal_query] * stride
+                         + self.proposal_rows)
+        cuts = np.searchsorted(keys // stride, np.arange(1, names.size))
+        return dict(zip(names.tolist(),
+                        (r.tolist() for r in np.split(keys % stride, cuts))))
+
+    def gt_iou(self, proposals):
+        """(iou, valid) of proposal indices of any shape S with the GT
+        boxes of their own query, both S + (most GT boxes of a query,):
+        slot j holds the query's j-th GT box while valid, else 0."""
+        gt = _padded(self.gt_query, self.num_queries,
+                     np.arange(self.gt_query.shape[0]))
+        gt = gt[self.proposal_query[proposals]]
+        valid = gt >= 0
+        iou = box_iou(self.proposal_boxes[proposals][..., None, :],
+                      self.gt_boxes[np.where(valid, gt, 0)])
+        return np.where(valid, iou[..., 0, :], 0.0), valid
+
+    def hits_gt(self, proposals, iou_thresh):
+        """Whether each proposal reaches iou_thresh with a GT box of its
+        own query."""
+        iou, valid = self.gt_iou(proposals)
+        return (valid & (iou >= iou_thresh)).any(axis=-1)
 
 
 def save_corpus_file(rows, path):
-    """Write proposal/GT rows as TSV.
+    """Write proposal/GT rows as TSV in the ``load_corpus_file`` format.
 
     Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2,
     feature_row_index or None).
@@ -280,83 +284,88 @@ def load_corpus_rows(path):
 
 
 def corpus_from_rows(rows, phrases, regions):
-    """Group TSV rows into per-(image, phrase) queries.
+    """LocalizationCorpus of load_corpus_rows tuples.
 
-    Args:
-        rows: tuples as produced by load_corpus_rows.
-        phrases: FeatureSet of phrase features (resolves phrase ids).
-        regions: FeatureSet of region features (bounds feature rows).
-
-    Returns:
-        LocalizationCorpus.
+    ConsistencyError names the first row whose box is not finite or has
+    no area, whose proposal has no feature row, whose feature row lies
+    outside ``regions`` or whose kind is not P or G; then the first
+    query with no proposals, more than MAX_PROPOSALS_PER_QUERY or a
+    phrase id not in ``phrases``.
     """
-    grouped = {}
-    order = []
-    for row in rows:
-        image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
-        feat = row[7] if len(row) > 7 else None
-        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+    keys, codes = {}, {}
+    query = np.array([keys.setdefault((r[0], r[2]), len(keys))
+                      for r in rows], dtype=np.int64)
+    phrase = np.array([codes.setdefault(r[2], len(codes)) for r in rows],
+                      dtype=np.int64)
+    kind = np.array([r[1] for r in rows], dtype=object)
+    is_proposal = kind == "P"
+    boxes = np.array([r[3:7] for r in rows], dtype=np.float64).reshape(-1, 4)
+    feat = [r[7] if len(r) > 7 else None for r in rows]
+    has_feat = np.array([f is not None for f in feat], dtype=bool)
+    feat = np.array([-1 if f is None else f for f in feat], dtype=np.int64)
+
+    finite = np.isfinite(boxes).all(axis=1)
+    flat = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
+    unfed = is_proposal & ~has_feat
+    outside = has_feat & ~((feat >= 0) & (feat < regions.n))
+    unknown = ~is_proposal & (kind != "G")
+    bad = ~finite | flat | unfed | outside | unknown
+    if bad.any():
+        i = int(np.argmax(bad))
+        image_id, _, phrase_id, x1, y1, x2, y2 = rows[i][:7]
+        where = f"query ({image_id}, {phrase_id})"
+        box = f"box ({x1}, {y1}, {x2}, {y2})"
+        raise ConsistencyError(
+            f"{where}: {box} is not finite" if not finite[i]
+            else f"{where}: {box} has no area" if flat[i]
+            else f"{where}: proposal without a feature row" if unfed[i]
+            else f"{where}: feature row {rows[i][7]} outside region set "
+                 f"of {regions.n} rows" if outside[i]
+            else f"{where}: kind must be P or G, got {rows[i][1]!r}")
+
+    first_row = np.unique(query, return_index=True)[1]
+    image_ids = np.array([r[0] for r in rows], dtype=str)[first_row]
+    query_phrase = phrase[first_row]
+    phrase_ids = list(codes)
+    known = dict(zip(phrases.ids, range(phrases.n)))
+    phrase_rows = np.array([known.get(p, -1) for p in phrase_ids],
+                           dtype=np.int64)[query_phrase]
+    count = np.bincount(query[is_proposal], minlength=len(keys))
+    bad = (count == 0) | (count > MAX_PROPOSALS_PER_QUERY) | (phrase_rows < 0)
+    if bad.any():
+        q = int(np.argmax(bad))
+        phrase_id = phrase_ids[query_phrase[q]]
+        where = f"query ({image_ids[q]}, {phrase_id})"
+        if count[q] == 0:
+            raise ConsistencyError(f"{where} has no proposals")
+        if count[q] > MAX_PROPOSALS_PER_QUERY:
             raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}): box "
-                f"({x1}, {y1}, {x2}, {y2}) is not finite"
-            )
-        if not (x2 > x1 and y2 > y1):
-            raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}): box "
-                f"({x1}, {y1}, {x2}, {y2}) has no area"
-            )
-        key = (image_id, phrase_id)
-        if key not in grouped:
-            grouped[key] = {"P": [], "G": []}
-            order.append(key)
-        if kind == "P" and feat is None:
-            raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}): proposal without a "
-                f"feature row"
-            )
-        if feat is not None and not (0 <= feat < regions.n):
-            raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}): feature row {feat} "
-                f"outside region set of {regions.n} rows"
-            )
-        grouped[key][kind].append(((x1, y1, x2, y2), feat))
-    queries = []
-    for image_id, phrase_id in order:
-        bucket = grouped[(image_id, phrase_id)]
-        if not bucket["P"]:
-            raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}) has no proposals"
-            )
-        if len(bucket["P"]) > MAX_PROPOSALS_PER_QUERY:
-            raise ConsistencyError(
-                f"query ({image_id}, {phrase_id}) has "
-                f"{len(bucket['P'])} proposals, limit is "
-                f"{MAX_PROPOSALS_PER_QUERY}"
-            )
-        p_boxes = np.array([b for b, _ in bucket["P"]], dtype=np.float64)
-        p_rows = np.array([f for _, f in bucket["P"]], dtype=np.int64)
-        if bucket["G"]:
-            g_boxes = np.array([b for b, _ in bucket["G"]], dtype=np.float64)
-            g_rows = np.array(
-                [-1 if f is None else f for _, f in bucket["G"]],
-                dtype=np.int64,
-            )
-        else:
-            g_boxes = np.zeros((0, 4), dtype=np.float64)
-            g_rows = np.zeros((0,), dtype=np.int64)
-        queries.append(LocalizationQuery(
-            image_id=image_id,
-            phrase_id=phrase_id,
-            phrase_row=phrases.row_of(phrase_id),
-            proposal_boxes=p_boxes,
-            proposal_rows=p_rows,
-            gt_boxes=g_boxes,
-            gt_rows=g_rows,
-        ))
-    return LocalizationCorpus(queries=queries)
+                f"{where} has {count[q]} proposals, limit is "
+                f"{MAX_PROPOSALS_PER_QUERY}")
+        phrases.row_of(phrase_id)  # raises: the id is unknown
+
+    props = np.flatnonzero(is_proposal)
+    props = props[np.argsort(query[props], kind="stable")]
+    gts = np.flatnonzero(~is_proposal)
+    gts = gts[np.argsort(query[gts], kind="stable")]
+    return LocalizationCorpus(
+        image_ids=image_ids, phrase_ids=phrase_ids,
+        query_phrase=query_phrase, phrase_rows=phrase_rows,
+        proposal_boxes=boxes[props], proposal_rows=feat[props],
+        proposal_query=query[props], gt_boxes=boxes[gts],
+        gt_rows=feat[gts], gt_query=query[gts])
 
 
 def load_corpus_file(path, phrases, regions):
+    """Read a proposal/GT TSV into a LocalizationCorpus.
+
+    One line per box, tab-separated: image_id, kind (P for a proposal,
+    G for a ground-truth box), phrase_id, x1, y1, x2, y2 and the box's
+    row in the region feature file, which a GT box may leave out.
+    Blank lines and lines starting with # are skipped.  The lines of
+    one (image_id, phrase_id) pair form a query.  A line that does not
+    parse raises FormatError; ``corpus_from_rows`` checks the rest.
+    """
     return corpus_from_rows(load_corpus_rows(path), phrases, regions)
 
 
@@ -365,7 +374,7 @@ def load_corpus_file(path, phrases, regions):
 
 
 def query_distances(corpus, phrase_emb, region_emb):
-    """Per-query distances phrase -> each proposal.
+    """Distance from each proposal to its query's phrase.
 
     Args:
         corpus: LocalizationCorpus.
@@ -375,15 +384,30 @@ def query_distances(corpus, phrase_emb, region_emb):
             region FeatureSet.
 
     Returns:
-        list of (num_proposals,) arrays, one per query.
+        (P,) distances, one per proposal in corpus order.
     """
     phrase_emb = as_matrix(phrase_emb, "phrase_emb")
     region_emb = as_matrix(region_emb, "region_emb")
-    out = []
-    for q in corpus.queries:
-        diff = region_emb[q.proposal_rows] - phrase_emb[q.phrase_row]
-        out.append(np.sqrt((diff * diff).sum(axis=1)))
-    return out
+    return row_distances(region_emb, corpus.proposal_rows, phrase_emb,
+                         corpus.phrase_rows[corpus.proposal_query])
+
+
+def _proposal_distances(corpus, distances):
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.shape != corpus.proposal_query.shape:
+        raise ConsistencyError(
+            f"distances of shape {distances.shape} for "
+            f"{corpus.proposal_query.shape[0]} proposals"
+        )
+    return distances
+
+
+def _ranked(corpus, distances):
+    """(queries, most proposals of a query) grid of each query's
+    proposals by (distance, index); -1 after its last."""
+    query = corpus.proposal_query
+    order = np.lexsort((np.arange(query.shape[0]), distances, query))
+    return _padded(query, corpus.num_queries, order)
 
 
 def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
@@ -391,30 +415,63 @@ def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
 
     A proposal hits when its IoU with any of the query's GT boxes is
     at least iou_thresh.  Queries without GT boxes count as misses.
+    ``distances`` is the (P,) vector of query_distances; ties rank by
+    proposal index.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if len(distances) != len(corpus.queries):
-        raise ConsistencyError(
-            f"{len(distances)} distance vectors for "
-            f"{len(corpus.queries)} queries"
-        )
-    hits = 0
-    for q, dist in zip(corpus.queries, distances):
-        if dist.shape[0] != q.proposal_boxes.shape[0]:
-            raise ConsistencyError(
-                f"query ({q.image_id}, {q.phrase_id}): {dist.shape[0]} "
-                f"distances for {q.proposal_boxes.shape[0]} proposals"
-            )
-        if q.gt_boxes.shape[0] == 0:
-            continue
-        top = np.argsort(dist, kind="stable")[:k]
-        best = box_iou(q.proposal_boxes[top], q.gt_boxes).max(axis=1)
-        if (best >= iou_thresh).any():
-            hits += 1
-    if not corpus.queries:
+    distances = _proposal_distances(corpus, distances)
+    if not corpus.num_queries:
         raise EvaluationError("corpus has no queries")
-    return 100.0 * hits / len(corpus.queries)
+    top = _ranked(corpus, distances)[:, :k]
+    top = top[top >= 0]
+    hit_queries = np.unique(
+        corpus.proposal_query[top[corpus.hits_gt(top, iou_thresh)]])
+    return 100.0 * int(hit_queries.size) / corpus.num_queries
+
+
+def _survivors(corpus, distances, nms_overlap, iou_thresh):
+    """Greedy NMS and greedy GT matching of every query, as (P,) masks.
+
+    A query's proposals are visited in rank order.  NMS keeps one that
+    no kept one overlaps above nms_overlap.  A kept one is correct when
+    the highest IoU among its query's GT boxes not yet taken is positive
+    and reaches iou_thresh; it takes that box, the lower index on a tie.
+    The walk steps through rank positions with a block of queries in
+    lockstep; the padded (queries x positions x positions or GT boxes)
+    tensors of a block hold about DIRECT_CHUNK_FLOATS floats.
+
+    Returns:
+        (kept, correct).
+    """
+    ranked = _ranked(corpus, distances)
+    width = ranked.shape[1]
+    depth = int(np.bincount(corpus.gt_query).max(initial=0))
+    block = max(1, DIRECT_CHUNK_FLOATS // max(1, width * width,
+                                              width * depth))
+    kept = np.zeros(distances.shape[0], dtype=bool)
+    correct = np.zeros(distances.shape[0], dtype=bool)
+    for q0 in range(0, corpus.num_queries, block):
+        valid = ranked[q0:q0 + block] >= 0
+        props = np.where(valid, ranked[q0:q0 + block], 0)
+        boxes = corpus.proposal_boxes[props]
+        suppressed = box_iou(boxes, boxes) > nms_overlap
+        iou, _ = corpus.gt_iou(props)
+        alive = valid.copy()
+        keep = np.zeros_like(valid)
+        hit = np.zeros_like(valid)
+        taken = np.zeros((iou.shape[0], iou.shape[2]), dtype=bool)
+        for r in range(width):
+            keep[:, r] = alive[:, r]
+            alive &= ~(suppressed[:, r] & keep[:, r, None])
+            open_iou = np.where(taken, 0.0, iou[:, r])
+            best = open_iou.max(axis=1, initial=0.0)
+            hit[:, r] = keep[:, r] & (best > 0.0) & (best >= iou_thresh)
+            take = (open_iou == best[:, None]) & hit[:, r, None]
+            taken |= take & (np.cumsum(take, axis=1) == 1)
+        kept[props[keep]] = True
+        correct[props[hit]] = True
+    return kept, correct
 
 
 def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
@@ -427,56 +484,37 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
     its own query reaches iou_thresh; each GT box is consumed at most
     once.  AP is the mean of the precisions at the correct boxes, or 0
     with no correct box.  Phrases with no GT boxes anywhere are
-    excluded and reported.
+    excluded and reported.  ``distances`` is the (P,) vector of
+    query_distances.
 
     Returns:
         (mAP, {phrase_id: AP}, [excluded phrase ids]).
     """
-    if len(distances) != len(corpus.queries):
-        raise ConsistencyError(
-            f"{len(distances)} distance vectors for "
-            f"{len(corpus.queries)} queries"
-        )
-    pooled = {}
-    gt_count = {}
-    ious = []
-    for qi, (q, dist) in enumerate(zip(corpus.queries, distances)):
-        ious.append(box_iou(q.proposal_boxes, q.gt_boxes))
-        keep = nms(q.proposal_boxes, dist, nms_overlap)
-        entries = pooled.setdefault(q.phrase_id, [])
-        for p in keep:
-            entries.append((float(dist[p]), qi, int(p)))
-        gt_count[q.phrase_id] = (gt_count.get(q.phrase_id, 0)
-                                 + q.gt_boxes.shape[0])
-    per_phrase = {}
-    skipped = []
-    for phrase_id in corpus.unique_phrases():
-        if gt_count.get(phrase_id, 0) == 0:
-            skipped.append(phrase_id)
-            continue
-        ranked = sorted(pooled[phrase_id])
-        consumed = {}
-        precisions = []
-        correct = 0
-        for rank, (_, qi, p) in enumerate(ranked, start=1):
-            q = corpus.queries[qi]
-            if q.gt_boxes.shape[0] == 0:
-                continue
-            used = consumed.setdefault(
-                qi, np.zeros(q.gt_boxes.shape[0], dtype=bool))
-            # the first unused GT box of highest positive IoU
-            row = ious[qi][p]
-            open_iou = np.where(~used & (row > 0.0), row, 0.0)
-            best = int(np.argmax(open_iou))
-            if open_iou[best] > 0.0 and open_iou[best] >= iou_thresh:
-                used[best] = True
-                correct += 1
-                precisions.append(correct / rank)
-        per_phrase[phrase_id] = (float(np.mean(precisions))
-                                 if precisions else 0.0)
-    if not per_phrase:
+    distances = _proposal_distances(corpus, distances)
+    num_phrases = len(corpus.phrase_ids)
+    gt_count = np.bincount(corpus.query_phrase[corpus.gt_query],
+                           minlength=num_phrases)
+    if not gt_count.any():
         raise EvaluationError("no phrase has ground-truth boxes")
-    map_value = float(np.mean([per_phrase[p] for p in per_phrase]))
+    kept, correct = _survivors(corpus, distances, nms_overlap, iou_thresh)
+    # a survivor's match depends only on its own query, so one sort
+    # pools them; ranks and correct counts accumulate along it
+    pooled = np.flatnonzero(kept)
+    phrase = corpus.query_phrase[corpus.proposal_query[pooled]]
+    order = np.lexsort((pooled, distances[pooled], phrase))
+    phrase, hit = phrase[order], correct[pooled[order]]
+    start = np.searchsorted(phrase, phrase)
+    rank = np.arange(1, phrase.shape[0] + 1) - start
+    hits = np.cumsum(hit)
+    precision = (hits - (hits - hit)[start])[hit] / rank[hit]
+    cuts = np.searchsorted(phrase[hit], np.arange(1, num_phrases))
+    per_phrase = {
+        phrase_id: float(np.mean(p)) if p.size else 0.0
+        for phrase_id, p, n_gt in zip(corpus.phrase_ids,
+                                      np.split(precision, cuts), gt_count)
+        if n_gt}
+    skipped = [p for p, n_gt in zip(corpus.phrase_ids, gt_count) if not n_gt]
+    map_value = float(np.mean(list(per_phrase.values())))
     return map_value, per_phrase, skipped
 
 

@@ -17,8 +17,9 @@ import numpy as np
 
 from .data import atomic_write, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
-from .evaluation import box_iou, query_distances
+from .evaluation import query_distances
 from .network import learning_rate
+from .tensor_core import row_distances
 from .training import train
 
 log = logging.getLogger("twobranch")
@@ -44,11 +45,6 @@ def _check_cap(cap):
         raise ConfigError(f"hard-negative cap must be >= 1, got {cap}")
 
 
-def _closest(candidates, cap):
-    """The ``cap`` smallest (distance, row) of (row, distance) pairs."""
-    return [(r, d) for d, r in sorted((d, r) for r, d in candidates)[:cap]]
-
-
 def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
                         iou_thresh=0.5):
     """Collect the closest qualifying proposals per unique phrase.
@@ -64,7 +60,8 @@ def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
 
     Proposal distances are ``evaluation.query_distances``, the ones
     localization is scored on.  A phrase whose ground-truth boxes carry
-    no feature rows has no distance reference and is skipped.
+    no feature rows has no distance reference and is skipped.  A region
+    row proposed again for a phrase keeps its smallest distance.
 
     Returns:
         (HardNegativeSet, skipped phrase ids).
@@ -73,33 +70,39 @@ def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
         ConfigError: ``cap`` below 1.
     """
     _check_cap(cap)
-    by_phrase = {}
-    for q, dists in zip(corpus.queries,
-                        query_distances(corpus, phrase_emb, region_emb)):
-        by_phrase.setdefault(q.phrase_id, []).append((q, dists))
-    out = {}
-    skipped = []
-    for phrase_id, queries in by_phrase.items():
-        gt_rows = sorted({
-            int(r) for q, _ in queries for r in q.gt_rows if int(r) >= 0
-        })
-        if not gt_rows:
-            skipped.append(phrase_id)
-            continue
-        anchor = phrase_emb[queries[0][0].phrase_row]
-        gt_dists = np.linalg.norm(region_emb[gt_rows] - anchor, axis=1)
-        threshold = float(gt_dists.min())
-        candidates = {}
-        for q, prop_dists in queries:
-            near = np.flatnonzero(~(prop_dists >= threshold))
-            if near.size and q.gt_boxes.shape[0] > 0:
-                overlap = box_iou(q.proposal_boxes[near], q.gt_boxes)
-                near = near[~(overlap.max(axis=1) >= iou_thresh)]
-            for row, dist in zip(q.proposal_rows[near].tolist(),
-                                 prop_dists[near].tolist()):
-                if row not in candidates or dist < candidates[row]:
-                    candidates[row] = dist
-        out[phrase_id] = _closest(candidates.items(), cap)
+    num_phrases = len(corpus.phrase_ids)
+    dists = query_distances(corpus, phrase_emb, region_emb)
+    phrase = corpus.query_phrase[corpus.proposal_query]
+    # each phrase's threshold: its closest ground-truth region
+    has_row = corpus.gt_rows >= 0
+    gt_query = corpus.gt_query[has_row]
+    gt_phrase = corpus.query_phrase[gt_query]
+    anchored = np.bincount(gt_phrase, minlength=num_phrases) > 0
+    threshold = np.full(num_phrases, np.inf)
+    np.minimum.at(threshold, gt_phrase, row_distances(
+        region_emb, corpus.gt_rows[has_row], phrase_emb,
+        corpus.phrase_rows[gt_query]))
+    near = np.flatnonzero(anchored[phrase] & ~(dists >= threshold[phrase]))
+    near = near[~corpus.hits_gt(near, iou_thresh)]
+    # per phrase closest first, ties by row; a region row proposed again
+    # for the phrase keeps its first, smallest, distance
+    order = np.lexsort((corpus.proposal_rows[near], dists[near],
+                        phrase[near]))
+    near = near[order]
+    stride = int(corpus.proposal_rows.max(initial=0)) + 1
+    key = phrase[near] * stride + corpus.proposal_rows[near]
+    near = near[np.sort(np.unique(key, return_index=True)[1])]
+    rank = np.arange(near.shape[0]) - np.searchsorted(phrase[near],
+                                                      phrase[near])
+    near = near[rank < cap]
+    cuts = np.searchsorted(phrase[near], np.arange(1, num_phrases))
+    out = {
+        phrase_id: list(zip(corpus.proposal_rows[n].tolist(),
+                            dists[n].tolist()))
+        for phrase_id, n, ok in zip(corpus.phrase_ids, np.split(near, cuts),
+                                    anchored)
+        if ok}
+    skipped = [p for p, ok in zip(corpus.phrase_ids, anchored) if not ok]
     return HardNegativeSet(by_phrase=out), skipped
 
 
@@ -137,7 +140,8 @@ def load_hard_negatives(path, cap=50):
                 )
             by_phrase.setdefault(parts[0], []).append((row, dist))
     return HardNegativeSet(by_phrase={
-        phrase_id: _closest(entries, cap)
+        phrase_id: [(r, d) for d, r in sorted(
+            (d, r) for r, d in entries)[:cap]]
         for phrase_id, entries in by_phrase.items()})
 
 

@@ -96,6 +96,13 @@ class NetworkParams:
     bn_momentum: float = tc.BN_MOMENTUM
     bn_eps: float = tc.BN_EPS
 
+    def __post_init__(self):
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError(
+                f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
+        if not self.bn_eps > 0.0:
+            raise ConfigError(f"bn_eps must be > 0, got {self.bn_eps}")
+
 
 @dataclass
 class OptimizerState:
@@ -115,6 +122,18 @@ class OptimizerState:
     weight_decay: float = 0.0005
     epoch: int = 0
     velocity: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.lr0 > 0.0:
+            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(
+                f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epoch < 0:
+            raise ConfigError(f"epoch must be >= 0, got {self.epoch}")
 
 
 def learning_rate(epoch, lr0=0.1):
@@ -576,7 +595,11 @@ def load_checkpoint(path):
         raise fault
     if list(tensors) != sorted(tensors):
         raise FormatError(f"{path}: records not sorted by name")
-    return _rebuild(tensors, path)
+    try:
+        return _rebuild(tensors, path)
+    except ConfigError as exc:
+        # a size or setting out of its range
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _rebuild(tensors, path):
@@ -602,12 +625,9 @@ def _rebuild(tensors, path):
         except KeyError as exc:
             raise FormatError(
                 f"{path}: missing record {exc.args[0]}") from None
-        try:
-            specs[prefix] = BranchSpec(
-                input_dim, hidden_dim, embed_dim,
-                dropout_p=float(take(f"{prefix}.dropout_p", ())))
-        except ConfigError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        specs[prefix] = BranchSpec(
+            input_dim, hidden_dim, embed_dim,
+            dropout_p=float(take(f"{prefix}.dropout_p", ())))
         shapes = _record_shapes(specs[prefix])
         branches[prefix] = BranchParams(**{
             attr: take(f"{prefix}.{attr}", shapes[attr])

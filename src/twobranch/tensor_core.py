@@ -35,8 +35,9 @@ EPS_DIST = 1e-12
 # The expansion ||u||^2 + ||v||^2 - 2 u.v carries an absolute error of a
 # few ulps of ||u||^2 + ||v||^2, which swamps a small squared distance.
 # Squared entries below this share of the largest ||u||^2 + ||v||^2 are
-# recomputed directly, at most DIRECT_CHUNK_FLOATS gathered floats at a
-# time so that a collapsed embedding cannot gather n * m rows at once.
+# recomputed directly by row_distances, at most DIRECT_CHUNK_FLOATS
+# gathered floats at a time so that a collapsed embedding cannot gather
+# n * m rows at once.  Localization sizes its padded blocks by it too.
 SMALL_DIST_SHARE = 1e-4
 DIRECT_CHUNK_FLOATS = 1 << 21
 
@@ -448,13 +449,21 @@ def pairwise_distances(a, b):
     rows, cols = np.nonzero(sq < SMALL_DIST_SHARE * scale)
     np.maximum(sq, 0.0, out=sq)
     dist = np.sqrt(sq, out=sq)
-    chunk = max(1, DIRECT_CHUNK_FLOATS // max(1, a.shape[1]))
-    for start in range(0, rows.size, chunk):
-        r = rows[start:start + chunk]
-        c = cols[start:start + chunk]
-        diff = a[r] - b[c]
-        dist[r, c] = np.sqrt((diff * diff).sum(axis=1))
+    dist[rows, cols] = row_distances(a, rows, b, cols)
     return dist
+
+
+def row_distances(a, rows_a, b, rows_b):
+    """(k,) direct distances ||a[rows_a[i]] - b[rows_b[i]]|| of float64
+    matrices, gathered DIRECT_CHUNK_FLOATS floats at a time; a pair's
+    bits do not depend on the pairs that share its chunk."""
+    out = np.empty(len(rows_a))
+    chunk = max(1, DIRECT_CHUNK_FLOATS // max(1, a.shape[1]))
+    for start in range(0, out.size, chunk):
+        diff = (a[rows_a[start:start + chunk]]
+                - b[rows_b[start:start + chunk]])
+        out[start:start + chunk] = np.sqrt((diff * diff).sum(axis=1))
+    return out
 
 
 def pairwise_distance_backward(a, b, dist, grad_dist):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .loss_mining import FAMILY_NAMES, hinge_loss, mine_triplets
 from .network import (backward_and_step, forward_branch, learning_rate,
                       non_finite_tensors)
@@ -94,12 +94,15 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
             checkpoint so).
 
     Raises:
+        ConfigError: ``epochs`` below 0.
         DivergenceError: a value went non-finite; the message names the
             epoch and, for a step's check, the step (both 0-based).
 
     Returns:
         list of EpochStats.
     """
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     history = []
     for _ in range(epochs):
         opt.lr = learning_rate(opt.epoch, opt.lr0)

@@ -6,6 +6,7 @@ logic stays independent of the library code it checks.
 
 import copy
 import hashlib
+import math
 import struct
 from types import SimpleNamespace
 
@@ -14,7 +15,8 @@ import numpy as np
 from twobranch import data
 from twobranch import network as nw
 from twobranch import tensor_core as tc
-from twobranch.errors import ConfigError, EvaluationError
+from twobranch.errors import ConfigError, ConsistencyError, EvaluationError
+from twobranch.evaluation import box_iou
 from twobranch.loss_mining import FAMILY_NAMES, TripletSet, hinge_loss
 from twobranch.tensor_core import as_matrix, pairwise_distances
 
@@ -477,11 +479,6 @@ def region_phrase_distance(phrase_emb_rows, region_emb_rows):
     return float(d.min(axis=1).mean())
 
 
-def queries_of_phrase(corpus, phrase_id):
-    """A LocalizationCorpus's queries of one phrase, in corpus order."""
-    return [q for q in corpus.queries if q.phrase_id == phrase_id]
-
-
 def mean_neighborhood_distance(emb, neighbors):
     """Mean embedded distance over ordered within-neighborhood pairs.
 
@@ -527,6 +524,262 @@ def sample_minibatch(graph, batch_pairs, augment, rng, extra_negatives=None,
     return data._build_batch(graph, pair_rows, augment, rng,
                              extra_negatives=extra_negatives,
                              negatives_per_anchor=negatives_per_anchor)
+
+
+# ---------------------------------------------------------------------------
+# localization: the per-query forms the columnar corpus replaced
+
+
+def corpus_queries(rows, phrases, regions):
+    """Group corpus rows into one namespace per (image, phrase) query.
+
+    Queries come in order of first appearance, rows in file order within
+    a query; the checks and their messages are the corpus's own.
+    """
+    grouped = {}
+    order = []
+    for row in rows:
+        image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
+        feat = row[7] if len(row) > 7 else None
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}): box "
+                f"({x1}, {y1}, {x2}, {y2}) is not finite"
+            )
+        if not (x2 > x1 and y2 > y1):
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}): box "
+                f"({x1}, {y1}, {x2}, {y2}) has no area"
+            )
+        key = (image_id, phrase_id)
+        if key not in grouped:
+            grouped[key] = {"P": [], "G": []}
+            order.append(key)
+        if kind == "P" and feat is None:
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}): proposal without a "
+                f"feature row"
+            )
+        if feat is not None and not (0 <= feat < regions.n):
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}): feature row {feat} "
+                f"outside region set of {regions.n} rows"
+            )
+        grouped[key][kind].append(((x1, y1, x2, y2), feat))
+    queries = []
+    for image_id, phrase_id in order:
+        bucket = grouped[(image_id, phrase_id)]
+        if not bucket["P"]:
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}) has no proposals"
+            )
+        if len(bucket["P"]) > 100:
+            raise ConsistencyError(
+                f"query ({image_id}, {phrase_id}) has "
+                f"{len(bucket['P'])} proposals, limit is 100"
+            )
+        gts = bucket["G"]
+        queries.append(SimpleNamespace(
+            image_id=image_id,
+            phrase_id=phrase_id,
+            phrase_row=phrases.row_of(phrase_id),
+            proposal_boxes=np.array([b for b, _ in bucket["P"]],
+                                    dtype=np.float64),
+            proposal_rows=np.array([f for _, f in bucket["P"]],
+                                   dtype=np.int64),
+            gt_boxes=np.array([b for b, _ in gts],
+                              dtype=np.float64).reshape(-1, 4),
+            gt_rows=np.array([-1 if f is None else f for _, f in gts],
+                             dtype=np.int64),
+        ))
+    return queries
+
+
+def random_localization_case(rng, num_regions=40, num_phrases=4):
+    """Random corpus rows, their feature sets and embeddings.
+
+    Boxes lie on an integer grid and embeddings hold small integers, so
+    IoUs and distances tie often.  Queries may have no GT box, one
+    proposal or 100; GT boxes may lack a feature row; a region row may
+    serve several proposals.  The first query holds a proposal whose
+    IoU with its two GT boxes is 0.8 for both.  Rows are shuffled, so
+    queries interleave.
+
+    Returns:
+        (rows, phrases, regions, phrase_emb, region_emb).
+    """
+    def box():
+        x1, y1 = (float(v) for v in rng.integers(0, 20, size=2))
+        w, h = (float(v) for v in rng.integers(1, 12, size=2))
+        return (x1, y1, x1 + w, y1 + h)
+
+    def feat():
+        return int(rng.integers(num_regions))
+
+    phrase_ids = [f"p{i}" for i in range(num_phrases)]
+    rows = [("im_t", "G", "p0", 0.0, 0.0, 10.0, 8.0, feat()),
+            ("im_t", "G", "p0", 0.0, 2.0, 10.0, 10.0, None),
+            ("im_t", "P", "p0", 0.0, 0.0, 10.0, 10.0, feat()),
+            ("im_t", "P", "p0", 0.0, 0.0, 10.0, 5.0, feat())]
+    for qi in range(int(rng.integers(3, 10))):
+        # two queries share each image, with different phrases
+        image = f"im_{qi // 2}"
+        phrase = phrase_ids[qi % 2 + 2 * int(rng.integers(num_phrases // 2))]
+        gts = [box() for _ in range(int(rng.choice([0, 0, 1, 2, 3])))]
+        for g in gts:
+            rows.append((image, "G", phrase) + g
+                        + (feat() if rng.random() < 0.7 else None,))
+        for _ in range(int(rng.choice([1, 100, int(rng.integers(2, 30))]))):
+            if gts and rng.random() < 0.4:
+                g = gts[int(rng.integers(len(gts)))]
+                dx, dy = (float(v) for v in rng.integers(-1, 2, size=2))
+                b = (g[0] + dx, g[1] + dy, g[2] + dx, g[3] + dy)
+            else:
+                b = box()
+            rows.append((image, "P", phrase) + b + (feat(),))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    phrases = data.FeatureSet(ids=phrase_ids,
+                              features=np.zeros((num_phrases, 2)))
+    regions = data.FeatureSet(ids=[f"r{i}" for i in range(num_regions)],
+                              features=np.zeros((num_regions, 2)))
+    phrase_emb = rng.integers(-2, 3, size=(num_phrases, 3)).astype(float)
+    region_emb = rng.integers(-2, 3, size=(num_regions, 3)).astype(float)
+    return rows, phrases, regions, phrase_emb, region_emb
+
+
+def unique_phrases(queries):
+    """Phrase ids in order of first appearance."""
+    return list(dict.fromkeys(q.phrase_id for q in queries))
+
+
+def queries_of_phrase(queries, phrase_id):
+    """The queries of one phrase, in corpus order."""
+    return [q for q in queries if q.phrase_id == phrase_id]
+
+
+def split_by_query(queries, values):
+    """A per-proposal vector cut into one array per query."""
+    cuts = np.cumsum([q.proposal_rows.shape[0] for q in queries])[:-1]
+    return np.split(np.asarray(values), cuts)
+
+
+def query_distances(queries, phrase_emb, region_emb):
+    """Per-query distances phrase -> each proposal."""
+    out = []
+    for q in queries:
+        diff = region_emb[q.proposal_rows] - phrase_emb[q.phrase_row]
+        out.append(np.sqrt((diff * diff).sum(axis=1)))
+    return out
+
+
+def nms(boxes, scores, overlap_thresh):
+    """Greedy NMS over one query's boxes by ascending distance.
+
+    Returns:
+        list of kept indices, best first; score ties break toward the
+        lower index.
+    """
+    order = np.argsort(scores, kind="stable")
+    suppresses = box_iou(boxes, boxes) > overlap_thresh
+    kept = []
+    alive = np.ones(boxes.shape[0], dtype=bool)
+    for idx in order:
+        if alive[idx]:
+            kept.append(int(idx))
+            alive &= ~suppresses[idx]
+    return kept
+
+
+def localization_recall_at_k(queries, distances, k, iou_thresh=0.5):
+    """Percentage of queries whose k nearest proposals hit a GT box."""
+    hits = 0
+    for q, dist in zip(queries, distances):
+        if q.gt_boxes.shape[0] == 0:
+            continue
+        top = np.argsort(dist, kind="stable")[:k]
+        best = box_iou(q.proposal_boxes[top], q.gt_boxes).max(axis=1)
+        if (best >= iou_thresh).any():
+            hits += 1
+    return 100.0 * hits / len(queries)
+
+
+def phrase_map(queries, distances, nms_overlap=0.3, iou_thresh=0.5):
+    """Per-query NMS, then a greedy walk down each phrase's pooled
+    ranking; returns (mAP, {phrase_id: AP}, [skipped phrase ids])."""
+    pooled = {}
+    gt_count = {}
+    ious = []
+    for qi, (q, dist) in enumerate(zip(queries, distances)):
+        ious.append(box_iou(q.proposal_boxes, q.gt_boxes))
+        entries = pooled.setdefault(q.phrase_id, [])
+        for p in nms(q.proposal_boxes, dist, nms_overlap):
+            entries.append((float(dist[p]), qi, int(p)))
+        gt_count[q.phrase_id] = (gt_count.get(q.phrase_id, 0)
+                                 + q.gt_boxes.shape[0])
+    per_phrase = {}
+    skipped = []
+    for phrase_id in unique_phrases(queries):
+        if gt_count[phrase_id] == 0:
+            skipped.append(phrase_id)
+            continue
+        consumed = {}
+        precisions = []
+        correct = 0
+        for rank, (_, qi, p) in enumerate(sorted(pooled[phrase_id]),
+                                          start=1):
+            q = queries[qi]
+            if q.gt_boxes.shape[0] == 0:
+                continue
+            used = consumed.setdefault(
+                qi, np.zeros(q.gt_boxes.shape[0], dtype=bool))
+            # the first unused GT box of highest positive IoU
+            row = ious[qi][p]
+            open_iou = np.where(~used & (row > 0.0), row, 0.0)
+            best = int(np.argmax(open_iou))
+            if open_iou[best] > 0.0 and open_iou[best] >= iou_thresh:
+                used[best] = True
+                correct += 1
+                precisions.append(correct / rank)
+        per_phrase[phrase_id] = (float(np.mean(precisions))
+                                 if precisions else 0.0)
+    map_value = float(np.mean([per_phrase[p] for p in per_phrase]))
+    return map_value, per_phrase, skipped
+
+
+def mine_hard_negatives(queries, phrase_emb, region_emb, cap,
+                        iou_thresh=0.5):
+    """Per phrase, the ``cap`` closest proposals nearer than its closest
+    GT region that overlap no GT box of their query at iou_thresh;
+    returns ({phrase_id: [(row, distance)]}, skipped phrase ids)."""
+    by_phrase = {}
+    for q, dists in zip(queries, query_distances(queries, phrase_emb,
+                                                 region_emb)):
+        by_phrase.setdefault(q.phrase_id, []).append((q, dists))
+    out = {}
+    skipped = []
+    for phrase_id, members in by_phrase.items():
+        gt_rows = sorted({
+            int(r) for q, _ in members for r in q.gt_rows if int(r) >= 0
+        })
+        if not gt_rows:
+            skipped.append(phrase_id)
+            continue
+        anchor = phrase_emb[members[0][0].phrase_row]
+        gt_dists = np.linalg.norm(region_emb[gt_rows] - anchor, axis=1)
+        threshold = float(gt_dists.min())
+        candidates = {}
+        for q, prop_dists in members:
+            near = np.flatnonzero(~(prop_dists >= threshold))
+            if near.size and q.gt_boxes.shape[0] > 0:
+                overlap = box_iou(q.proposal_boxes[near], q.gt_boxes)
+                near = near[~(overlap.max(axis=1) >= iou_thresh)]
+            for row, d in zip(q.proposal_rows[near].tolist(),
+                              prop_dists[near].tolist()):
+                if row not in candidates or d < candidates[row]:
+                    candidates[row] = d
+        ranked = sorted((d, r) for r, d in candidates.items())[:cap]
+        out[phrase_id] = [(r, d) for d, r in ranked]
+    return out, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,15 @@ def test_criterion_6_metric_oracles():
         boxes[:, 3] = boxes[:, 1] + rng.uniform(5, 40, size=n)
         scores = rng.random(n)
         thresh = float(rng.uniform(0.2, 0.6))
-        assert ev.nms(boxes, scores, thresh) == \
+        rows = [("im", "P", "p0") + tuple(b) + (i,)
+                for i, b in enumerate(boxes)]
+        corpus = ev.corpus_from_rows(
+            rows, data.FeatureSet(ids=["p0"], features=np.zeros((1, 2))),
+            data.FeatureSet(ids=[f"r{i}" for i in range(n)],
+                            features=np.zeros((n, 2))))
+        kept, _ = ev._survivors(corpus, scores, thresh, 0.5)
+        assert sorted(np.flatnonzero(kept).tolist(),
+                      key=lambda i: (scores[i], i)) == \
             oracles.naive_nms(boxes, (-scores).tolist(), thresh)
 
     worst_ap = 0.0
@@ -257,13 +265,13 @@ def test_criterion_6_metric_oracles():
                 entries_by_phrase.setdefault(phrase, []).append(
                     (vec[-1], p == hit_slot))
                 feat += 1
-            dists.append(np.array(vec))
+            dists.extend(vec)
         phrases = data.FeatureSet(ids=["p0", "p1"],
                                   features=np.zeros((2, 2)))
         regions = data.FeatureSet(ids=[f"r{i}" for i in range(feat)],
                                   features=np.zeros((feat, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
-        map_value, per_phrase, _ = ev.phrase_map(corpus, dists)
+        map_value, per_phrase, _ = ev.phrase_map(corpus, np.array(dists))
         want_all = []
         for phrase, entries in entries_by_phrase.items():
             flags = [f for _, f in sorted(entries)]
@@ -355,8 +363,10 @@ def test_criterion_8_hard_negative_pipeline():
                                           "eval")
         hn, _ = hn_mod.mine_hard_negatives(corpus, phrase_emb, region_emb,
                                            cap=50)
+        all_queries = oracles.corpus_queries(d.corpus_rows, d.phrases,
+                                             d.regions)
         for phrase_id, entries in hn.by_phrase.items():
-            queries = oracles.queries_of_phrase(corpus, phrase_id)
+            queries = oracles.queries_of_phrase(all_queries, phrase_id)
             anchor = phrase_emb[queries[0].phrase_row]
             gt_rows = [int(r) for q in queries for r in q.gt_rows
                        if int(r) >= 0]

@@ -249,6 +249,32 @@ class TestTrainCommand:
         assert (tmp_path / "t.csv").read_bytes() == csv_first
         assert (tmp_path / "m.ckpt").read_bytes() == ckpt_first
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-2"), ("--lr0", "-1"), ("--lr0", "0"),
+        ("--momentum", "5"), ("--momentum", "1"), ("--momentum", "-0.1"),
+        ("--weight-decay", "-0.001"), ("--bn-eps", "-5"), ("--bn-eps", "0"),
+        ("--bn-momentum", "1.5"), ("--bn-momentum", "-0.1")])
+    def test_out_of_range_setting_exits_one(self, workdir, tmp_path, flag,
+                                            value, caplog):
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
+                                        flag, value)) == 1
+        assert not (tmp_path / "model.ckpt").exists()
+        assert flag[2:].replace("-", "_") in caplog.text
+
+    def test_fine_tune_epochs_below_zero_exits_one(self, workdir, tmp_path):
+        loc = workdir["loc"]
+        negatives = tmp_path / "hn.tsv"
+        negatives.write_text("phrase_000\t5\t0.5\n")
+        assert run_cli("train",
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--pairs", str(loc / "pairs.tsv"),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--checkpoint-out", str(tmp_path / "ft.ckpt"),
+                       "--hard-negatives", str(negatives),
+                       "--fine-tune-epochs", "-1", "--batch-pairs", "6") == 1
+        assert not (tmp_path / "ft.ckpt").exists()
+
     def test_lambda_flag_changes_echo(self, workdir, tmp_path):
         ret = workdir["ret"]
         outs = []
@@ -379,6 +405,25 @@ class TestLocalizationPipeline:
                        "--report", str(tmp_path / "loc2.csv")) == 0
 
 
+    def test_rerun_identical_bytes(self, workdir, tmp_path):
+        loc = workdir["loc"]
+        common = ("--features-x", str(loc / "regions.feat"),
+                  "--features-y", str(loc / "phrases.feat"),
+                  "--corpus", str(loc / "corpus.tsv"),
+                  "--checkpoint-in", str(loc / "model.ckpt"))
+        report = tmp_path / "loc.csv"
+        negatives = tmp_path / "hn.tsv"
+        first = None
+        for _ in range(2):
+            assert run_cli("eval-localization", *common,
+                           "--report", str(report)) == 0
+            assert run_cli("mine-negatives", *common,
+                           "--hard-negatives", str(negatives)) == 0
+            outputs = (report.read_bytes(), negatives.read_bytes())
+            assert first is None or outputs == first
+            first = outputs
+        assert negatives.read_text().count("\n") > 0
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_mine_negatives_cap_below_one_exits_one(self, workdir, tmp_path,
                                                      cap):
@@ -484,6 +529,20 @@ class TestFuse:
                                        0.7)) == 1
         assert "'sent_missing'" in caplog.text
         assert not report.exists()
+
+
+class TestGenSynthetic:
+    @pytest.mark.parametrize("args", [
+        ("--clusters", "4", "--heldout-clusters", "-2"),
+        ("--mode", "localization", "--dim-regions", "0"),
+        ("--mode", "localization", "--dim-phrases", "0"),
+        ("--mode", "localization", "--jitter-per-gt", "-1"),
+        ("--mode", "localization", "--background-per-image", "-3"),
+        ("--mode", "localization", "--noise-sigma", "-0.1")])
+    def test_bad_input_exits_one(self, tmp_path, args):
+        out = tmp_path / "out"
+        assert run_cli("gen-synthetic", "--out-dir", str(out), *args) == 1
+        assert not out.exists() or os.listdir(out) == []
 
 
 class TestGradCheckCommand:

@@ -634,5 +634,17 @@ class TestGenLocalization:
             assert rid.split("_")[1] == pid.split("_")[1]
 
     def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            data.gen_localization(0, 1, 4, 4, seed=0)
+        args = {"num_phrases": 2, "images_per_phrase": 1,
+                "feat_dim_region": 4, "feat_dim_phrase": 4, "seed": 0}
+        for name, bad in (("num_phrases", 0), ("images_per_phrase", 0),
+                          ("feat_dim_region", 0), ("feat_dim_phrase", 0),
+                          ("jitter_per_gt", -1),
+                          ("background_per_image", -1),
+                          ("noise_sigma", -0.5)):
+            with pytest.raises(ConfigError, match=name):
+                data.gen_localization(**{**args, name: bad})
+
+    def test_zero_jitter_and_background(self):
+        d = data.gen_localization(2, 1, 4, 4, seed=0, jitter_per_gt=0,
+                                  background_per_image=0)
+        assert len(d.corpus_rows) == 2 * 2

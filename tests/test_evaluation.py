@@ -1,6 +1,7 @@
 """Tests for retrieval metrics, localization metrics, and fusion."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import oracles
 from twobranch import data
 from twobranch import evaluation as ev
+from twobranch import hard_negatives as hn_mod
+from twobranch import tensor_core as tc
 from twobranch.errors import (
     ConfigError,
     ConsistencyError,
@@ -185,18 +188,24 @@ def random_boxes(rng, n):
     return out
 
 
+def nms_kept(boxes, dist, overlap):
+    """The NMS survivors of one query, best first, through the corpus."""
+    corpus = single_query_corpus(proposals=boxes, gts=[])
+    kept, _ = ev._survivors(corpus, dist, overlap, 0.5)
+    return sorted(np.flatnonzero(kept).tolist(), key=lambda i: (dist[i], i))
+
+
 class TestNms:
     def test_two_overlapping_keeps_better(self):
         boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 6]], dtype=float)
         assert oracles.naive_iou(boxes[0], boxes[1]) == 0.6
-        kept = ev.nms(boxes, np.array([0.2, 0.1]), 0.5)
+        kept = nms_kept(boxes, np.array([0.2, 0.1]), 0.5)
         assert kept == [1]
 
     def test_disjoint_all_kept(self):
         boxes = np.array([[0, 0, 10, 10], [20, 20, 30, 30],
                           [50, 50, 60, 60]], dtype=float)
-        kept = ev.nms(boxes, np.array([0.3, 0.1, 0.2]), 0.5)
-        assert sorted(kept) == [0, 1, 2]
+        kept = nms_kept(boxes, np.array([0.3, 0.1, 0.2]), 0.5)
         assert kept == [1, 2, 0]
 
     def test_matches_naive_oracle(self):
@@ -204,30 +213,70 @@ class TestNms:
             rng = np.random.default_rng(seed)
             boxes = random_boxes(rng, 30)
             dist = rng.random(30)
-            got = ev.nms(boxes, dist, 0.4)
+            got = nms_kept(boxes, dist, 0.4)
             want = oracles.naive_nms(boxes, (-dist).tolist(), 0.4)
             assert got == want
+            assert oracles.nms(boxes, dist, 0.4) == want
 
     def test_tied_scores_match_naive_oracle(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
             boxes = random_boxes(rng, 30)
             dist = rng.integers(0, 4, size=30).astype(np.float64)
-            assert ev.nms(boxes, dist, 0.3) == \
-                oracles.naive_nms(boxes, (-dist).tolist(), 0.3)
+            want = oracles.naive_nms(boxes, (-dist).tolist(), 0.3)
+            assert nms_kept(boxes, dist, 0.3) == want
+            assert oracles.nms(boxes, dist, 0.3) == want
 
     def test_kept_boxes_weakly_overlap(self):
         rng = np.random.default_rng(9)
         boxes = random_boxes(rng, 25)
-        kept = ev.nms(boxes, rng.random(25), 0.3)
+        kept = nms_kept(boxes, rng.random(25), 0.3)
         for i in kept:
             for j in kept:
                 if i != j:
                     assert oracles.naive_iou(boxes[i], boxes[j]) <= 0.3
 
     def test_length_mismatch(self):
+        corpus = single_query_corpus(
+            proposals=[(0, 0, 1, 1), (0, 0, 1, 1)], gts=[(0, 0, 1, 1)])
         with pytest.raises(ConsistencyError):
-            ev.nms(np.zeros((2, 4)) + [0, 0, 1, 1], np.zeros(3), 0.5)
+            ev.phrase_map(corpus, np.zeros(3))
+
+    def test_walk_memory_bounded(self, monkeypatch):
+        # 200 queries of 100 proposals walked two queries at a time: one
+        # block holding every query would form (200, 100, 100) floats,
+        # 16 MB a tensor
+        rng = np.random.default_rng(5)
+        rows = []
+        for q in range(200):
+            for b in random_boxes(rng, 100):
+                rows.append((f"im_{q}", "P", "cat") + tuple(b) + (q,))
+            rows.append((f"im_{q}", "G", "cat") + tuple(b) + (None,))
+        phrases = data.FeatureSet(ids=["cat"], features=np.zeros((1, 2)))
+        regions = data.FeatureSet(ids=[f"r{i}" for i in range(200)],
+                                  features=np.zeros((200, 2)))
+        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        dist = rng.random(corpus.proposal_query.shape[0])
+        monkeypatch.setattr(ev, "DIRECT_CHUNK_FLOATS", 2 * 100 * 100)
+        tracemalloc.start()
+        try:
+            ev._survivors(corpus, dist, 0.3, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_blocks_walk_like_one(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rows, phrases, regions, phrase_emb, region_emb = \
+            oracles.random_localization_case(rng)
+        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        dist = ev.query_distances(corpus, phrase_emb, region_emb)
+        whole = ev._survivors(corpus, dist, 0.3, 0.5)
+        # one query per block
+        monkeypatch.setattr(ev, "DIRECT_CHUNK_FLOATS", 1)
+        for got, want in zip(ev._survivors(corpus, dist, 0.3, 0.5), whole):
+            assert np.array_equal(got, want)
 
 
 def corpus_rows_fixture():
@@ -309,16 +358,64 @@ class TestCorpusIO:
     def test_grouping(self):
         phrases, regions = tiny_sets()
         corpus = ev.corpus_from_rows(corpus_rows_fixture(), phrases, regions)
-        keys = [(q.image_id, q.phrase_id) for q in corpus.queries]
-        assert keys == [("im_a", "cat"), ("im_b", "cat"), ("im_b", "dog")]
-        q0 = corpus.queries[0]
-        assert q0.phrase_row == 0
-        assert q0.proposal_rows.tolist() == [0, 1]
-        assert q0.gt_boxes.shape == (1, 4)
-        assert q0.gt_rows.tolist() == [-1]
-        assert corpus.unique_phrases() == ["cat", "dog"]
+        assert corpus.image_ids.tolist() == ["im_a", "im_b", "im_b"]
+        assert corpus.phrase_ids == ["cat", "dog"]
+        assert corpus.query_phrase.tolist() == [0, 0, 1]
+        assert corpus.phrase_rows.tolist() == [0, 0, 1]
+        assert corpus.proposal_rows.tolist() == [0, 1, 2, 3]
+        assert corpus.proposal_query.tolist() == [0, 0, 1, 2]
+        assert corpus.proposal_boxes[1].tolist() == [30.0, 30.0, 40.0, 40.0]
+        assert corpus.gt_boxes.shape == (3, 4)
+        assert corpus.gt_rows.tolist() == [-1, -1, -1]
+        assert corpus.gt_query.tolist() == [0, 1, 2]
         assert corpus.region_rows_by_image() == {"im_a": [0, 1],
                                                  "im_b": [2, 3]}
+
+    def test_interleaved_rows_group_in_first_appearance_order(self):
+        rng = np.random.default_rng(3)
+        rows, phrases, regions, _, _ = oracles.random_localization_case(rng)
+        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        queries = oracles.corpus_queries(rows, phrases, regions)
+        assert corpus.image_ids.tolist() == [q.image_id for q in queries]
+        assert corpus.phrase_ids == oracles.unique_phrases(queries)
+        assert [corpus.phrase_ids[p] for p in corpus.query_phrase] == \
+            [q.phrase_id for q in queries]
+        assert corpus.phrase_rows.tolist() == [q.phrase_row for q in queries]
+        for name in ("proposal_boxes", "proposal_rows", "gt_boxes",
+                     "gt_rows"):
+            want = np.concatenate([getattr(q, name) for q in queries])
+            assert np.array_equal(getattr(corpus, name), want)
+        assert np.array_equal(corpus.proposal_query, np.repeat(
+            np.arange(len(queries)),
+            [q.proposal_rows.shape[0] for q in queries]))
+        assert np.array_equal(corpus.gt_query, np.repeat(
+            np.arange(len(queries)), [q.gt_rows.shape[0] for q in queries]))
+        by_image = {}
+        for q in queries:
+            by_image.setdefault(q.image_id, set()).update(
+                q.proposal_rows.tolist())
+        assert corpus.region_rows_by_image() == {
+            image: sorted(found) for image, found in by_image.items()}
+
+    @pytest.mark.parametrize("fault", [
+        "inf", "nan", "flat", "no_feature", "row_high", "row_negative",
+        "no_proposals", "too_many", "unknown_phrase"])
+    def test_first_fault_reads_like_the_per_query_build(self, fault):
+        # the fault lands on a random row or query of a valid corpus;
+        # a later copy of the corpus, under other image ids, holds a
+        # query with too many proposals
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rows, phrases, regions, _, _ = \
+                oracles.random_localization_case(rng)
+            later = [("later_" + r[0],) + r[1:]
+                     for r in corrupt(rows, "too_many", rng)]
+            rows = corrupt(rows, fault, rng) + later
+            with pytest.raises(ConsistencyError) as want:
+                oracles.corpus_queries(rows, phrases, regions)
+            with pytest.raises(ConsistencyError) as got:
+                ev.corpus_from_rows(rows, phrases, regions)
+            assert str(got.value) == str(want.value)
 
     def test_proposal_without_feature_row(self):
         phrases, regions = tiny_sets()
@@ -345,6 +442,13 @@ class TestCorpusIO:
         with pytest.raises(ConsistencyError):
             ev.corpus_from_rows(rows, phrases, regions)
 
+    def test_unknown_kind(self):
+        phrases, regions = tiny_sets()
+        rows = [("im_a", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0),
+                ("im_a", "Q", "cat", 0.0, 0.0, 5.0, 5.0, 1)]
+        with pytest.raises(ConsistencyError, match="kind must be P or G"):
+            ev.corpus_from_rows(rows, phrases, regions)
+
     def test_zero_area_box(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "P", "cat", 5.0, 0.0, 5.0, 5.0, 0)]
@@ -365,10 +469,42 @@ class TestCorpusIO:
         path = str(tmp_path / "corpus.tsv")
         ev.save_corpus_file(d.corpus_rows, path)
         corpus = ev.load_corpus_file(path, d.phrases, d.regions)
-        assert len(corpus.queries) == 6
-        for q in corpus.queries:
-            assert q.proposal_boxes.shape == (9, 4)
-            assert q.gt_boxes.shape == (1, 4)
+        assert corpus.num_queries == 6
+        assert corpus.proposal_boxes.shape == (6 * 9, 4)
+        assert np.array_equal(corpus.proposal_query, np.repeat(range(6), 9))
+        assert np.array_equal(corpus.gt_query, np.arange(6))
+
+    def test_empty_corpus(self):
+        phrases, regions = tiny_sets()
+        corpus = ev.corpus_from_rows([], phrases, regions)
+        assert corpus.num_queries == 0
+        assert corpus.proposal_boxes.shape == (0, 4)
+        assert corpus.region_rows_by_image() == {}
+        with pytest.raises(EvaluationError):
+            ev.localization_recall_at_k(corpus, np.zeros(0), 1)
+
+
+def corrupt(rows, fault, rng):
+    """A copy of rows with one fault at a random row or query."""
+    rows = list(rows)
+    i = int(rng.integers(len(rows)))
+    image_id, kind, phrase_id, x1, y1, x2, y2, feat = rows[i]
+    if fault in ("inf", "nan"):
+        rows[i] = (image_id, kind, phrase_id, x1, float(fault), x2, y2, feat)
+    elif fault == "flat":
+        rows[i] = (image_id, kind, phrase_id, x1, y1, x1, y2, feat)
+    elif fault == "no_feature":
+        rows[i] = (image_id, "P", phrase_id, x1, y1, x2, y2, None)
+    elif fault in ("row_high", "row_negative"):
+        rows[i] = (image_id, kind, phrase_id, x1, y1, x2, y2,
+                   999 if fault == "row_high" else -1)
+    elif fault == "no_proposals":
+        rows.insert(i, ("im_new", "G", phrase_id, x1, y1, x2, y2, None))
+    elif fault == "too_many":
+        rows[i:i] = [(image_id, "P", phrase_id, x1, y1, x2, y2, 0)] * 101
+    else:
+        rows.insert(i, (image_id, "P", "nobody", x1, y1, x2, y2, 0))
+    return rows
 
 
 def single_query_corpus(proposals, gts, phrase_id="cat"):
@@ -389,14 +525,14 @@ class TestLocalizationRecall:
         corpus = single_query_corpus(
             proposals=[(0, 0, 10, 10), (50, 50, 60, 60)],
             gts=[(0, 0, 10, 10)])
-        dist = [np.array([0.1, 0.9])]
+        dist = np.array([0.1, 0.9])
         assert ev.localization_recall_at_k(corpus, dist, 1) == 100.0
 
     def test_no_overlap_misses_everywhere(self):
         corpus = single_query_corpus(
             proposals=[(50, 50, 60, 60), (70, 70, 90, 90)],
             gts=[(0, 0, 10, 10)])
-        dist = [np.array([0.1, 0.2])]
+        dist = np.array([0.1, 0.2])
         for k in (1, 2, 50):
             assert ev.localization_recall_at_k(corpus, dist, k) == 0.0
 
@@ -417,8 +553,7 @@ class TestLocalizationRecall:
         regions = data.FeatureSet(ids=[f"r{i}" for i in range(feat)],
                                   features=np.zeros((feat, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
-        dist = [np.array([0.1, 0.2]), np.array([0.1, 0.2]),
-                np.array([0.1, 0.2])]
+        dist = np.array([0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
         assert ev.localization_recall_at_k(corpus, dist, 1) == 100.0 / 3.0
         assert ev.localization_recall_at_k(corpus, dist, 2) == 200.0 / 3.0
 
@@ -427,18 +562,18 @@ class TestLocalizationRecall:
         phrases = data.FeatureSet(ids=["cat"], features=np.zeros((1, 2)))
         regions = data.FeatureSet(ids=["r0"], features=np.zeros((1, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
-        dist = [np.array([0.1])]
+        dist = np.array([0.1])
         assert ev.localization_recall_at_k(corpus, dist, 1) == 0.0
 
     def test_errors(self):
         corpus = single_query_corpus(
             proposals=[(0, 0, 10, 10)], gts=[(0, 0, 10, 10)])
         with pytest.raises(ConfigError):
-            ev.localization_recall_at_k(corpus, [np.array([0.1])], 0)
+            ev.localization_recall_at_k(corpus, np.array([0.1]), 0)
         with pytest.raises(ConsistencyError):
-            ev.localization_recall_at_k(corpus, [], 1)
+            ev.localization_recall_at_k(corpus, np.zeros(0), 1)
         with pytest.raises(ConsistencyError):
-            ev.localization_recall_at_k(corpus, [np.array([0.1, 0.2])], 1)
+            ev.localization_recall_at_k(corpus, np.array([0.1, 0.2]), 1)
 
 
 class TestPhraseMap:
@@ -446,7 +581,7 @@ class TestPhraseMap:
         corpus = single_query_corpus(
             proposals=[(0, 0, 10, 10), (30, 0, 40, 10), (60, 0, 70, 10)],
             gts=[(0, 0, 10, 10), (60, 0, 70, 10)])
-        dist = [np.array([0.1, 0.2, 0.3])]
+        dist = np.array([0.1, 0.2, 0.3])
         map_value, per_phrase, skipped = ev.phrase_map(corpus, dist)
         assert abs(per_phrase["cat"] - (1.0 + 2.0 / 3.0) / 2.0) < 1e-15
         assert map_value == per_phrase["cat"]
@@ -456,7 +591,7 @@ class TestPhraseMap:
         corpus = single_query_corpus(
             proposals=[(0, 0, 10, 10), (60, 0, 70, 10)],
             gts=[(0, 0, 10, 10), (60, 0, 70, 10)])
-        dist = [np.array([0.2, 0.1])]
+        dist = np.array([0.2, 0.1])
         _, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert per_phrase["cat"] == 1.0
 
@@ -473,7 +608,7 @@ class TestPhraseMap:
         regions = data.FeatureSet(ids=["r0", "r1", "r2"],
                                   features=np.zeros((3, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
-        dist = [np.array([0.1]), np.array([0.1, 0.2])]
+        dist = np.array([0.1, 0.1, 0.2])
         map_value, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert per_phrase["cat"] == 1.0
         assert per_phrase["dog"] == 0.5
@@ -484,7 +619,7 @@ class TestPhraseMap:
             proposals=[(0, 0, 10, 6), (0, 4, 10, 10), (50, 50, 60, 60)],
             gts=[(0, 0, 10, 10), (50, 50, 60, 60)])
         assert oracles.naive_iou((0, 0, 10, 6), (0, 4, 10, 10)) <= 0.3
-        dist = [np.array([0.1, 0.2, 0.3])]
+        dist = np.array([0.1, 0.2, 0.3])
         _, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert abs(per_phrase["cat"] - (1.0 + 2.0 / 3.0) / 2.0) < 1e-15
 
@@ -496,7 +631,7 @@ class TestPhraseMap:
             gts=[(0, 0, 10, 8), (0, 2, 10, 10)])
         assert oracles.naive_iou((0, 0, 10, 10), (0, 0, 10, 8)) == \
             oracles.naive_iou((0, 0, 10, 10), (0, 2, 10, 10)) == 0.8
-        dist = [np.array([0.1, 0.2, 0.3])]
+        dist = np.array([0.1, 0.2, 0.3])
         _, per_phrase, _ = ev.phrase_map(corpus, dist, nms_overlap=0.9)
         assert per_phrase["cat"] == 0.5
 
@@ -505,7 +640,7 @@ class TestPhraseMap:
         corpus = single_query_corpus(
             proposals=[far, far, (0, 0, 10, 10)],
             gts=[(0, 0, 10, 10)])
-        dist = [np.array([0.1, 0.2, 0.3])]
+        dist = np.array([0.1, 0.2, 0.3])
         _, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert per_phrase["cat"] == 0.5
 
@@ -519,7 +654,7 @@ class TestPhraseMap:
                                   features=np.zeros((2, 2)))
         regions = data.FeatureSet(ids=["r0", "r1"], features=np.zeros((2, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
-        dist = [np.array([0.1]), np.array([0.1])]
+        dist = np.array([0.1, 0.1])
         map_value, per_phrase, skipped = ev.phrase_map(corpus, dist)
         assert skipped == ["dog"]
         assert set(per_phrase) == {"cat"}
@@ -530,7 +665,7 @@ class TestPhraseMap:
         regions = data.FeatureSet(ids=["r0"], features=np.zeros((1, 2)))
         corpus = ev.corpus_from_rows(rows, phrases, regions)
         with pytest.raises(EvaluationError):
-            ev.phrase_map(corpus, [np.array([0.1])])
+            ev.phrase_map(corpus, np.array([0.1]))
 
     def test_matches_flag_oracle_on_random_fixtures(self):
         for seed in range(6):
@@ -561,14 +696,14 @@ class TestPhraseMap:
                     feat += 1
                     want_flags.setdefault(phrase, []).append(
                         (entries[-1], p == hit_slot))
-                dists.append(np.array(entries))
+                dists.extend(entries)
             phrases = data.FeatureSet(
                 ids=["p0", "p1"], features=np.zeros((2, 2)))
             regions = data.FeatureSet(
                 ids=[f"r{i}" for i in range(feat)],
                 features=np.zeros((feat, 2)))
             corpus = ev.corpus_from_rows(rows, phrases, regions)
-            _, per_phrase, _ = ev.phrase_map(corpus, dists)
+            _, per_phrase, _ = ev.phrase_map(corpus, np.array(dists))
             for phrase, entries in want_flags.items():
                 flags = [f for _, f in sorted(entries)]
                 want = oracles.naive_average_precision(flags)
@@ -583,11 +718,86 @@ class TestQueryDistances:
         region_emb = rng.normal(size=(d.regions.n, 3))
         corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
         got = ev.query_distances(corpus, phrase_emb, region_emb)
-        for q, vec in zip(corpus.queries, got):
+        queries = oracles.corpus_queries(d.corpus_rows, d.phrases, d.regions)
+        for q, vec in zip(queries, oracles.split_by_query(queries, got)):
             for j, row in enumerate(q.proposal_rows):
                 want = oracles.dist(region_emb[row],
                                     phrase_emb[q.phrase_row])
                 assert abs(vec[j] - want) < 1e-12
+
+    def test_chunks_give_the_same_bits(self, monkeypatch):
+        d = data.gen_localization(4, 3, 6, 5, seed=2)
+        rng = np.random.default_rng(1)
+        phrase_emb = rng.normal(size=(d.phrases.n, 7))
+        region_emb = rng.normal(size=(d.regions.n, 7))
+        corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
+        whole = ev.query_distances(corpus, phrase_emb, region_emb)
+        # 3 rows of 7 floats a chunk
+        monkeypatch.setattr(tc, "DIRECT_CHUNK_FLOATS", 21)
+        assert np.array_equal(
+            ev.query_distances(corpus, phrase_emb, region_emb), whole)
+
+
+class TestLocalizationOracles:
+    """Each columnar metric equals its per-query oracle exactly."""
+
+    CASES = range(24)
+
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, phrases, regions, phrase_emb, region_emb = \
+            oracles.random_localization_case(rng)
+        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        queries = oracles.corpus_queries(rows, phrases, regions)
+        dist = ev.query_distances(corpus, phrase_emb, region_emb)
+        want = oracles.query_distances(queries, phrase_emb, region_emb)
+        assert np.array_equal(dist, np.concatenate(want))
+        return corpus, queries, dist, want, (phrase_emb, region_emb)
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_recall(self, seed):
+        corpus, queries, dist, per_query, _ = self.case(seed)
+        for k in (1, 5, 10):
+            for iou in (0.5, 0.8, 0.25, 0.0):
+                assert ev.localization_recall_at_k(corpus, dist, k, iou) == \
+                    oracles.localization_recall_at_k(queries, per_query, k,
+                                                     iou)
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_nms_keep_sets(self, seed):
+        corpus, queries, dist, per_query, _ = self.case(seed)
+        for overlap in (0.3, 0.5, 0.9):
+            kept, _ = ev._survivors(corpus, dist, overlap, 0.5)
+            for q, mask, d in zip(queries,
+                                  oracles.split_by_query(queries, kept),
+                                  per_query):
+                assert np.flatnonzero(mask).tolist() == \
+                    sorted(oracles.nms(q.proposal_boxes, d, overlap))
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_phrase_map(self, seed):
+        corpus, queries, dist, per_query, _ = self.case(seed)
+        for overlap in (0.3, 0.9):
+            for iou in (0.5, 0.8, 0.0):
+                map_value, per_phrase, skipped = ev.phrase_map(
+                    corpus, dist, overlap, iou)
+                want = oracles.phrase_map(queries, per_query, overlap, iou)
+                assert map_value == want[0]
+                assert list(per_phrase.items()) == list(want[1].items())
+                assert skipped == want[2]
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_hard_negatives(self, seed):
+        corpus, queries, _, _, (phrase_emb, region_emb) = self.case(seed)
+        for cap in (1, 3, 50):
+            for iou in (0.5, 0.25, 0.0):
+                hn, skipped = hn_mod.mine_hard_negatives(
+                    corpus, phrase_emb, region_emb, cap=cap,
+                    iou_thresh=iou)
+                want, want_skipped = oracles.mine_hard_negatives(
+                    queries, phrase_emb, region_emb, cap, iou)
+                assert list(hn.by_phrase.items()) == list(want.items())
+                assert skipped == want_skipped
 
 
 class TestWeightedDistance:

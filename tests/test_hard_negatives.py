@@ -38,15 +38,16 @@ def embeddings(params, phrases, regions):
     return phrase_emb, region_emb
 
 
-def expected_negatives(params, corpus, phrases, regions, cap,
+def expected_negatives(params, rows, phrases, regions, cap,
                        iou_thresh=0.5):
     """Recompute the mining rule with plain loops."""
     region_emb, _ = nw.forward_branch(params, "x", regions.features, "eval")
     phrase_emb, _ = nw.forward_branch(params, "y", phrases.features, "eval")
+    all_queries = oracles.corpus_queries(rows, phrases, regions)
     out = {}
     skipped = []
-    for phrase_id in corpus.unique_phrases():
-        queries = oracles.queries_of_phrase(corpus, phrase_id)
+    for phrase_id in oracles.unique_phrases(all_queries):
+        queries = oracles.queries_of_phrase(all_queries, phrase_id)
         gt_rows = sorted({int(r) for q in queries for r in q.gt_rows
                           if int(r) >= 0})
         if not gt_rows:
@@ -88,8 +89,8 @@ class TestMineHardNegatives:
         d, _, params, _, corpus = localization_setup(seed=0)
         hn, skipped = hn_mod.mine_hard_negatives(
             corpus, *embeddings(params, d.phrases, d.regions), cap=50)
-        want, want_skipped = expected_negatives(params, corpus, d.phrases,
-                                                d.regions, cap=50)
+        want, want_skipped = expected_negatives(params, d.corpus_rows,
+                                                d.phrases, d.regions, cap=50)
         assert skipped == want_skipped == []
         assert set(hn.by_phrase) == set(want)
         for phrase_id, entries in want.items():
@@ -107,8 +108,10 @@ class TestMineHardNegatives:
                                           "eval")
         phrase_emb, _ = nw.forward_branch(params, "y", d.phrases.features,
                                           "eval")
+        all_queries = oracles.corpus_queries(d.corpus_rows, d.phrases,
+                                             d.regions)
         for phrase_id, entries in hn.by_phrase.items():
-            queries = oracles.queries_of_phrase(corpus, phrase_id)
+            queries = oracles.queries_of_phrase(all_queries, phrase_id)
             anchor = phrase_emb[queries[0].phrase_row]
             gt_rows = [int(r) for q in queries for r in q.gt_rows
                        if int(r) >= 0]

@@ -774,6 +774,17 @@ class TestCheckpointRecordFaults:
         records[name] = np.zeros((1, 4))
         self.assert_rejected(tmp_path, records, "velocity for unknown")
 
+    @pytest.mark.parametrize("name, value", [
+        ("meta.bn_eps", -5.0), ("meta.bn_eps", 0.0),
+        ("meta.bn_momentum", 1.5), ("meta.bn_momentum", -0.1),
+        ("opt.lr0", -1.0), ("opt.lr0", 0.0), ("opt.momentum", 5.0),
+        ("opt.momentum", 1.0), ("opt.weight_decay", -1.0),
+        ("opt.epoch", -2.0)])
+    def test_setting_out_of_range(self, tmp_path, name, value):
+        records = self.records()
+        records[name] = np.full((1, 1), value)
+        self.assert_rejected(tmp_path, records, name.split(".")[1])
+
     def test_unrecognized_record(self, tmp_path):
         records = self.records()
         records["x.w3"] = np.zeros((1, 1))
