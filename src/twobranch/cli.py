@@ -305,7 +305,7 @@ def cmd_eval_retrieval(cfg):
     fx, fy, graph = _load_xy(cfg)
     emb_x, emb_y = _embed(cfg.checkpoint_in, fx, fy, "eval-retrieval")
     dist = pairwise_distances(emb_x, emb_y)
-    report = ev.evaluate_retrieval(dist, graph.pos_y_by_x, graph.pos_x_by_y)
+    report = ev.evaluate_retrieval(dist, graph.y_of_x, graph.x_of_y)
     ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))
     for metric, direction, k, value in report.rows():
         log.info("%s %s @%d = %.2f", metric, direction, k, value)
@@ -378,8 +378,7 @@ def cmd_fuse(cfg):
     fused = ev.fused_distance_matrix(
         d_global, phrase_emb, region_emb, corpus.region_rows_by_image(),
         fx.ids, phrase_rows_by_sentence, cfg.alpha)
-    report = ev.evaluate_retrieval(fused, graph.pos_y_by_x,
-                                   graph.pos_x_by_y)
+    report = ev.evaluate_retrieval(fused, graph.y_of_x, graph.x_of_y)
     ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))
     for metric, direction, k, value in report.rows():
         log.info("fused %s %s @%d = %.2f", metric, direction, k, value)
@@ -435,12 +434,8 @@ def _write_split(out_dir, prefix, syn, mask_x, mask_y):
         ids=[syn.y.ids[i] for i in rows_y],
         features=syn.y.features[rows_y],
     )
-    keep_x, keep_y = set(fx.ids), set(fy.ids)
-    pairs = [
-        (syn.x.ids[xi], syn.y.ids[yi])
-        for xi, yi in syn.graph.pos_pairs
-        if syn.x.ids[xi] in keep_x and syn.y.ids[yi] in keep_y
-    ]
+    pairs = [(syn.x.ids[xi], syn.y.ids[yi])
+             for xi, yi in syn.graph.pos_pairs if mask_x[xi] and mask_y[yi]]
     data_mod.save_feature_file(fx, os.path.join(out_dir, prefix + "x.feat"))
     data_mod.save_feature_file(fy, os.path.join(out_dir, prefix + "y.feat"))
     data_mod.save_pair_file(pairs, os.path.join(out_dir,

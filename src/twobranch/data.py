@@ -12,6 +12,10 @@ On-disk formats:
 A FeatureSet keeps float32 or float64 features as given (a file loads
 as float32, the generators make float64); consumers widen what they
 compute on with ``tensor_core.as_matrix``, which is exact.
+
+A CorrespondenceGraph holds its positive pairs as a pair list plus one
+CSR Adjacency per view, O(rows + pairs) integers at any dataset size;
+neighbourhoods are derived per mini-batch from the adjacencies.
 """
 
 import os
@@ -176,12 +180,12 @@ def load_feature_file(path):
 def tsv_line(fields, path):
     """One TSV line of ``fields``, refused if it would not read back.
 
-    The package's TSV readers split lines on line breaks (text mode
-    counts ``\\r`` as one) and columns on tabs, and skip blank lines and
-    lines that begin with ``#``.  So a field holding a tab or a line
-    break, a first field that begins with ``#`` and a row of blank
-    fields raise ConsistencyError; inside ``atomic_write`` the old file
-    then stays.  Each field is written as ``str(field)``.
+    ``read_tsv`` splits lines on line breaks (text mode counts ``\\r``
+    as one) and columns on tabs, and skips blank lines and lines that
+    begin with ``#``.  So a field holding a tab or a line break, a
+    first field that begins with ``#`` and a row of blank fields raise
+    ConsistencyError; inside ``atomic_write`` the old file then stays.
+    Each field is written as ``str(field)``.
     """
     line = "\t".join(map(str, fields))
     if line.count("\t") != len(fields) - 1 or "\n" in line \
@@ -199,57 +203,70 @@ def save_pair_file(pairs, path):
             fh.write(tsv_line((x_id, y_id), path))
 
 
-def load_pair_file(path):
-    pairs = []
+def read_tsv(path, widths):
+    """Yield (lineno, fields) for each line of a TSV file ``tsv_line``
+    wrote: blank lines and lines that begin with ``#`` are skipped, and
+    a line whose column count is not in ``widths`` raises FormatError
+    with a ``path:lineno:`` prefix, as callers' own field errors do."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
+            if len(parts) not in widths:
                 raise FormatError(
-                    f"{path}:{lineno}: expected 2 tab-separated columns, "
-                    f"got {len(parts)}"
+                    f"{path}:{lineno}: expected "
+                    f"{' or '.join(map(str, widths))} tab-separated "
+                    f"columns, got {len(parts)}"
                 )
-            pairs.append((parts[0], parts[1]))
-    return pairs
+            yield lineno, parts
+
+
+def load_pair_file(path):
+    return [(x_id, y_id) for _, (x_id, y_id) in read_tsv(path, (2,))]
 
 
 # ---------------------------------------------------------------------------
 # correspondence graph
 
 
+@dataclass(frozen=True)
+class Adjacency:
+    """Compressed sparse rows of int64: row r's partners, ascending,
+    are ``partners[offsets[r]:offsets[r + 1]]``."""
+
+    offsets: np.ndarray
+    partners: np.ndarray
+
+    def of(self, row):
+        return self.partners[self.offsets[row]:self.offsets[row + 1]]
+
+
+def _adjacency(rows, cols, num_rows):
+    """Adjacency of ``num_rows`` rows holding the (rows[i], cols[i])."""
+    counts = np.bincount(rows, minlength=num_rows)
+    return Adjacency(offsets=np.concatenate(([0], np.cumsum(counts))),
+                     partners=cols[np.lexsort((cols, rows))])
+
+
 @dataclass
 class CorrespondenceGraph:
-    """Positive pairs plus same-view neighborhoods over whole datasets.
+    """Positive pairs over whole datasets, stored once per use.
 
-    ``x_neighbors[i]`` is the set of x rows sharing at least one
-    positive partner with row i (always including i itself), and
-    symmetrically for y.  Index spaces are the rows of the two
-    FeatureSets the ids came from.  The graph keeps per-row lists and
-    sets because dense masks over a whole dataset would not fit in
-    memory (Flickr30K has 31k images and 155k sentences); a mini-batch
-    restricts them to its rows as the boolean masks mining reads
-    (``MiniBatch``).  Reserved hard-negative rows exist only inside
-    mini-batches (``MiniBatch.owner``).
+    Index spaces are the rows of the two FeatureSets the ids came from.
+    ``pos_pairs`` (P, 2) int64 lists the (x row, y row) positives in
+    input order, for sampling; ``y_of_x`` and ``x_of_y`` are the same
+    relation as one Adjacency per view.  Neighbourhoods, the rows that
+    share a partner, are not stored: ``_build_batch`` follows the
+    adjacencies from a batch's rows into the masks mining reads.
     """
 
     x_ids: list
     y_ids: list
     pos_pairs: np.ndarray
-    x_neighbors: list
-    y_neighbors: list
-    pos_y_by_x: list
-    pos_x_by_y: list
-
-    @property
-    def num_x(self):
-        return len(self.x_ids)
-
-    @property
-    def num_y(self):
-        return len(self.y_ids)
+    y_of_x: Adjacency
+    x_of_y: Adjacency
 
     @property
     def num_pairs(self):
@@ -257,8 +274,7 @@ class CorrespondenceGraph:
 
 
 def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
-    """Resolve id pairs against the two id universes and close
-    neighborhoods by shared partner at depth 1.
+    """Resolve id pairs against the two id universes.
 
     A repeated (x, y) pair is dropped, keeping the first.
 
@@ -270,58 +286,38 @@ def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
             region-phrase training where one phrase may have many
             region exemplars.
 
+    Raises:
+        ConfigError: ``max_x_per_y`` below 1.
+        ConsistencyError: naming the first unknown id, x before y.
+
     Returns:
         CorrespondenceGraph.
     """
     if max_x_per_y is not None and max_x_per_y < 1:
         raise ConfigError(f"max_x_per_y must be >= 1, got {max_x_per_y}")
+    pairs = list(pairs)
+    nx, ny = len(x_ids), len(y_ids)
     x_row = {fid: i for i, fid in enumerate(x_ids)}
     y_row = {fid: i for i, fid in enumerate(y_ids)}
-    seen = set()
-    per_y = {}
-    resolved = []
-    for x_id, y_id in pairs:
-        if x_id not in x_row:
-            raise ConsistencyError(f"pair references unknown x id {x_id!r}")
-        if y_id not in y_row:
-            raise ConsistencyError(f"pair references unknown y id {y_id!r}")
-        key = (x_row[x_id], y_row[y_id])
-        if key in seen:
-            continue
-        seen.add(key)
-        if max_x_per_y is not None:
-            count = per_y.get(key[1], 0)
-            if count >= max_x_per_y:
-                continue
-            per_y[key[1]] = count + 1
-        resolved.append(key)
-    nx, ny = len(x_ids), len(y_ids)
-    pos_y_by_x = [[] for _ in range(nx)]
-    pos_x_by_y = [[] for _ in range(ny)]
-    for xi, yi in resolved:
-        pos_y_by_x[xi].append(yi)
-        pos_x_by_y[yi].append(xi)
-    x_neighbors = [{i} for i in range(nx)]
-    y_neighbors = [{j} for j in range(ny)]
-    for yi, members in enumerate(pos_x_by_y):
-        for a in members:
-            x_neighbors[a].update(members)
-    for xi, members in enumerate(pos_y_by_x):
-        for a in members:
-            y_neighbors[a].update(members)
-    if resolved:
-        pos = np.array(resolved, dtype=np.int64)
-    else:
-        pos = np.zeros((0, 2), dtype=np.int64)
+    xs, ys = np.array([(x_row.get(x, -1), y_row.get(y, -1))
+                       for x, y in pairs], dtype=np.int64).reshape(-1, 2).T
+    unknown = (xs < 0) | (ys < 0)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        view, fid = ("x", pairs[i][0]) if xs[i] < 0 else ("y", pairs[i][1])
+        raise ConsistencyError(f"pair references unknown {view} id {fid!r}")
+    keep = np.sort(np.unique(xs * ny + ys, return_index=True)[1])
+    if max_x_per_y is not None:
+        # a pair's rank among its y's pairs is its place in a stable
+        # sort by y less the place of the y's first pair
+        by_y = keep[np.argsort(ys[keep], kind="stable")]
+        rank = np.arange(by_y.shape[0]) - np.searchsorted(ys[by_y], ys[by_y])
+        keep = np.sort(by_y[rank < max_x_per_y])
+    xs, ys = xs[keep], ys[keep]
     return CorrespondenceGraph(
-        x_ids=list(x_ids),
-        y_ids=list(y_ids),
-        pos_pairs=pos,
-        x_neighbors=x_neighbors,
-        y_neighbors=y_neighbors,
-        pos_y_by_x=[sorted(v) for v in pos_y_by_x],
-        pos_x_by_y=[sorted(v) for v in pos_x_by_y],
-    )
+        x_ids=list(x_ids), y_ids=list(y_ids),
+        pos_pairs=np.stack([xs, ys], axis=1),
+        y_of_x=_adjacency(xs, ys, nx), x_of_y=_adjacency(ys, xs, ny))
 
 
 # ---------------------------------------------------------------------------
@@ -367,36 +363,53 @@ class MiniBatch:
         return len(self.y_rows)
 
 
-def _incidence(rows, cols, partners, skip=()):
-    """Bool mask: (rows[r], cols[c]) is set for each c in partners[r]
-    that ``cols`` holds, except on the rows named in ``skip``."""
-    n = len(cols)
-    mask = np.zeros(len(rows) * n, dtype=bool)
-    mask[[i * n + cols[c] for r, i in rows.items() if r not in skip
-          for c in partners[r] if c in cols]] = True
-    return mask.reshape(len(rows), n)
+def _expand(adjacency, rows):
+    """(which, partner) for every partner of every row: ``partner`` is
+    a partner of ``rows[which]``, ascending within each row."""
+    start = adjacency.offsets[rows]
+    counts = adjacency.offsets[rows + 1] - start
+    which = np.repeat(np.arange(rows.shape[0]), counts)
+    at = (np.arange(which.shape[0])
+          + (start + counts - np.cumsum(counts))[which])
+    return which, adjacency.partners[at]
+
+
+def _reach(rows, targets, hops):
+    """Bool (len(rows), len(targets)) mask of the distinct ``targets``
+    that each row reaches through the adjacencies ``hops`` in turn."""
+    which, at = np.arange(rows.shape[0]), rows
+    for adjacency in hops:
+        step, at = _expand(adjacency, at)
+        which = which[step]
+    order = np.argsort(targets)
+    slot = order[np.minimum(np.searchsorted(targets, at, sorter=order),
+                            targets.shape[0] - 1)]
+    hit = targets[slot] == at
+    mask = np.zeros((rows.shape[0], targets.shape[0]), dtype=bool)
+    mask[which[hit], slot[hit]] = True
+    return mask
 
 
 def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
                  negatives_per_anchor=10):
     # dataset row -> batch-local row, in order of first appearance
     x_local, y_local = {}, {}
-    for idx in pair_rows:
-        xi, yi = graph.pos_pairs[idx]
-        x_local.setdefault(int(xi), len(x_local))
-        y_local.setdefault(int(yi), len(y_local))
+    for xi, yi in graph.pos_pairs[pair_rows].tolist():
+        x_local.setdefault(xi, len(x_local))
+        y_local.setdefault(yi, len(y_local))
 
     augmented = []
     if augment:
         for xi in list(x_local):
-            extra = [y for y in graph.pos_y_by_x[xi] if y not in y_local]
+            extra = [y for y in graph.y_of_x.of(xi).tolist()
+                     if y not in y_local]
             if extra:
                 pick = extra[int(rng.integers(len(extra)))]
                 y_local[pick] = len(y_local)
                 augmented.append(pick)
 
-    # reserved dataset x row -> batch-local y anchor
-    owner_of = {}
+    # batch-local y anchor of each reserved x row, -1 for the others
+    owner = [-1] * len(x_local)
     for yi, anchor in y_local.items() if extra_negatives else ():
         fresh = sorted(c for c in extra_negatives.get(yi, ())
                        if c not in x_local)
@@ -405,26 +418,23 @@ def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
                                 replace=False)
             fresh = sorted(fresh[int(c)] for c in chosen)
         for row in fresh:
-            x_local.setdefault(row, len(x_local))
-            owner_of[row] = anchor
+            if row not in x_local:
+                x_local[row] = len(x_local)
+                owner.append(anchor)
 
-    x_nb = _incidence(x_local, x_local, graph.x_neighbors, owner_of)
-    y_nb = _incidence(y_local, y_local, graph.y_neighbors)
+    x_rows = np.array(list(x_local), dtype=np.int64)
+    y_rows = np.array(list(y_local), dtype=np.int64)
+    owner = np.array(owner, dtype=np.int64)
+    pos = _reach(x_rows, y_rows, (graph.y_of_x,))
+    x_nb = _reach(x_rows, x_rows, (graph.y_of_x, graph.x_of_y))
+    y_nb = _reach(y_rows, y_rows, (graph.x_of_y, graph.y_of_x))
+    pos[owner >= 0] = x_nb[owner >= 0] = False
     np.fill_diagonal(x_nb, True)
     np.fill_diagonal(y_nb, True)
-    owner = np.full(len(x_local), -1, dtype=np.int64)
-    for row, anchor in owner_of.items():
-        owner[x_local[row]] = anchor
-    return MiniBatch(
-        x_rows=np.array(list(x_local), dtype=np.int64),
-        y_rows=np.array(list(y_local), dtype=np.int64),
-        pair_indices=np.asarray(pair_rows, dtype=np.int64),
-        augmented_y_rows=augmented,
-        pos=_incidence(x_local, y_local, graph.pos_y_by_x, owner_of),
-        x_nb=x_nb,
-        y_nb=y_nb,
-        owner=owner,
-    )
+    return MiniBatch(x_rows=x_rows, y_rows=y_rows,
+                     pair_indices=np.asarray(pair_rows, dtype=np.int64),
+                     augmented_y_rows=augmented, pos=pos, x_nb=x_nb,
+                     y_nb=y_nb, owner=owner)
 
 
 def epoch_batches(graph, batch_pairs, augment, rng, extra_negatives=None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write, tsv_line
+from .data import atomic_write, read_tsv, tsv_line
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -36,33 +36,32 @@ MAX_PROPOSALS_PER_QUERY = 100
 def _best_positive_ranks(distances, positives):
     """Per query, the 0-based rank of its best positive.
 
-    The best positive is the one with the lowest (distance, index);
-    its rank is its position in a stable ascending sort of the row.
+    ``positives`` is a ``data.Adjacency`` with one row per query.  The
+    best positive is the one with the lowest (distance, index); its
+    rank is its position in a stable ascending sort of the row.
     """
     nq, nc = distances.shape
-    if len(positives) != nq:
+    first = positives.offsets[:-1]
+    if first.shape[0] != nq:
         raise ConsistencyError(
-            f"{len(positives)} positive sets for {nq} queries"
-        )
-    counts = np.array([len(pos) for pos in positives], dtype=np.int64)
+            f"{first.shape[0]} positive sets for {nq} queries")
+    counts = positives.offsets[1:] - first
     if nq and counts.min() == 0:
         raise EvaluationError(
             f"query {int(np.argmin(counts))} has no positives")
     query = np.repeat(np.arange(nq), counts)
-    cand = np.fromiter((int(c) for pos in positives for c in pos),
-                       dtype=np.int64, count=int(counts.sum()))
+    cand = positives.partners
     outside = (cand < 0) | (cand >= nc)
     if outside.any():
-        first = int(np.argmax(outside))
+        at = int(np.argmax(outside))
         raise ConsistencyError(
-            f"query {int(query[first])}: positive index {int(cand[first])} "
+            f"query {int(query[at])}: positive index {int(cand[at])} "
             f"outside [0, {nc})"
         )
     if np.isnan(distances).any():
         raise EvaluationError("distances contain NaN, which has no rank")
     dist = distances[query, cand]
     order = np.lexsort((cand, dist, query))
-    first = np.cumsum(counts) - counts
     best = cand[order[first]][:, None]
     best_dist = dist[order[first]][:, None]
     ahead = (distances < best_dist) | (
@@ -81,9 +80,9 @@ def recall_at_k(distances, positives, k):
 
     Args:
         distances: (num_queries, num_candidates) matrix.
-        positives: per-query collection of correct candidate indices;
-            every query must have at least one, each in
-            [0, num_candidates).
+        positives: ``data.Adjacency`` with one row per query holding
+            its correct candidate indices; every query must have at
+            least one, each in [0, num_candidates).
         k: cutoff, >= 1.
 
     Returns:
@@ -111,7 +110,7 @@ class RetrievalReport:
         return out
 
 
-def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
+def evaluate_retrieval(distances, y_of_x, x_of_y, ks=(1, 5, 10)):
     """Recall@k in both directions from one cross-view distance matrix.
 
     Each direction ranks its queries once and reads every k from those
@@ -119,16 +118,16 @@ def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
 
     Args:
         distances: (num_x, num_y) matrix of image-sentence distances.
-        pos_y_by_x: per-image list of positive sentence indices.
-        pos_x_by_y: per-sentence list of positive image indices.
+        y_of_x, x_of_y: the ``data.Adjacency`` of each image's positive
+            sentences and of each sentence's positive images.
         ks: cutoffs.
 
     Returns:
         RetrievalReport.
     """
     distances = as_matrix(distances, "distances")
-    i2s = _best_positive_ranks(distances, pos_y_by_x)
-    s2i = _best_positive_ranks(distances.T, pos_x_by_y)
+    i2s = _best_positive_ranks(distances, y_of_x)
+    s2i = _best_positive_ranks(distances.T, x_of_y)
     return RetrievalReport(
         image_to_sentence={k: _recall_from_ranks(i2s, k) for k in ks},
         sentence_to_image={k: _recall_from_ranks(s2i, k) for k in ks},
@@ -137,6 +136,12 @@ def evaluate_retrieval(distances, pos_y_by_x, pos_x_by_y, ks=(1, 5, 10)):
 
 # ---------------------------------------------------------------------------
 # boxes
+
+
+def check_unit_interval(name, value):
+    """ConfigError unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
 def box_iou(a, b):
@@ -258,28 +263,18 @@ def save_corpus_file(rows, path):
 def load_corpus_rows(path):
     """Parse the proposal/GT TSV back into row tuples."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (7, 8):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 7 or 8 columns, got "
-                    f"{len(parts)}"
-                )
-            image_id, kind, phrase_id = parts[0], parts[1], parts[2]
-            if kind not in ("P", "G"):
-                raise FormatError(
-                    f"{path}:{lineno}: kind must be P or G, got {kind!r}"
-                )
-            try:
-                coords = tuple(float(v) for v in parts[3:7])
-                feat = int(parts[7]) if len(parts) == 8 else None
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((image_id, kind, phrase_id) + coords + (feat,))
+    for lineno, parts in read_tsv(path, (7, 8)):
+        image_id, kind, phrase_id = parts[0], parts[1], parts[2]
+        if kind not in ("P", "G"):
+            raise FormatError(
+                f"{path}:{lineno}: kind must be P or G, got {kind!r}"
+            )
+        try:
+            coords = tuple(float(v) for v in parts[3:7])
+            feat = int(parts[7]) if len(parts) == 8 else None
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        rows.append((image_id, kind, phrase_id) + coords + (feat,))
     return rows
 
 
@@ -416,10 +411,11 @@ def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
     A proposal hits when its IoU with any of the query's GT boxes is
     at least iou_thresh.  Queries without GT boxes count as misses.
     ``distances`` is the (P,) vector of query_distances; ties rank by
-    proposal index.
+    proposal index.  ``iou_thresh`` must lie in [0, 1].
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    check_unit_interval("iou_thresh", iou_thresh)
     distances = _proposal_distances(corpus, distances)
     if not corpus.num_queries:
         raise EvaluationError("corpus has no queries")
@@ -485,11 +481,14 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
     once.  AP is the mean of the precisions at the correct boxes, or 0
     with no correct box.  Phrases with no GT boxes anywhere are
     excluded and reported.  ``distances`` is the (P,) vector of
-    query_distances.
+    query_distances; ``nms_overlap`` and ``iou_thresh`` must lie in
+    [0, 1].
 
     Returns:
         (mAP, {phrase_id: AP}, [excluded phrase ids]).
     """
+    check_unit_interval("nms_overlap", nms_overlap)
+    check_unit_interval("iou_thresh", iou_thresh)
     distances = _proposal_distances(corpus, distances)
     num_phrases = len(corpus.phrase_ids)
     gt_count = np.bincount(corpus.query_phrase[corpus.gt_query],
@@ -524,8 +523,7 @@ def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
 
 def weighted_distance(d_global, d_rp, alpha):
     """D = (1 - alpha) * global distance + alpha * region-phrase part."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    check_unit_interval("alpha", alpha)
     return (1.0 - alpha) * d_global + alpha * d_rp
 
 

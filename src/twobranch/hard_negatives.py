@@ -15,9 +15,9 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write, tsv_line
+from .data import atomic_write, read_tsv, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
-from .evaluation import query_distances
+from .evaluation import check_unit_interval, query_distances
 from .network import learning_rate
 from .tensor_core import row_distances
 from .training import train
@@ -67,9 +67,10 @@ def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
         (HardNegativeSet, skipped phrase ids).
 
     Raises:
-        ConfigError: ``cap`` below 1.
+        ConfigError: ``cap`` below 1, or ``iou_thresh`` outside [0, 1].
     """
     _check_cap(cap)
+    check_unit_interval("iou_thresh", iou_thresh)
     num_phrases = len(corpus.phrase_ids)
     dists = query_distances(corpus, phrase_emb, region_emb)
     phrase = corpus.query_phrase[corpus.proposal_query]
@@ -119,26 +120,17 @@ def load_hard_negatives(path, cap=50):
     closest entries by (distance, row); ``cap`` must be at least 1."""
     _check_cap(cap)
     by_phrase = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 columns, got {len(parts)}"
-                )
-            try:
-                row = int(parts[1])
-                dist = float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(dist):
-                raise FormatError(
-                    f"{path}:{lineno}: distance {parts[2]!r} is not finite"
-                )
-            by_phrase.setdefault(parts[0], []).append((row, dist))
+    for lineno, parts in read_tsv(path, (3,)):
+        try:
+            row = int(parts[1])
+            dist = float(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(dist):
+            raise FormatError(
+                f"{path}:{lineno}: distance {parts[2]!r} is not finite"
+            )
+        by_phrase.setdefault(parts[0], []).append((row, dist))
     return HardNegativeSet(by_phrase={
         phrase_id: [(r, d) for d, r in sorted(
             (d, r) for r, d in entries)[:cap]]

@@ -15,7 +15,7 @@ formed from two such arrays when it is read.  All results are
 deterministic for fixed inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

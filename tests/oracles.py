@@ -349,17 +349,81 @@ def random_graph(rng, nx, ny, extra_pair_rate=0.3):
     return batch_masks(pairs, nx, ny, x_nb, y_nb)
 
 
+def adjacency(lists):
+    """data.Adjacency whose row r holds ``sorted(lists[r])``."""
+    offsets, partners = [0], []
+    for row in lists:
+        partners.extend(sorted(int(c) for c in row))
+        offsets.append(len(partners))
+    return data.Adjacency(offsets=np.array(offsets, dtype=np.int64),
+                          partners=np.array(partners, dtype=np.int64))
+
+
+def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
+    """build_graph's pairs and partner lists by one loop over the pairs.
+
+    A repeated pair keeps its first occurrence; the per-y cap then
+    drops, in input order, the pairs of a y beyond its first
+    ``max_x_per_y``.  The first pair with an unknown id raises
+    ConsistencyError naming that id, its x id when both are unknown.
+
+    Returns:
+        (pos_pairs, y_of_x, x_of_y): the kept (x row, y row) pairs in
+        input order, and each row's sorted partners.
+    """
+    x_row = {fid: i for i, fid in enumerate(x_ids)}
+    y_row = {fid: i for i, fid in enumerate(y_ids)}
+    kept, per_y = [], {}
+    for x_id, y_id in pairs:
+        if x_id not in x_row:
+            raise ConsistencyError(f"pair references unknown x id {x_id!r}")
+        if y_id not in y_row:
+            raise ConsistencyError(f"pair references unknown y id {y_id!r}")
+        key = (x_row[x_id], y_row[y_id])
+        if key in kept:
+            continue
+        if max_x_per_y is not None and per_y.get(key[1], 0) >= max_x_per_y:
+            continue
+        per_y[key[1]] = per_y.get(key[1], 0) + 1
+        kept.append(key)
+    y_of_x = [sorted(y for x, y in kept if x == i) for i in range(len(x_ids))]
+    x_of_y = [sorted(x for x, y in kept if y == j) for j in range(len(y_ids))]
+    return kept, y_of_x, x_of_y
+
+
+def dataset_neighbors(graph):
+    """Every row's neighbours over a whole CorrespondenceGraph, by loops
+    over its ``pos_pairs``: the rows of the same view that share a
+    partner with it, and the row itself.
+
+    Returns:
+        (x_neighbors, y_neighbors): one set per row.
+    """
+    x_neighbors = [{i} for i in range(len(graph.x_ids))]
+    y_neighbors = [{j} for j in range(len(graph.y_ids))]
+    x_of_y, y_of_x = {}, {}
+    for x, y in graph.pos_pairs:
+        x_of_y.setdefault(int(y), set()).add(int(x))
+        y_of_x.setdefault(int(x), set()).add(int(y))
+    for neighbors, groups in ((x_neighbors, x_of_y), (y_neighbors, y_of_x)):
+        for members in groups.values():
+            for row in members:
+                neighbors[row] |= members
+    return x_neighbors, y_neighbors
+
+
 def batch_graph_masks(batch, graph, extra_negatives=None):
     """A MiniBatch's pos, x_nb and y_nb rebuilt from its dataset graph.
 
     Cell (i, j) of ``pos`` is set when dataset rows x_rows[i] and
-    y_rows[j] are a positive pair, and a neighbor cell when the rows are
-    dataset neighbors or i == j.  A reserved x row (owner >= 0) has no
-    positives and only itself as neighbor, though an unreserved row may
-    list it.  Also asserts that the unreserved x rows are those of the
-    sampled pairs, that the y rows are the sampled ones and then the
-    augmented ones, and that every reserved row is in no sampled pair
-    and is listed in its anchor's ``extra_negatives``.
+    y_rows[j] are a pair of ``graph.pos_pairs``, and a neighbor cell
+    when the rows are ``dataset_neighbors`` or i == j.  A reserved x
+    row (owner >= 0) has no positives and only itself as neighbor,
+    though an unreserved row may list it.  Also asserts that the
+    unreserved x rows are those of the sampled pairs, that the y rows
+    are the sampled ones and then the augmented ones, and that every
+    reserved row is in no sampled pair and is listed in its anchor's
+    ``extra_negatives``.
 
     Returns:
         (pos, x_nb, y_nb) bool arrays.
@@ -381,6 +445,8 @@ def batch_graph_masks(batch, graph, extra_negatives=None):
             anchor = y_rows[int(batch.owner[i])]
             assert row not in sampled_x
             assert row in extra_negatives[anchor]
+    positives = {(int(x), int(y)) for x, y in graph.pos_pairs}
+    x_neighbors, y_neighbors = dataset_neighbors(graph)
     nx, ny = len(x_rows), len(y_rows)
     pos = np.zeros((nx, ny), dtype=bool)
     x_nb = np.zeros((nx, nx), dtype=bool)
@@ -388,13 +454,13 @@ def batch_graph_masks(batch, graph, extra_negatives=None):
     for i in range(nx):
         for j in range(ny):
             pos[i, j] = (not reserved[i]
-                         and y_rows[j] in graph.pos_y_by_x[x_rows[i]])
+                         and (x_rows[i], y_rows[j]) in positives)
         for k in range(nx):
             x_nb[i, k] = i == k or (
-                not reserved[i] and x_rows[k] in graph.x_neighbors[x_rows[i]])
+                not reserved[i] and x_rows[k] in x_neighbors[x_rows[i]])
     for j in range(ny):
         for k in range(ny):
-            y_nb[j, k] = j == k or y_rows[k] in graph.y_neighbors[y_rows[j]]
+            y_nb[j, k] = j == k or y_rows[k] in y_neighbors[y_rows[j]]
     return pos, x_nb, y_nb
 
 

@@ -54,7 +54,7 @@ def retrieval_r1(params, fx, fy, graph):
     emb_x, _ = nw.forward_branch(params, "x", fx.features, "eval")
     emb_y, _ = nw.forward_branch(params, "y", fy.features, "eval")
     dist = pairwise_distances(emb_x, emb_y)
-    report = ev.evaluate_retrieval(dist, graph.pos_y_by_x, graph.pos_x_by_y,
+    report = ev.evaluate_retrieval(dist, graph.y_of_x, graph.x_of_y,
                                    ks=(1,))
     return report.image_to_sentence[1], report.sentence_to_image[1]
 
@@ -155,7 +155,7 @@ def test_criterion_4_structure_term_effect():
             emb_y, _ = nw.forward_branch(params, "y", syn.y.features,
                                          "eval")
             values[lam3] = oracles.mean_neighborhood_distance(
-                emb_y, syn.graph.y_neighbors)
+                emb_y, oracles.dataset_neighbors(syn.graph)[1])
         results.append((values[0.2], values[0.0]))
         if values[0.2] <= values[0.0]:
             wins += 1
@@ -209,7 +209,7 @@ def test_criterion_6_metric_oracles():
         pos = [rng.choice(nc, size=int(rng.integers(1, 4)),
                           replace=False).tolist() for _ in range(nq)]
         k = int(rng.integers(1, nc + 1))
-        assert ev.recall_at_k(dist, pos, k) == \
+        assert ev.recall_at_k(dist, oracles.adjacency(pos), k) == \
             oracles.naive_recall_at_k(dist, pos, k)
 
     for _ in range(100):
@@ -305,6 +305,7 @@ def test_criterion_7_weighted_endpoints():
     assert np.array_equal(fused0, d_global)
     by_x = [[int(rng.integers(n_sent))] for _ in range(n_img)]
     by_y = [[int(rng.integers(n_img))] for _ in range(n_sent)]
+    by_x, by_y = oracles.adjacency(by_x), oracles.adjacency(by_y)
     rep0 = ev.evaluate_retrieval(fused0, by_x, by_y)
     rep_g = ev.evaluate_retrieval(d_global, by_x, by_y)
     assert rep0 == rep_g
@@ -430,15 +431,13 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     emb_x, _ = nw.forward_branch(params, "x", fx.features, "eval")
     emb_y, _ = nw.forward_branch(params, "y", fy.features, "eval")
     dist_a = pairwise_distances(emb_x, emb_y)
-    report_a = ev.evaluate_retrieval(dist_a, graph.pos_y_by_x,
-                                     graph.pos_x_by_y)
+    report_a = ev.evaluate_retrieval(dist_a, graph.y_of_x, graph.x_of_y)
 
     params2, _ = nw.load_checkpoint(str(tmp_path / "model.ckpt"))
     emb_x2, _ = nw.forward_branch(params2, "x", fx.features, "eval")
     emb_y2, _ = nw.forward_branch(params2, "y", fy.features, "eval")
     dist_b = pairwise_distances(emb_x2, emb_y2)
-    report_b = ev.evaluate_retrieval(dist_b, graph.pos_y_by_x,
-                                     graph.pos_x_by_y)
+    report_b = ev.evaluate_retrieval(dist_b, graph.y_of_x, graph.x_of_y)
     assert np.array_equal(dist_a, dist_b)
     assert report_a == report_b
     print("criterion 9 PASS: CSV and checkpoint bytes identical across "

@@ -438,6 +438,43 @@ class TestLocalizationPipeline:
                        "--hn-cap", cap) == 1
         assert not negatives.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval-localization", "--iou-thresh", "2"),
+        ("eval-localization", "--iou-thresh", "nan"),
+        ("eval-localization", "--nms-overlap", "-1"),
+        ("eval-localization", "--nms-overlap", "nan"),
+        ("mine-negatives", "--iou-thresh", "-0.5"),
+        ("mine-negatives", "--iou-thresh", "nan"),
+    ])
+    def test_overlap_outside_unit_interval_exits_one(self, workdir, tmp_path,
+                                                     command, flag, value,
+                                                     caplog):
+        loc = workdir["loc"]
+        out = tmp_path / "out"
+        assert run_cli(command,
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--corpus", str(loc / "corpus.tsv"),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--report", str(out), "--hard-negatives", str(out),
+                       flag, value) == 1
+        assert "must lie in [0, 1]" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_overlap_endpoints_accepted(self, workdir, tmp_path, value):
+        loc = workdir["loc"]
+        common = ("--features-x", str(loc / "regions.feat"),
+                  "--features-y", str(loc / "phrases.feat"),
+                  "--corpus", str(loc / "corpus.tsv"),
+                  "--checkpoint-in", str(loc / "model.ckpt"),
+                  "--iou-thresh", value)
+        assert run_cli("eval-localization", *common,
+                       "--report", str(tmp_path / "loc.csv"),
+                       "--nms-overlap", value) == 0
+        assert run_cli("mine-negatives", *common,
+                       "--hard-negatives", str(tmp_path / "hn.tsv")) == 0
+
     @pytest.mark.parametrize("flag, value", [
         ("--hn-cap", "0"), ("--hn-cap", "-1"),
         ("--negatives-per-anchor", "0"), ("--negatives-per-anchor", "-1"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twobranch import data, evaluation
+from twobranch import data, evaluation, hard_negatives
 from twobranch.errors import (ConfigError, ConsistencyError, DimensionError,
                               FormatError)
 
@@ -282,6 +282,20 @@ class TestPairFile:
         with pytest.raises(FormatError):
             data.load_pair_file(path)
 
+    @pytest.mark.parametrize("load, good, widths", [
+        (data.load_pair_file, "a\tb", "2"),
+        (evaluation.load_corpus_rows, "im\tP\tph\t0\t0\t1\t1\t0", "7 or 8"),
+        (hard_negatives.load_hard_negatives, "ph\t3\t0.5", "3"),
+    ])
+    def test_tsv_loaders_name_the_line(self, tmp_path, load, good, widths):
+        # every TSV loader reads through read_tsv: comments and blank
+        # lines are skipped but counted, and the message names the line
+        path = tmp_path / "in.tsv"
+        path.write_text(f"# comment\n{good}\n\n{good}\tx\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:4: expected {widths} tab-separated columns, got")):
+            load(str(path))
+
 
 class TestAtomicWrite:
     def test_replaces_target(self, tmp_path):
@@ -331,29 +345,32 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == []
 
 
+def whole_batch(graph):
+    """The batch of every pair of ``graph``, without augmentation."""
+    return data._build_batch(graph, np.arange(graph.num_pairs), False,
+                             np.random.default_rng(0))
+
+
 class TestBuildGraph:
     def test_one_image_five_sentences(self):
         x_ids = ["img_0"]
         y_ids = [f"sent_{i}" for i in range(5)]
         pairs = [("img_0", s) for s in y_ids]
-        g = data.build_graph(pairs, x_ids, y_ids)
-        for j in range(5):
-            assert g.y_neighbors[j] == {0, 1, 2, 3, 4}
-        assert g.x_neighbors[0] == {0}
+        batch = whole_batch(data.build_graph(pairs, x_ids, y_ids))
+        assert batch.y_nb.all() and batch.y_nb.shape == (5, 5)
+        assert batch.x_nb.tolist() == [[True]]
 
     def test_disjoint_images(self):
         pairs = [("img_0", "sent_0"), ("img_1", "sent_1")]
         g = data.build_graph(pairs, ["img_0", "img_1"], ["sent_0", "sent_1"])
-        assert g.x_neighbors[0] == {0}
-        assert g.x_neighbors[1] == {1}
-        assert g.y_neighbors[0] == {0}
-        assert g.y_neighbors[1] == {1}
+        batch = whole_batch(g)
+        assert np.array_equal(batch.x_nb, np.eye(2, dtype=bool))
+        assert np.array_equal(batch.y_nb, np.eye(2, dtype=bool))
 
     def test_regions_sharing_phrase(self):
         pairs = [("reg_0", "phr_0"), ("reg_1", "phr_0")]
         g = data.build_graph(pairs, ["reg_0", "reg_1"], ["phr_0"])
-        assert g.x_neighbors[0] == {0, 1}
-        assert g.x_neighbors[1] == {0, 1}
+        assert whole_batch(g).x_nb.all()
 
     def test_unknown_ids(self):
         with pytest.raises(ConsistencyError):
@@ -370,12 +387,54 @@ class TestBuildGraph:
         x_ids = ["reg_0", "reg_1", "reg_2"]
         pairs = [("reg_2", "phr_0"), ("reg_0", "phr_0"), ("reg_1", "phr_0")]
         g = data.build_graph(pairs, x_ids, ["phr_0"], max_x_per_y=2)
-        assert g.num_pairs == 2
-        assert g.pos_x_by_y[0] == [0, 2]
+        assert g.pos_pairs.tolist() == [[2, 0], [0, 0]]
+        assert g.x_of_y.of(0).tolist() == [0, 2]
 
     def test_max_x_per_y_validation(self):
         with pytest.raises(ConfigError):
             data.build_graph([], ["img_0"], ["sent_0"], max_x_per_y=0)
+
+    def test_empty_graph(self):
+        g = data.build_graph([], ["img_0"], ["sent_0", "sent_1"])
+        assert g.pos_pairs.shape == (0, 2)
+        assert g.y_of_x.offsets.tolist() == [0, 0]
+        assert g.x_of_y.offsets.tolist() == [0, 0, 0]
+
+    def test_matches_loop_oracle(self):
+        # repeated pairs, per-y caps and unknown ids, in random order
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            nx, ny = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            x_ids = [f"x{i}" for i in range(nx)]
+            y_ids = [f"y{j}" for j in range(ny)]
+            pairs = [(x_ids[int(rng.integers(nx))],
+                      y_ids[int(rng.integers(ny))])
+                     for _ in range(int(rng.integers(0, 3 * (nx + ny))))]
+            pairs += [pairs[int(rng.integers(len(pairs)))]
+                      for _ in range(int(rng.integers(4)) if pairs else 0)]
+            if case % 5 == 0 and pairs:
+                at = int(rng.integers(len(pairs)))
+                pairs[at] = (("ghost", pairs[at][1]), (pairs[at][0], "ghost"),
+                             ("ghost_x", "ghost_y"))[case % 3]
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            cap = None if case % 2 else int(rng.integers(1, 4))
+            try:
+                want = oracles.build_graph(pairs, x_ids, y_ids, cap)
+            except ConsistencyError as exc:
+                with pytest.raises(ConsistencyError) as got:
+                    data.build_graph(pairs, x_ids, y_ids, cap)
+                assert str(got.value) == str(exc)
+                continue
+            g = data.build_graph(pairs, x_ids, y_ids, cap)
+            pos_pairs, y_of_x, x_of_y = want
+            assert g.pos_pairs.dtype == np.int64
+            assert g.pos_pairs.reshape(-1, 2).tolist() == \
+                [list(p) for p in pos_pairs]
+            for adj, lists in ((g.y_of_x, y_of_x), (g.x_of_y, x_of_y)):
+                assert adj.offsets.dtype == adj.partners.dtype == np.int64
+                assert adj.offsets.shape == (len(lists) + 1,)
+                assert [adj.of(r).tolist() for r in range(len(lists))] \
+                    == lists
 
     def test_neighborhood_symmetry_random(self):
         rng = np.random.default_rng(11)
@@ -388,15 +447,12 @@ class TestBuildGraph:
                 for j in range(ny):
                     if rng.random() < 0.3:
                         pairs.append((x_ids[i], y_ids[j]))
-            g = data.build_graph(pairs, x_ids, y_ids)
-            for i in range(nx):
-                assert i in g.x_neighbors[i]
-                for m in g.x_neighbors[i]:
-                    assert i in g.x_neighbors[m]
-            for j in range(ny):
-                assert j in g.y_neighbors[j]
-                for m in g.y_neighbors[j]:
-                    assert j in g.y_neighbors[m]
+            if not pairs:
+                continue
+            batch = whole_batch(data.build_graph(pairs, x_ids, y_ids))
+            for mask in (batch.x_nb, batch.y_nb):
+                assert mask.diagonal().all()
+                assert np.array_equal(mask, mask.T)
 
 
 def small_corpus():
@@ -443,7 +499,7 @@ class TestSampleMinibatch:
         batch = oracles.sample_minibatch(d.graph, 8, True, rng)
         for i, xr in enumerate(batch.x_rows):
             for j, yr in enumerate(batch.y_rows):
-                linked = int(yr) in d.graph.pos_y_by_x[int(xr)]
+                linked = int(yr) in d.graph.y_of_x.of(int(xr))
                 assert batch.pos[i, j] == linked
 
     def test_oversized_batch_rejected(self):
@@ -458,9 +514,10 @@ class TestSampleMinibatch:
 
 class TestBuildBatch:
     def test_masks_match_graph_oracle(self):
-        # random graphs with shared partners, batches with augmentation
-        # on and off, and reserved hard-negative rows that may also be
-        # dataset neighbors or positives of batch rows
+        # random graphs with shared partners, some with repeated pairs
+        # or a per-y cap, batches with augmentation on and off, and
+        # reserved hard-negative rows that may also be dataset neighbors
+        # or positives of batch rows
         batches = reserved = augmented = 0
         for case in range(200):
             rng = np.random.default_rng(case)
@@ -472,7 +529,12 @@ class TestBuildBatch:
             pairs += [(x_ids[int(rng.integers(nx))],
                        y_ids[int(rng.integers(ny))])
                       for _ in range(int(rng.integers(ny)))]
-            graph = data.build_graph(pairs, x_ids, y_ids)
+            if case % 4 == 1:
+                pairs += [pairs[int(rng.integers(len(pairs)))]
+                          for _ in range(int(rng.integers(1, 5)))]
+                pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            cap = int(rng.integers(1, 3)) if case % 4 == 2 else None
+            graph = data.build_graph(pairs, x_ids, y_ids, max_x_per_y=cap)
             extra = None
             if case % 3:
                 extra = {j: rng.integers(nx, size=int(rng.integers(6)))

@@ -19,19 +19,30 @@ from twobranch.errors import (
 )
 
 
+def recall_at_k(d, positives, k):
+    """recall_at_k of per-query lists of positives."""
+    return ev.recall_at_k(d, oracles.adjacency(positives), k)
+
+
+def evaluate_retrieval(d, by_x, by_y, **kwargs):
+    """evaluate_retrieval of per-row lists of positives."""
+    return ev.evaluate_retrieval(d, oracles.adjacency(by_x),
+                                 oracles.adjacency(by_y), **kwargs)
+
+
 class TestRecallAtK:
     def test_diagonal_dominant(self):
         d = np.full((3, 3), 0.9)
         np.fill_diagonal(d, 0.1)
         pos = [[0], [1], [2]]
-        assert ev.recall_at_k(d, pos, 1) == 100.0
+        assert recall_at_k(d, pos, 1) == 100.0
 
     def test_positive_ranked_fifth(self):
         d = np.arange(10, dtype=np.float64).reshape(1, 10)
         pos = [[4]]
-        assert ev.recall_at_k(d, pos, 1) == 0.0
-        assert ev.recall_at_k(d, pos, 4) == 0.0
-        assert ev.recall_at_k(d, pos, 5) == 100.0
+        assert recall_at_k(d, pos, 1) == 0.0
+        assert recall_at_k(d, pos, 4) == 0.0
+        assert recall_at_k(d, pos, 5) == 100.0
 
     def test_matches_sort_oracle(self):
         for seed in range(5):
@@ -40,20 +51,20 @@ class TestRecallAtK:
             pos = [rng.choice(100, size=int(rng.integers(1, 4)),
                               replace=False).tolist() for _ in range(20)]
             for k in (1, 5, 10):
-                assert ev.recall_at_k(d, pos, k) == \
+                assert recall_at_k(d, pos, k) == \
                     oracles.naive_recall_at_k(d, pos, k)
 
     def test_ties_break_by_index(self):
         d = np.zeros((1, 4))
-        assert ev.recall_at_k(d, [[0]], 1) == 100.0
-        assert ev.recall_at_k(d, [[3]], 1) == 0.0
-        assert ev.recall_at_k(d, [[3]], 4) == 100.0
+        assert recall_at_k(d, [[0]], 1) == 100.0
+        assert recall_at_k(d, [[3]], 1) == 0.0
+        assert recall_at_k(d, [[3]], 4) == 100.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(6)
         d = rng.random((12, 30))
         pos = [[int(rng.integers(30))] for _ in range(12)]
-        values = [ev.recall_at_k(d, pos, k) for k in range(1, 31)]
+        values = [recall_at_k(d, pos, k) for k in range(1, 31)]
         for a, b in zip(values, values[1:]):
             assert a <= b
         assert values[-1] == 100.0
@@ -61,26 +72,26 @@ class TestRecallAtK:
     def test_errors(self):
         d = np.zeros((2, 3))
         with pytest.raises(ConfigError):
-            ev.recall_at_k(d, [[0], [1]], 0)
+            recall_at_k(d, [[0], [1]], 0)
         with pytest.raises(EvaluationError):
-            ev.recall_at_k(d, [[0], []], 1)
+            recall_at_k(d, [[0], []], 1)
         with pytest.raises(ConsistencyError):
-            ev.recall_at_k(d, [[0]], 1)
+            recall_at_k(d, [[0]], 1)
 
     def test_positive_outside_candidates_rejected(self):
         d = np.zeros((1, 3))
         for bad in (-1, 3):
             with pytest.raises(ConsistencyError, match="outside"):
-                ev.recall_at_k(d, [[bad]], 1)
+                recall_at_k(d, [[bad]], 1)
             with pytest.raises(ConsistencyError, match="outside"):
-                ev.evaluate_retrieval(d, [[bad]], [[0], [0], [0]])
+                evaluate_retrieval(d, [[bad]], [[0], [0], [0]])
             with pytest.raises(ConsistencyError, match="outside"):
-                ev.evaluate_retrieval(d.T, [[0], [0], [0]], [[bad]])
+                evaluate_retrieval(d.T, [[0], [0], [0]], [[bad]])
 
     def test_nan_distance_rejected(self):
         d = np.array([[0.1, np.nan, 0.3]])
         with pytest.raises(EvaluationError):
-            ev.recall_at_k(d, [[0]], 1)
+            recall_at_k(d, [[0]], 1)
 
     def test_heavy_ties_match_sort_oracle_at_every_k(self):
         for seed in range(20):
@@ -93,12 +104,12 @@ class TestRecallAtK:
             pos = [rng.choice(nc, size=int(rng.integers(1, min(nc, 4) + 1)),
                               replace=False).tolist() for _ in range(nq)]
             for k in range(1, nc + 2):
-                assert ev.recall_at_k(d, pos, k) == \
+                assert recall_at_k(d, pos, k) == \
                     oracles.naive_recall_at_k(d, pos, k)
             pos_t = [[q for q in range(nq) if c in pos[q]]
                      for c in range(nc)]
             if all(pos_t):
-                report = ev.evaluate_retrieval(d, pos, pos_t,
+                report = evaluate_retrieval(d, pos, pos_t,
                                                ks=range(1, nq + 2))
                 for k, value in report.sentence_to_image.items():
                     assert value == oracles.naive_recall_at_k(d.T, pos_t, k)
@@ -108,9 +119,9 @@ class TestRecallAtK:
         d = rng.random((6, 9))
         by_x = [[int(rng.integers(9))] for _ in range(6)]
         by_y = [[int(rng.integers(6))] for _ in range(9)]
-        report = ev.evaluate_retrieval(d, by_x, by_y, ks=(1, 5))
-        assert report.image_to_sentence[5] == ev.recall_at_k(d, by_x, 5)
-        assert report.sentence_to_image[1] == ev.recall_at_k(d.T, by_y, 1)
+        report = evaluate_retrieval(d, by_x, by_y, ks=(1, 5))
+        assert report.image_to_sentence[5] == recall_at_k(d, by_x, 5)
+        assert report.sentence_to_image[1] == recall_at_k(d.T, by_y, 1)
         rows = report.rows()
         assert [r[1:3] for r in rows] == [
             ("image_to_sentence", 1), ("image_to_sentence", 5),
