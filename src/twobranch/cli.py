@@ -241,6 +241,20 @@ def _load_localization(features_x, features_y, corpus, checkpoint, what):
 
 
 def cmd_train(cfg):
+    """Train, or fine-tune on hard negatives, and write the checkpoints.
+
+    The best-epoch checkpoint (``best_checkpoint_out``) is written from
+    ``train``'s epoch callback, which runs once ``opt.epoch`` counts the
+    epoch, so in it as in the final checkpoint ``opt.epoch`` is the
+    number of epochs completed and ``--checkpoint-in`` resumes with the
+    next one.  When the last epoch is the best, the final checkpoint
+    would hold the same bytes, so ``checkpoint_out`` becomes a hard link
+    of the best one instead of a second serialization; where the link
+    fails it is written as usual.  Every write replaces a file
+    atomically and never edits it in place, so the two paths sharing
+    one inode is safe: a later run replaces each without touching the
+    other.
+    """
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_out")
     fx, fy, graph = _load_xy(cfg)
     loss_cfg = _loss_config(cfg)
@@ -259,16 +273,17 @@ def cmd_train(cfg):
                              momentum=cfg.momentum,
                              weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    best_loss = None
+    best_loss = saved_epoch = None
 
     def on_epoch(stats):
         # written now, before the next epoch moves the state; train has
         # already checked that every tensor in it is finite
-        nonlocal best_loss
+        nonlocal best_loss, saved_epoch
         if best_loss is None or stats.mean_loss < best_loss:
             best_loss = stats.mean_loss
             if cfg.best_checkpoint_out:
                 save_checkpoint(params, opt, cfg.best_checkpoint_out)
+                saved_epoch = stats.epoch
 
     if cfg.hard_negatives:
         hn = hn_mod.load_hard_negatives(cfg.hard_negatives, cap=cfg.hn_cap)
@@ -283,7 +298,17 @@ def cmd_train(cfg):
         history = train(
             params, opt, graph, fx, fy, loss_cfg, cfg.epochs,
             cfg.batch_pairs, cfg.augment, rng, on_epoch=on_epoch)
-    save_checkpoint(params, opt, cfg.checkpoint_out)
+    linked = False
+    if history and saved_epoch == history[-1].epoch:
+        # the state has not moved since the best checkpoint was saved
+        try:
+            data_mod.atomic_link(cfg.best_checkpoint_out, cfg.checkpoint_out)
+            linked = True
+        except OSError as exc:
+            log.info("cannot link %s to %s (%s); writing it",
+                     cfg.checkpoint_out, cfg.best_checkpoint_out, exc)
+    if not linked:
+        save_checkpoint(params, opt, cfg.checkpoint_out)
     if cfg.train_csv:
         with data_mod.atomic_write(cfg.train_csv) as fh:
             for line in config_echo(cfg):

@@ -90,6 +90,11 @@ def _check_ids(ids):
                 f"feature id {fid!r} is not a non-blank one-line string")
 
 
+def _tmp_path(path):
+    """The temporary name beside ``path`` that a replace moves onto it."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
 @contextmanager
 def atomic_write(path, mode="w"):
     """Write ``path`` through a temporary file in the same directory.
@@ -97,13 +102,42 @@ def atomic_write(path, mode="w"):
     Yields the open temporary file ("w" is UTF-8 text, "wb" binary) and
     moves it onto ``path`` with ``os.replace`` once the body finishes.
     If the body raises, the temporary file is removed and ``path``
-    keeps its old bytes.
+    keeps its old bytes.  The file at ``path`` is never edited in
+    place, so other hard links of its old inode keep their bytes.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _tmp_path(path)
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_link(src, dst):
+    """Make ``dst`` a hard link of the file ``src``, replacing it atomically.
+
+    Links a temporary name beside ``dst`` (named as ``atomic_write``
+    names it) to ``src`` and moves it onto ``dst`` with ``os.replace``.
+    When ``dst`` already names the file ``src`` names (one path, two
+    spellings or a symbolic link), nothing is done: rename(2) between
+    two links of one inode does nothing and would leave the temporary
+    name behind.
+
+    Raises:
+        OSError: the link or the replace failed, as ``os.link`` does
+            across filesystems (EXDEV) or where hard links are refused
+            (EPERM); ``dst`` then keeps its old bytes and no temporary
+            file remains.
+    """
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        return
+    tmp = _tmp_path(dst)
+    os.link(src, tmp)
+    try:
+        os.replace(tmp, dst)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)

@@ -260,22 +260,61 @@ def save_corpus_file(rows, path):
             fh.write(tsv_line(cols, path))
 
 
+def _check_corpus_line(path, lineno, parts):
+    """Raise the FormatError of a corpus line whose kind or numbers do
+    not parse; the messages name ``path:lineno``."""
+    if parts[1] not in ("P", "G"):
+        raise FormatError(
+            f"{path}:{lineno}: kind must be P or G, got {parts[1]!r}"
+        )
+    try:
+        for v in parts[3:7]:
+            float(v)
+        if len(parts) == 8:
+            int(parts[7])
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _read_corpus_columns(path):
+    """Parse the proposal/GT TSV into the columns _corpus_from_columns
+    takes, one split per line and one conversion per column.
+
+    FormatError names the first line that does not parse: a column
+    count outside 7-8, a kind other than P or G or a field that is no
+    number.
+    """
+    try:
+        # tuples of strings, unlike lists, drop out of the collector
+        lines = [tuple(parts) for _, parts in read_tsv(path, (7, 8))]
+        # zip stops at the shortest line: the seven columns all lines have
+        image_ids, kinds, phrase_ids, *coords = \
+            list(zip(*lines)) or [()] * 7
+        if not set(kinds) <= {"P", "G"}:
+            raise ValueError("unknown kind")
+        boxes = np.array([list(map(float, c)) for c in coords[:4]],
+                         dtype=np.float64).reshape(4, -1).T
+        has_feat = np.array([len(parts) == 8 for parts in lines],
+                            dtype=bool)
+        feat = np.full(len(lines), -1, dtype=np.int64)
+        feat[has_feat] = [int(parts[7]) for parts in lines
+                          if len(parts) == 8]
+    except (FormatError, ValueError):
+        # read again line by line to report the first fault in the file
+        for lineno, parts in read_tsv(path, (7, 8)):
+            _check_corpus_line(path, lineno, parts)
+        raise
+    return image_ids, kinds, phrase_ids, boxes, feat, has_feat
+
+
 def load_corpus_rows(path):
     """Parse the proposal/GT TSV back into row tuples."""
-    rows = []
-    for lineno, parts in read_tsv(path, (7, 8)):
-        image_id, kind, phrase_id = parts[0], parts[1], parts[2]
-        if kind not in ("P", "G"):
-            raise FormatError(
-                f"{path}:{lineno}: kind must be P or G, got {kind!r}"
-            )
-        try:
-            coords = tuple(float(v) for v in parts[3:7])
-            feat = int(parts[7]) if len(parts) == 8 else None
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        rows.append((image_id, kind, phrase_id) + coords + (feat,))
-    return rows
+    image_ids, kinds, phrase_ids, boxes, feat, has_feat = \
+        _read_corpus_columns(path)
+    return [(image_id, kind, phrase_id, *box, f if has else None)
+            for image_id, kind, phrase_id, box, f, has in zip(
+                image_ids, kinds, phrase_ids, boxes.tolist(),
+                feat.tolist(), has_feat.tolist())]
 
 
 def corpus_from_rows(rows, phrases, regions):
@@ -287,17 +326,28 @@ def corpus_from_rows(rows, phrases, regions):
     query with no proposals, more than MAX_PROPOSALS_PER_QUERY or a
     phrase id not in ``phrases``.
     """
-    keys, codes = {}, {}
-    query = np.array([keys.setdefault((r[0], r[2]), len(keys))
-                      for r in rows], dtype=np.int64)
-    phrase = np.array([codes.setdefault(r[2], len(codes)) for r in rows],
-                      dtype=np.int64)
-    kind = np.array([r[1] for r in rows], dtype=object)
-    is_proposal = kind == "P"
-    boxes = np.array([r[3:7] for r in rows], dtype=np.float64).reshape(-1, 4)
     feat = [r[7] if len(r) > 7 else None for r in rows]
-    has_feat = np.array([f is not None for f in feat], dtype=bool)
-    feat = np.array([-1 if f is None else f for f in feat], dtype=np.int64)
+    return _corpus_from_columns(
+        ([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+         np.array([r[3:7] for r in rows], dtype=np.float64).reshape(-1, 4),
+         np.array([-1 if f is None else f for f in feat], dtype=np.int64),
+         np.array([f is not None for f in feat], dtype=bool)),
+        phrases, regions)
+
+
+def _corpus_from_columns(columns, phrases, regions):
+    """LocalizationCorpus of one row per box, given as columns: image
+    ids, kinds and phrase ids (sequences), (N, 4) boxes, (N,) feature
+    rows and whether each row has one.  The checks are
+    corpus_from_rows'."""
+    image, kind, phrase, boxes, feat, has_feat = columns
+    keys, codes = {}, {}
+    query = np.array([keys.setdefault(key, len(keys))
+                      for key in zip(image, phrase)], dtype=np.int64)
+    phrase_code = np.array([codes.setdefault(p, len(codes))
+                            for p in phrase], dtype=np.int64)
+    kind = np.array(kind, dtype=object)
+    is_proposal = kind == "P"
 
     finite = np.isfinite(boxes).all(axis=1)
     flat = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
@@ -307,20 +357,19 @@ def corpus_from_rows(rows, phrases, regions):
     bad = ~finite | flat | unfed | outside | unknown
     if bad.any():
         i = int(np.argmax(bad))
-        image_id, _, phrase_id, x1, y1, x2, y2 = rows[i][:7]
-        where = f"query ({image_id}, {phrase_id})"
-        box = f"box ({x1}, {y1}, {x2}, {y2})"
+        where = f"query ({image[i]}, {phrase[i]})"
+        box = "box ({}, {}, {}, {})".format(*boxes[i].tolist())
         raise ConsistencyError(
             f"{where}: {box} is not finite" if not finite[i]
             else f"{where}: {box} has no area" if flat[i]
             else f"{where}: proposal without a feature row" if unfed[i]
-            else f"{where}: feature row {rows[i][7]} outside region set "
+            else f"{where}: feature row {feat[i]} outside region set "
                  f"of {regions.n} rows" if outside[i]
-            else f"{where}: kind must be P or G, got {rows[i][1]!r}")
+            else f"{where}: kind must be P or G, got {kind[i]!r}")
 
     first_row = np.unique(query, return_index=True)[1]
-    image_ids = np.array([r[0] for r in rows], dtype=str)[first_row]
-    query_phrase = phrase[first_row]
+    image_ids = np.array(image, dtype=str)[first_row]
+    query_phrase = phrase_code[first_row]
     phrase_ids = list(codes)
     known = dict(zip(phrases.ids, range(phrases.n)))
     phrase_rows = np.array([known.get(p, -1) for p in phrase_ids],
@@ -359,9 +408,12 @@ def load_corpus_file(path, phrases, regions):
     row in the region feature file, which a GT box may leave out.
     Blank lines and lines starting with # are skipped.  The lines of
     one (image_id, phrase_id) pair form a query.  A line that does not
-    parse raises FormatError; ``corpus_from_rows`` checks the rest.
+    parse raises FormatError; the rest is checked as ``corpus_from_rows``
+    checks it.  Each line is split once and each column converted at
+    once; no row tuple of converted values is built.
     """
-    return corpus_from_rows(load_corpus_rows(path), phrases, regions)
+    return _corpus_from_columns(_read_corpus_columns(path), phrases,
+                                regions)
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,13 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
 # where each record is
 #   u32 name length | name utf-8 | u64 rows | u64 cols | rows*cols f64
 # records are sorted by name, and the checksum is the first 8 bytes of
-# SHA-256 over everything before it.  Both directions stream: a save
+# SHA-256 over everything before it.  The record "opt.epoch" counts the
+# epochs completed, in a best-epoch checkpoint as in a final one, so a
+# training run resumed from either starts at the next epoch.  A save
+# replaces its file atomically and never edits it in place, so a path
+# that is a hard link of another checkpoint (the command line links the
+# final checkpoint to the best-epoch one when they hold the same state)
+# is rewritten without touching the other.  Both directions stream: a save
 # writes each header and each array as it is, and a load reads the
 # records one at a time, each array straight into its own memory, so
 # neither holds a second copy of the payload.  One worker thread hashes

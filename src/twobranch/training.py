@@ -11,9 +11,12 @@ loss is the same weighted per-family mean.
 Training stops with DivergenceError, naming the epoch and step, as soon
 as an embedding, the loss or a gradient norm is NaN or infinite, and at
 the end of an epoch if any tensor a checkpoint would hold is.  The
-epoch callback runs only after that end-of-epoch check, so a checkpoint
-written from it (the command line's best-epoch checkpoint) holds finite
-tensors, and a diverged run's state never reaches a checkpoint.
+epoch callback runs only after that end-of-epoch check and after
+``opt.epoch`` has advanced past the epoch, so a checkpoint written from
+it (the command line's best-epoch checkpoint) holds finite tensors and
+counts the epochs completed in ``opt.epoch``, as a checkpoint written
+once ``train`` returns does; a diverged run's state never reaches a
+checkpoint.
 """
 
 import logging
@@ -88,10 +91,12 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
 
     Args:
         on_epoch: optional callback receiving each EpochStats, called
-            once the epoch's parameters are in place and checked finite,
-            before ``opt.epoch`` advances; a checkpoint saved there is
-            this epoch's state (the command line saves its best-epoch
-            checkpoint so).
+            once the epoch's parameters are in place and checked finite
+            and ``opt.epoch`` has advanced to count the epoch; a
+            checkpoint saved there is this epoch's state, and resuming
+            from it runs the next epoch (the command line saves its
+            best-epoch checkpoint so).  Nothing moves the state between
+            the last call and the return.
 
     Raises:
         ConfigError: ``epochs`` below 0.
@@ -145,7 +150,7 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
             stats.epoch, stats.lr, stats.mean_loss,
             {k: v for k, v in counts.items() if v},
         )
+        opt.epoch += 1
         if on_epoch is not None:
             on_epoch(stats)
-        opt.epoch += 1
     return history

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import errno
 import os
 
 import numpy as np
@@ -183,7 +184,7 @@ class TestTrainCommand:
         assert best == oracle.read_bytes()
         assert best != (tmp_path / "model.ckpt").read_bytes()
         _, opt = nw.load_checkpoint(tmp_path / "best.ckpt")
-        assert opt.epoch == best_epoch
+        assert opt.epoch == best_epoch + 1
 
     def test_divergence_after_improving_epoch_leaves_best(
             self, workdir, tmp_path, monkeypatch, caplog):
@@ -201,8 +202,127 @@ class TestTrainCommand:
         assert "epoch 1 step 0" in caplog.text
         assert os.listdir(tmp_path) == ["best.ckpt"]
         params, opt = nw.load_checkpoint(tmp_path / "best.ckpt")
-        assert opt.epoch == 0
+        assert opt.epoch == 1
         assert nw.non_finite_tensors(params, opt) == []
+
+    @staticmethod
+    def epoch_rows(csv):
+        """A train CSV's epoch rows, each split into its fields."""
+        return [l.split(",") for l in csv.read_text().splitlines()
+                if not l.startswith("#")][1:]
+
+    @staticmethod
+    def final_state_bytes(monkeypatch):
+        """Record the bytes a fresh save of the state ``train`` returns
+        with would hold, under "ckpt"."""
+        real_train = cli.train
+        final = {}
+
+        def recording_train(params, opt, *args, **kwargs):
+            history = real_train(params, opt, *args, **kwargs)
+            final["ckpt"] = oracles.joined_checkpoint_bytes(params, opt)
+            return history
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        return final
+
+    def test_last_best_epoch_links_final_checkpoint(self, workdir, tmp_path,
+                                                    monkeypatch):
+        final = self.final_state_bytes(monkeypatch)
+        csv = tmp_path / "t.csv"
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "3",
+                                        "--seed", "0", "--train-csv",
+                                        str(csv))) == 0
+        losses = [float(r[2]) for r in self.epoch_rows(csv)]
+        assert losses[-1] == min(losses)
+        model, best = tmp_path / "model.ckpt", tmp_path / "best.ckpt"
+        assert os.stat(model).st_ino == os.stat(best).st_ino
+        assert model.read_bytes() == final["ckpt"]
+        _, opt = nw.load_checkpoint(model)
+        assert opt.epoch == 3
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "model.ckpt",
+                                                "t.csv"]
+
+    def test_failed_link_writes_final_checkpoint(self, workdir, tmp_path,
+                                                 monkeypatch):
+        final = self.final_state_bytes(monkeypatch)
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", src)
+
+        monkeypatch.setattr(os, "link", cross_device)
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
+                                        "--seed", "0")) == 0
+        model, best = tmp_path / "model.ckpt", tmp_path / "best.ckpt"
+        assert os.stat(model).st_ino != os.stat(best).st_ino
+        assert model.read_bytes() == final["ckpt"] == best.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "model.ckpt"]
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_one_file_for_both_checkpoints(self, workdir, tmp_path,
+                                           monkeypatch, spelling):
+        # the final checkpoint names the best one's file: nothing is
+        # linked or written after the best save, and no *.tmp is left
+        final = self.final_state_bytes(monkeypatch)
+        best = tmp_path / "m.ckpt"
+        out = {"same": best, "dot": tmp_path / "." / "m.ckpt",
+               "symlink": tmp_path / "link.ckpt"}[spelling]
+        if spelling == "symlink":
+            out.symlink_to(best)
+        for epochs in ("1", "2"):
+            args = list(self.train_args(workdir, tmp_path, "--epochs",
+                                        epochs, "--seed", "0"))
+            args[args.index("--checkpoint-out") + 1] = str(out)
+            args[args.index("--best-checkpoint-out") + 1] = str(best)
+            assert run_cli(*args) == 0
+            assert not [n for n in os.listdir(tmp_path)
+                        if n.endswith(".tmp")]
+            assert out.is_symlink() == (spelling == "symlink")
+            assert out.read_bytes() == final["ckpt"]
+            _, opt = nw.load_checkpoint(out)
+            assert opt.epoch == int(epochs)
+
+    def test_resume_from_best_runs_the_next_epoch(self, workdir, tmp_path):
+        csv = tmp_path / "t.csv"
+        assert run_cli(*self.train_args(
+            workdir, tmp_path, "--train-csv", str(csv), "--epochs", "4",
+            "--lr0", "12", "--lambda2", "0.3", "--seed", "2")) == 0
+        losses = [float(r[2]) for r in self.epoch_rows(csv)]
+        best_epoch = losses.index(min(losses))
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        args = list(self.train_args(
+            workdir, resumed, "--train-csv", str(resumed / "t.csv"),
+            "--epochs", "1", "--lambda2", "0.3", "--seed", "2",
+            "--checkpoint-in", str(tmp_path / "best.ckpt")))
+        assert run_cli(*args) == 0
+        assert [r[0] for r in self.epoch_rows(resumed / "t.csv")] == [
+            str(best_epoch + 1)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rerun_replaces_linked_checkpoints(self, workdir, tmp_path):
+        model, best = tmp_path / "model.ckpt", tmp_path / "best.ckpt"
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
+                                        "--seed", "0")) == 0
+        first = model.read_bytes()
+        keep = tmp_path / "keep"
+        keep.mkdir()
+        os.link(model, keep / "first.ckpt")
+        # a run that fails before its first checkpoint leaves both files
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
+                                        "--seed", "0", "--lr0",
+                                        "1e200")) == 2
+        assert model.read_bytes() == first == best.read_bytes()
+        assert os.stat(model).st_ino == os.stat(best).st_ino
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
+                                        "--seed", "1")) == 0
+        second = model.read_bytes()
+        assert second != first and best.read_bytes() == second
+        assert os.stat(model).st_ino == os.stat(best).st_ino
+        # each file was replaced, never edited: the old inode is whole
+        assert (keep / "first.ckpt").read_bytes() == first
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "keep",
+                                                "model.ckpt"]
 
     def test_train_csv_shape(self, workdir):
         lines = (workdir["ret"] / "train.csv").read_text().splitlines()

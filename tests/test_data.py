@@ -1,5 +1,6 @@
 """Tests for feature files, pair files, graphs, batching, generators."""
 
+import errno
 import os
 import re
 import struct
@@ -319,6 +320,28 @@ class TestAtomicWrite:
                 raise RuntimeError("interrupted")
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_link_replaces_target_or_keeps_it(self, tmp_path, monkeypatch):
+        src, dst = tmp_path / "src.bin", tmp_path / "dst.bin"
+        src.write_bytes(b"new")
+        dst.write_bytes(b"old")
+
+        def refused(tmp, path):
+            raise PermissionError(errno.EACCES, "refused", str(path))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refused)
+            with pytest.raises(PermissionError):
+                data.atomic_link(src, dst)
+        assert dst.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["dst.bin", "src.bin"]
+        data.atomic_link(src, dst)
+        assert os.path.samefile(src, dst)
+        # already one file: linking again would leave the temporary name
+        data.atomic_link(src, dst)
+        data.atomic_link(src, tmp_path / "." / "src.bin")
+        assert sorted(os.listdir(tmp_path)) == ["dst.bin", "src.bin"]
+        assert src.read_bytes() == b"new"
 
     @pytest.mark.parametrize("save, good, bad", [
         (data.save_pair_file, [("a", "b")], [("c", "d"), ("e",)]),

@@ -366,6 +366,27 @@ class TestCorpusIO:
         with pytest.raises(FormatError):
             ev.load_corpus_rows(path)
 
+    @pytest.mark.parametrize("faults, first", [
+        (("im_a\tQ\tcat\t0\t0\t5\t5\t0", "im_a\tP\tcat\t0"),
+         ":2: kind must be P or G, got 'Q'"),
+        (("im_a\tP\tcat\t0\t0\t5\t5\t0\tx", "im_a\tP\tcat\t0\t0\t5\tfive"),
+         ":2: expected 7 or 8 tab-separated columns, got 9"),
+        (("im_a\tG\tcat\t0\t0\t5\t5\t1.5", "im_a\tQ\tcat\t0\t0\t5\t5"),
+         ":2: invalid literal for int() with base 10: '1.5'"),
+        (("im_a\tG\tcat\t0\t0\t5\t5", "im_a\tP\tcat\t0\t0\t5\tfive\t0"),
+         ":3: could not convert string to float: 'five'")])
+    def test_first_faulty_line_is_named(self, tmp_path, faults, first):
+        # the file is parsed a column at a time, but the message is
+        # still the first faulty line's, whatever its fault
+        path = tmp_path / "corpus.tsv"
+        path.write_text("\n".join(["im_a\tP\tcat\t0.0\t0.0\t5.0\t5.0\t0",
+                                   *faults]) + "\n")
+        for load in (ev.load_corpus_rows, lambda p: ev.load_corpus_file(
+                p, *tiny_sets())):
+            with pytest.raises(FormatError) as got:
+                load(str(path))
+            assert str(got.value) == f"{path}{first}"
+
     def test_grouping(self):
         phrases, regions = tiny_sets()
         corpus = ev.corpus_from_rows(corpus_rows_fixture(), phrases, regions)
