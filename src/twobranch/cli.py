@@ -468,6 +468,11 @@ def _write_split(out_dir, prefix, syn, mask_x, mask_y):
 
 
 def cmd_grad_check(args):
+    if args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
+    if not 0.0 < args.tolerance < float("inf"):
+        raise ConfigError(
+            f"tolerance must be finite and > 0, got {args.tolerance}")
     worst = 0.0
     failed = []
     for seed in range(args.seeds):

@@ -509,6 +509,14 @@ class SyntheticData:
     map_y: np.ndarray
 
 
+def _check_noise_sigma(noise_sigma):
+    """Raise ConfigError unless noise_sigma is finite and >= 0: a NaN or
+    infinite scale would write non-finite features."""
+    if not 0.0 <= noise_sigma < float("inf"):
+        raise ConfigError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+
+
 def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
                   feat_dim_x, feat_dim_y, noise_sigma, seed,
                   latent_dim=16):
@@ -529,8 +537,7 @@ def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
                     ("feat_dim_y", feat_dim_y)):
         if v < 1:
             raise ConfigError(f"{name} must be >= 1, got {v}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     latents = rng.normal(size=(num_clusters, latent_dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
@@ -655,10 +662,10 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
                          ("feat_dim_region", feat_dim_region, 1),
                          ("feat_dim_phrase", feat_dim_phrase, 1),
                          ("jitter_per_gt", jitter_per_gt, 0),
-                         ("background_per_image", background_per_image, 0),
-                         ("noise_sigma", noise_sigma, 0)):
+                         ("background_per_image", background_per_image, 0)):
         if v < low:
             raise ConfigError(f"{name} must be >= {low}, got {v}")
+    _check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     latents = rng.normal(size=(num_phrases, latent_dim))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)

@@ -9,12 +9,26 @@ across views.  Parameters live in plain dataclasses of float64 arrays;
 the backward pass is hand-derived by chaining the tensor_core layer
 backwards in reverse.  Checkpoints serialize every tensor, the running
 batch-norm statistics and the optimizer state to a single binary file.
+
+The dense products of an eval forward pass and of the SGD step's
+first-layer weight gradients run over independent row slabs, which
+``_map_slabs`` spreads over SLAB_WORKERS threads.  That is more than one
+only when the BLAS thread count is pinned below the CPUs this process
+may use, so the slabs fill the CPUs a single-threaded BLAS leaves idle;
+with BLAS left to use every CPU, the slabs run one after another on the
+calling thread.  The bits never depend on the worker count: each slab
+writes only its own rows, and a product over a slab of two or more
+rows has the bits of the same rows of the whole product.  The calling
+thread allocates every slab-sized buffer, so that freed temporaries do
+not pile up in the workers' own malloc arenas.
 """
 
+import functools
 import hashlib
 import os
+import queue
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from math import prod, sqrt
 
@@ -44,12 +58,46 @@ _LEARNED_RECORDS = _BRANCH_RECORDS[:6]
 SGD_BLOCK = 1 << 15
 
 # Floats per row slab of the SGD update: the update forms a first-layer
-# weight gradient one slab at a time (512 rows at 2048 columns).  An
-# eval forward pass runs in row slabs of about as many hidden-layer
-# floats, also 512 rows at the paper shape: each slab's first product
-# packs the whole first-layer weight again, and slabs sized by 6000
-# input floats (174 rows) made that forward pass about 3% slower.
+# weight gradient one slab at a time (512 rows at 2048 columns), each
+# running slab into its own buffer.  These bounds do not depend on the
+# worker count, since the returned norms sum per-block partial sums in
+# slab order.  An eval forward pass runs in row slabs of about
+# GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats (512 rows at the
+# paper shape on one worker, 256 on two), so the slabs in flight hold
+# about one slab's worth whatever the worker count; its bits do not
+# depend on the bounds.  Each slab's first product packs the whole
+# first-layer weight again, and slabs sized by 6000 input floats (174
+# rows) made the one-worker forward pass about 3% slower.
 GRAD_SLAB_FLOATS = 1 << 20
+
+# BLAS libraries read their thread count from the first of these that
+# holds a positive integer.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _slab_workers(environ):
+    """Threads for independent row slabs: the CPUs this process may use
+    divided by the BLAS thread count named in ``environ``, at least 1.
+
+    With no BLAS thread count named, BLAS already splits each product
+    over every CPU, so the slabs run on the calling thread alone.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            blas_threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas_threads >= 1:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:
+                cpus = os.cpu_count() or 1
+            return max(1, cpus // blas_threads)
+    return 1
+
+
+SLAB_WORKERS = _slab_workers(os.environ)
 
 
 @dataclass(frozen=True)
@@ -201,16 +249,19 @@ def forward_branch(params, branch, inputs, mode, rng=None):
 
     Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  In
     train mode the layers run once over all rows.  In eval mode they run
-    over the row slabs of ``_row_slabs`` (about GRAD_SLAB_FLOATS
-    hidden-layer floats each), each slab widened on its own and its
-    embeddings written into one (n, embed_dim) output, so the pass
-    never holds a widened copy of all inputs or their whole hidden
-    layer.  The bits are those of one pass over all rows: every eval
-    layer is row-local (the two products, ReLU, identity dropout, batch
-    norm with running statistics and the row L2 norm), and a slab has
-    at least 2 rows unless the input has 1, so no slab's product takes
-    numpy's one-row matrix-vector path where the whole product would
-    not.
+    over the row slabs of ``_row_slabs`` (about GRAD_SLAB_FLOATS /
+    SLAB_WORKERS hidden-layer floats each) on up to SLAB_WORKERS
+    threads, each slab's embeddings written into its rows of one
+    (n, embed_dim) output, so the pass never holds a widened copy of
+    all inputs or their whole hidden layer.  The calling thread
+    allocates each worker's widened-input and hidden-layer buffers,
+    which the slabs fill through np.copyto and np.matmul(..., out=).
+    The bits are those of one pass over all rows, whatever the worker
+    count and slab bounds: every eval layer is row-local (the two
+    products, ReLU, identity dropout, batch norm with running statistics
+    and the row L2 norm), and a slab has at least 2 rows unless the
+    input has 1, so no slab's product takes numpy's one-row
+    matrix-vector path where the whole product would not.
 
     Args:
         params: NetworkParams.
@@ -239,17 +290,8 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             f"branch {branch}: inputs have {inputs.shape[1]} columns, "
             f"expected {spec.input_dim}"
         )
-    if mode != "eval":
-        return _run_layers(params, spec, p, inputs, mode, rng)
-    emb = np.empty((inputs.shape[0], spec.embed_dim))
-    for start, stop in _row_slabs(inputs.shape[0], spec.hidden_dim):
-        emb[start:stop], _ = _run_layers(params, spec, p,
-                                         inputs[start:stop], mode, rng)
-    return emb, None
-
-
-def _run_layers(params, spec, p, inputs, mode, rng):
-    """forward_branch's layer sequence over all rows of ``inputs``."""
+    if mode == "eval":
+        return _eval_forward(params, spec, p, inputs), None
     h, t_aff1 = tc.affine_forward(inputs, p.w1, p.b1)
     h, t_relu = tc.relu_forward(h)
     h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
@@ -259,9 +301,51 @@ def _run_layers(params, spec, p, inputs, mode, rng):
         momentum=params.bn_momentum, eps=params.bn_eps,
     )
     emb, t_norm = tc.l2_normalize_rows(h)
-    if mode == "eval":
-        return emb, None
     return emb, BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)
+
+
+def _eval_forward(params, spec, p, inputs):
+    """forward_branch's eval pass over the row slabs of ``inputs``.
+
+    Each slab runs the eval layers of tc (affine, ReLU, identity
+    dropout, affine, batch norm with running statistics, row L2 norm)
+    with their operations in their order, so with their bits, but in
+    place in its worker's scratch and into its rows of the output.
+    """
+    n, d_in = inputs.shape
+    hidden, embed = spec.hidden_dim, spec.embed_dim
+    slabs = list(_row_slabs(n, hidden, SLAB_WORKERS))
+    rows = max((stop - start for start, stop in slabs), default=0)
+    # a float64 C-contiguous input's slabs are read in place
+    widen = not (inputs.dtype == np.float64 and inputs.flags.c_contiguous)
+    # columns of the widened input, hidden layer, output and its squares
+    widths = (d_in * widen, hidden, embed, embed)
+    bn_std = np.sqrt(p.running_var + params.bn_eps)
+    emb = np.empty((n, embed))
+
+    def slab(start, stop, scratch):
+        x_buf, h_buf, o_buf, sq_buf = (
+            buf[:(stop - start) * cols].reshape(stop - start, cols)
+            for buf, cols in zip(scratch, widths))
+        x = inputs[start:stop]
+        if widen:
+            np.copyto(x_buf, x)
+            x = x_buf
+        np.matmul(x, p.w1, out=h_buf)
+        h_buf += p.b1
+        np.multiply(h_buf, h_buf > 0.0, out=h_buf)
+        np.matmul(h_buf, p.w2, out=o_buf)
+        o_buf += p.b2
+        o_buf -= p.running_mean
+        o_buf /= bn_std
+        o_buf *= p.gamma
+        o_buf += p.beta
+        np.multiply(o_buf, o_buf, out=sq_buf)
+        norms = np.maximum(np.sqrt(sq_buf.sum(axis=1)), tc.EPS_NORM)
+        np.divide(o_buf, norms[:, None], out=emb[start:stop])
+
+    _map_slabs(slab, slabs, [rows * cols for cols in widths])
+    return emb
 
 
 def backward_branch(tapes, grad_emb):
@@ -290,47 +374,86 @@ def _learned_tensors(params):
             yield f"{prefix}.{attr}", getattr(bp, attr)
 
 
-def _row_slabs(rows, row_floats):
-    """(start, stop) row ranges of about GRAD_SLAB_FLOATS floats.
+def _row_slabs(rows, row_floats, workers=1):
+    """(start, stop) row ranges of about GRAD_SLAB_FLOATS / workers
+    floats.
 
     A slab has at least two rows unless the tensor has one: a one-row
     tail joins the slab before it, since a product with a one-row
     operand takes numpy's matrix-vector path, whose bits can differ from
     the same row of the whole product.
     """
-    height = max(2, GRAD_SLAB_FLOATS // row_floats)
+    height = max(2, GRAD_SLAB_FLOATS // (row_floats * workers))
     bounds = list(range(0, rows, height)) + [rows]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return zip(bounds[:-1], bounds[1:])
 
 
-def _update_blocks(theta, grad, vel):
-    """Yield matching flat blocks of theta, grad and vel, at most
-    SGD_BLOCK floats each, one row slab after another; a WeightGrad
-    forms each slab's rows as the walk reaches it."""
-    for start, stop in _row_slabs(theta.shape[0], prod(theta.shape[1:])):
-        rows = (grad.rows(start, stop) if isinstance(grad, tc.WeightGrad)
-                else grad[start:stop])
-        flat = [a.reshape(-1) for a in (theta[start:stop], rows,
-                                        vel[start:stop])]
-        for block in range(0, flat[0].size, SGD_BLOCK):
-            yield tuple(a[block:block + SGD_BLOCK] for a in flat)
+@functools.cache
+def _slab_pool(workers):
+    return ThreadPoolExecutor(max_workers=workers,
+                              thread_name_prefix="twobranch-slab")
+
+
+def _map_slabs(fn, slabs, scratch_floats):
+    """[fn(start, stop, scratch) for each slab], in slab order, run on up
+    to SLAB_WORKERS threads.
+
+    A scratch is a list of flat float64 arrays, one of each size in
+    ``scratch_floats``, and a queue hands each worker's scratch from one
+    running slab to the next.  The calling thread allocates all of them
+    as one block, so the workers allocate no slab-sized array of their
+    own (glibc keeps what a thread frees in that thread's arena), and
+    at the paper shape the block is large enough for malloc to map it
+    from the system and unmap it when the call ends, rather than leave
+    holes in the heap that later, larger arrays cannot reuse.  No slab
+    is still running when this returns or raises; the first exception
+    in slab order propagates.
+    """
+    slabs = list(slabs)
+    workers = min(SLAB_WORKERS, len(slabs))
+    parts = len(scratch_floats)
+    bounds = np.cumsum((0,) + tuple(scratch_floats) * workers)
+    block = np.empty(bounds[-1])
+    views = [block[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    free = queue.SimpleQueue()
+    for w in range(workers):
+        free.put(views[w * parts:(w + 1) * parts])
+
+    def run(start, stop):
+        scratch = free.get()
+        try:
+            return fn(start, stop, scratch)
+        finally:
+            free.put(scratch)
+
+    if workers <= 1:
+        return [run(start, stop) for start, stop in slabs]
+    jobs = [_slab_pool(SLAB_WORKERS).submit(run, start, stop)
+            for start, stop in slabs]
+    wait(jobs)
+    return [job.result() for job in jobs]
 
 
 def sgd_step(params, opt, grads):
     """Apply one momentum-SGD update in place.
 
     Each tensor is walked in row slabs of about GRAD_SLAB_FLOATS floats,
-    and each slab in contiguous flat blocks of SGD_BLOCK floats through
-    one small reused scratch, so the update streams through memory once
-    instead of once per operation.  A slab's gradient is a view of an
-    array gradient or one product of a tc.WeightGrad, so beyond the
-    parameters and velocities the step holds one slab of a first-layer
-    gradient (8 MB), never the whole matrix (98 MB for y.w1 at the
-    paper shape).  Every element sees the formula's operations in the
-    formula's order, and a WeightGrad slab has the bits of the whole
-    product's rows, so the bits depend on neither size.
+    on up to SLAB_WORKERS threads, and each slab in contiguous flat
+    blocks of SGD_BLOCK floats through a small scratch, so the update
+    streams through memory once instead of once per operation.  A
+    slab's gradient is a view of an array gradient or one product of a
+    tc.WeightGrad, formed into a buffer the calling thread allocated for
+    its worker, so beyond the parameters and velocities the step holds
+    one slab of a first-layer gradient per worker (8 MB), never the
+    whole matrix (98 MB for y.w1 at the paper shape).  Every element
+    sees the formula's operations in the formula's order, a slab writes
+    only its own rows of theta and velocity, and a WeightGrad slab has
+    the bits of the whole product's rows, so the bits depend on neither
+    size nor on the worker count.  The slab bounds do not depend on
+    the worker count either, and each slab returns its per-block sums,
+    which are added in block order, so the norms keep their bits too.
 
     Every shape and contiguity is checked before the first write: a
     rejected call leaves the parameters and velocities as they were and
@@ -369,30 +492,58 @@ def sgd_step(params, opt, grads):
         if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
             raise ContractViolationError(
                 f"{name}: SGD updates C-contiguous tensors in place")
-    scratch = np.empty(SGD_BLOCK)
     norms = {}
     for name, theta in _learned_tensors(params):
         vel = opt.velocity.get(name)
         if vel is None:
             # a zero start, not a copy of grad: 0 + -0.0 is +0.0
             vel = opt.velocity[name] = np.zeros_like(theta)
-        decayed = name.endswith(_DECAYED_SUFFIXES)
         sq = 0.0
-        for t, g, v in _update_blocks(theta, grads[name], vel):
-            sq += float(np.dot(g, g))
-            # the scratch holds the decay term, then lr * vel
-            s = scratch[:t.size]
-            v *= opt.momentum
-            if decayed:
-                np.multiply(opt.weight_decay, t, out=s)
-                s += g
-                v += s
-            else:
-                v += g
-            np.multiply(opt.lr, v, out=s)
-            t -= s
+        for sums in _step_slabs(theta, grads[name], vel, opt,
+                                name.endswith(_DECAYED_SUFFIXES)):
+            for block_sq in sums:
+                sq += float(block_sq)
         norms[name] = sqrt(sq)
     return norms
+
+
+def _step_slabs(theta, grad, vel, opt, decayed):
+    """Update one tensor's row slabs in place, on up to SLAB_WORKERS
+    threads; returns each slab's list of per-block sums of squared
+    gradient entries, in slab order."""
+    cols = prod(theta.shape[1:])
+    slabs = list(_row_slabs(theta.shape[0], cols))
+    floats = max((stop - start) * cols for start, stop in slabs)
+    formed = isinstance(grad, tc.WeightGrad)
+
+    def slab(start, stop, scratch):
+        rows_buf, block_buf = scratch
+        if formed:
+            rows = grad.rows(start, stop, out=rows_buf[:(stop - start) * cols]
+                             .reshape(stop - start, cols))
+        else:
+            rows = grad[start:stop]
+        t, g, v = (a.reshape(-1) for a in (theta[start:stop], rows,
+                                           vel[start:stop]))
+        sums = []
+        for block in range(0, t.size, SGD_BLOCK):
+            tb, gb, vb = (a[block:block + SGD_BLOCK] for a in (t, g, v))
+            sums.append(np.dot(gb, gb))
+            # the scratch holds the decay term, then lr * vel
+            sb = block_buf[:tb.size]
+            vb *= opt.momentum
+            if decayed:
+                np.multiply(opt.weight_decay, tb, out=sb)
+                sb += gb
+                vb += sb
+            else:
+                vb += gb
+            np.multiply(opt.lr, vb, out=sb)
+            tb -= sb
+        return sums
+
+    return _map_slabs(slab, slabs, (floats if formed else 0,
+                                    min(floats, SGD_BLOCK)))
 
 
 def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):

@@ -138,11 +138,12 @@ def affine_backward(grad_out, tape):
 class WeightGrad:
     """The weight gradient x.T @ grad_out of an affine layer, unformed.
 
-    ``rows(start, stop)`` forms rows start:stop of it, so a consumer
-    that walks it in slabs never holds the whole (d_in, d_out) matrix;
-    ``np.asarray`` forms all of it.  A slab of two or more rows has the
-    bits of the same rows of the whole product (a one-row operand takes
-    numpy's matrix-vector path, whose bits can differ).
+    ``rows(start, stop)`` forms rows start:stop of it, into ``out``
+    when given, so a consumer that walks it in slabs never holds the
+    whole (d_in, d_out) matrix; ``np.asarray`` forms all of it.  A slab
+    of two or more rows has the bits of the same rows of the whole
+    product (a one-row operand takes numpy's matrix-vector path, whose
+    bits can differ).
     """
 
     def __init__(self, x, grad_out):
@@ -153,8 +154,8 @@ class WeightGrad:
     def shape(self):
         return (self.x.shape[1], self.grad_out.shape[1])
 
-    def rows(self, start, stop):
-        return self.x[:, start:stop].T @ self.grad_out
+    def rows(self, start, stop, out=None):
+        return np.matmul(self.x[:, start:stop].T, self.grad_out, out=out)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.x.T @ self.grad_out, dtype=dtype)

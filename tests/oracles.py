@@ -937,3 +937,18 @@ def full_backward_branch(tapes, grad_emb):
         "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
         "gamma": g_gamma, "beta": g_beta,
     }
+
+
+def eval_forward(params, branch, inputs):
+    """forward_branch's eval pass as one chain of the tc layers over all
+    rows, widened to float64 first."""
+    spec, p = ((params.spec_x, params.x) if branch == "x"
+               else (params.spec_y, params.y))
+    h, _ = tc.affine_forward(as_matrix(inputs), p.w1, p.b1)
+    h, _ = tc.relu_forward(h)
+    h, _ = tc.dropout_forward(h, spec.dropout_p, "eval")
+    h, _ = tc.affine_forward(h, p.w2, p.b2)
+    h, _ = tc.batchnorm_forward(h, p.gamma, p.beta, p.running_mean,
+                                p.running_var, "eval",
+                                momentum=params.bn_momentum, eps=params.bn_eps)
+    return tc.l2_normalize_rows(h)[0]

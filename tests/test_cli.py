@@ -701,7 +701,33 @@ class TestGenSynthetic:
         assert run_cli("gen-synthetic", "--out-dir", str(out), *args) == 1
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("mode", ["retrieval", "localization"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_exits_one(self, tmp_path, mode, sigma):
+        # the parent wrote feature files that load_feature_file rejects
+        out = tmp_path / "out"
+        assert run_cli("gen-synthetic", "--out-dir", str(out), "--mode",
+                       mode, "--noise-sigma", sigma) == 1
+        assert not out.exists() or os.listdir(out) == []
+
 
 class TestGradCheckCommand:
     def test_passes_on_fresh_init(self):
         assert run_cli("grad-check", "--seeds", "2") == 0
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exits_one(self, seeds, caplog):
+        # no seed checked is no pass
+        caplog.set_level("INFO")
+        assert run_cli("grad-check", f"--seeds={seeds}") == 1
+        assert "seeds must be >= 1" in caplog.text
+        assert "passed" not in caplog.text
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+    def test_unusable_tolerance_exits_one(self, tolerance, caplog):
+        # err >= nan is never true, so NaN would pass every check
+        caplog.set_level("INFO")
+        assert run_cli("grad-check", "--seeds", "1",
+                       f"--tolerance={tolerance}") == 1
+        assert "tolerance must be finite and > 0" in caplog.text
+        assert "passed" not in caplog.text

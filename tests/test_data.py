@@ -651,6 +651,12 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             data.gen_synthetic(1, 1, 1, 4, 4, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, sigma):
+        # a NaN or infinite scale would make non-finite features
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            data.gen_synthetic(2, 1, 1, 4, 4, sigma, seed=0)
+
 
 class TestGenLocalization:
     def setup_method(self):
@@ -728,6 +734,11 @@ class TestGenLocalization:
                           ("noise_sigma", -0.5)):
             with pytest.raises(ConfigError, match=name):
                 data.gen_localization(**{**args, name: bad})
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            data.gen_localization(2, 1, 4, 4, seed=0, noise_sigma=sigma)
 
     def test_zero_jitter_and_background(self):
         d = data.gen_localization(2, 1, 4, 4, seed=0, jitter_per_gt=0,

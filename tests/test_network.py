@@ -1,10 +1,13 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
+import copy
 import hashlib
 import os
 import re
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -32,6 +35,19 @@ def big_state():
     nw.sgd_step(p, opt, {name: np.ones_like(t)
                          for name, t in nw._learned_tensors(p)})
     return p, opt
+
+
+def with_eval_terms(p, seed):
+    """``p`` with random biases, batch-norm affine terms and running
+    statistics, so that no eval layer is an identity."""
+    rng = np.random.default_rng(seed)
+    for bp in (p.x, p.y):
+        for name in ("b1", "b2", "beta", "running_mean"):
+            v = getattr(bp, name)
+            v[...] = rng.normal(scale=0.1, size=v.shape)
+        bp.gamma[...] = rng.uniform(0.5, 1.5, size=bp.gamma.shape)
+        bp.running_var[...] = rng.uniform(0.5, 2.0, size=bp.running_var.shape)
+    return p
 
 
 def same_bits(a, b):
@@ -159,22 +175,16 @@ class TestEvalSlabs:
     def paper(self):
         """Paper-shape parameters with non-trivial biases, batch-norm
         affine terms and running statistics."""
-        p = nw.init_params(nw.BranchSpec(4096, 2048, 512),
-                           nw.BranchSpec(6000, 2048, 512), seed=4)
-        rng = np.random.default_rng(12)
-        for bp in (p.x, p.y):
-            for name in ("b1", "b2", "beta", "running_mean"):
-                v = getattr(bp, name)
-                v[...] = rng.normal(scale=0.1, size=v.shape)
-            bp.gamma[...] = rng.uniform(0.5, 1.5, size=bp.gamma.shape)
-            bp.running_var[...] = rng.uniform(0.5, 2.0,
-                                              size=bp.running_var.shape)
-        return p
+        return with_eval_terms(nw.init_params(
+            nw.BranchSpec(4096, 2048, 512), nw.BranchSpec(6000, 2048, 512),
+            seed=4), seed=12)
 
     @staticmethod
     def assert_matches_whole(monkeypatch, params, branch, inputs):
         got, tapes = nw.forward_branch(params, branch, inputs, "eval")
         assert tapes is None and got.dtype == np.float64
+        # the slabs run the tc layers' operations in place
+        assert same_bits(got, oracles.eval_forward(params, branch, inputs))
         with monkeypatch.context() as m:
             m.setattr(nw, "GRAD_SLAB_FLOATS", 1 << 62)
             whole, _ = nw.forward_branch(
@@ -185,9 +195,9 @@ class TestEvalSlabs:
     @pytest.mark.parametrize("branch, n", [
         ("y", 1), ("y", 2), ("y", 3), ("y", 513), ("y", 700), ("x", 513)])
     def test_paper_shape(self, paper, monkeypatch, dtype, branch, n):
-        # slabs hold 512 rows at 2048 hidden units: 513 rows fold a
-        # one-row tail into the slab before, and 700 end on a ragged
-        # slab of 188
+        # slabs hold 512 rows at 2048 hidden units on one worker and 256
+        # on two: 513 rows fold a one-row tail into the slab before, and
+        # 700 end on a ragged slab of 188
         d_in = paper.spec_x.input_dim if branch == "x" \
             else paper.spec_y.input_dim
         inputs = np.random.default_rng(n).normal(size=(n, d_in)) \
@@ -220,6 +230,174 @@ class TestEvalSlabs:
             tracemalloc.stop()
         assert emb.shape == (4000, 16)
         assert peak < 0.25 * inputs.nbytes
+
+
+class TestSlabWorkers:
+    """Row slabs run on SLAB_WORKERS threads, and the worker count must
+    not change a bit of any result."""
+
+    WORKERS = (1, 2, 3)
+
+    @pytest.mark.parametrize("environ, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"MKL_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}, 1)])
+    def test_worker_count_rule(self, monkeypatch, environ, workers):
+        # unset, zero or non-numeric counts leave BLAS on every CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert nw._slab_workers(environ) == workers
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert nw._slab_workers({"OPENBLAS_NUM_THREADS": "1"}) == 6
+        assert nw._slab_workers({"OPENBLAS_NUM_THREADS": "4"}) == 1
+
+    @staticmethod
+    def eval_params():
+        return with_eval_terms(nw.init_params(
+            nw.BranchSpec(30, 64, 8), nw.BranchSpec(40, 64, 8), seed=21),
+            seed=21)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_bits_independent_of_workers(self, monkeypatch, dtype):
+        # 12 rows of 64 hidden units per slab on one worker, 6 on two and
+        # 4 on three; each worker count also meets one slab plus a row
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 12 * 64)
+        p = self.eval_params()
+        for n in (1, 2, 3, 5, 7, 13, 50):
+            inputs = np.random.default_rng(n).normal(size=(n, 40)) \
+                .astype(dtype)
+            want = oracles.eval_forward(p, "y", inputs)
+            for workers in self.WORKERS:
+                monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+                got, _ = nw.forward_branch(p, "y", inputs, "eval")
+                assert same_bits(got, want), (n, workers)
+
+    def test_sgd_bits_independent_of_workers(self, monkeypatch):
+        # slabs of 2 rows of 5 floats and blocks of 7: both first-layer
+        # gradients are WeightGrads walked in several slabs
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
+        monkeypatch.setattr(nw, "SGD_BLOCK", 7)
+        results = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+            p = small_params(seed=22)
+            opt = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
+                                    weight_decay=0.0005)
+            rng = np.random.default_rng(22)
+            norms = []
+            for _ in range(3):
+                grads = {name: rng.normal(size=t.shape)
+                         for name, t in nw._learned_tensors(p)}
+                for view, d_in in (("x", 6), ("y", 7)):
+                    grads[f"{view}.w1"] = tc.WeightGrad(
+                        rng.normal(size=(9, d_in)), rng.normal(size=(9, 5)))
+                norms.append(nw.sgd_step(p, opt, grads))
+            results.append((p, opt, norms))
+        p0, opt0, norms0 = results[0]
+        for p, opt, norms in results[1:]:
+            assert norms == norms0
+            for (name, a), (_, b) in zip(nw._learned_tensors(p),
+                                         nw._learned_tensors(p0)):
+                assert same_bits(a, b), name
+                assert same_bits(opt.velocity[name], opt0.velocity[name])
+
+    def test_train_step_bits_independent_of_workers(self, monkeypatch):
+        from twobranch import data, training
+        from twobranch.loss_mining import LossConfig
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 48)
+        d = data.gen_synthetic(6, 1, 5, 20, 16, 0.05, seed=23)
+        results = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+            p = nw.init_params(nw.BranchSpec(20, 24, 12, 0.5),
+                               nw.BranchSpec(16, 24, 12, 0.5), seed=23)
+            opt = nw.OptimizerState()
+            rng = np.random.default_rng(23)
+            losses = []
+            for _ in range(3):
+                batch = oracles.sample_minibatch(d.graph, 5, True, rng)
+                losses.append(training.train_step(
+                    p, opt, batch, d.x, d.y, LossConfig(lambda2=0.3), rng))
+            results.append((p, opt, losses))
+        p0, opt0, losses0 = results[0]
+        for p, opt, losses in results[1:]:
+            assert losses == losses0
+            for name, a in nw._named_tensors(p, opt).items():
+                assert same_bits(a, nw._named_tensors(p0, opt0)[name]), name
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # 2-row slabs on 8 workers, switching threads every microsecond:
+        # a scratch shared by two running slabs or a lost row would show
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 2 * 64)
+        p = self.eval_params()
+        inputs = np.random.default_rng(24).normal(size=(61, 40)) \
+            .astype(np.float32)
+        grads = {name: np.asarray(g) for name, g in
+                 oracles.full_backward_branch(
+                     nw.forward_branch(p, "y", inputs, "train",
+                                       rng=np.random.default_rng(24))[1],
+                     np.ones((61, 8))).items()}
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 8):
+                monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+                q = copy.deepcopy(p)
+                opt = nw.OptimizerState()
+                norms = nw.sgd_step(q, opt, {
+                    **{f"x.{k}": np.zeros_like(getattr(q.x, k))
+                       for k in nw._LEARNED_RECORDS},
+                    **{f"y.{k}": g for k, g in grads.items()}})
+                emb, _ = nw.forward_branch(q, "y", inputs, "eval")
+                results.append((emb, q.y.w1.copy(), norms))
+        finally:
+            sys.setswitchinterval(interval)
+        (emb1, w1, norms1), (emb8, w8, norms8) = results
+        assert same_bits(emb8, emb1) and same_bits(w8, w1)
+        assert norms8 == norms1
+
+    def test_slabs_run_on_workers_and_errors_reach_caller(self, monkeypatch):
+        monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
+        ran, threads = [], set()
+
+        def slab(start, stop, scratch):
+            threads.add(threading.get_ident())
+            ran.append(start)
+            assert [len(buf) for buf in scratch] == [4, 0]
+            if start == 2:
+                raise ValueError("slab 2 failed")
+            time.sleep(0.01)
+            return start
+
+        slabs = [(i, i + 1) for i in range(9)]
+        assert nw._map_slabs(slab, slabs[:2] + slabs[3:], (4, 0)) == \
+            [0, 1, 3, 4, 5, 6, 7, 8]
+        assert threading.get_ident() not in threads
+        ran.clear()
+        with pytest.raises(ValueError, match="slab 2 failed"):
+            nw._map_slabs(slab, slabs, (4, 0))
+        # every slab has ended before the error is raised
+        assert sorted(ran) == list(range(9))
+
+    @pytest.mark.parametrize("fault", [
+        "grad_shape", "lazy_grad_shape", "velocity_shape",
+        "param_layout", "velocity_layout"])
+    def test_rejected_step_writes_nothing_on_workers(self, monkeypatch,
+                                                     fault):
+        monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
+        TestSgdStep().test_rejected_step_writes_nothing(fault, warm=True)
 
 
 class TestSchedule:

@@ -96,9 +96,9 @@ class TestWeightGradSlabs:
     @staticmethod
     def assert_slabs_match(n, d_in, d_out, heights, starts=None):
         """rows() of every slab of 2 or more rows, in slabs of each
-        height from row 0 on, equals those rows of x.T @ g bitwise; the
-        slabs checked may be limited to those whose start is in
-        ``starts``."""
+        height from row 0 on, equals those rows of x.T @ g bitwise, also
+        when formed into a given buffer; the slabs checked may be
+        limited to those whose start is in ``starts``."""
         rng = np.random.default_rng(d_in)
         x, g = rng.normal(size=(n, d_in)), rng.normal(size=(n, d_out))
         lazy = tc.WeightGrad(x, g)
@@ -113,6 +113,10 @@ class TestWeightGradSlabs:
                     continue
                 assert lazy.rows(start, stop).tobytes() == \
                     whole[start:stop].tobytes(), (height, start)
+                # sgd_step forms slabs into buffers of its own
+                out = np.empty((stop - start, d_out))
+                assert lazy.rows(start, stop, out=out) is out
+                assert out.tobytes() == whole[start:stop].tobytes()
 
     @pytest.mark.parametrize("n, d_in, d_out", [
         (7, 6, 5), (7, 7, 5), (6, 20, 24), (6, 16, 24), (8, 300, 400),
