@@ -201,7 +201,7 @@ def _load_xy(cfg):
     pairs = data_mod.load_pair_file(cfg.pairs)
     graph = data_mod.build_graph(
         pairs, fx.ids, fy.ids,
-        max_x_per_y=cfg.max_x_per_y if cfg.max_x_per_y > 0 else None)
+        max_x_per_y=cfg.max_x_per_y or None)
     return fx, fy, graph
 
 
@@ -414,12 +414,14 @@ def cmd_gen_synthetic(args):
     if args.heldout_clusters < 0:
         raise ConfigError(
             f"heldout_clusters must be >= 0, got {args.heldout_clusters}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    # the generators check the other arguments; a rejected one leaves
+    # no directory behind
     if args.mode == "retrieval":
         total = args.clusters + args.heldout_clusters
         syn = data_mod.gen_synthetic(
             total, args.images_per_cluster, args.sents_per_image,
             args.dim_x, args.dim_y, args.noise_sigma, args.seed)
+        os.makedirs(args.out_dir, exist_ok=True)
         train_mask_x = syn.x_labels < args.clusters
         train_mask_y = syn.y_labels < args.clusters
         _write_split(args.out_dir, "", syn, train_mask_x, train_mask_y)
@@ -435,6 +437,7 @@ def cmd_gen_synthetic(args):
             jitter_per_gt=args.jitter_per_gt,
             background_per_image=args.background_per_image,
             noise_sigma=args.noise_sigma)
+        os.makedirs(args.out_dir, exist_ok=True)
         data_mod.save_feature_file(
             loc.regions, os.path.join(args.out_dir, "regions.feat"))
         data_mod.save_feature_file(

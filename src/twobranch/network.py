@@ -5,10 +5,11 @@ Each branch maps one view (image features or text features) through
     affine -> ReLU -> dropout -> affine -> batch norm -> row L2 norm
 
 into a shared embedding space where Euclidean distance compares items
-across views.  Parameters live in plain dataclasses of float64 arrays;
-the backward pass is hand-derived by chaining the tensor_core layer
-backwards in reverse.  Checkpoints serialize every tensor, the running
-batch-norm statistics and the optimizer state to a single binary file.
+across views.  Both forward modes run one chain of the tensor_core
+layer forwards, and the backward pass chains their backwards in
+reverse.  Parameters live in plain dataclasses of float64 arrays.
+Checkpoints serialize every tensor, the running batch-norm statistics
+and the optimizer state to a single binary file.
 
 The dense products of an eval forward pass and of the SGD step's
 first-layer weight gradients run over independent row slabs, which
@@ -19,8 +20,9 @@ with BLAS left to use every CPU, the slabs run one after another on the
 calling thread.  The bits never depend on the worker count: each slab
 writes only its own rows, and a product over a slab of two or more
 rows has the bits of the same rows of the whole product.  The calling
-thread allocates every slab-sized buffer, so that freed temporaries do
-not pile up in the workers' own malloc arenas.
+thread allocates every slab-sized buffer, which the layers fill through
+their ``out`` arrays, so that freed temporaries do not pile up in the
+workers' own malloc arenas.
 """
 
 import functools
@@ -61,13 +63,14 @@ SGD_BLOCK = 1 << 15
 # weight gradient one slab at a time (512 rows at 2048 columns), each
 # running slab into its own buffer.  These bounds do not depend on the
 # worker count, since the returned norms sum per-block partial sums in
-# slab order.  An eval forward pass runs in row slabs of about
-# GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats (512 rows at the
-# paper shape on one worker, 256 on two), so the slabs in flight hold
-# about one slab's worth whatever the worker count; its bits do not
-# depend on the bounds.  Each slab's first product packs the whole
-# first-layer weight again, and slabs sized by 6000 input floats (174
-# rows) made the one-worker forward pass about 3% slower.
+# slab order.  An eval forward pass runs its layer chain in row slabs of
+# about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats (512 rows at
+# the paper shape on one worker, 256 on two), into buffers the calling
+# thread allocates, so the slabs in flight hold about one slab's worth
+# whatever the worker count; its bits do not depend on the bounds.  Each
+# slab's first product packs the whole first-layer weight again, and
+# slabs sized by 6000 input floats (174 rows) made the one-worker
+# forward pass about 3% slower.
 GRAD_SLAB_FLOATS = 1 << 20
 
 # BLAS libraries read their thread count from the first of these that
@@ -247,21 +250,22 @@ class BranchTapes:
 def forward_branch(params, branch, inputs, mode, rng=None):
     """Run one branch.
 
-    Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  In
-    train mode the layers run once over all rows.  In eval mode they run
-    over the row slabs of ``_row_slabs`` (about GRAD_SLAB_FLOATS /
-    SLAB_WORKERS hidden-layer floats each) on up to SLAB_WORKERS
-    threads, each slab's embeddings written into its rows of one
-    (n, embed_dim) output, so the pass never holds a widened copy of
-    all inputs or their whole hidden layer.  The calling thread
-    allocates each worker's widened-input and hidden-layer buffers,
-    which the slabs fill through np.copyto and np.matmul(..., out=).
-    The bits are those of one pass over all rows, whatever the worker
-    count and slab bounds: every eval layer is row-local (the two
-    products, ReLU, identity dropout, batch norm with running statistics
-    and the row L2 norm), and a slab has at least 2 rows unless the
-    input has 1, so no slab's product takes numpy's one-row
-    matrix-vector path where the whole product would not.
+    Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  Both
+    modes run one chain of the tc layers.  In train mode it runs once
+    over all rows and each layer allocates its result.  In eval mode it
+    runs on each row slab of ``_row_slabs`` (about GRAD_SLAB_FLOATS /
+    SLAB_WORKERS hidden-layer floats) on up to SLAB_WORKERS threads, and
+    the layers write through ``out`` into a widened-input, a hidden and
+    a pre-norm buffer and into the slab's rows of one (n, embed_dim)
+    output.  The calling thread allocates those buffers, so the workers
+    free no slab-sized temporaries into their own malloc arenas, and the
+    pass never holds a widened copy of all inputs or their whole hidden
+    layer.  The bits are those of one pass over all rows, whatever the
+    worker count and slab bounds: every eval layer is row-local, a layer
+    given ``out`` runs the operations of its ``out=None`` form, and a
+    slab has at least 2 rows unless the input has 1, so no slab's
+    product takes numpy's one-row matrix-vector path where the whole
+    product would not.
 
     Args:
         params: NetworkParams.
@@ -290,62 +294,42 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             f"branch {branch}: inputs have {inputs.shape[1]} columns, "
             f"expected {spec.input_dim}"
         )
-    if mode == "eval":
-        return _eval_forward(params, spec, p, inputs), None
-    h, t_aff1 = tc.affine_forward(inputs, p.w1, p.b1)
-    h, t_relu = tc.relu_forward(h)
-    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
-    h, t_aff2 = tc.affine_forward(h, p.w2, p.b2)
-    h, t_bn = tc.batchnorm_forward(
-        h, p.gamma, p.beta, p.running_mean, p.running_var, mode,
-        momentum=params.bn_momentum, eps=params.bn_eps,
-    )
-    emb, t_norm = tc.l2_normalize_rows(h)
-    return emb, BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)
-
-
-def _eval_forward(params, spec, p, inputs):
-    """forward_branch's eval pass over the row slabs of ``inputs``.
-
-    Each slab runs the eval layers of tc (affine, ReLU, identity
-    dropout, affine, batch norm with running statistics, row L2 norm)
-    with their operations in their order, so with their bits, but in
-    place in its worker's scratch and into its rows of the output.
-    """
-    n, d_in = inputs.shape
-    hidden, embed = spec.hidden_dim, spec.embed_dim
-    slabs = list(_row_slabs(n, hidden, SLAB_WORKERS))
+    if mode != "eval":
+        return _layer_chain(params, spec, p, inputs, mode, rng)
+    n = inputs.shape[0]
+    slabs = list(_row_slabs(n, spec.hidden_dim, SLAB_WORKERS))
     rows = max((stop - start for start, stop in slabs), default=0)
-    # a float64 C-contiguous input's slabs are read in place
-    widen = not (inputs.dtype == np.float64 and inputs.flags.c_contiguous)
-    # columns of the widened input, hidden layer, output and its squares
-    widths = (d_in * widen, hidden, embed, embed)
-    bn_std = np.sqrt(p.running_var + params.bn_eps)
-    emb = np.empty((n, embed))
+    # columns of the widened input, the hidden layer and the pre-norm one
+    widths = (spec.input_dim, spec.hidden_dim, spec.embed_dim)
+    emb = np.empty((n, spec.embed_dim))
 
     def slab(start, stop, scratch):
-        x_buf, h_buf, o_buf, sq_buf = (
+        x_buf, h_buf, o_buf = (
             buf[:(stop - start) * cols].reshape(stop - start, cols)
             for buf, cols in zip(scratch, widths))
-        x = inputs[start:stop]
-        if widen:
-            np.copyto(x_buf, x)
-            x = x_buf
-        np.matmul(x, p.w1, out=h_buf)
-        h_buf += p.b1
-        np.multiply(h_buf, h_buf > 0.0, out=h_buf)
-        np.matmul(h_buf, p.w2, out=o_buf)
-        o_buf += p.b2
-        o_buf -= p.running_mean
-        o_buf /= bn_std
-        o_buf *= p.gamma
-        o_buf += p.beta
-        np.multiply(o_buf, o_buf, out=sq_buf)
-        norms = np.maximum(np.sqrt(sq_buf.sum(axis=1)), tc.EPS_NORM)
-        np.divide(o_buf, norms[:, None], out=emb[start:stop])
+        np.copyto(x_buf, inputs[start:stop])
+        _layer_chain(params, spec, p, x_buf, mode, hidden=h_buf,
+                     pre_norm=o_buf, out=emb[start:stop])
 
     _map_slabs(slab, slabs, [rows * cols for cols in widths])
-    return emb
+    return emb, None
+
+
+def _layer_chain(params, spec, p, x, mode, rng=None, hidden=None,
+                 pre_norm=None, out=None):
+    """(embeddings, tapes) of a branch's tc layers over the rows of x;
+    ``hidden`` takes the first affine layer and ReLU, ``pre_norm`` the
+    second and batch norm, ``out`` the embeddings (None: allocated)."""
+    h, t_aff1 = tc.affine_forward(x, p.w1, p.b1, out=hidden)
+    h, t_relu = tc.relu_forward(h, out=hidden)
+    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
+    h, t_aff2 = tc.affine_forward(h, p.w2, p.b2, out=pre_norm)
+    h, t_bn = tc.batchnorm_forward(
+        h, p.gamma, p.beta, p.running_mean, p.running_var, mode,
+        momentum=params.bn_momentum, eps=params.bn_eps, out=pre_norm,
+    )
+    emb, t_norm = tc.l2_normalize_rows(h, out=out)
+    return emb, BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)
 
 
 def backward_branch(tapes, grad_emb):

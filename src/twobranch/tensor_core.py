@@ -10,6 +10,10 @@ once; a second backward call on the same tape raises
 ContractViolationError.  Matrix inputs may be float32 (feature files
 load as float32): ``as_matrix`` widens them to C-contiguous float64,
 which is exact, and every op returns C-contiguous float64 results.
+The affine, ReLU, batch-norm and row L2 forwards take an optional
+``out``, a C-contiguous float64 array of the result's shape that they
+fill and return with the bits of ``out=None``; only the L2 norm's must
+not overlap its input.
 affine_param_backward returns its weight gradient as a WeightGrad,
 formed from two such arrays when it is read.  All results are
 deterministic for fixed inputs.
@@ -64,12 +68,26 @@ def check_finite(x, name="array"):
     return x
 
 
-def _consume(tape):
+def _check_out(out, shape):
+    if out is not None and (out.shape != shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ContractViolationError(
+            f"out must be a C-contiguous float64 array of shape {shape}")
+
+
+def _grad_out(grad_out, tape, shape, op):
+    """Consume ``tape`` and return ``grad_out`` as a float64 matrix of
+    ``shape``, the shape of the forward's output."""
     if tape.used:
         raise ContractViolationError(
-            f"{type(tape).__name__} already consumed by a backward pass"
-        )
+            f"{type(tape).__name__} already consumed by a backward pass")
     tape.used = True
+    grad_out = as_matrix(grad_out, "grad_out")
+    if grad_out.shape != shape:
+        raise DimensionError(
+            f"{op} backward: grad_out shape {grad_out.shape} does not match "
+            f"output shape {shape}")
+    return grad_out
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +101,14 @@ class AffineTape:
     used: bool = False
 
 
-def affine_forward(x, w, b):
+def affine_forward(x, w, b, out=None):
     """Compute out = x @ w + b.
 
     Args:
         x: input, shape (n, d_in).
         w: weights, shape (d_in, d_out).
         b: bias, shape (d_out,).
+        out: optional output array, shape (n, d_out).
 
     Returns:
         (out, tape) with out of shape (n, d_out).
@@ -107,19 +126,15 @@ def affine_forward(x, w, b):
         raise DimensionError(
             f"affine: b has length {b.shape[0]} but w has {w.shape[1]} columns"
         )
-    out = x @ w + b
+    _check_out(out, (x.shape[0], w.shape[1]))
+    out = np.matmul(x, w, out=out)
+    out += b
     return out, AffineTape(x=x, w=w)
 
 
 def _affine_grad_out(grad_out, tape):
-    _consume(tape)
-    grad_out = as_matrix(grad_out, "grad_out")
-    if grad_out.shape != (tape.x.shape[0], tape.w.shape[1]):
-        raise DimensionError(
-            f"affine backward: grad_out shape {grad_out.shape} does not match "
-            f"output shape {(tape.x.shape[0], tape.w.shape[1])}"
-        )
-    return grad_out
+    return _grad_out(grad_out, tape, (tape.x.shape[0], tape.w.shape[1]),
+                     "affine")
 
 
 def affine_backward(grad_out, tape):
@@ -185,21 +200,16 @@ class ReluTape:
     used: bool = False
 
 
-def relu_forward(x):
-    """Elementwise max(x, 0)."""
+def relu_forward(x, out=None):
+    """Elementwise max(x, 0), into ``out`` when given (which may be x)."""
     x = as_matrix(x, "x")
+    _check_out(out, x.shape)
     mask = x > 0.0
-    return x * mask, ReluTape(mask=mask)
+    return np.multiply(x, mask, out=out), ReluTape(mask=mask)
 
 
 def relu_backward(grad_out, tape):
-    _consume(tape)
-    grad_out = as_matrix(grad_out, "grad_out")
-    if grad_out.shape != tape.mask.shape:
-        raise DimensionError(
-            f"relu backward: grad_out shape {grad_out.shape} does not match "
-            f"input shape {tape.mask.shape}"
-        )
+    grad_out = _grad_out(grad_out, tape, tape.mask.shape, "relu")
     return grad_out * tape.mask
 
 
@@ -216,7 +226,7 @@ class BatchNormTape:
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                      mode, momentum=BN_MOMENTUM, eps=BN_EPS):
+                      mode, momentum=BN_MOMENTUM, eps=BN_EPS, out=None):
     """Per-column batch normalization.
 
     In "train" mode the batch mean and biased (1/n) variance normalize x
@@ -233,11 +243,13 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
         running_mean, running_var: running statistics, shape (d,),
             updated in place in train mode.
         mode: "train" or "eval".
+        out: optional output array, shape (n, d); may be x.
 
     Returns:
         (out, tape); tape is None in eval mode.
     """
     x = as_matrix(x, "x")
+    _check_out(out, x.shape)
     n, d = x.shape
     for name, v in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean),
@@ -259,11 +271,16 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
-        out = gamma * x_hat + beta
+        out = np.multiply(gamma, x_hat, out=out)
+        out += beta
         return out, BatchNormTape(x_hat=x_hat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
-        x_hat = (x - running_mean) / np.sqrt(running_var + eps)
-        return gamma * x_hat + beta, None
+        # x_hat forms in out, and gamma * x_hat is x_hat * gamma
+        out = np.subtract(x, running_mean, out=out)
+        out /= np.sqrt(running_var + eps)
+        out *= gamma
+        out += beta
+        return out, None
     raise ContractViolationError(f"unknown batchnorm mode {mode!r}")
 
 
@@ -277,13 +294,7 @@ def batchnorm_backward(grad_out, tape):
         raise ContractViolationError(
             "batchnorm backward requires a train-mode tape"
         )
-    _consume(tape)
-    grad_out = as_matrix(grad_out, "grad_out")
-    if grad_out.shape != tape.x_hat.shape:
-        raise DimensionError(
-            f"batchnorm backward: grad_out shape {grad_out.shape} does not "
-            f"match input shape {tape.x_hat.shape}"
-        )
+    grad_out = _grad_out(grad_out, tape, tape.x_hat.shape, "batchnorm")
     n = grad_out.shape[0]
     x_hat = tape.x_hat
     grad_gamma = (grad_out * x_hat).sum(axis=0)
@@ -347,13 +358,7 @@ def dropout_backward(grad_out, tape):
         raise ContractViolationError(
             "dropout backward requires a train-mode tape"
         )
-    _consume(tape)
-    grad_out = as_matrix(grad_out, "grad_out")
-    if grad_out.shape != tape.scaled_mask.shape:
-        raise DimensionError(
-            f"dropout backward: grad_out shape {grad_out.shape} does not "
-            f"match input shape {tape.scaled_mask.shape}"
-        )
+    grad_out = _grad_out(grad_out, tape, tape.scaled_mask.shape, "dropout")
     return grad_out * tape.scaled_mask
 
 
@@ -369,21 +374,27 @@ class L2NormTape:
     used: bool = False
 
 
-def l2_normalize_rows(x):
+def l2_normalize_rows(x, out=None):
     """Scale every row of x to unit Euclidean norm.
 
     Rows with norm <= EPS_NORM are divided by EPS_NORM instead, so the
     map stays defined (and differentiable as a pure scaling) at the
-    origin.
+    origin.  The squared entries form in ``out`` and the quotient then
+    overwrites them, so a given ``out`` must not overlap ``x``.
 
     Returns:
         (out, tape).
     """
     x = as_matrix(x, "x")
-    norms = np.sqrt((x * x).sum(axis=1))
+    _check_out(out, x.shape)
+    if out is not None and np.shares_memory(out, x):
+        raise ContractViolationError(
+            "l2_normalize_rows: out must not overlap x")
+    sq = np.multiply(x, x, out=out)
+    norms = np.sqrt(sq.sum(axis=1))
     clamped = norms <= EPS_NORM
     safe = np.maximum(norms, EPS_NORM)
-    out = x / safe[:, None]
+    out = np.divide(x, safe[:, None], out=sq)
     return out, L2NormTape(out=out, norms=safe, clamped=clamped)
 
 
@@ -395,13 +406,7 @@ def l2_normalize_rows_backward(grad_out, tape):
     not change the output, so it is projected away.  Clamped rows are a
     constant scaling and pass the gradient through divided by EPS_NORM.
     """
-    _consume(tape)
-    grad_out = as_matrix(grad_out, "grad_out")
-    if grad_out.shape != tape.out.shape:
-        raise DimensionError(
-            f"l2 normalize backward: grad_out shape {grad_out.shape} does "
-            f"not match input shape {tape.out.shape}"
-        )
+    grad_out = _grad_out(grad_out, tape, tape.out.shape, "l2 normalize")
     dots = (grad_out * tape.out).sum(axis=1)
     grad_x = (grad_out - tape.out * dots[:, None]) / tape.norms[:, None]
     if np.any(tape.clamped):

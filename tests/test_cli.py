@@ -373,7 +373,8 @@ class TestTrainCommand:
         ("--epochs", "-2"), ("--lr0", "-1"), ("--lr0", "0"),
         ("--momentum", "5"), ("--momentum", "1"), ("--momentum", "-0.1"),
         ("--weight-decay", "-0.001"), ("--bn-eps", "-5"), ("--bn-eps", "0"),
-        ("--bn-momentum", "1.5"), ("--bn-momentum", "-0.1")])
+        ("--bn-momentum", "1.5"), ("--bn-momentum", "-0.1"),
+        ("--max-x-per-y", "-3")])
     def test_out_of_range_setting_exits_one(self, workdir, tmp_path, flag,
                                             value, caplog):
         assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
@@ -699,7 +700,7 @@ class TestGenSynthetic:
     def test_bad_input_exits_one(self, tmp_path, args):
         out = tmp_path / "out"
         assert run_cli("gen-synthetic", "--out-dir", str(out), *args) == 1
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["retrieval", "localization"])
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -708,7 +709,7 @@ class TestGenSynthetic:
         out = tmp_path / "out"
         assert run_cli("gen-synthetic", "--out-dir", str(out), "--mode",
                        mode, "--noise-sigma", sigma) == 1
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestGradCheckCommand:

@@ -183,7 +183,8 @@ class TestEvalSlabs:
     def assert_matches_whole(monkeypatch, params, branch, inputs):
         got, tapes = nw.forward_branch(params, branch, inputs, "eval")
         assert tapes is None and got.dtype == np.float64
-        # the slabs run the tc layers' operations in place
+        # the slabs run the tc layers into their scratch through out=,
+        # the oracle runs them with out=None over all rows
         assert same_bits(got, oracles.eval_forward(params, branch, inputs))
         with monkeypatch.context() as m:
             m.setattr(nw, "GRAD_SLAB_FLOATS", 1 << 62)

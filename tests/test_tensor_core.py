@@ -36,6 +36,43 @@ def naive_distances(a, b):
     return out
 
 
+def assert_out_keeps_bits(run, x, in_place=False):
+    """run(x, out), a layer forward with its other inputs bound, returns
+    a given C-contiguous float64 ``out`` holding the bits of out=None;
+    with ``in_place`` also when ``out`` is (a float64 copy of) x."""
+    want, _ = run(x, None)
+    buf = np.full(want.shape, np.nan)
+    got, _ = run(x, buf)
+    assert got is buf and buf.tobytes() == want.tobytes()
+    if in_place:
+        x = np.array(x, dtype=np.float64)
+        got, _ = run(x, x)
+        assert got is x and x.tobytes() == want.tobytes()
+
+
+FORWARDS = {
+    "affine": lambda x, out: tc.affine_forward(x, np.ones((3, 2)),
+                                               np.zeros(2), out=out),
+    "relu": lambda x, out: tc.relu_forward(x, out=out),
+    "batchnorm": lambda x, out: tc.batchnorm_forward(
+        x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval",
+        out=out),
+    "l2": lambda x, out: tc.l2_normalize_rows(x, out=out),
+}
+
+
+@pytest.mark.parametrize("forward", FORWARDS)
+@pytest.mark.parametrize("bad", ["float32", "shape", "fortran"])
+def test_forward_rejects_unusable_out(forward, bad):
+    x = np.random.default_rng(22).normal(size=(4, 3))
+    want, _ = FORWARDS[forward](x, None)
+    out = {"float32": np.empty(want.shape, np.float32),
+           "shape": np.empty((want.shape[0] + 1, want.shape[1])),
+           "fortran": np.empty(want.shape, order="F")}[bad]
+    with pytest.raises(ContractViolationError):
+        FORWARDS[forward](x, out)
+
+
 class TestAffine:
     def test_identity_weight(self):
         out, _ = tc.affine_forward(np.array([[1.0, 2.0]]),
@@ -55,6 +92,9 @@ class TestAffine:
         b = rng.normal(size=3)
         out, _ = tc.affine_forward(inp, w, b)
         assert np.allclose(out, naive_matmul_bias(inp, w, b), atol=1e-12)
+        for x in (inp, inp.astype(np.float32)):
+            assert_out_keeps_bits(
+                lambda x, out: tc.affine_forward(x, w, b, out=out), x)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -179,6 +219,13 @@ class TestRelu:
         out, _ = tc.relu_forward(np.array([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_keeps_bits(self, dtype):
+        x = np.random.default_rng(23).normal(size=(6, 5)).astype(dtype)
+        x[0, :2] = 0.0, -0.0
+        assert_out_keeps_bits(lambda x, out: tc.relu_forward(x, out=out),
+                              x, in_place=True)
+
     def test_all_negative(self):
         out, _ = tc.relu_forward(-np.ones((3, 3)))
         assert np.array_equal(out, np.zeros((3, 3)))
@@ -212,6 +259,26 @@ class TestBatchNorm:
                                       0.1, 1e-5)
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_out_keeps_bits(self, mode):
+        rng = np.random.default_rng(24)
+        x = rng.normal(loc=2.0, scale=3.0, size=(9, 4))
+        gamma, beta, r_mean = (rng.normal(size=4) for _ in range(3))
+        r_var = rng.uniform(0.5, 2.0, size=4)
+        stats = []
+
+        def run(x, out):
+            # each call updates fresh copies of the running statistics
+            m, v = r_mean.copy(), r_var.copy()
+            stats.append((m, v))
+            return tc.batchnorm_forward(x, gamma, beta, m, v, mode, 0.1,
+                                        1e-5, out=out)
+
+        assert_out_keeps_bits(run, x, in_place=True)
+        for m, v in stats[1:]:
+            assert m.tobytes() == stats[0][0].tobytes()
+            assert v.tobytes() == stats[0][1].tobytes()
 
     def test_running_stats_update_rule(self):
         x = np.random.default_rng(4).normal(size=(8, 2))
@@ -319,6 +386,24 @@ class TestL2Normalize:
         _, tape = tc.l2_normalize_rows(v)
         g = tc.l2_normalize_rows_backward(np.array([[1.0, 0.0]]), tape)
         assert np.allclose(g, [[0.128, -0.096]], atol=1e-12)
+
+    def test_out_keeps_bits(self):
+        v = np.random.default_rng(25).normal(size=(7, 5))
+        v[3] = 0.0
+        assert_out_keeps_bits(
+            lambda x, out: tc.l2_normalize_rows(x, out=out), v)
+        assert_out_keeps_bits(
+            lambda x, out: tc.l2_normalize_rows(x, out=out),
+            v.astype(np.float32))
+
+    def test_out_overlapping_x_rejected(self):
+        # the squares would overwrite x before the norms read it
+        block = np.random.default_rng(26).normal(size=(5, 3))
+        before = block.copy()
+        for x, out in ((block, block), (block[:4], block[1:])):
+            with pytest.raises(ContractViolationError):
+                tc.l2_normalize_rows(x, out=out)
+        assert block.tobytes() == before.tobytes()
 
     def test_unit_row_unchanged(self):
         v = np.array([[0.6, 0.8]])
@@ -472,6 +557,8 @@ def test_distance_matrix_properties(n, m, d, seed):
 def test_l2_normalize_row_norm_property(n, d, seed):
     rows = np.random.default_rng(seed).normal(size=(n, d)) * 3.0
     out, _ = tc.l2_normalize_rows(rows)
+    assert_out_keeps_bits(
+        lambda x, out: tc.l2_normalize_rows(x, out=out), rows)
     norms = np.linalg.norm(out, axis=1)
     big = np.linalg.norm(rows, axis=1) > 1e-12
     assert np.allclose(norms[big], 1.0, atol=1e-12)
