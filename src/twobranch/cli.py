@@ -196,6 +196,9 @@ def _require(cfg, *keys):
 
 
 def _load_xy(cfg):
+    if cfg.max_x_per_y < 0:
+        raise ConfigError(f"max_x_per_y must be >= 0, 0 means no cap; "
+                          f"got {cfg.max_x_per_y}")
     fx = data_mod.load_feature_file(cfg.features_x)
     fy = data_mod.load_feature_file(cfg.features_y)
     pairs = data_mod.load_pair_file(cfg.pairs)

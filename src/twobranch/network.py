@@ -11,17 +11,20 @@ reverse.  Parameters live in plain dataclasses of float64 arrays.
 Checkpoints serialize every tensor, the running batch-norm statistics
 and the optimizer state to a single binary file.
 
-The dense products of an eval forward pass and of the SGD step's
-first-layer weight gradients run over independent row slabs, which
-``_map_slabs`` spreads over SLAB_WORKERS threads.  That is more than one
-only when the BLAS thread count is pinned below the CPUs this process
-may use, so the slabs fill the CPUs a single-threaded BLAS leaves idle;
-with BLAS left to use every CPU, the slabs run one after another on the
-calling thread.  The bits never depend on the worker count: each slab
-writes only its own rows, and a product over a slab of two or more
-rows has the bits of the same rows of the whole product.  The calling
-thread allocates every slab-sized buffer, which the layers fill through
-their ``out`` arrays, so that freed temporaries do not pile up in the
+The dense products of an eval forward pass, of a train forward's first
+affine layer and of the SGD step's first-layer weight gradients run
+over independent row slabs, which ``_map_slabs`` spreads over
+SLAB_WORKERS threads.  That is more than one only when the BLAS thread
+count is pinned below the CPUs this process may use, so the slabs fill
+the CPUs a single-threaded BLAS leaves idle; with BLAS left to use every
+CPU, the slabs run one after another on the calling thread.  A train
+forward's first product smaller than TRAIN_SLAB_MIN_MACS runs whole on
+the calling thread, since handing it to the workers costs more than it
+saves.  The bits never depend on the worker count: each slab writes
+only its own rows, and a product over a slab of two or more rows has
+the bits of the same rows of the whole product.  The calling thread
+allocates every slab-sized buffer, which the layers fill through their
+``out`` arrays, so that freed temporaries do not pile up in the
 workers' own malloc arenas.
 """
 
@@ -70,8 +73,20 @@ SGD_BLOCK = 1 << 15
 # whatever the worker count; its bits do not depend on the bounds.  Each
 # slab's first product packs the whole first-layer weight again, and
 # slabs sized by 6000 input floats (174 rows) made the one-worker
-# forward pass about 3% slower.
+# forward pass about 3% slower.  A train forward's first product is not
+# sized by these floats: it runs one slab per worker, of equal heights,
+# into one hidden array the calling thread allocates (the batch norm
+# after it needs every row anyway); sized like an eval pass, the paper
+# shape's 680 y rows split 256/256/168 and its 190 x rows not at all.
 GRAD_SLAB_FLOATS = 1 << 20
+
+# Multiply-adds (rows x input_dim x hidden_dim) below which a train
+# forward's first product runs whole on the calling thread: below it,
+# handing slabs to the workers costs more than the product (a y-branch
+# forward of a criterion-4 toy batch, 160 x 48 -> 32, took about 630 us
+# on two workers against 160-240 us inline).  A paper-shape batch's
+# products are 24 (x) and 125 (y) times the threshold.
+TRAIN_SLAB_MIN_MACS = 1 << 26
 
 # BLAS libraries read their thread count from the first of these that
 # holds a positive integer.
@@ -251,8 +266,17 @@ def forward_branch(params, branch, inputs, mode, rng=None):
     """Run one branch.
 
     Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  Both
-    modes run one chain of the tc layers.  In train mode it runs once
-    over all rows and each layer allocates its result.  In eval mode it
+    modes run one chain of the tc layers.  In train mode the calling
+    thread widens the inputs once, and the first affine layer's product
+    runs in one row slab per worker (``_train_slabs``) into the rows of
+    one (n, hidden_dim) array; one AffineTape over all the widened
+    inputs records it.  A product of fewer than TRAIN_SLAB_MIN_MACS
+    multiply-adds runs whole on the calling thread instead, where a toy
+    batch's forward costs less than handing it to the workers.  The rest
+    of the chain runs once over all rows, each layer allocating its
+    result: batch norm needs every row, and dropout draws its mask for
+    the whole batch with one ``rng.random`` call, so the RNG stream is
+    the same at any worker count.  In eval mode the chain
     runs on each row slab of ``_row_slabs`` (about GRAD_SLAB_FLOATS /
     SLAB_WORKERS hidden-layer floats) on up to SLAB_WORKERS threads, and
     the layers write through ``out`` into a widened-input, a hidden and
@@ -295,7 +319,8 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             f"expected {spec.input_dim}"
         )
     if mode != "eval":
-        return _layer_chain(params, spec, p, inputs, mode, rng)
+        x = tc.as_matrix(inputs, "inputs")
+        return _layer_chain(params, spec, p, _train_affine1(p, x), mode, rng)
     n = inputs.shape[0]
     slabs = list(_row_slabs(n, spec.hidden_dim, SLAB_WORKERS))
     rows = max((stop - start for start, stop in slabs), default=0)
@@ -308,19 +333,36 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             buf[:(stop - start) * cols].reshape(stop - start, cols)
             for buf, cols in zip(scratch, widths))
         np.copyto(x_buf, inputs[start:stop])
-        _layer_chain(params, spec, p, x_buf, mode, hidden=h_buf,
-                     pre_norm=o_buf, out=emb[start:stop])
+        _layer_chain(params, spec, p,
+                     tc.affine_forward(x_buf, p.w1, p.b1, out=h_buf), mode,
+                     hidden=h_buf, pre_norm=o_buf, out=emb[start:stop])
 
     _map_slabs(slab, slabs, [rows * cols for cols in widths])
     return emb, None
 
 
-def _layer_chain(params, spec, p, x, mode, rng=None, hidden=None,
+def _train_affine1(p, x):
+    """tc.affine_forward(x, p.w1, p.b1) of widened inputs x, run in
+    ``_train_slabs`` row slabs into one array when the product is at
+    least TRAIN_SLAB_MIN_MACS multiply-adds."""
+    w = tc.as_matrix(p.w1, "w")
+    (n, d_in), d_out = x.shape, w.shape[1]
+    if n * d_in * d_out < TRAIN_SLAB_MIN_MACS:
+        return tc.affine_forward(x, w, p.b1)
+    hidden = np.empty((n, d_out))
+    _map_slabs(lambda start, stop, _: tc.affine_forward(
+        x[start:stop], w, p.b1, out=hidden[start:stop]),
+        _train_slabs(n), ())
+    return hidden, tc.AffineTape(x=x, w=w)
+
+
+def _layer_chain(params, spec, p, affine1, mode, rng=None, hidden=None,
                  pre_norm=None, out=None):
-    """(embeddings, tapes) of a branch's tc layers over the rows of x;
-    ``hidden`` takes the first affine layer and ReLU, ``pre_norm`` the
-    second and batch norm, ``out`` the embeddings (None: allocated)."""
-    h, t_aff1 = tc.affine_forward(x, p.w1, p.b1, out=hidden)
+    """(embeddings, tapes) of a branch's tc layers after the first affine
+    layer, whose (result, tape) is ``affine1``; ``hidden`` takes the
+    ReLU, ``pre_norm`` the second affine layer and batch norm, ``out``
+    the embeddings (None: allocated)."""
+    h, t_aff1 = affine1
     h, t_relu = tc.relu_forward(h, out=hidden)
     h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
     h, t_aff2 = tc.affine_forward(h, p.w2, p.b2, out=pre_norm)
@@ -360,14 +402,25 @@ def _learned_tensors(params):
 
 def _row_slabs(rows, row_floats, workers=1):
     """(start, stop) row ranges of about GRAD_SLAB_FLOATS / workers
-    floats.
+    floats (see _slabs_of_height)."""
+    return _slabs_of_height(rows, GRAD_SLAB_FLOATS // (row_floats * workers))
+
+
+def _train_slabs(rows):
+    """(start, stop) row ranges, one per slab worker, of equal heights
+    (see _slabs_of_height)."""
+    return _slabs_of_height(rows, -(-rows // SLAB_WORKERS))
+
+
+def _slabs_of_height(rows, height):
+    """(start, stop) row ranges of ``height`` rows, the last one ragged.
 
     A slab has at least two rows unless the tensor has one: a one-row
     tail joins the slab before it, since a product with a one-row
     operand takes numpy's matrix-vector path, whose bits can differ from
     the same row of the whole product.
     """
-    height = max(2, GRAD_SLAB_FLOATS // (row_floats * workers))
+    height = max(2, height)
     bounds = list(range(0, rows, height)) + [rows]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
@@ -394,13 +447,26 @@ def _map_slabs(fn, slabs, scratch_floats):
     holes in the heap that later, larger arrays cannot reuse.  No slab
     is still running when this returns or raises; the first exception
     in slab order propagates.
+
+    A call with one slab, or with one worker, runs its slabs inline on
+    one scratch, with no queue and no pool: a toy-shape training step
+    makes a dozen such calls, one per tensor, and each takes about 3 us
+    so against 13 us through the queue.  The pool's hand-off costs more
+    still (a toy-batch train forward whose first product went to it in
+    two slabs took about 630 us against 160-240 us inline), which is why
+    a train forward's first product below TRAIN_SLAB_MIN_MACS is not
+    split at all.
     """
     slabs = list(slabs)
     workers = min(SLAB_WORKERS, len(slabs))
+    block = np.empty(sum(scratch_floats) * workers)
+    views, at = [], 0
+    for floats in tuple(scratch_floats) * workers:
+        views.append(block[at:at + floats])
+        at += floats
+    if workers <= 1:
+        return [fn(start, stop, views) for start, stop in slabs]
     parts = len(scratch_floats)
-    bounds = np.cumsum((0,) + tuple(scratch_floats) * workers)
-    block = np.empty(bounds[-1])
-    views = [block[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     free = queue.SimpleQueue()
     for w in range(workers):
         free.put(views[w * parts:(w + 1) * parts])
@@ -412,8 +478,6 @@ def _map_slabs(fn, slabs, scratch_floats):
         finally:
             free.put(scratch)
 
-    if workers <= 1:
-        return [run(start, stop) for start, stop in slabs]
     jobs = [_slab_pool(SLAB_WORKERS).submit(run, start, stop)
             for start, stop in slabs]
     wait(jobs)

@@ -939,16 +939,18 @@ def full_backward_branch(tapes, grad_emb):
     }
 
 
-def eval_forward(params, branch, inputs):
-    """forward_branch's eval pass as one chain of the tc layers over all
-    rows, widened to float64 first."""
+def chain_forward(params, branch, inputs, mode, rng=None):
+    """forward_branch as one chain of the tc layers with out=None over
+    all rows, widened to float64 first: (embeddings, BranchTapes)."""
     spec, p = ((params.spec_x, params.x) if branch == "x"
                else (params.spec_y, params.y))
-    h, _ = tc.affine_forward(as_matrix(inputs), p.w1, p.b1)
-    h, _ = tc.relu_forward(h)
-    h, _ = tc.dropout_forward(h, spec.dropout_p, "eval")
-    h, _ = tc.affine_forward(h, p.w2, p.b2)
-    h, _ = tc.batchnorm_forward(h, p.gamma, p.beta, p.running_mean,
-                                p.running_var, "eval",
-                                momentum=params.bn_momentum, eps=params.bn_eps)
-    return tc.l2_normalize_rows(h)[0]
+    h, t_aff1 = tc.affine_forward(as_matrix(inputs), p.w1, p.b1)
+    h, t_relu = tc.relu_forward(h)
+    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
+    h, t_aff2 = tc.affine_forward(h, p.w2, p.b2)
+    h, t_bn = tc.batchnorm_forward(h, p.gamma, p.beta, p.running_mean,
+                                   p.running_var, mode,
+                                   momentum=params.bn_momentum,
+                                   eps=params.bn_eps)
+    emb, t_norm = tc.l2_normalize_rows(h)
+    return emb, nw.BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)

@@ -381,6 +381,9 @@ class TestTrainCommand:
                                         flag, value)) == 1
         assert not (tmp_path / "model.ckpt").exists()
         assert flag[2:].replace("-", "_") in caplog.text
+        if flag == "--max-x-per-y":
+            # the command-line range, where 0 is allowed
+            assert ">= 0, 0 means no cap" in caplog.text
 
     def test_fine_tune_epochs_below_zero_exits_one(self, workdir, tmp_path):
         loc = workdir["loc"]

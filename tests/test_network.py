@@ -1,6 +1,7 @@
 """Two-branch model, optimizer, schedule, and checkpoint tests."""
 
 import copy
+import dataclasses
 import hashlib
 import os
 import re
@@ -185,7 +186,8 @@ class TestEvalSlabs:
         assert tapes is None and got.dtype == np.float64
         # the slabs run the tc layers into their scratch through out=,
         # the oracle runs them with out=None over all rows
-        assert same_bits(got, oracles.eval_forward(params, branch, inputs))
+        assert same_bits(got, oracles.chain_forward(params, branch, inputs,
+                                                    "eval")[0])
         with monkeypatch.context() as m:
             m.setattr(nw, "GRAD_SLAB_FLOATS", 1 << 62)
             whole, _ = nw.forward_branch(
@@ -277,7 +279,7 @@ class TestSlabWorkers:
         for n in (1, 2, 3, 5, 7, 13, 50):
             inputs = np.random.default_rng(n).normal(size=(n, 40)) \
                 .astype(dtype)
-            want = oracles.eval_forward(p, "y", inputs)
+            want = oracles.chain_forward(p, "y", inputs, "eval")[0]
             for workers in self.WORKERS:
                 monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
                 got, _ = nw.forward_branch(p, "y", inputs, "eval")
@@ -315,7 +317,9 @@ class TestSlabWorkers:
     def test_train_step_bits_independent_of_workers(self, monkeypatch):
         from twobranch import data, training
         from twobranch.loss_mining import LossConfig
+        # every first product splits too, however small
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 48)
+        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
         d = data.gen_synthetic(6, 1, 5, 20, 16, 0.05, seed=23)
         results = []
         for workers in self.WORKERS:
@@ -337,9 +341,11 @@ class TestSlabWorkers:
                 assert same_bits(a, nw._named_tensors(p0, opt0)[name]), name
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # 2-row slabs on 8 workers, switching threads every microsecond:
-        # a scratch shared by two running slabs or a lost row would show
+        # 2-row slabs on 8 workers (8-row ones for a train forward's
+        # first product), switching threads every microsecond: a
+        # scratch shared by two running slabs or a lost row would show
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 2 * 64)
+        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
         p = self.eval_params()
         inputs = np.random.default_rng(24).normal(size=(61, 40)) \
             .astype(np.float32)
@@ -361,12 +367,14 @@ class TestSlabWorkers:
                        for k in nw._LEARNED_RECORDS},
                     **{f"y.{k}": g for k, g in grads.items()}})
                 emb, _ = nw.forward_branch(q, "y", inputs, "eval")
-                results.append((emb, q.y.w1.copy(), norms))
+                train, _ = nw.forward_branch(q, "y", inputs, "train",
+                                             rng=np.random.default_rng(25))
+                results.append((emb, train, q.y.w1.copy(), norms))
         finally:
             sys.setswitchinterval(interval)
-        (emb1, w1, norms1), (emb8, w8, norms8) = results
-        assert same_bits(emb8, emb1) and same_bits(w8, w1)
-        assert norms8 == norms1
+        (emb1, train1, w1, norms1), (emb8, train8, w8, norms8) = results
+        assert same_bits(emb8, emb1) and same_bits(train8, train1)
+        assert same_bits(w8, w1) and norms8 == norms1
 
     def test_slabs_run_on_workers_and_errors_reach_caller(self, monkeypatch):
         monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
@@ -390,6 +398,28 @@ class TestSlabWorkers:
             nw._map_slabs(slab, slabs, (4, 0))
         # every slab has ended before the error is raised
         assert sorted(ran) == list(range(9))
+        # one slab runs inline, on a scratch of its own sizes
+        threads.clear()
+        assert nw._map_slabs(slab, [(5, 6)], (4, 0)) == [5]
+        assert threads == {threading.get_ident()}
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(nw, "SLAB_WORKERS", 1)
+        monkeypatch.setattr(nw, "_slab_pool", None)
+        seen = []
+
+        def slab(start, stop, scratch):
+            assert [len(buf) for buf in scratch] == [3, 5]
+            seen.append((threading.get_ident(), id(scratch)))
+            if start == 4:
+                raise ValueError("slab 4 failed")
+            return start
+
+        assert nw._map_slabs(slab, [(0, 2), (2, 4)], (3, 5)) == [0, 2]
+        # the calling thread, reusing one scratch
+        assert len(set(seen)) == 1 and seen[0][0] == threading.get_ident()
+        with pytest.raises(ValueError, match="slab 4 failed"):
+            nw._map_slabs(slab, [(0, 2), (4, 6)], (3, 5))
 
     @pytest.mark.parametrize("fault", [
         "grad_shape", "lazy_grad_shape", "velocity_shape",
@@ -399,6 +429,106 @@ class TestSlabWorkers:
         monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
         TestSgdStep().test_rejected_step_writes_nothing(fault, warm=True)
+
+
+def tape_arrays(tapes):
+    """(layer.field, array) for every array a BranchTapes holds."""
+    for layer in dataclasses.fields(tapes):
+        tape = getattr(tapes, layer.name)
+        for f in dataclasses.fields(tape):
+            value = getattr(tape, f.name)
+            if isinstance(value, np.ndarray):
+                yield f"{layer.name}.{f.name}", value
+
+
+class TestTrainSlabs:
+    """A train forward of at least TRAIN_SLAB_MIN_MACS runs its first
+    product in one row slab per worker, into one hidden array, and must
+    give the bits of one out=None pass of the chain over all rows: the
+    embeddings, every tape array, the running statistics, the RNG stream
+    after both branches and the gradients."""
+
+    @pytest.mark.parametrize("n, workers, slabs", [
+        (680, 2, [(0, 340), (340, 680)]), (190, 2, [(0, 95), (95, 190)]),
+        (680, 1, [(0, 680)]), (2, 3, [(0, 2)]), (3, 2, [(0, 3)]),
+        (5, 2, [(0, 3), (3, 5)]), (5, 3, [(0, 2), (2, 5)]),
+        (7, 3, [(0, 3), (3, 7)]), (13, 3, [(0, 5), (5, 10), (10, 13)])])
+    def test_slab_rule(self, monkeypatch, n, workers, slabs):
+        # equal heights, at least 2 rows, a one-row tail folded back
+        monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+        assert list(nw._train_slabs(n)) == slabs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workers", TestSlabWorkers.WORKERS)
+    def test_bits_match_whole_chain(self, monkeypatch, dtype, workers):
+        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
+        monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+        mapped = []
+        map_slabs = nw._map_slabs
+
+        def spy(fn, slabs, scratch_floats):
+            slabs = list(slabs)
+            mapped.append(len(slabs))
+            return map_slabs(fn, slabs, scratch_floats)
+
+        monkeypatch.setattr(nw, "_map_slabs", spy)
+        for n in (2, 3, 5, 7, 13, 50):
+            data_rng = np.random.default_rng(n)
+            inputs = {"x": data_rng.normal(size=(n, 30)).astype(dtype),
+                      "y": data_rng.normal(size=(n, 40)).astype(dtype)}
+            # dropout 0.5 in both branches, which share one generator
+            got_p, want_p = TestSlabWorkers.eval_params(), \
+                TestSlabWorkers.eval_params()
+            got_rng, want_rng = (np.random.default_rng(n + 100)
+                                 for _ in range(2))
+            for branch in ("x", "y"):
+                mapped.clear()
+                got, got_tapes = nw.forward_branch(
+                    got_p, branch, inputs[branch], "train", rng=got_rng)
+                assert mapped == [len(list(nw._train_slabs(n)))], (n, branch)
+                want, want_tapes = oracles.chain_forward(
+                    want_p, branch, inputs[branch], "train", rng=want_rng)
+                assert same_bits(got, want), (n, branch)
+                for (name, a), (_, b) in zip(tape_arrays(got_tapes),
+                                             tape_arrays(want_tapes),
+                                             strict=True):
+                    assert same_bits(a, b), (n, branch, name)
+                gp, wp = getattr(got_p, branch), getattr(want_p, branch)
+                assert same_bits(gp.running_mean, wp.running_mean)
+                assert same_bits(gp.running_var, wp.running_var)
+                grad_emb = data_rng.normal(size=got.shape)
+                got_g = nw.backward_branch(got_tapes, grad_emb)
+                want_g = nw.backward_branch(want_tapes, grad_emb)
+                for name, g in want_g.items():
+                    assert same_bits(np.asarray(got_g[name]),
+                                     np.asarray(g)), (n, branch, name)
+            assert got_rng.bit_generator.state == \
+                want_rng.bit_generator.state
+
+    def test_toy_step_stays_on_calling_thread(self, monkeypatch):
+        # a criterion-4 shape step on two workers: its first products
+        # are under TRAIN_SLAB_MIN_MACS and every SGD tensor is one
+        # slab, so nothing may reach the pool, whose hand-off costs
+        # more than such a step's products
+        from twobranch import data, training
+        from twobranch.loss_mining import LossConfig
+
+        def no_pool(workers):
+            raise AssertionError("a toy-shape step reached the slab pool")
+
+        monkeypatch.setattr(nw, "SLAB_WORKERS", 2)
+        monkeypatch.setattr(nw, "_slab_pool", no_pool)
+        syn = data.gen_synthetic(32, 1, 5, 64, 48, 0.05, seed=0)
+        p = nw.init_params(nw.BranchSpec(64, 32, 16, 0.5),
+                           nw.BranchSpec(48, 32, 16, 0.5), seed=0)
+        opt = nw.OptimizerState()
+        rng = np.random.default_rng(0)
+        before = p.y.w1.copy()
+        batch = next(data.epoch_batches(syn.graph, 32, True, rng))
+        _, counts = training.train_step(p, opt, batch, syn.x, syn.y,
+                                        LossConfig(lambda3=0.2), rng)
+        assert sum(counts.values()) > 0
+        assert not np.array_equal(p.y.w1, before)
 
 
 class TestSchedule:
