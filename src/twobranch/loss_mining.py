@@ -33,17 +33,25 @@ candidates is partitioned to its top_k-th largest violation, so only
 top_k entries are sorted.
 
 Every hinge is a difference of two entries of one pairwise distance
-matrix per view pair, and its gradient flows back through
-pairwise_distance_backward.
+matrix per view pair, and its gradient flows back through the two
+sides of pairwise_distance_backward (tensor_core.distance_side_grad).
+
+At the paper shape both run on the CPUs a single-threaded BLAS leaves
+idle (see tensor_core.map_slabs): mining forms its view pairs'
+distance matrices beside one another and splits every family's pair
+rows into row slabs, and the hinge works each view pair (distances,
+coefficients, backward) beside the others.  Results are combined in one
+fixed order, so their bits do not depend on the worker count.
 """
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
+from . import tensor_core as tc
 from .errors import ConfigError, DimensionError
-from .tensor_core import (DIRECT_CHUNK_FLOATS, as_matrix,
-                          pairwise_distance_backward, pairwise_distances)
+from .tensor_core import DIRECT_CHUNK_FLOATS, as_matrix, pairwise_distances
 
 FAMILY_NAMES = (
     "image_to_sentence",
@@ -72,13 +80,15 @@ class LossConfig:
     top_k: int = 50
 
     def __post_init__(self):
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        # a NaN weight would silently drop its family, an infinite one
+        # would only fail once the loss is not finite
+        if not 0 < self.margin < inf:
+            raise ConfigError(
+                f"margin must be positive and finite, got {self.margin}")
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}"
-                )
+            if not 0 <= getattr(self, name) < inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)}")
         if not isinstance(self.top_k, int) or self.top_k < 1:
             raise ConfigError(f"top_k must be a positive int, got {self.top_k}")
 
@@ -156,42 +166,74 @@ def _partitioned_top(keys, top_k):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def _top_violations(dist, anchors, positives, allowed, margin, top_k):
-    """Top_k strictly violated negatives per (anchor, positive) pair.
+def _top_violations(families, margin, top_k):
+    """Top_k strictly violated negatives per (anchor, positive) pair, for
+    each of ``families``, a list of (dist, anchors, positives, allowed).
 
     Row r's violations are margin + dist[a, p] - dist[a, :] with
     a = anchors[r] and p = positives[r]; candidates outside
-    ``allowed[a]`` or not above zero are dropped.  Rows are worked in
-    blocks of at most DIRECT_CHUNK_FLOATS violations.
+    ``allowed[a]`` or not above zero are dropped.  Each family's rows
+    run in tc.worker_slabs row slabs, the slabs of all families in one
+    tc.map_slabs call (on the calling thread when their violations hold
+    fewer than tc.SLAB_MIN_FLOATS floats in all), each slab worked in
+    blocks of at most DIRECT_CHUNK_FLOATS violations gathered into a
+    buffer the calling thread allocated.  A row's triplets depend on no
+    other row, so the bounds do not change them.
 
     Returns:
-        (k, 3) int64 triplets, pair by pair in input order, violation
-        descending within a pair, ties by lower negative index.
+        per family, (k, 3) int64 triplets, pair by pair in input order,
+        violation descending within a pair, ties by lower negative
+        index.
     """
+    # rows per block of each family, and the largest block's floats
+    heights = [max(1, DIRECT_CHUNK_FLOATS // max(1, dist.shape[1]))
+               for dist, *_ in families]
+    slabs, floats, buf_floats = [], 0, 0
+    for f, (dist, anchors, _, _) in enumerate(families):
+        m = dist.shape[1]
+        for start, stop in tc.worker_slabs(anchors.size, anchors.size * m):
+            slabs.append((f, start, stop))
+            buf_floats = max(buf_floats, min(heights[f], stop - start) * m)
+        floats += anchors.size * m
+
+    def slab(f, start, stop, scratch):
+        dist, anchors, positives, allowed = families[f]
+        out = []
+        for lo in range(start, stop, heights[f]):
+            rows = slice(lo, min(lo + heights[f], stop))
+            out.append(_block_violations(dist, anchors[rows],
+                                         positives[rows], allowed, margin,
+                                         top_k, scratch[0]))
+        return out
+
+    parts = [[_EMPTY] for _ in families]
+    for (f, _, _), blocks in zip(slabs, tc.map_slabs(
+            slab, slabs, (buf_floats,),
+            inline=not tc.worth_splitting(floats))):
+        parts[f] += blocks
+    return [np.concatenate(p) for p in parts]
+
+
+def _block_violations(dist, a, p, allowed, margin, top_k, buf):
+    """_top_violations of one block of pairs, gathering into ``buf``."""
     m = dist.shape[1]
-    block = max(1, DIRECT_CHUNK_FLOATS // max(1, m))
-    parts = [_EMPTY]
-    for start in range(0, anchors.size, block):
-        a = anchors[start:start + block]
-        p = positives[start:start + block]
-        d = dist[a]
-        # minus the violation, exactly: x - y is -(y - x) in floating
-        # point, so an ascending sort puts the largest violation first
-        neg = d - (margin + d[np.arange(a.size), p])[:, None]
-        ok = allowed[a] & (neg < 0.0)
-        neg[~ok] = np.inf
-        # A row with more than top_k candidates is partitioned before it
-        # is sorted; a row of mostly dropped ones sorts fast as it is,
-        # and a stable sort keeps equal violations in candidate order.
-        big = ok.sum(axis=1) > top_k
-        cand = np.empty((a.size, min(top_k, m)), dtype=np.int64)
-        cand[~big] = np.argsort(neg[~big], axis=1, kind="stable")[:, :top_k]
-        if big.any():
-            cand[big] = _partitioned_top(neg[big], top_k)
-        keep = np.take_along_axis(neg, cand, axis=1) < np.inf
-        rows = np.nonzero(keep)[0]
-        parts.append(np.column_stack((a[rows], p[rows], cand[keep])))
-    return np.concatenate(parts)
+    neg = np.take(dist, a, axis=0, out=buf[:a.size * m].reshape(a.size, m))
+    # minus the violation, exactly: x - y is -(y - x) in floating
+    # point, so an ascending sort puts the largest violation first
+    neg -= (margin + neg[np.arange(a.size), p])[:, None]
+    ok = allowed[a] & (neg < 0.0)
+    neg[~ok] = np.inf
+    # A row with more than top_k candidates is partitioned before it
+    # is sorted; a row of mostly dropped ones sorts fast as it is,
+    # and a stable sort keeps equal violations in candidate order.
+    big = ok.sum(axis=1) > top_k
+    cand = np.empty((a.size, min(top_k, m)), dtype=np.int64)
+    cand[~big] = np.argsort(neg[~big], axis=1, kind="stable")[:, :top_k]
+    if big.any():
+        cand[big] = _partitioned_top(neg[big], top_k)
+    keep = np.take_along_axis(neg, cand, axis=1) < np.inf
+    rows = np.nonzero(keep)[0]
+    return np.column_stack((a[rows], p[rows], cand[keep]))
 
 
 def _excluded(pos, opp_nb):
@@ -232,25 +274,34 @@ def mine_triplets(emb_x, emb_y, batch, cfg):
     pos, x_nb, y_nb, owner = _checked_masks(batch, nx, ny)
     reserved = owner >= 0
 
-    def mine(dist, pairs, allowed):
-        return _top_violations(dist, *np.nonzero(pairs), allowed,
-                               cfg.margin, cfg.top_k)
-
-    d_xy = pairwise_distances(emb_x, emb_y)
-    out = TripletSet()
-    out.image_to_sentence = mine(d_xy, pos, ~_excluded(pos, y_nb))
+    # the distance matrices of the view pairs the mined families read,
+    # beside one another unless they are small
+    weights = cfg.family_weights()
+    names = [name for name in FAMILY_NAMES if weights[name] > 0]
+    emb = {"x": emb_x, "y": emb_y}
+    pairs = list(dict.fromkeys(_view_pair(name) for name in names))
+    dists = dict(zip(pairs, tc.map_slabs(
+        lambda va, vb, _: pairwise_distances(emb[va], emb[vb]), pairs, (),
+        inline=not tc.worth_splitting(sum(len(emb[va]) * len(emb[vb])
+                                          for va, vb in pairs)))))
+    # each family's (anchor, positive) pairs and allowed candidates
+    masks = {"image_to_sentence": (pos, ~_excluded(pos, y_nb))}
     if cfg.lambda1 > 0:
         own = ~reserved | (owner == np.arange(ny)[:, None])
-        out.sentence_to_image = mine(d_xy.T, pos.T,
-                                     ~_excluded(pos.T, x_nb) & own)
+        masks["sentence_to_image"] = (pos.T, ~_excluded(pos.T, x_nb) & own)
     if cfg.lambda2 > 0:
-        d_xx = pairwise_distances(emb_x, emb_x)
-        out.image_structure = mine(d_xx, x_nb & ~np.eye(nx, dtype=bool),
-                                   ~x_nb & ~reserved)
+        masks["image_structure"] = (x_nb & ~np.eye(nx, dtype=bool),
+                                    ~x_nb & ~reserved)
     if cfg.lambda3 > 0:
-        d_yy = pairwise_distances(emb_y, emb_y)
-        out.sentence_structure = mine(d_yy, y_nb & ~np.eye(ny, dtype=bool),
-                                      ~y_nb)
+        masks["sentence_structure"] = (y_nb & ~np.eye(ny, dtype=bool),
+                                       ~y_nb)
+    mined = _top_violations(
+        [(_oriented(dists[_view_pair(name)], name),
+          *np.nonzero(masks[name][0]), masks[name][1]) for name in names],
+        cfg.margin, cfg.top_k)
+    out = TripletSet()
+    for name, triplets in zip(names, mined):
+        setattr(out, name, triplets)
     return out
 
 
@@ -272,15 +323,40 @@ class LossResult:
     family_sums: dict
 
 
-def _oriented(by_pair, name):
-    """A family's anchor-by-candidate view of a per-view-pair matrix.
+def _oriented(dist, name):
+    """A family's anchor-by-candidate view of its view pair's matrix.
 
     Sentence -> image reads the transpose of the x-y matrix.
     """
     anchor, cand = FAMILY_VIEWS[name]
-    if anchor <= cand:
-        return by_pair[anchor, cand]
-    return by_pair[cand, anchor].T
+    return dist if anchor <= cand else dist.T
+
+
+def _view_pair(name):
+    """The view pair, ("x", "y"), ("x", "x") or ("y", "y"), whose
+    distances a family reads."""
+    return tuple(sorted(FAMILY_VIEWS[name]))
+
+
+def _view_pairs(triplets):
+    """View pair -> the families with mined triplets that read its
+    distances, both in family order."""
+    pairs = {}
+    for name in FAMILY_NAMES:
+        if getattr(triplets, name).shape[0]:
+            pairs.setdefault(_view_pair(name), []).append(name)
+    return pairs
+
+
+def _pair_violations(emb, pair, names, triplets, margin):
+    """(distances, {family: hinge arguments}) of one view pair."""
+    dist = pairwise_distances(emb[pair[0]], emb[pair[1]])
+    viols = {}
+    for name in names:
+        d = _oriented(dist, name)
+        a, p, n = getattr(triplets, name).T
+        viols[name] = margin + d[a, p] - d[a, n]
+    return dist, viols
 
 
 def triplet_violations(emb_x, emb_y, triplets, margin):
@@ -295,18 +371,11 @@ def triplet_violations(emb_x, emb_y, triplets, margin):
         each family with mined triplets to one value per triplet.
     """
     emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
-    dists = {}
-    viols = {}
-    for name in FAMILY_NAMES:
-        t = getattr(triplets, name)
-        if t.shape[0] == 0:
-            continue
-        pair = tuple(sorted(FAMILY_VIEWS[name]))
-        if pair not in dists:
-            dists[pair] = pairwise_distances(emb[pair[0]], emb[pair[1]])
-        d = _oriented(dists, name)
-        a, p, n = t[:, 0], t[:, 1], t[:, 2]
-        viols[name] = margin + d[a, p] - d[a, n]
+    dists, viols = {}, {}
+    for pair, names in _view_pairs(triplets).items():
+        dists[pair], pair_viols = _pair_violations(emb, pair, names,
+                                                   triplets, margin)
+        viols.update(pair_viols)
     return dists, viols
 
 
@@ -320,8 +389,16 @@ def hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
 
     The loss's derivative with respect to the distances gathers +c at
     (a, p) and -c at (a, n) for every active triplet, in one
-    coefficient matrix per view pair; pairwise_distance_backward turns
-    each into embedding gradients.
+    coefficient matrix per view pair; the two sides of
+    pairwise_distance_backward turn each into embedding gradients.  The
+    view pairs are independent, so unless their distance matrices hold
+    fewer than tc.SLAB_MIN_FLOATS floats in all, two tc.map_slabs calls
+    run them beside one another: one forms each pair's distances,
+    hinge arguments, coefficients and distance weights (the y-y pair
+    beside the x-y one), the next each pair's two side gradients, the
+    largest first.  The results combine in one order at any worker
+    count: the loss in family order, each view's gradient x-y pair
+    first.
 
     Args:
         scales: optional family name -> factor s_f.  Family f adds
@@ -333,31 +410,49 @@ def hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
     """
     scales = scales or {}
     emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
-    dists, viols = triplet_violations(emb["x"], emb["y"], triplets,
-                                      cfg.margin)
-    coeffs = {pair: np.zeros_like(d) for pair, d in dists.items()}
     weights = cfg.family_weights()
+    pairs = _view_pairs(triplets)
+    inline = not tc.worth_splitting(sum(len(emb[va]) * len(emb[vb])
+                                        for va, vb in pairs))
+
+    def pair_terms(va, vb, _):
+        """({family: (c, hinge sum)}, the distance weights or None)."""
+        dist, viols = _pair_violations(emb, (va, vb), pairs[va, vb],
+                                       triplets, cfg.margin)
+        coeff = np.zeros_like(dist)
+        terms = {}
+        for name, h in viols.items():
+            active = h > 0.0
+            c = weights[name] * scales.get(name, 1.0)
+            terms[name] = c, float(h[active].sum())
+            if c != 0.0 and active.any():
+                a, p, n = getattr(triplets, name)[active].T
+                oriented = _oriented(coeff, name)
+                oriented += c * (_entry_counts(oriented.shape, a, p)
+                                 - _entry_counts(oriented.shape, a, n))
+        return terms, (tc.distance_weights(dist, coeff) if coeff.any()
+                       else None)
+
+    by_pair = dict(zip(pairs, tc.map_slabs(pair_terms, list(pairs), (),
+                                           inline=inline)))
+    # then each side's gradient of each view pair, the largest first
+    sides = sorted(((va, vb, side) for (va, vb), (_, w) in by_pair.items()
+                    if w is not None for side in "ab"),
+                   key=lambda job: -len(emb[job[0]]) * len(emb[job[1]]))
+    side_grads = dict(zip(sides, tc.map_slabs(
+        lambda va, vb, side, _: tc.distance_side_grad(
+            by_pair[va, vb][1], emb[va], emb[vb], side),
+        sides, (), inline=inline)))
     sums = dict.fromkeys(FAMILY_NAMES, 0.0)
     loss = 0.0
-    for name, h in viols.items():
-        active = h > 0.0
-        fam_sum = float(h[active].sum())
-        sums[name] = fam_sum
-        c = weights[name] * scales.get(name, 1.0)
-        loss += c * fam_sum
-        if c != 0.0 and active.any():
-            a, p, n = getattr(triplets, name)[active].T
-            coeff = _oriented(coeffs, name)
-            coeff += c * (_entry_counts(coeff.shape, a, p)
-                          - _entry_counts(coeff.shape, a, n))
     grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
-    for (va, vb), coeff in coeffs.items():
-        if not coeff.any():
-            continue
-        ga, gb = pairwise_distance_backward(emb[va], emb[vb], dists[va, vb],
-                                            coeff)
-        grads[va] += ga
-        grads[vb] += gb
+    for (va, vb), (terms, w) in by_pair.items():
+        for name, (c, fam_sum) in terms.items():
+            sums[name] = fam_sum
+            loss += c * fam_sum
+        if w is not None:
+            grads[va] += side_grads[va, vb, "a"]
+            grads[vb] += side_grads[va, vb, "b"]
     return LossResult(
         loss=loss,
         grad_x=grads["x"],

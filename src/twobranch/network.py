@@ -11,31 +11,34 @@ reverse.  Parameters live in plain dataclasses of float64 arrays.
 Checkpoints serialize every tensor, the running batch-norm statistics
 and the optimizer state to a single binary file.
 
-The dense products of an eval forward pass, of a train forward's first
-affine layer and of the SGD step's first-layer weight gradients run
-over independent row slabs, which ``_map_slabs`` spreads over
-SLAB_WORKERS threads.  That is more than one only when the BLAS thread
-count is pinned below the CPUs this process may use, so the slabs fill
-the CPUs a single-threaded BLAS leaves idle; with BLAS left to use every
-CPU, the slabs run one after another on the calling thread.  A train
-forward's first product smaller than TRAIN_SLAB_MIN_MACS runs whole on
-the calling thread, since handing it to the workers costs more than it
-saves.  The bits never depend on the worker count: each slab writes
-only its own rows, and a product over a slab of two or more rows has
-the bits of the same rows of the whole product.  The calling thread
-allocates every slab-sized buffer, which the layers fill through their
-``out`` arrays, so that freed temporaries do not pile up in the
-workers' own malloc arenas.
+Every stage of a training step whose result is large enough, and the
+Glorot draws of ``init_params``, run over independent row slabs, which
+``tc.map_slabs`` spreads over tc.SLAB_WORKERS threads: the whole dense
+part of both forward modes (both affine layers, the ReLU and dropout),
+the second affine layer's input gradient with the dropout and ReLU
+backwards, and the SGD step, which forms both layers' weight gradients
+one slab at a time.  SLAB_WORKERS is more than one only when the BLAS
+thread count is pinned below the CPUs this process may use, so the
+slabs fill the CPUs a single-threaded BLAS leaves idle; with BLAS left
+to use every CPU, the slabs run one after another on the calling
+thread.  A train-mode split whose result holds fewer than
+tc.SLAB_MIN_FLOATS floats stays on the calling thread, since handing
+it to the workers costs more than it saves.  Batch norm and the L2
+norm, which need every row or are cheap, run once over all rows.  The
+bits never depend on the worker count: each slab writes only its own
+rows, and a product over a slab of two or more rows has the bits of the
+same rows of the whole product.  The calling thread allocates every
+slab-sized buffer, which the layers fill through their ``out`` arrays,
+so that freed temporaries do not pile up in the workers' own malloc
+arenas.
 """
 
-import functools
 import hashlib
 import os
-import queue
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -62,60 +65,24 @@ _LEARNED_RECORDS = _BRANCH_RECORDS[:6]
 # first of the update's six passes to the last.
 SGD_BLOCK = 1 << 15
 
-# Floats per row slab of the SGD update: the update forms a first-layer
-# weight gradient one slab at a time (512 rows at 2048 columns), each
-# running slab into its own buffer.  These bounds do not depend on the
-# worker count, since the returned norms sum per-block partial sums in
-# slab order.  An eval forward pass runs its layer chain in row slabs of
+# Floats per row slab of the SGD update: the update forms a weight
+# gradient one slab at a time (512 rows of a first-layer weight at 2048
+# columns, all 2048 rows of a second-layer one at 512), each running
+# slab into its own buffer.  These bounds do not depend on the worker
+# count, since the returned norms sum per-block partial sums in slab
+# order.  An eval forward pass runs its layer chain in row slabs of
 # about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats (512 rows at
 # the paper shape on one worker, 256 on two), into buffers the calling
 # thread allocates, so the slabs in flight hold about one slab's worth
 # whatever the worker count; its bits do not depend on the bounds.  Each
 # slab's first product packs the whole first-layer weight again, and
 # slabs sized by 6000 input floats (174 rows) made the one-worker
-# forward pass about 3% slower.  A train forward's first product is not
-# sized by these floats: it runs one slab per worker, of equal heights,
-# into one hidden array the calling thread allocates (the batch norm
-# after it needs every row anyway); sized like an eval pass, the paper
+# forward pass about 3% slower.  A train forward is not sized by these
+# floats: it runs one slab per worker, of equal heights, into hidden and
+# pre-norm arrays the calling thread allocates (the batch norm after
+# them needs every row anyway); sized like an eval pass, the paper
 # shape's 680 y rows split 256/256/168 and its 190 x rows not at all.
 GRAD_SLAB_FLOATS = 1 << 20
-
-# Multiply-adds (rows x input_dim x hidden_dim) below which a train
-# forward's first product runs whole on the calling thread: below it,
-# handing slabs to the workers costs more than the product (a y-branch
-# forward of a criterion-4 toy batch, 160 x 48 -> 32, took about 630 us
-# on two workers against 160-240 us inline).  A paper-shape batch's
-# products are 24 (x) and 125 (y) times the threshold.
-TRAIN_SLAB_MIN_MACS = 1 << 26
-
-# BLAS libraries read their thread count from the first of these that
-# holds a positive integer.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
-def _slab_workers(environ):
-    """Threads for independent row slabs: the CPUs this process may use
-    divided by the BLAS thread count named in ``environ``, at least 1.
-
-    With no BLAS thread count named, BLAS already splits each product
-    over every CPU, so the slabs run on the calling thread alone.
-    """
-    for var in _BLAS_THREAD_VARS:
-        try:
-            blas_threads = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas_threads >= 1:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:
-                cpus = os.cpu_count() or 1
-            return max(1, cpus // blas_threads)
-    return 1
-
-
-SLAB_WORKERS = _slab_workers(os.environ)
 
 
 @dataclass(frozen=True)
@@ -190,14 +157,14 @@ class OptimizerState:
     velocity: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.lr0 > 0.0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0.0 < self.lr0 < inf:
+            raise ConfigError(f"lr0 must be > 0 and finite, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(
                 f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got "
+                              f"{self.weight_decay}")
         if self.epoch < 0:
             raise ConfigError(f"epoch must be >= 0, got {self.epoch}")
 
@@ -210,8 +177,31 @@ def learning_rate(epoch, lr0=0.1):
 
 
 def _glorot_uniform(rng, fan_in, fan_out):
+    """rng.uniform(-bound, bound, size=(fan_in, fan_out)), drawn in
+    tc.worker_slabs row slabs.
+
+    Each slab draws from a copy of rng's PCG64 moved with advance() to
+    the slab's offset in the one stream (a float64 draw takes one step)
+    and scales in place as Generator.uniform does, low + (high - low) *
+    u; rng then advances past the whole matrix.  So the bits and the
+    stream after are those of the one uniform call.
+    """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    low, high = -bound, bound
+    w = np.empty((fan_in, fan_out))
+    state = rng.bit_generator.state
+
+    def slab(start, stop, _):
+        bits = np.random.PCG64()
+        bits.state = state
+        bits.advance(start * fan_out)
+        rows = np.random.Generator(bits).random(out=w[start:stop])
+        rows *= high - low
+        rows += low
+
+    tc.map_slabs(slab, tc.worker_slabs(fan_in, w.size), ())
+    rng.bit_generator.advance(w.size)
+    return w
 
 
 def _init_branch(rng, spec):
@@ -265,27 +255,35 @@ class BranchTapes:
 def forward_branch(params, branch, inputs, mode, rng=None):
     """Run one branch.
 
-    Inputs may be float32 or float64; ``tc.as_matrix`` widens them.  Both
-    modes run one chain of the tc layers.  In train mode the calling
-    thread widens the inputs once, and the first affine layer's product
-    runs in one row slab per worker (``_train_slabs``) into the rows of
-    one (n, hidden_dim) array; one AffineTape over all the widened
-    inputs records it.  A product of fewer than TRAIN_SLAB_MIN_MACS
-    multiply-adds runs whole on the calling thread instead, where a toy
-    batch's forward costs less than handing it to the workers.  The rest
-    of the chain runs once over all rows, each layer allocating its
-    result: batch norm needs every row, and dropout draws its mask for
-    the whole batch with one ``rng.random`` call, so the RNG stream is
-    the same at any worker count.  In eval mode the chain
-    runs on each row slab of ``_row_slabs`` (about GRAD_SLAB_FLOATS /
-    SLAB_WORKERS hidden-layer floats) on up to SLAB_WORKERS threads, and
-    the layers write through ``out`` into a widened-input, a hidden and
-    a pre-norm buffer and into the slab's rows of one (n, embed_dim)
-    output.  The calling thread allocates those buffers, so the workers
-    free no slab-sized temporaries into their own malloc arenas, and the
-    pass never holds a widened copy of all inputs or their whole hidden
-    layer.  The bits are those of one pass over all rows, whatever the
-    worker count and slab bounds: every eval layer is row-local, a layer
+    Inputs may be float32 or float64; each row slab widens its own rows.
+    Both modes run one chain of the tc layers, whose dense part
+    (``_dense_layers``: affine, ReLU, dropout, affine) runs on row slabs
+    on up to tc.SLAB_WORKERS threads, into buffers the calling thread
+    allocates, so the workers free no slab-sized temporaries into their
+    own malloc arenas.
+
+    In train mode there is one slab per worker, of equal heights
+    (``tc.worker_slabs``; one slab of all rows when the hidden layer
+    holds fewer than tc.SLAB_MIN_FLOATS floats, where a toy batch's
+    forward costs less than handing it to the workers).  Each slab runs
+    the first affine layer into its rows of one (n, hidden_dim) array,
+    the ReLU and dropout in place over them and the second affine layer
+    into its rows of one (n, embed_dim) array.  Dropout applies a mask
+    drawn on the calling thread with the branch's one ``rng.random``
+    call, so the RNG stream is the same at any worker count.  Batch norm
+    and the L2 norm then run once over all rows, since batch norm needs
+    every row.  The first layer's tape keeps the inputs as given (a
+    float32 batch is not widened as a whole), the second's the dropout
+    output.
+
+    In eval mode the chain runs on each row slab of ``_row_slabs``
+    (about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats), through
+    ``out`` into a widened-input, a hidden and a pre-norm buffer and
+    into the slab's rows of one (n, embed_dim) output, so the pass never
+    holds a widened copy of all inputs or their whole hidden layer.
+
+    The bits are those of one pass over all rows, whatever the worker
+    count and slab bounds: every slabbed layer is row-local, a layer
     given ``out`` runs the operations of its ``out=None`` form, and a
     slab has at least 2 rows unless the input has 1, so no slab's
     product takes numpy's one-row matrix-vector path where the whole
@@ -318,11 +316,12 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             f"branch {branch}: inputs have {inputs.shape[1]} columns, "
             f"expected {spec.input_dim}"
         )
+    if mode == "train":
+        return _train_forward(params, spec, p, inputs, rng)
     if mode != "eval":
-        x = tc.as_matrix(inputs, "inputs")
-        return _layer_chain(params, spec, p, _train_affine1(p, x), mode, rng)
+        raise ContractViolationError(f"unknown forward mode {mode!r}")
     n = inputs.shape[0]
-    slabs = list(_row_slabs(n, spec.hidden_dim, SLAB_WORKERS))
+    slabs = _row_slabs(n, spec.hidden_dim, tc.SLAB_WORKERS)
     rows = max((stop - start for start, stop in slabs), default=0)
     # columns of the widened input, the hidden layer and the pre-norm one
     widths = (spec.input_dim, spec.hidden_dim, spec.embed_dim)
@@ -333,60 +332,99 @@ def forward_branch(params, branch, inputs, mode, rng=None):
             buf[:(stop - start) * cols].reshape(stop - start, cols)
             for buf, cols in zip(scratch, widths))
         np.copyto(x_buf, inputs[start:stop])
-        _layer_chain(params, spec, p,
-                     tc.affine_forward(x_buf, p.w1, p.b1, out=h_buf), mode,
-                     hidden=h_buf, pre_norm=o_buf, out=emb[start:stop])
+        _dense_layers(p, spec, x_buf, "eval", h_buf, o_buf)
+        h, _ = tc.batchnorm_forward(
+            o_buf, p.gamma, p.beta, p.running_mean, p.running_var, "eval",
+            momentum=params.bn_momentum, eps=params.bn_eps, out=o_buf)
+        tc.l2_normalize_rows(h, out=emb[start:stop])
 
-    _map_slabs(slab, slabs, [rows * cols for cols in widths])
+    tc.map_slabs(slab, slabs, [rows * cols for cols in widths])
     return emb, None
 
 
-def _train_affine1(p, x):
-    """tc.affine_forward(x, p.w1, p.b1) of widened inputs x, run in
-    ``_train_slabs`` row slabs into one array when the product is at
-    least TRAIN_SLAB_MIN_MACS multiply-adds."""
-    w = tc.as_matrix(p.w1, "w")
-    (n, d_in), d_out = x.shape, w.shape[1]
-    if n * d_in * d_out < TRAIN_SLAB_MIN_MACS:
-        return tc.affine_forward(x, w, p.b1)
-    hidden = np.empty((n, d_out))
-    _map_slabs(lambda start, stop, _: tc.affine_forward(
-        x[start:stop], w, p.b1, out=hidden[start:stop]),
-        _train_slabs(n), ())
-    return hidden, tc.AffineTape(x=x, w=w)
+def _train_forward(params, spec, p, inputs, rng):
+    """forward_branch's train mode (see there): (embeddings, tapes)."""
+    # the first layer's tape keeps a float32 batch as gathered, and each
+    # slab widens its own rows
+    x = (np.ascontiguousarray(inputs) if inputs.dtype == np.float32
+         else tc.as_matrix(inputs, "inputs"))
+    n, hidden = x.shape[0], spec.hidden_dim
+    h = np.empty((n, hidden))
+    relu_mask = np.empty((n, hidden), dtype=bool)
+    if spec.dropout_p == 0.0:
+        # dropout fills it with ones and draws nothing
+        drop_mask = np.empty((n, hidden))
+    elif rng is None:
+        raise ContractViolationError(
+            "train mode with dropout_p > 0 requires an rng")
+    else:
+        drop_mask = rng.random((n, hidden))
+    pre = np.empty((n, spec.embed_dim))
+    slabs = tc.worker_slabs(n, h.size)
+    rows = max(stop - start for start, stop in slabs)
+
+    def slab(start, stop, scratch):
+        part = slice(start, stop)
+        _dense_layers(p, spec, tc.widen_rows(x[part], *scratch), "train",
+                      h[part], pre[part], relu_mask=relu_mask[part],
+                      drop_mask=drop_mask[part])
+
+    widen = 0 if x.dtype == np.float64 else rows * spec.input_dim
+    tc.map_slabs(slab, slabs, (widen,))
+    out, t_bn = tc.batchnorm_forward(
+        pre, p.gamma, p.beta, p.running_mean, p.running_var, "train",
+        momentum=params.bn_momentum, eps=params.bn_eps, out=pre)
+    emb, t_norm = tc.l2_normalize_rows(out)
+    return emb, BranchTapes(
+        tc.AffineTape(x=x, w=p.w1), tc.ReluTape(mask=relu_mask),
+        tc.DropoutTape(scaled_mask=drop_mask), tc.AffineTape(x=h, w=p.w2),
+        t_bn, t_norm)
 
 
-def _layer_chain(params, spec, p, affine1, mode, rng=None, hidden=None,
-                 pre_norm=None, out=None):
-    """(embeddings, tapes) of a branch's tc layers after the first affine
-    layer, whose (result, tape) is ``affine1``; ``hidden`` takes the
-    ReLU, ``pre_norm`` the second affine layer and batch norm, ``out``
-    the embeddings (None: allocated)."""
-    h, t_aff1 = affine1
-    h, t_relu = tc.relu_forward(h, out=hidden)
-    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
-    h, t_aff2 = tc.affine_forward(h, p.w2, p.b2, out=pre_norm)
-    h, t_bn = tc.batchnorm_forward(
-        h, p.gamma, p.beta, p.running_mean, p.running_var, mode,
-        momentum=params.bn_momentum, eps=params.bn_eps, out=pre_norm,
-    )
-    emb, t_norm = tc.l2_normalize_rows(h, out=out)
-    return emb, BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)
+def _dense_layers(p, spec, x, mode, hidden, pre, relu_mask=None,
+                  drop_mask=None):
+    """A branch's tc layers from the first affine one through the second,
+    over float64 rows ``x``: the first affine layer, the ReLU and dropout
+    write ``hidden`` in place, the second affine layer ``pre``.
+    ``relu_mask`` and ``drop_mask`` take the ReLU mask and dropout's
+    scaled mask (see tc.dropout_forward's ``draws``)."""
+    h, _ = tc.affine_forward(x, p.w1, p.b1, out=hidden)
+    tc.relu_forward(h, out=h, mask=relu_mask)
+    tc.dropout_forward(h, spec.dropout_p, mode, out=h, draws=drop_mask)
+    tc.affine_forward(h, p.w2, p.b2, out=pre)
 
 
 def backward_branch(tapes, grad_emb):
     """Chain the layer backwards; returns dict of parameter gradients.
 
-    The inputs are data, so no gradient flows into them.
+    The L2 norm and batch norm run once over all rows.  Then each of
+    tc.worker_slabs' row slabs forms the second affine layer's input
+    gradient and runs the dropout and ReLU backwards in place over it,
+    into its rows of one (n, hidden_dim) array; the bits are those of
+    one pass, as in forward_branch.  Both weight gradients are returned
+    as unformed tc.WeightGrads, which sgd_step forms in row slabs.  The
+    inputs are data, so no gradient flows into them.
     """
     if tapes is None:
         raise ConfigError("backward requires train-mode tapes")
     g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
     g, g_gamma, g_beta = tc.batchnorm_backward(g, tapes.batchnorm)
-    g, g_w2, g_b2 = tc.affine_backward(g, tapes.affine2)
-    g = tc.dropout_backward(g, tapes.dropout)
-    g = tc.relu_backward(g, tapes.relu)
-    g_w1, g_b1 = tc.affine_param_backward(g, tapes.affine1)
+    g_w2, g_b2 = tc.affine_param_backward(g, tapes.affine2)
+    tc.consume(tapes.dropout)
+    tc.consume(tapes.relu)
+    w2 = tapes.affine2.w
+    grad_h = np.empty(tapes.affine2.x.shape)
+
+    def slab(start, stop, _):
+        gh = tc.affine_input_backward(g[start:stop], w2,
+                                      out=grad_h[start:stop])
+        tc.dropout_backward(gh, tapes.dropout.rows(start, stop), out=gh)
+        tc.relu_backward(gh, tapes.relu.rows(start, stop), out=gh)
+
+    tc.map_slabs(slab, tc.worker_slabs(len(grad_h), grad_h.size), ())
+    # consumed: let the masks go before the SGD step forms the WeightGrads
+    tapes.dropout.scaled_mask = tapes.relu.mask = None
+    g_w1, g_b1 = tc.affine_param_backward(grad_h, tapes.affine1)
     return {
         "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
         "gamma": g_gamma, "beta": g_beta,
@@ -402,99 +440,26 @@ def _learned_tensors(params):
 
 def _row_slabs(rows, row_floats, workers=1):
     """(start, stop) row ranges of about GRAD_SLAB_FLOATS / workers
-    floats (see _slabs_of_height)."""
-    return _slabs_of_height(rows, GRAD_SLAB_FLOATS // (row_floats * workers))
-
-
-def _train_slabs(rows):
-    """(start, stop) row ranges, one per slab worker, of equal heights
-    (see _slabs_of_height)."""
-    return _slabs_of_height(rows, -(-rows // SLAB_WORKERS))
-
-
-def _slabs_of_height(rows, height):
-    """(start, stop) row ranges of ``height`` rows, the last one ragged.
-
-    A slab has at least two rows unless the tensor has one: a one-row
-    tail joins the slab before it, since a product with a one-row
-    operand takes numpy's matrix-vector path, whose bits can differ from
-    the same row of the whole product.
-    """
-    height = max(2, height)
-    bounds = list(range(0, rows, height)) + [rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
-
-
-@functools.cache
-def _slab_pool(workers):
-    return ThreadPoolExecutor(max_workers=workers,
-                              thread_name_prefix="twobranch-slab")
-
-
-def _map_slabs(fn, slabs, scratch_floats):
-    """[fn(start, stop, scratch) for each slab], in slab order, run on up
-    to SLAB_WORKERS threads.
-
-    A scratch is a list of flat float64 arrays, one of each size in
-    ``scratch_floats``, and a queue hands each worker's scratch from one
-    running slab to the next.  The calling thread allocates all of them
-    as one block, so the workers allocate no slab-sized array of their
-    own (glibc keeps what a thread frees in that thread's arena), and
-    at the paper shape the block is large enough for malloc to map it
-    from the system and unmap it when the call ends, rather than leave
-    holes in the heap that later, larger arrays cannot reuse.  No slab
-    is still running when this returns or raises; the first exception
-    in slab order propagates.
-
-    A call with one slab, or with one worker, runs its slabs inline on
-    one scratch, with no queue and no pool: a toy-shape training step
-    makes a dozen such calls, one per tensor, and each takes about 3 us
-    so against 13 us through the queue.  The pool's hand-off costs more
-    still (a toy-batch train forward whose first product went to it in
-    two slabs took about 630 us against 160-240 us inline), which is why
-    a train forward's first product below TRAIN_SLAB_MIN_MACS is not
-    split at all.
-    """
-    slabs = list(slabs)
-    workers = min(SLAB_WORKERS, len(slabs))
-    block = np.empty(sum(scratch_floats) * workers)
-    views, at = [], 0
-    for floats in tuple(scratch_floats) * workers:
-        views.append(block[at:at + floats])
-        at += floats
-    if workers <= 1:
-        return [fn(start, stop, views) for start, stop in slabs]
-    parts = len(scratch_floats)
-    free = queue.SimpleQueue()
-    for w in range(workers):
-        free.put(views[w * parts:(w + 1) * parts])
-
-    def run(start, stop):
-        scratch = free.get()
-        try:
-            return fn(start, stop, scratch)
-        finally:
-            free.put(scratch)
-
-    jobs = [_slab_pool(SLAB_WORKERS).submit(run, start, stop)
-            for start, stop in slabs]
-    wait(jobs)
-    return [job.result() for job in jobs]
+    floats (see tc.slabs_of_height)."""
+    return tc.slabs_of_height(
+        rows, GRAD_SLAB_FLOATS // (row_floats * workers))
 
 
 def sgd_step(params, opt, grads):
     """Apply one momentum-SGD update in place.
 
     Each tensor is walked in row slabs of about GRAD_SLAB_FLOATS floats,
-    on up to SLAB_WORKERS threads, and each slab in contiguous flat
-    blocks of SGD_BLOCK floats through a small scratch, so the update
-    streams through memory once instead of once per operation.  A
-    slab's gradient is a view of an array gradient or one product of a
-    tc.WeightGrad, formed into a buffer the calling thread allocated for
-    its worker, so beyond the parameters and velocities the step holds
-    one slab of a first-layer gradient per worker (8 MB), never the
+    and each slab in contiguous flat blocks of SGD_BLOCK floats through a
+    small scratch, so the update streams through memory once instead of
+    once per operation.  The slabs of all tensors run in one
+    tc.map_slabs call on up to tc.SLAB_WORKERS threads, so a tensor of
+    one slab (a second-layer weight) runs beside another's slabs; a
+    step whose tensors hold fewer than tc.SLAB_MIN_FLOATS floats in all
+    runs on the calling thread.  A slab's gradient is a view of an array
+    gradient or one product of a tc.WeightGrad, formed into a buffer the
+    calling thread allocated for its worker (a float32 input widened
+    into another), so beyond the parameters and velocities the step
+    holds one slab of a weight gradient per worker (8 MB), never the
     whole matrix (98 MB for y.w1 at the paper shape).  Every element
     sees the formula's operations in the formula's order, a slab writes
     only its own rows of theta and velocity, and a WeightGrad slab has
@@ -540,58 +505,70 @@ def sgd_step(params, opt, grads):
         if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
             raise ContractViolationError(
                 f"{name}: SGD updates C-contiguous tensors in place")
-    norms = {}
-    for name, theta in _learned_tensors(params):
-        vel = opt.velocity.get(name)
-        if vel is None:
+    tensors = dict(_learned_tensors(params))
+    # slab -> its work: the floats it updates, times the rows of its
+    # product when it forms a WeightGrad
+    work, formed, widen, block = {}, 0, 0, 0
+    for name, theta in tensors.items():
+        if name not in opt.velocity:
             # a zero start, not a copy of grad: 0 + -0.0 is +0.0
-            vel = opt.velocity[name] = np.zeros_like(theta)
-        sq = 0.0
-        for sums in _step_slabs(theta, grads[name], vel, opt,
-                                name.endswith(_DECAYED_SUFFIXES)):
-            for block_sq in sums:
-                sq += float(block_sq)
-        norms[name] = sqrt(sq)
-    return norms
+            opt.velocity[name] = np.zeros_like(theta)
+        grad, cols = grads[name], prod(theta.shape[1:])
+        for start, stop in _row_slabs(theta.shape[0], cols):
+            floats = (stop - start) * cols
+            block = max(block, min(floats, SGD_BLOCK))
+            work[name, start, stop] = floats
+            if isinstance(grad, tc.WeightGrad):
+                work[name, start, stop] *= 1 + grad.x.shape[0]
+                formed = max(formed, floats)
+                widen = max(widen, grad.widen_floats(stop - start))
+
+    def slab(name, start, stop, scratch):
+        return _step_slab(tensors[name], grads[name], opt.velocity[name],
+                          opt, name.endswith(_DECAYED_SUFFIXES), start,
+                          stop, scratch)
+
+    # the largest slabs first, so that none runs alone at the end
+    order = sorted(work, key=work.get, reverse=True)
+    sums = dict(zip(order, tc.map_slabs(
+        slab, order, (formed, widen, block),
+        inline=not tc.worth_splitting(sum(t.size for t in tensors.values())))))
+    sq = dict.fromkeys(tensors, 0.0)
+    for key in work:
+        # each tensor's blocks in row order
+        for block_sq in sums[key]:
+            sq[key[0]] += float(block_sq)
+    return {name: sqrt(value) for name, value in sq.items()}
 
 
-def _step_slabs(theta, grad, vel, opt, decayed):
-    """Update one tensor's row slabs in place, on up to SLAB_WORKERS
-    threads; returns each slab's list of per-block sums of squared
-    gradient entries, in slab order."""
-    cols = prod(theta.shape[1:])
-    slabs = list(_row_slabs(theta.shape[0], cols))
-    floats = max((stop - start) * cols for start, stop in slabs)
-    formed = isinstance(grad, tc.WeightGrad)
-
-    def slab(start, stop, scratch):
-        rows_buf, block_buf = scratch
-        if formed:
-            rows = grad.rows(start, stop, out=rows_buf[:(stop - start) * cols]
-                             .reshape(stop - start, cols))
+def _step_slab(theta, grad, vel, opt, decayed, start, stop, scratch):
+    """Update rows start:stop of one tensor in place; returns the slab's
+    list of per-block sums of squared gradient entries."""
+    formed_buf, widen_buf, block_buf = scratch
+    if isinstance(grad, tc.WeightGrad):
+        cols = theta.shape[1]
+        rows = grad.rows(start, stop, scratch=widen_buf, out=formed_buf[
+            :(stop - start) * cols].reshape(stop - start, cols))
+    else:
+        rows = grad[start:stop]
+    t, g, v = (a.reshape(-1) for a in (theta[start:stop], rows,
+                                       vel[start:stop]))
+    sums = []
+    for block in range(0, t.size, SGD_BLOCK):
+        tb, gb, vb = (a[block:block + SGD_BLOCK] for a in (t, g, v))
+        sums.append(np.dot(gb, gb))
+        # the scratch holds the decay term, then lr * vel
+        sb = block_buf[:tb.size]
+        vb *= opt.momentum
+        if decayed:
+            np.multiply(opt.weight_decay, tb, out=sb)
+            sb += gb
+            vb += sb
         else:
-            rows = grad[start:stop]
-        t, g, v = (a.reshape(-1) for a in (theta[start:stop], rows,
-                                           vel[start:stop]))
-        sums = []
-        for block in range(0, t.size, SGD_BLOCK):
-            tb, gb, vb = (a[block:block + SGD_BLOCK] for a in (t, g, v))
-            sums.append(np.dot(gb, gb))
-            # the scratch holds the decay term, then lr * vel
-            sb = block_buf[:tb.size]
-            vb *= opt.momentum
-            if decayed:
-                np.multiply(opt.weight_decay, tb, out=sb)
-                sb += gb
-                vb += sb
-            else:
-                vb += gb
-            np.multiply(opt.lr, vb, out=sb)
-            tb -= sb
-        return sums
-
-    return _map_slabs(slab, slabs, (floats if formed else 0,
-                                    min(floats, SGD_BLOCK)))
+            vb += gb
+        np.multiply(opt.lr, vb, out=sb)
+        tb -= sb
+    return sums
 
 
 def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):

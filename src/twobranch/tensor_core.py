@@ -10,15 +10,26 @@ once; a second backward call on the same tape raises
 ContractViolationError.  Matrix inputs may be float32 (feature files
 load as float32): ``as_matrix`` widens them to C-contiguous float64,
 which is exact, and every op returns C-contiguous float64 results.
-The affine, ReLU, batch-norm and row L2 forwards take an optional
+The affine, ReLU, dropout, batch-norm and row L2 forwards, and the
+ReLU, dropout and affine input-gradient backwards, take an optional
 ``out``, a C-contiguous float64 array of the result's shape that they
 fill and return with the bits of ``out=None``; only the L2 norm's must
-not overlap its input.
-affine_param_backward returns its weight gradient as a WeightGrad,
-formed from two such arrays when it is read.  All results are
-deterministic for fixed inputs.
+not overlap its input.  A caller that runs a backward in row slabs
+consumes the tape once (``consume``) and hands each slab a tape of its
+rows.  affine_param_backward returns its weight gradient as a
+WeightGrad, formed from two such arrays when it is read.  All results
+are deterministic for fixed inputs.
+
+The package's one thread pool lives here too: ``map_slabs`` runs
+independent row slabs of a stage on SLAB_WORKERS threads, and
+``worker_slabs`` splits a stage's rows over them when its result is
+large enough to repay the hand-off.
 """
 
+import functools
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +59,46 @@ DIRECT_CHUNK_FLOATS = 1 << 21
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
+# Floats of a split's result below which ``worker_slabs`` keeps all of
+# its rows in one slab, on the calling thread: below it, handing slabs
+# to the workers costs more than they save (a y-branch train forward of
+# a criterion-4 toy batch, 160 x 48 -> 32, took about 630 us on two
+# workers against 160-240 us inline).  Every split stage spends at least
+# a few nanoseconds per result float: a Glorot draw, a mined violation,
+# a hidden unit of a dense layer.  At the paper shape the x branch's
+# 190 x 2048 hidden layer holds 1.5 times this; no result of a
+# criterion-4 toy step holds a twentieth of it.
+SLAB_MIN_FLOATS = 1 << 18
+
+# BLAS libraries read their thread count from the first of these that
+# holds a positive integer.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _slab_workers(environ):
+    """Threads for independent row slabs: the CPUs this process may use
+    divided by the BLAS thread count named in ``environ``, at least 1.
+
+    With no BLAS thread count named, BLAS already splits each product
+    over every CPU, so the slabs run on the calling thread alone.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            blas_threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas_threads >= 1:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:
+                cpus = os.cpu_count() or 1
+            return max(1, cpus // blas_threads)
+    return 1
+
+
+SLAB_WORKERS = _slab_workers(os.environ)
+
 
 def as_matrix(x, name="array"):
     """Validate and return ``x`` as a 2-D C-contiguous float64 array.
@@ -59,6 +110,106 @@ def as_matrix(x, name="array"):
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def widen_rows(x, buf):
+    """``x`` as float64: itself when it already is, else widened into
+    the front of the flat float64 scratch ``buf``, C-contiguous."""
+    if x.dtype == np.float64:
+        return x
+    out = buf[:x.size].reshape(x.shape)
+    np.copyto(out, x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# row slabs on the CPUs a single-threaded BLAS leaves idle
+
+
+def slabs_of_height(rows, height):
+    """(start, stop) row ranges of ``height`` rows, the last one ragged.
+
+    A slab has at least two rows unless the tensor has one: a one-row
+    tail joins the slab before it, since a product with a one-row
+    operand takes numpy's matrix-vector path, whose bits can differ from
+    the same row of the whole product.
+    """
+    height = max(2, height)
+    bounds = list(range(0, rows, height)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def worth_splitting(floats):
+    """Whether a split whose result holds ``floats`` floats goes to the
+    slab workers (see SLAB_MIN_FLOATS)."""
+    return SLAB_WORKERS > 1 and floats >= SLAB_MIN_FLOATS
+
+
+def worker_slabs(rows, floats):
+    """(start, stop) row ranges of a split whose result holds ``floats``
+    floats: one per slab worker, of equal heights (see slabs_of_height),
+    when it is worth splitting, else all rows in one (also when there
+    are none)."""
+    if rows < 2 or not worth_splitting(floats):
+        return [(0, rows)]
+    return slabs_of_height(rows, -(-rows // SLAB_WORKERS))
+
+
+@functools.cache
+def _slab_pool(workers):
+    return ThreadPoolExecutor(max_workers=workers,
+                              thread_name_prefix="twobranch-slab")
+
+
+def map_slabs(fn, slabs, scratch_floats, inline=False):
+    """[fn(*slab, scratch) for each slab], in slab order, run on up to
+    SLAB_WORKERS threads.
+
+    A slab is a tuple, usually a (start, stop) row range.  A scratch is
+    a list of flat float64 arrays, one of each size in
+    ``scratch_floats``, and a queue hands each worker's scratch from one
+    running slab to the next.  The calling thread allocates all of them
+    as one block, so the workers allocate no slab-sized array of their
+    own (glibc keeps what a thread frees in that thread's arena), and
+    at the paper shape the block is large enough for malloc to map it
+    from the system and unmap it when the call ends, rather than leave
+    holes in the heap that later, larger arrays cannot reuse.  No slab
+    is still running when this returns or raises; the first exception
+    in slab order propagates.
+
+    A call with one slab, with one worker or with ``inline`` set runs
+    its slabs on the calling thread on one scratch, with no queue and
+    no pool: a toy-shape training step makes a dozen such calls, and
+    each takes about 3 us against 13 us through the queue.  The pool's
+    hand-off costs more still, which is why worker_slabs does not split
+    a small result at all.
+    """
+    slabs = list(slabs)
+    workers = 1 if inline else min(SLAB_WORKERS, len(slabs))
+    block = np.empty(sum(scratch_floats) * workers)
+    views, at = [], 0
+    for floats in tuple(scratch_floats) * workers:
+        views.append(block[at:at + floats])
+        at += floats
+    if workers <= 1:
+        return [fn(*slab, views) for slab in slabs]
+    parts = len(scratch_floats)
+    free = queue.SimpleQueue()
+    for w in range(workers):
+        free.put(views[w * parts:(w + 1) * parts])
+
+    def run(slab):
+        scratch = free.get()
+        try:
+            return fn(*slab, scratch)
+        finally:
+            free.put(scratch)
+
+    jobs = [_slab_pool(SLAB_WORKERS).submit(run, slab) for slab in slabs]
+    wait(jobs)
+    return [job.result() for job in jobs]
 
 
 def check_finite(x, name="array"):
@@ -75,13 +226,20 @@ def _check_out(out, shape):
             f"out must be a C-contiguous float64 array of shape {shape}")
 
 
-def _grad_out(grad_out, tape, shape, op):
-    """Consume ``tape`` and return ``grad_out`` as a float64 matrix of
-    ``shape``, the shape of the forward's output."""
+def consume(tape):
+    """Mark ``tape`` consumed by a backward pass; raises if it was.  A
+    caller that runs a backward over row slabs consumes the tape once
+    and hands each slab ``tape.rows(start, stop)``."""
     if tape.used:
         raise ContractViolationError(
             f"{type(tape).__name__} already consumed by a backward pass")
     tape.used = True
+
+
+def _grad_out(grad_out, tape, shape, op):
+    """Consume ``tape`` and return ``grad_out`` as a float64 matrix of
+    ``shape``, the shape of the forward's output."""
+    consume(tape)
     grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != shape:
         raise DimensionError(
@@ -96,6 +254,8 @@ def _grad_out(grad_out, tape, shape, op):
 
 @dataclass
 class AffineTape:
+    """x may be float32 when it is a layer's data input (see WeightGrad)."""
+
     x: np.ndarray
     w: np.ndarray
     used: bool = False
@@ -144,10 +304,20 @@ def affine_backward(grad_out, tape):
         (grad_x, grad_w, grad_b).
     """
     grad_out = _affine_grad_out(grad_out, tape)
-    grad_x = grad_out @ tape.w.T
-    grad_w = tape.x.T @ grad_out
+    grad_x = affine_input_backward(grad_out, tape.w)
+    grad_w = np.asarray(WeightGrad(tape.x, grad_out))
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
+
+
+def affine_input_backward(grad_out, w, out=None):
+    """grad_out @ w.T, the input gradient of an affine layer of weights
+    ``w``, into ``out`` when given.  It reads no tape, so a caller may
+    form it for any rows of grad_out after affine_param_backward has
+    consumed the layer's tape."""
+    grad_out = as_matrix(grad_out, "grad_out")
+    _check_out(out, (grad_out.shape[0], w.shape[0]))
+    return np.matmul(grad_out, w.T, out=out)
 
 
 class WeightGrad:
@@ -158,7 +328,9 @@ class WeightGrad:
     whole (d_in, d_out) matrix; ``np.asarray`` forms all of it.  A slab
     of two or more rows has the bits of the same rows of the whole
     product (a one-row operand takes numpy's matrix-vector path, whose
-    bits can differ).
+    bits can differ).  ``x`` may be float32 (a layer's data input, kept
+    as gathered): it is widened, exactly, before it meets grad_out,
+    never by a mixed-dtype product.
     """
 
     def __init__(self, x, grad_out):
@@ -169,19 +341,31 @@ class WeightGrad:
     def shape(self):
         return (self.x.shape[1], self.grad_out.shape[1])
 
-    def rows(self, start, stop, out=None):
-        return np.matmul(self.x[:, start:stop].T, self.grad_out, out=out)
+    def widen_floats(self, rows):
+        """Floats of the scratch that rows() needs for ``rows`` rows."""
+        return 0 if self.x.dtype == np.float64 else self.x.shape[0] * rows
+
+    def rows(self, start, stop, out=None, scratch=None):
+        """Rows start:stop, a float32 x's columns widened into the flat
+        float64 ``scratch`` of widen_floats(stop - start) floats (None:
+        allocated)."""
+        x = self.x[:, start:stop]
+        if x.dtype != np.float64:
+            x = widen_rows(x, np.empty(x.size) if scratch is None
+                           else scratch)
+        return np.matmul(x.T, self.grad_out, out=out)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.x.T @ self.grad_out, dtype=dtype)
+        return np.asarray(as_matrix(self.x).T @ self.grad_out, dtype=dtype)
 
 
 def affine_param_backward(grad_out, tape):
-    """affine_backward without grad_x, for a layer whose input is data.
+    """affine_backward without grad_x, for a layer whose input is data
+    or whose input gradient affine_input_backward forms by rows.
 
-    Skips the (n, d_in) product grad_out @ w.T.  grad_w is returned as
-    a WeightGrad, which np.asarray forms with affine_backward's
-    expression, and grad_b is affine_backward's, so the same bits.
+    grad_w is returned as a WeightGrad, which np.asarray forms with
+    affine_backward's expression, and grad_b is affine_backward's, so
+    the same bits.
 
     Returns:
         (grad_w, grad_b).
@@ -199,18 +383,26 @@ class ReluTape:
     mask: np.ndarray
     used: bool = False
 
+    def rows(self, start, stop):
+        """A fresh tape of rows start:stop (see consume)."""
+        return ReluTape(self.mask[start:stop])
 
-def relu_forward(x, out=None):
-    """Elementwise max(x, 0), into ``out`` when given (which may be x)."""
+
+def relu_forward(x, out=None, mask=None):
+    """Elementwise max(x, 0), into ``out`` when given (which may be x);
+    the tape's mask forms in ``mask`` when given, a C-contiguous bool
+    array of x's shape."""
     x = as_matrix(x, "x")
     _check_out(out, x.shape)
-    mask = x > 0.0
+    mask = np.greater(x, 0.0, out=mask)
     return np.multiply(x, mask, out=out), ReluTape(mask=mask)
 
 
-def relu_backward(grad_out, tape):
+def relu_backward(grad_out, tape, out=None):
+    """grad_out times the mask, into ``out`` when given (which may be
+    grad_out)."""
     grad_out = _grad_out(grad_out, tape, tape.mask.shape, "relu")
-    return grad_out * tape.mask
+    return np.multiply(grad_out, tape.mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +509,31 @@ class DropoutTape:
     scaled_mask: np.ndarray
     used: bool = False
 
+    def rows(self, start, stop):
+        """A fresh tape of rows start:stop (see consume)."""
+        return DropoutTape(self.scaled_mask[start:stop])
 
-def dropout_forward(x, p, mode, rng=None):
+
+def dropout_forward(x, p, mode, rng=None, out=None, draws=None):
     """Inverted dropout.
 
     Train mode zeroes each entry independently with probability p and
     scales survivors by 1 / (1 - p) so the expectation matches eval
-    mode, which is the identity.
+    mode, which is the identity.  An entry is kept where its uniform
+    draw is at least p.
 
     Args:
         x: input, shape (n, d).
         p: drop probability in [0, 1).
         mode: "train" or "eval".
-        rng: numpy Generator, required in train mode when p > 0.
+        rng: numpy Generator, required in train mode when p > 0 and
+            ``draws`` is not given.
+        out: optional output array of x's shape; may be x.
+        draws: optional C-contiguous float64 array of x's shape in which
+            the tape's scaled mask forms; when p > 0 it holds on entry
+            the uniform [0, 1) draws to use instead of rng's, so a
+            caller can draw a whole batch's mask with one rng call and
+            apply it a row slab at a time.
 
     Returns:
         (out, tape); tape is None in eval mode.
@@ -337,29 +541,43 @@ def dropout_forward(x, p, mode, rng=None):
     x = as_matrix(x, "x")
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout requires 0 <= p < 1, got {p}")
+    _check_out(out, x.shape)
     if mode == "eval":
-        return x, None
+        if out is None or out is x:
+            return x, None
+        np.copyto(out, x)
+        return out, None
     if mode != "train":
         raise ContractViolationError(f"unknown dropout mode {mode!r}")
     if p == 0.0:
-        scaled_mask = np.ones_like(x)
+        if draws is None:
+            scaled_mask = np.ones_like(x)
+        else:
+            scaled_mask = draws
+            scaled_mask.fill(1.0)
     else:
-        if rng is None:
-            raise ContractViolationError(
-                "dropout train mode with p > 0 requires an rng"
-            )
-        keep = rng.random(x.shape) >= p
-        scaled_mask = keep / (1.0 - p)
-    return x * scaled_mask, DropoutTape(scaled_mask=scaled_mask)
+        if draws is None:
+            if rng is None:
+                raise ContractViolationError(
+                    "dropout train mode with p > 0 requires an rng"
+                )
+            draws = rng.random(x.shape)
+        # 1.0 where kept, then scaled: the bits of (draws >= p) / (1 - p)
+        scaled_mask = np.greater_equal(draws, p, out=draws)
+        scaled_mask /= 1.0 - p
+    return (np.multiply(x, scaled_mask, out=out),
+            DropoutTape(scaled_mask=scaled_mask))
 
 
-def dropout_backward(grad_out, tape):
+def dropout_backward(grad_out, tape, out=None):
+    """grad_out times the scaled mask, into ``out`` when given (which
+    may be grad_out)."""
     if tape is None:
         raise ContractViolationError(
             "dropout backward requires a train-mode tape"
         )
     grad_out = _grad_out(grad_out, tape, tape.scaled_mask.shape, "dropout")
-    return grad_out * tape.scaled_mask
+    return np.multiply(grad_out, tape.scaled_mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +716,24 @@ def pairwise_distance_backward(a, b, dist, grad_dist):
             f"(a {a.shape}, b {b.shape}, dist {dist.shape}, "
             f"grad {grad_dist.shape})"
         )
+    w = distance_weights(dist, grad_dist)
+    return distance_side_grad(w, a, b, "a"), distance_side_grad(w, a, b, "b")
+
+
+def distance_weights(dist, grad_dist):
+    """pairwise_distance_backward's weights grad_dist / dist of float64
+    (n, m) matrices: 0 where the distance is 0, the distance clamped at
+    EPS_DIST elsewhere."""
     # a coincident pair's weight would multiply a_i - b_j = 0, but the
-    # products below form it as w a_i - w b_j, where a weight of
+    # side gradients form it as w a_i - w b_j, where a weight of
     # 1/EPS_DIST leaves rounding noise of 1e-4 instead of zero
-    w = np.divide(grad_dist, np.maximum(dist, EPS_DIST),
-                  out=np.zeros_like(grad_dist), where=dist > 0.0)
-    grad_a = w.sum(axis=1)[:, None] * a - w @ b
-    grad_b = w.sum(axis=0)[:, None] * b - w.T @ a
-    return grad_a, grad_b
+    return np.divide(grad_dist, np.maximum(dist, EPS_DIST),
+                     out=np.zeros_like(grad_dist), where=dist > 0.0)
+
+
+def distance_side_grad(w, a, b, side):
+    """pairwise_distance_backward's gradient of one input, ``side`` "a"
+    or "b", from distance_weights' w; the two sides are independent."""
+    if side == "a":
+        return w.sum(axis=1)[:, None] * a - w @ b
+    return w.sum(axis=0)[:, None] * b - w.T @ a

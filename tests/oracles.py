@@ -17,7 +17,8 @@ from twobranch import network as nw
 from twobranch import tensor_core as tc
 from twobranch.errors import ConfigError, ConsistencyError, EvaluationError
 from twobranch.evaluation import box_iou
-from twobranch.loss_mining import FAMILY_NAMES, TripletSet, hinge_loss
+from twobranch.loss_mining import (FAMILY_NAMES, FAMILY_VIEWS, TripletSet,
+                                   hinge_loss, triplet_violations)
 from twobranch.tensor_core import as_matrix, pairwise_distances
 
 
@@ -290,6 +291,42 @@ def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
         grad_x += part.grad_x * scale
         grad_y += part.grad_y * scale
     return loss, grad_x, grad_y
+
+
+def serial_hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
+    """hinge_loss with its view pairs worked one after another, the
+    loss summed in family order and each gradient accumulated in view
+    pair order: (loss, grad_x, grad_y)."""
+    scales = scales or {}
+    emb = {"x": as_matrix(emb_x), "y": as_matrix(emb_y)}
+    dists, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
+    coeffs = {pair: np.zeros_like(d) for pair, d in dists.items()}
+    weights = cfg.family_weights()
+    loss = 0.0
+    for name in FAMILY_NAMES:
+        if name not in viols:
+            continue
+        h = viols[name]
+        active = h > 0.0
+        c = weights[name] * scales.get(name, 1.0)
+        loss += c * float(h[active].sum())
+        anchor, cand = FAMILY_VIEWS[name]
+        pair = tuple(sorted((anchor, cand)))
+        coeff = coeffs[pair] if anchor <= cand else coeffs[pair].T
+        if c != 0.0 and active.any():
+            a, p, n = getattr(triplets, name)[active].T
+            size = coeff.shape[0] * coeff.shape[1]
+            plus = np.bincount(a * coeff.shape[1] + p, minlength=size)
+            minus = np.bincount(a * coeff.shape[1] + n, minlength=size)
+            coeff += c * (plus - minus).reshape(coeff.shape)
+    grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
+    for (va, vb), coeff in coeffs.items():
+        if coeff.any():
+            ga, gb = tc.pairwise_distance_backward(emb[va], emb[vb],
+                                                   dists[va, vb], coeff)
+            grads[va] += ga
+            grads[vb] += gb
+    return loss, grads["x"], grads["y"]
 
 
 def batch_masks(pairs, nx, ny, x_neighbors=(), y_neighbors=(),
@@ -937,6 +974,21 @@ def full_backward_branch(tapes, grad_emb):
         "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
         "gamma": g_gamma, "beta": g_beta,
     }
+
+
+def serial_glorot_weights(spec_x, spec_y, seed):
+    """init_params' four weight matrices, by name, each drawn whole by
+    one rng.uniform call in init_params' draw order."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for view, spec in (("x", spec_x), ("y", spec_y)):
+        for name, fan_in, fan_out in (
+                ("w1", spec.input_dim, spec.hidden_dim),
+                ("w2", spec.hidden_dim, spec.embed_dim)):
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            out[f"{view}.{name}"] = rng.uniform(-bound, bound,
+                                                size=(fan_in, fan_out))
+    return out
 
 
 def chain_forward(params, branch, inputs, mode, rng=None):

@@ -374,7 +374,9 @@ class TestTrainCommand:
         ("--momentum", "5"), ("--momentum", "1"), ("--momentum", "-0.1"),
         ("--weight-decay", "-0.001"), ("--bn-eps", "-5"), ("--bn-eps", "0"),
         ("--bn-momentum", "1.5"), ("--bn-momentum", "-0.1"),
-        ("--max-x-per-y", "-3")])
+        ("--max-x-per-y", "-3"), ("--lr0", "inf"), ("--weight-decay", "inf"),
+        ("--margin", "inf"), ("--margin", "nan"), ("--lambda1", "inf"),
+        ("--lambda3", "nan")])
     def test_out_of_range_setting_exits_one(self, workdir, tmp_path, flag,
                                             value, caplog):
         assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",

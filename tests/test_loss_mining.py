@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from twobranch import data
 from twobranch import loss_mining as lm
+from twobranch import tensor_core as tc
 from twobranch.errors import ConfigError, DimensionError
 
 
@@ -50,6 +51,14 @@ class TestLossConfig:
             lm.LossConfig(lambda1=-1.0)
         with pytest.raises(ConfigError):
             lm.LossConfig(top_k=0)
+
+    @pytest.mark.parametrize("name", ["margin", "lambda1", "lambda2",
+                                      "lambda3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, value):
+        # a NaN weight would drop its family without a word
+        with pytest.raises(ConfigError, match=name):
+            lm.LossConfig(**{name: value})
 
     def test_family_weights(self):
         w = lm.LossConfig(lambda1=2.0, lambda2=0.3,
@@ -177,6 +186,32 @@ class TestMineTriplets:
         emb_x = np.round(3.0 * unit_rows(rng, 12, 5))
         emb_y = np.round(3.0 * unit_rows(rng, 14, 5))
         self.assert_matches_enumerator(emb_x, emb_y, graph, cfg, "blocks")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_enumerator_in_row_slabs(self, monkeypatch, workers):
+        # every family's pair rows split over the workers, and blocks of
+        # 40 violations (2-3 rows) inside each slab
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
+        monkeypatch.setattr(lm, "DIRECT_CHUNK_FLOATS", 40)
+        for tied, reserved, top_k in self.ENUMERATOR_CASES:
+            cfg = lm.LossConfig(margin=1.0 if tied else 0.1, lambda1=2.0,
+                                lambda2=0.3, lambda3=0.2, top_k=top_k)
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                graph = oracles.random_graph(rng, 11, 13)
+                emb_x = unit_rows(rng, 11, 5)
+                emb_y = unit_rows(rng, 13, 5)
+                if tied:
+                    emb_x = np.round(3.0 * emb_x)
+                    emb_y = np.round(3.0 * emb_y)
+                if reserved:
+                    emb_x = np.vstack([emb_x, emb_x[int(rng.integers(11))]])
+                    graph = with_reserved_x_row(graph, int(rng.integers(13)))
+                self.assert_matches_enumerator(
+                    emb_x, emb_y, graph, cfg,
+                    f"workers={workers} tied={tied} reserved={reserved} "
+                    f"top_k={top_k} seed {seed}")
 
     def test_top_k_truncates_to_largest(self):
         cfg_two = lm.LossConfig(margin=0.1, lambda2=0.5, top_k=2)
@@ -368,6 +403,35 @@ class TestHingeLoss:
             res.grad_x, central_difference(loss, emb_x)) < 1e-5
         assert max_relative_error(
             res.grad_y, central_difference(loss, emb_y)) < 1e-5
+
+
+class TestViewPairSlabs:
+    """hinge_loss runs its view pairs beside one another and must give
+    the bits of working them one after another."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_match_serial_pairs(self, monkeypatch, workers):
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
+        cfg = lm.LossConfig(margin=0.2, lambda1=2.0, lambda2=0.3,
+                            lambda3=0.2, top_k=5)
+        for seed in range(6):
+            rng = np.random.default_rng(200 + seed)
+            graph = oracles.random_graph(rng, 11, 13)
+            emb_x = unit_rows(rng, 11, 6)
+            emb_y = unit_rows(rng, 13, 6)
+            trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
+            if seed % 2:
+                # no x-x pair, and one family scaled
+                trip.image_structure = trip.image_structure[:0]
+            scales = {name: 1.0 / (n + 1)
+                      for name, n in trip.counts().items()}
+            res = lm.hinge_loss(emb_x, emb_y, trip, cfg, scales=scales)
+            loss, gx, gy = oracles.serial_hinge_loss(emb_x, emb_y, trip, cfg,
+                                                     scales=scales)
+            assert res.loss == loss, seed
+            assert res.grad_x.tobytes() == gx.tobytes(), seed
+            assert res.grad_y.tobytes() == gy.tobytes(), seed
 
 
 class TestAgainstGatheredOracle:

@@ -256,13 +256,13 @@ class TestSlabWorkers:
         # unset, zero or non-numeric counts leave BLAS on every CPU
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        assert nw._slab_workers(environ) == workers
+        assert tc._slab_workers(environ) == workers
 
     def test_worker_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert nw._slab_workers({"OPENBLAS_NUM_THREADS": "1"}) == 6
-        assert nw._slab_workers({"OPENBLAS_NUM_THREADS": "4"}) == 1
+        assert tc._slab_workers({"OPENBLAS_NUM_THREADS": "1"}) == 6
+        assert tc._slab_workers({"OPENBLAS_NUM_THREADS": "4"}) == 1
 
     @staticmethod
     def eval_params():
@@ -281,7 +281,7 @@ class TestSlabWorkers:
                 .astype(dtype)
             want = oracles.chain_forward(p, "y", inputs, "eval")[0]
             for workers in self.WORKERS:
-                monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+                monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
                 got, _ = nw.forward_branch(p, "y", inputs, "eval")
                 assert same_bits(got, want), (n, workers)
 
@@ -292,7 +292,7 @@ class TestSlabWorkers:
         monkeypatch.setattr(nw, "SGD_BLOCK", 7)
         results = []
         for workers in self.WORKERS:
-            monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+            monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
             p = small_params(seed=22)
             opt = nw.OptimizerState(lr0=0.1, lr=0.1, momentum=0.9,
                                     weight_decay=0.0005)
@@ -319,11 +319,11 @@ class TestSlabWorkers:
         from twobranch.loss_mining import LossConfig
         # every first product splits too, however small
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 48)
-        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
         d = data.gen_synthetic(6, 1, 5, 20, 16, 0.05, seed=23)
         results = []
         for workers in self.WORKERS:
-            monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+            monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
             p = nw.init_params(nw.BranchSpec(20, 24, 12, 0.5),
                                nw.BranchSpec(16, 24, 12, 0.5), seed=23)
             opt = nw.OptimizerState()
@@ -345,7 +345,7 @@ class TestSlabWorkers:
         # first product), switching threads every microsecond: a
         # scratch shared by two running slabs or a lost row would show
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 2 * 64)
-        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
         p = self.eval_params()
         inputs = np.random.default_rng(24).normal(size=(61, 40)) \
             .astype(np.float32)
@@ -359,7 +359,7 @@ class TestSlabWorkers:
         try:
             sys.setswitchinterval(1e-6)
             for workers in (1, 8):
-                monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+                monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
                 q = copy.deepcopy(p)
                 opt = nw.OptimizerState()
                 norms = nw.sgd_step(q, opt, {
@@ -377,7 +377,7 @@ class TestSlabWorkers:
         assert same_bits(w8, w1) and norms8 == norms1
 
     def test_slabs_run_on_workers_and_errors_reach_caller(self, monkeypatch):
-        monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", 3)
         ran, threads = [], set()
 
         def slab(start, stop, scratch):
@@ -390,22 +390,22 @@ class TestSlabWorkers:
             return start
 
         slabs = [(i, i + 1) for i in range(9)]
-        assert nw._map_slabs(slab, slabs[:2] + slabs[3:], (4, 0)) == \
+        assert tc.map_slabs(slab, slabs[:2] + slabs[3:], (4, 0)) == \
             [0, 1, 3, 4, 5, 6, 7, 8]
         assert threading.get_ident() not in threads
         ran.clear()
         with pytest.raises(ValueError, match="slab 2 failed"):
-            nw._map_slabs(slab, slabs, (4, 0))
+            tc.map_slabs(slab, slabs, (4, 0))
         # every slab has ended before the error is raised
         assert sorted(ran) == list(range(9))
         # one slab runs inline, on a scratch of its own sizes
         threads.clear()
-        assert nw._map_slabs(slab, [(5, 6)], (4, 0)) == [5]
+        assert tc.map_slabs(slab, [(5, 6)], (4, 0)) == [5]
         assert threads == {threading.get_ident()}
 
     def test_one_worker_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(nw, "SLAB_WORKERS", 1)
-        monkeypatch.setattr(nw, "_slab_pool", None)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", 1)
+        monkeypatch.setattr(tc, "_slab_pool", None)
         seen = []
 
         def slab(start, stop, scratch):
@@ -415,18 +415,18 @@ class TestSlabWorkers:
                 raise ValueError("slab 4 failed")
             return start
 
-        assert nw._map_slabs(slab, [(0, 2), (2, 4)], (3, 5)) == [0, 2]
+        assert tc.map_slabs(slab, [(0, 2), (2, 4)], (3, 5)) == [0, 2]
         # the calling thread, reusing one scratch
         assert len(set(seen)) == 1 and seen[0][0] == threading.get_ident()
         with pytest.raises(ValueError, match="slab 4 failed"):
-            nw._map_slabs(slab, [(0, 2), (4, 6)], (3, 5))
+            tc.map_slabs(slab, [(0, 2), (4, 6)], (3, 5))
 
     @pytest.mark.parametrize("fault", [
         "grad_shape", "lazy_grad_shape", "velocity_shape",
         "param_layout", "velocity_layout"])
     def test_rejected_step_writes_nothing_on_workers(self, monkeypatch,
                                                      fault):
-        monkeypatch.setattr(nw, "SLAB_WORKERS", 3)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", 3)
         monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 10)
         TestSgdStep().test_rejected_step_writes_nothing(fault, warm=True)
 
@@ -442,11 +442,12 @@ def tape_arrays(tapes):
 
 
 class TestTrainSlabs:
-    """A train forward of at least TRAIN_SLAB_MIN_MACS runs its first
-    product in one row slab per worker, into one hidden array, and must
-    give the bits of one out=None pass of the chain over all rows: the
-    embeddings, every tape array, the running statistics, the RNG stream
-    after both branches and the gradients."""
+    """A train forward and backward whose hidden layer holds at least
+    tc.SLAB_MIN_FLOATS floats run their dense layers in one row slab per
+    worker, and must give the bits of one out=None pass of the chain
+    over all rows: the embeddings, every tape array, the running
+    statistics, the RNG stream after both branches and the gradients,
+    the second layer's WeightGrad included."""
 
     @pytest.mark.parametrize("n, workers, slabs", [
         (680, 2, [(0, 340), (340, 680)]), (190, 2, [(0, 95), (95, 190)]),
@@ -455,23 +456,25 @@ class TestTrainSlabs:
         (7, 3, [(0, 3), (3, 7)]), (13, 3, [(0, 5), (5, 10), (10, 13)])])
     def test_slab_rule(self, monkeypatch, n, workers, slabs):
         # equal heights, at least 2 rows, a one-row tail folded back
-        monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
-        assert list(nw._train_slabs(n)) == slabs
+        monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
+        assert tc.worker_slabs(n, tc.SLAB_MIN_FLOATS) == slabs
+        # a small result is never split
+        assert tc.worker_slabs(n, tc.SLAB_MIN_FLOATS - 1) == [(0, n)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("workers", TestSlabWorkers.WORKERS)
     def test_bits_match_whole_chain(self, monkeypatch, dtype, workers):
-        monkeypatch.setattr(nw, "TRAIN_SLAB_MIN_MACS", 1)
-        monkeypatch.setattr(nw, "SLAB_WORKERS", workers)
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
         mapped = []
-        map_slabs = nw._map_slabs
+        map_slabs = tc.map_slabs
 
-        def spy(fn, slabs, scratch_floats):
+        def spy(fn, slabs, scratch_floats, inline=False):
             slabs = list(slabs)
             mapped.append(len(slabs))
-            return map_slabs(fn, slabs, scratch_floats)
+            return map_slabs(fn, slabs, scratch_floats, inline)
 
-        monkeypatch.setattr(nw, "_map_slabs", spy)
+        monkeypatch.setattr(tc, "map_slabs", spy)
         for n in (2, 3, 5, 7, 13, 50):
             data_rng = np.random.default_rng(n)
             inputs = {"x": data_rng.normal(size=(n, 30)).astype(dtype),
@@ -485,39 +488,59 @@ class TestTrainSlabs:
                 mapped.clear()
                 got, got_tapes = nw.forward_branch(
                     got_p, branch, inputs[branch], "train", rng=got_rng)
-                assert mapped == [len(list(nw._train_slabs(n)))], (n, branch)
+                assert mapped == [len(tc.worker_slabs(n, 1))], (n, branch)
                 want, want_tapes = oracles.chain_forward(
                     want_p, branch, inputs[branch], "train", rng=want_rng)
                 assert same_bits(got, want), (n, branch)
                 for (name, a), (_, b) in zip(tape_arrays(got_tapes),
                                              tape_arrays(want_tapes),
                                              strict=True):
+                    if name == "affine1.x":
+                        # the inputs as given, never widened as a whole
+                        assert a.dtype == dtype, (n, branch)
+                        a = a.astype(np.float64)
                     assert same_bits(a, b), (n, branch, name)
                 gp, wp = getattr(got_p, branch), getattr(want_p, branch)
                 assert same_bits(gp.running_mean, wp.running_mean)
                 assert same_bits(gp.running_var, wp.running_var)
                 grad_emb = data_rng.normal(size=got.shape)
+                mapped.clear()
                 got_g = nw.backward_branch(got_tapes, grad_emb)
-                want_g = nw.backward_branch(want_tapes, grad_emb)
+                assert mapped == [len(tc.worker_slabs(n, 1))], (n, branch)
+                want_g = oracles.full_backward_branch(want_tapes, grad_emb)
+                assert got_g.keys() == want_g.keys()
                 for name, g in want_g.items():
-                    assert same_bits(np.asarray(got_g[name]),
-                                     np.asarray(g)), (n, branch, name)
+                    assert same_bits(np.asarray(got_g[name]), g), \
+                        (n, branch, name)
+                # the weight gradients as sgd_step forms them, in row
+                # slabs of 2 and 3 rows (a one-row tail folded back)
+                for name in ("w1", "w2"):
+                    grad = got_g[name]
+                    assert isinstance(grad, tc.WeightGrad), name
+                    for height in (2, 3):
+                        slabs = tc.slabs_of_height(grad.shape[0], height)
+                        formed = np.concatenate([
+                            grad.rows(start, stop) for start, stop in slabs])
+                        assert same_bits(formed, want_g[name]), \
+                            (n, branch, name, height)
             assert got_rng.bit_generator.state == \
                 want_rng.bit_generator.state
 
     def test_toy_step_stays_on_calling_thread(self, monkeypatch):
-        # a criterion-4 shape step on two workers: its first products
-        # are under TRAIN_SLAB_MIN_MACS and every SGD tensor is one
-        # slab, so nothing may reach the pool, whose hand-off costs
-        # more than such a step's products
+        # initialization and a criterion-4 shape step on two workers:
+        # every split result (the Glorot matrices, the hidden layers,
+        # the mined violations, the hinge's distance matrices and the
+        # SGD update) holds fewer than tc.SLAB_MIN_FLOATS floats, so
+        # nothing may reach the pool, whose hand-off costs more than
+        # such a step's work
         from twobranch import data, training
-        from twobranch.loss_mining import LossConfig
+        from twobranch import loss_mining as lm
 
         def no_pool(workers):
             raise AssertionError("a toy-shape step reached the slab pool")
 
-        monkeypatch.setattr(nw, "SLAB_WORKERS", 2)
-        monkeypatch.setattr(nw, "_slab_pool", no_pool)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", 2)
+        monkeypatch.setattr(tc, "_slab_pool", no_pool)
         syn = data.gen_synthetic(32, 1, 5, 64, 48, 0.05, seed=0)
         p = nw.init_params(nw.BranchSpec(64, 32, 16, 0.5),
                            nw.BranchSpec(48, 32, 16, 0.5), seed=0)
@@ -526,9 +549,32 @@ class TestTrainSlabs:
         before = p.y.w1.copy()
         batch = next(data.epoch_batches(syn.graph, 32, True, rng))
         _, counts = training.train_step(p, opt, batch, syn.x, syn.y,
-                                        LossConfig(lambda3=0.2), rng)
-        assert sum(counts.values()) > 0
+                                        lm.LossConfig(lambda3=0.2), rng)
+        # every family mined, so the hinge and the update ran too
+        assert counts["sentence_structure"] > 0
         assert not np.array_equal(p.y.w1, before)
+
+
+class TestInitSlabs:
+    """init_params draws each Glorot matrix in row slabs, each from a
+    copy of the generator advanced to its offset, and must give the bits
+    of one serial rng.uniform draw per matrix, in draw order."""
+
+    @pytest.mark.parametrize("workers", TestSlabWorkers.WORKERS)
+    @pytest.mark.parametrize("dims_x, dims_y", [
+        ((7, 5, 3), (9, 5, 3)), ((1, 13, 2), (3, 1, 2)),
+        ((13, 7, 1), (2, 7, 1))])
+    def test_bits_match_serial_draws(self, monkeypatch, workers, dims_x,
+                                     dims_y):
+        # odd row counts, one-row and one-column tensors
+        monkeypatch.setattr(tc, "SLAB_MIN_FLOATS", 0)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", workers)
+        specs = nw.BranchSpec(*dims_x), nw.BranchSpec(*dims_y)
+        got = nw.init_params(*specs, seed=31)
+        want = oracles.serial_glorot_weights(*specs, seed=31)
+        for name, w in want.items():
+            view, attr = name.split(".")
+            assert same_bits(getattr(getattr(got, view), attr), w), name
 
 
 class TestSchedule:
@@ -613,6 +659,13 @@ class TestSgdStep:
         grads["x.w9"] = np.zeros((6, 5))
         with pytest.raises(ConfigError):
             nw.sgd_step(p, opt, grads)
+
+    @pytest.mark.parametrize("name", ["lr0", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_setting_rejected(self, name, value):
+        # an infinite rate would fail only after a whole run
+        with pytest.raises(ConfigError, match=name):
+            nw.OptimizerState(**{name: value})
 
     def test_matches_out_of_place_oracle_bitwise(self):
         self.assert_matches_oracle()

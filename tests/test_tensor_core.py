@@ -54,6 +54,8 @@ FORWARDS = {
     "affine": lambda x, out: tc.affine_forward(x, np.ones((3, 2)),
                                                np.zeros(2), out=out),
     "relu": lambda x, out: tc.relu_forward(x, out=out),
+    "dropout": lambda x, out: tc.dropout_forward(
+        x, 0.5, "train", np.random.default_rng(0), out=out),
     "batchnorm": lambda x, out: tc.batchnorm_forward(
         x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval",
         out=out),
@@ -120,6 +122,18 @@ class TestAffine:
         assert max_relative_error(gi, central_difference(loss, inp)) < 1e-6
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6
 
+    def test_input_gradient_by_rows(self):
+        # affine_input_backward forms affine_backward's grad_x for any
+        # rows of grad_out, into a given buffer
+        rng = np.random.default_rng(14)
+        x, w, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (7, 3)))
+        want, _, _ = tc.affine_backward(g, tc.affine_forward(x, w,
+                                                             np.zeros(3))[1])
+        got = np.empty((7, 5))
+        for start, stop in ((0, 2), (2, 5), (5, 7)):
+            tc.affine_input_backward(g[start:stop], w, out=got[start:stop])
+        assert got.tobytes() == want.tobytes()
+
     def test_backward_once_per_tape(self):
         out, tape = tc.affine_forward(np.ones((2, 2)), np.eye(2), np.zeros(2))
         tc.affine_backward(np.ones((2, 2)), tape)
@@ -128,21 +142,25 @@ class TestAffine:
 
 
 class TestWeightGradSlabs:
-    """network.sgd_step forms a first-layer weight gradient in row slabs
-    of two or more rows, and its bits match the whole product's only
-    while every such slab has the bits of the whole product's rows.  A
-    BLAS that breaks that assumption fails here first."""
+    """network.sgd_step forms a weight gradient in row slabs of two or
+    more rows, and its bits match the whole product's only while every
+    such slab has the bits of the whole product's rows.  A first layer's
+    x is the float32 batch as gathered, and each slab widens its columns
+    into a buffer: the bits must be those of the product over the whole
+    widened x.  A BLAS that breaks these assumptions fails here first."""
 
     @staticmethod
-    def assert_slabs_match(n, d_in, d_out, heights, starts=None):
+    def assert_slabs_match(n, d_in, d_out, heights, starts=None,
+                           dtype=np.float64):
         """rows() of every slab of 2 or more rows, in slabs of each
         height from row 0 on, equals those rows of x.T @ g bitwise, also
         when formed into a given buffer; the slabs checked may be
         limited to those whose start is in ``starts``."""
         rng = np.random.default_rng(d_in)
-        x, g = rng.normal(size=(n, d_in)), rng.normal(size=(n, d_out))
+        x = rng.normal(size=(n, d_in)).astype(dtype)
+        g = rng.normal(size=(n, d_out))
         lazy = tc.WeightGrad(x, g)
-        whole = x.T @ g
+        whole = x.astype(np.float64).T @ g
         assert lazy.shape == whole.shape
         assert np.asarray(lazy).tobytes() == whole.tobytes()
         for height in heights:
@@ -153,26 +171,56 @@ class TestWeightGradSlabs:
                     continue
                 assert lazy.rows(start, stop).tobytes() == \
                     whole[start:stop].tobytes(), (height, start)
-                # sgd_step forms slabs into buffers of its own
+                # sgd_step forms slabs into buffers of its own, widening
+                # a float32 x into a scratch of its own
                 out = np.empty((stop - start, d_out))
-                assert lazy.rows(start, stop, out=out) is out
+                scratch = np.empty(lazy.widen_floats(stop - start))
+                assert lazy.rows(start, stop, out=out,
+                                 scratch=scratch) is out
                 assert out.tobytes() == whole[start:stop].tobytes()
 
-    @pytest.mark.parametrize("n, d_in, d_out", [
-        (7, 6, 5), (7, 7, 5), (6, 20, 24), (6, 16, 24), (8, 300, 400),
-        (8, 350, 400)])
+    TEST_SHAPES = [(7, 6, 5), (7, 7, 5), (6, 20, 24), (6, 16, 24),
+                   (8, 300, 400), (8, 350, 400)]
+
+    @pytest.mark.parametrize("n, d_in, d_out", TEST_SHAPES)
     def test_every_height_at_test_shapes(self, n, d_in, d_out):
         self.assert_slabs_match(n, d_in, d_out, range(2, d_in + 1))
 
-    def test_paper_shape(self):
+    @pytest.mark.parametrize("n, d_in, d_out", TEST_SHAPES)
+    def test_every_height_of_float32_input(self, n, d_in, d_out):
+        self.assert_slabs_match(n, d_in, d_out, range(2, d_in + 1),
+                                dtype=np.float32)
+
+    def test_widen_floats(self):
+        g = np.ones((5, 3))
+        assert tc.WeightGrad(np.ones((5, 4)), g).widen_floats(3) == 0
+        assert tc.WeightGrad(np.ones((5, 4), np.float32),
+                             g).widen_floats(3) == 15
+
+    @staticmethod
+    def assert_paper_shape_slabs_match(dtype):
         # 689 rows: a 500-pair batch with augmentation; 512 rows is the
         # update's slab height at 2048 columns, 5998 leaves a tail of 2;
         # the small heights are checked on their first slabs and tail
         d_in = 6000
-        self.assert_slabs_match(689, d_in, 2048, (512, 513, 5998))
-        self.assert_slabs_match(
+        TestWeightGradSlabs.assert_slabs_match(
+            689, d_in, 2048, (512, 513, 5998), dtype=dtype)
+        TestWeightGradSlabs.assert_slabs_match(
             689, d_in, 2048, (2, 3, 7),
-            starts=set(range(64)) | set(range(d_in - 9, d_in)))
+            starts=set(range(64)) | set(range(d_in - 9, d_in)),
+            dtype=dtype)
+
+    def test_paper_shape(self):
+        self.assert_paper_shape_slabs_match(np.float64)
+
+    def test_paper_shape_of_float32_input(self):
+        self.assert_paper_shape_slabs_match(np.float32)
+
+    def test_second_layer_paper_shape(self):
+        # the second layer's gradient, a float64 hidden layer's
+        self.assert_slabs_match(680, 2048, 512, (1024, 2048, 1000))
+        self.assert_slabs_match(190, 2048, 512, (2, 3),
+                                starts={0, 2, 3, 2044, 2045, 2046})
 
     @pytest.mark.parametrize("slab_floats, dims", [
         (15, (6, 7, 5)), (25, (6, 7, 5)), (256, (1025, 513, 64))])
@@ -235,6 +283,27 @@ class TestRelu:
         _, tape = tc.relu_forward(inp)
         g = tc.relu_backward(np.array([[5.0, 7.0, 9.0]]), tape)
         assert np.array_equal(g, [[0.0, 0.0, 9.0]])
+
+    def test_given_mask_and_out_keep_bits(self):
+        # the mask forms in a given array, the backward runs in place
+        # over grad_out, and a tape's rows serve a row slab's backward
+        rng = np.random.default_rng(24)
+        x, g = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        want, want_tape = tc.relu_forward(x)
+        mask = np.empty(x.shape, dtype=bool)
+        got, tape = tc.relu_forward(x.copy(), mask=mask)
+        assert tape.mask is mask and np.array_equal(mask, want_tape.mask)
+        assert got.tobytes() == want.tobytes()
+        want_g = tc.relu_backward(g, want_tape)
+        tc.consume(tape)
+        got_g = g.copy()
+        for start, stop in ((0, 2), (2, 6)):
+            rows = got_g[start:stop]
+            assert tc.relu_backward(rows, tape.rows(start, stop),
+                                    out=rows) is rows
+        assert got_g.tobytes() == want_g.tobytes()
+        with pytest.raises(ContractViolationError):
+            tc.relu_backward(g, tape)
 
 
 class TestBatchNorm:
@@ -364,6 +433,32 @@ class TestDropout:
                                        np.random.default_rng(9))
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_given_draws_keep_bits(self, p):
+        # a mask drawn whole and applied a row slab at a time, in place,
+        # has the bits of one rng-driven call, forward and backward
+        rng = np.random.default_rng(12)
+        x, g = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        want, want_tape = tc.dropout_forward(x, p, "train",
+                                             np.random.default_rng(13))
+        draws_rng = np.random.default_rng(13)
+        draws = draws_rng.random(x.shape) if p else np.empty(x.shape)
+        got = x.copy()
+        for start, stop in ((0, 3), (3, 7)):
+            rows = got[start:stop]
+            out, tape = tc.dropout_forward(rows, p, "train", out=rows,
+                                           draws=draws[start:stop])
+            assert out is rows and tape.scaled_mask.base is draws
+        assert got.tobytes() == want.tobytes()
+        assert draws.tobytes() == want_tape.scaled_mask.tobytes()
+        want_g = tc.dropout_backward(g, want_tape)
+        tape = tc.DropoutTape(scaled_mask=draws)
+        tc.consume(tape)
+        for start, stop in ((0, 3), (3, 7)):
+            rows = g[start:stop]
+            tc.dropout_backward(rows, tape.rows(start, stop), out=rows)
+        assert g.tobytes() == want_g.tobytes()
 
     def test_backward_uses_same_mask(self):
         x = np.random.default_rng(10).normal(size=(5, 5))
