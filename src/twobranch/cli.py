@@ -32,6 +32,7 @@ from .loss_mining import FAMILY_NAMES, LossConfig
 from .network import (
     BranchSpec,
     OptimizerState,
+    check_seed,
     forward_branch,
     init_params,
     load_checkpoint,
@@ -259,6 +260,8 @@ def cmd_train(cfg):
     other.
     """
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_out")
+    # it seeds the batch draws also when the parameters are loaded
+    check_seed(cfg.seed)
     fx, fy, graph = _load_xy(cfg)
     loss_cfg = _loss_config(cfg)
     if cfg.checkpoint_in:
@@ -414,6 +417,7 @@ def cmd_fuse(cfg):
 
 
 def cmd_gen_synthetic(args):
+    check_seed(args.seed)
     if args.heldout_clusters < 0:
         raise ConfigError(
             f"heldout_clusters must be >= 0, got {args.heldout_clusters}")

@@ -496,6 +496,19 @@ def epoch_batches(graph, batch_pairs, augment, rng, extra_negatives=None,
 # ---------------------------------------------------------------------------
 # synthetic data
 
+# Dimension of the latent space both generators map into feature space.
+LATENT_DIM = 16
+
+# gen_localization's square image side, its background features' noise
+# scale, and the box samplers' bounds: a jittered box moves each edge by
+# at most JITTER_MAX_SHIFT and keeps IoU >= JITTER_MIN_IOU with its
+# ground truth; a background box has IoU < BACKGROUND_MAX_IOU with it.
+IMAGE_SIZE = 100.0
+BG_NOISE_SIGMA = 0.02
+JITTER_MAX_SHIFT = 3.0
+JITTER_MIN_IOU = 0.55
+BACKGROUND_MAX_IOU = 0.3
+
 
 @dataclass
 class SyntheticData:
@@ -518,8 +531,7 @@ def _check_noise_sigma(noise_sigma):
 
 
 def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
-                  feat_dim_x, feat_dim_y, noise_sigma, seed,
-                  latent_dim=16):
+                  feat_dim_x, feat_dim_y, noise_sigma, seed):
     """Clustered two-view features with known ground truth.
 
     Every cluster draws a unit latent vector; each item perturbs the
@@ -539,10 +551,10 @@ def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
             raise ConfigError(f"{name} must be >= 1, got {v}")
     _check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
-    latents = rng.normal(size=(num_clusters, latent_dim))
+    latents = rng.normal(size=(num_clusters, LATENT_DIM))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
-    map_x = rng.normal(size=(latent_dim, feat_dim_x)) / np.sqrt(latent_dim)
-    map_y = rng.normal(size=(latent_dim, feat_dim_y)) / np.sqrt(latent_dim)
+    map_x = rng.normal(size=(LATENT_DIM, feat_dim_x)) / np.sqrt(LATENT_DIM)
+    map_y = rng.normal(size=(LATENT_DIM, feat_dim_y)) / np.sqrt(LATENT_DIM)
 
     x_ids, y_ids, pairs = [], [], []
     x_lat, y_lat = [], []
@@ -551,13 +563,13 @@ def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
         for i in range(images_per_cluster):
             img_id = f"img_{c:04d}_{i:02d}"
             x_ids.append(img_id)
-            x_lat.append(latents[c] + noise_sigma * rng.normal(size=latent_dim))
+            x_lat.append(latents[c] + noise_sigma * rng.normal(size=LATENT_DIM))
             x_labels.append(c)
             for s in range(sents_per_image):
                 sent_id = f"sent_{c:04d}_{i:02d}_{s:02d}"
                 y_ids.append(sent_id)
                 y_lat.append(latents[c]
-                             + noise_sigma * rng.normal(size=latent_dim))
+                             + noise_sigma * rng.normal(size=LATENT_DIM))
                 y_labels.append(c)
                 pairs.append((img_id, sent_id))
     fx = FeatureSet(ids=x_ids, features=np.array(x_lat) @ map_x)
@@ -592,15 +604,15 @@ class LocalizationData:
     region_labels: np.ndarray
 
 
-def _jittered_box(rng, box, image_size, max_shift=3.0, min_iou=0.55):
+def _jittered_box(rng, box):
     x1, y1, x2, y2 = box
     for _ in range(100):
-        deltas = rng.uniform(-max_shift, max_shift, size=4)
+        deltas = rng.uniform(-JITTER_MAX_SHIFT, JITTER_MAX_SHIFT, size=4)
         cand = (x1 + deltas[0], y1 + deltas[1], x2 + deltas[2], y2 + deltas[3])
-        if not (0 <= cand[0] < cand[2] <= image_size
-                and 0 <= cand[1] < cand[3] <= image_size):
+        if not (0 <= cand[0] < cand[2] <= IMAGE_SIZE
+                and 0 <= cand[1] < cand[3] <= IMAGE_SIZE):
             continue
-        if _iou_tuple(box, cand) >= min_iou:
+        if _iou_tuple(box, cand) >= JITTER_MIN_IOU:
             return cand
     return (x1 + 1.0, y1 + 1.0, x2 + 1.0, y2 + 1.0)
 
@@ -624,14 +636,14 @@ def _iou_tuple(a, b):
     return inter / (area_a + area_b - inter)
 
 
-def _background_box(rng, gt_boxes, image_size, max_iou=0.3):
+def _background_box(rng, gt_boxes):
     for _ in range(200):
         w = rng.uniform(15.0, 35.0)
         h = rng.uniform(15.0, 35.0)
-        x1 = rng.uniform(0.0, image_size - w)
-        y1 = rng.uniform(0.0, image_size - h)
+        x1 = rng.uniform(0.0, IMAGE_SIZE - w)
+        y1 = rng.uniform(0.0, IMAGE_SIZE - h)
         cand = (x1, y1, x1 + w, y1 + h)
-        if all(_iou_tuple(cand, gt) < max_iou for gt in gt_boxes):
+        if all(_iou_tuple(cand, gt) < BACKGROUND_MAX_IOU for gt in gt_boxes):
             return cand
     return (0.0, 0.0, 10.0, 10.0)
 
@@ -639,9 +651,7 @@ def _background_box(rng, gt_boxes, image_size, max_iou=0.3):
 def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
                      feat_dim_phrase, seed, jitter_per_gt=2,
                      background_per_image=6, noise_sigma=0.05,
-                     bg_offset_lo=0.05, bg_offset_hi=0.25,
-                     bg_noise_sigma=0.02, image_size=100.0,
-                     latent_dim=16):
+                     bg_offset_lo=0.05, bg_offset_hi=0.25):
     """Phrase-grounding corpus where phrases are cluster labels.
 
     Each image belongs to one phrase and holds one ground-truth box,
@@ -667,16 +677,16 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
             raise ConfigError(f"{name} must be >= {low}, got {v}")
     _check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
-    latents = rng.normal(size=(num_phrases, latent_dim))
+    latents = rng.normal(size=(num_phrases, LATENT_DIM))
     latents /= np.linalg.norm(latents, axis=1, keepdims=True)
-    off_dir = rng.normal(size=latent_dim)
+    off_dir = rng.normal(size=LATENT_DIM)
     off_dir /= np.linalg.norm(off_dir)
-    map_region = rng.normal(size=(latent_dim, feat_dim_region)) / np.sqrt(latent_dim)
-    map_phrase = rng.normal(size=(latent_dim, feat_dim_phrase)) / np.sqrt(latent_dim)
+    map_region = rng.normal(size=(LATENT_DIM, feat_dim_region)) / np.sqrt(LATENT_DIM)
+    map_phrase = rng.normal(size=(LATENT_DIM, feat_dim_phrase)) / np.sqrt(LATENT_DIM)
 
     phrase_ids = [f"phrase_{p:03d}" for p in range(num_phrases)]
     phrase_lat = latents + noise_sigma * 0.2 * rng.normal(
-        size=(num_phrases, latent_dim))
+        size=(num_phrases, LATENT_DIM))
     region_ids = []
     region_lat = []
     region_labels = []
@@ -694,33 +704,33 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
             image_id = f"im_{p:03d}_{i:02d}"
             side_w = rng.uniform(22.0, 40.0)
             side_h = rng.uniform(22.0, 40.0)
-            gx1 = rng.uniform(0.0, image_size - side_w)
-            gy1 = rng.uniform(0.0, image_size - side_h)
+            gx1 = rng.uniform(0.0, IMAGE_SIZE - side_w)
+            gy1 = rng.uniform(0.0, IMAGE_SIZE - side_h)
             gt = (gx1, gy1, gx1 + side_w, gy1 + side_h)
             gt_row = add_region(
                 f"reg_{p:03d}_{i:02d}_gt",
-                latents[p] + noise_sigma * rng.normal(size=latent_dim),
+                latents[p] + noise_sigma * rng.normal(size=LATENT_DIM),
                 p,
             )
             corpus_rows.append((image_id, "G", phrase_ids[p]) + gt + (gt_row,))
             corpus_rows.append((image_id, "P", phrase_ids[p]) + gt + (gt_row,))
             pairs.append((region_ids[gt_row], phrase_ids[p]))
             for j in range(jitter_per_gt):
-                jbox = _jittered_box(rng, gt, image_size)
+                jbox = _jittered_box(rng, gt)
                 jrow = add_region(
                     f"reg_{p:03d}_{i:02d}_j{j}",
-                    latents[p] + noise_sigma * rng.normal(size=latent_dim),
+                    latents[p] + noise_sigma * rng.normal(size=LATENT_DIM),
                     p,
                 )
                 corpus_rows.append(
                     (image_id, "P", phrase_ids[p]) + jbox + (jrow,))
             for b in range(background_per_image):
-                bbox = _background_box(rng, [gt], image_size)
+                bbox = _background_box(rng, [gt])
                 offset = rng.uniform(bg_offset_lo, bg_offset_hi)
                 brow = add_region(
                     f"reg_{p:03d}_{i:02d}_b{b}",
                     latents[p] + offset * off_dir
-                    + bg_noise_sigma * rng.normal(size=latent_dim),
+                    + BG_NOISE_SIGMA * rng.normal(size=LATENT_DIM),
                     -1,
                 )
                 corpus_rows.append(

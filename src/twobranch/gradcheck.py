@@ -2,8 +2,8 @@
 
 Used by the test suite and exposed through the command line so a
 trained setup can be spot-checked.  All checks run in float64; the
-probe step defaults to 1e-5, which balances truncation against
-round-off for the unit-scale values used here.
+probe step PROBE_STEP balances truncation against round-off for the
+unit-scale values used here.
 """
 
 import numpy as np
@@ -13,8 +13,14 @@ import numpy as np
 # of dividing by zero.
 REL_FLOOR = 1e-6
 
+PROBE_STEP = 1e-5
 
-def central_difference(f, x, h=1e-5):
+# run_full_loss_check drops mined triplets that violate by less than
+# this, so that no hinge kink sits within reach of the probes.
+KINK_MARGIN = 1e-3
+
+
+def central_difference(f, x):
     """Numerically estimate df/dx at x for scalar-valued f.
 
     f is called with no arguments and must read x's current contents;
@@ -23,11 +29,12 @@ def central_difference(f, x, h=1e-5):
     Args:
         f: callable returning a float.
         x: float64 array, perturbed in place.
-        h: probe step.
 
     Returns:
-        array of x's shape holding (f(x+h) - f(x-h)) / (2h) per entry.
+        array of x's shape holding (f(x+h) - f(x-h)) / (2h) per entry,
+        for h = PROBE_STEP.
     """
+    h = PROBE_STEP
     grad = np.zeros_like(x)
     flat_x = x.reshape(-1)
     flat_g = grad.reshape(-1)
@@ -57,9 +64,9 @@ def max_relative_error(analytic, numeric):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def check_gradient(f, x, analytic_grad, h=1e-5):
+def check_gradient(f, x, analytic_grad):
     """Convenience wrapper: central difference then max relative error."""
-    numeric = central_difference(f, x, h=h)
+    numeric = central_difference(f, x)
     return max_relative_error(analytic_grad, numeric)
 
 
@@ -75,8 +82,9 @@ def _weighted_sum(out, weights):
     return float((out * weights).sum())
 
 
-def run_layer_checks(seed, h=1e-5):
-    """Finite-difference every layer primitive once.
+def run_layer_checks(seed):
+    """Finite-difference every layer primitive once, through the
+    backward forms that training runs.
 
     Returns:
         dict mapping check name to max relative error.
@@ -91,17 +99,16 @@ def run_layer_checks(seed, h=1e-5):
     w = rng.normal(size=(d_in, d_out)) * 0.5
     b = rng.normal(size=d_out) * 0.1
     weights = rng.normal(size=(n, d_out))
-    out, tape = tc.affine_forward(x, w, b)
-    gx, gw, gb = tc.affine_backward(weights.copy(), tape)
-    results["affine/x"] = check_gradient(
-        lambda: _weighted_sum(tc.affine_forward(x, w, b)[0], weights),
-        x, gx, h)
-    results["affine/w"] = check_gradient(
-        lambda: _weighted_sum(tc.affine_forward(x, w, b)[0], weights),
-        w, gw, h)
-    results["affine/b"] = check_gradient(
-        lambda: _weighted_sum(tc.affine_forward(x, w, b)[0], weights),
-        b, gb, h)
+
+    def affine_value():
+        return _weighted_sum(tc.affine_forward(x, w, b)[0], weights)
+
+    _, tape = tc.affine_forward(x, w, b)
+    gw, gb = tc.affine_param_backward(weights.copy(), tape)
+    gx = tc.affine_input_backward(weights, w)
+    results["affine/x"] = check_gradient(affine_value, x, gx)
+    results["affine/w"] = check_gradient(affine_value, w, np.asarray(gw))
+    results["affine/b"] = check_gradient(affine_value, b, gb)
 
     # keep entries away from the ReLU corner
     x = rng.normal(size=(n, d_in))
@@ -110,7 +117,7 @@ def run_layer_checks(seed, h=1e-5):
     _, tape = tc.relu_forward(x)
     g = tc.relu_backward(weights.copy(), tape)
     results["relu/x"] = check_gradient(
-        lambda: _weighted_sum(tc.relu_forward(x)[0], weights), x, g, h)
+        lambda: _weighted_sum(tc.relu_forward(x)[0], weights), x, g)
 
     x = rng.normal(size=(5, d_in))
     gamma = rng.uniform(0.5, 1.5, size=d_in)
@@ -125,32 +132,32 @@ def run_layer_checks(seed, h=1e-5):
     _, tape = tc.batchnorm_forward(
         x, gamma, beta, np.zeros(d_in), np.ones(d_in), "train")
     gx, ggamma, gbeta = tc.batchnorm_backward(weights.copy(), tape)
-    results["batchnorm/x"] = check_gradient(bn_value, x, gx, h)
-    results["batchnorm/gamma"] = check_gradient(bn_value, gamma, ggamma, h)
-    results["batchnorm/beta"] = check_gradient(bn_value, beta, gbeta, h)
+    results["batchnorm/x"] = check_gradient(bn_value, x, gx)
+    results["batchnorm/gamma"] = check_gradient(bn_value, gamma, ggamma)
+    results["batchnorm/beta"] = check_gradient(bn_value, beta, gbeta)
 
-    # a fixed generator seed pins the mask, making dropout deterministic
+    # draws from a fixed generator seed pin the mask, making dropout
+    # deterministic
     x = rng.normal(size=(n, d_in))
     weights = rng.normal(size=x.shape)
     mask_seed = int(rng.integers(1 << 31))
 
-    def dropout_value():
-        out, _ = tc.dropout_forward(
-            x, 0.5, "train", rng=np.random.default_rng(mask_seed))
-        return _weighted_sum(out, weights)
+    def dropout(x):
+        return tc.dropout_forward(
+            x, 0.5, "train",
+            draws=np.random.default_rng(mask_seed).random(x.shape))
 
-    _, tape = tc.dropout_forward(
-        x, 0.5, "train", rng=np.random.default_rng(mask_seed))
+    _, tape = dropout(x)
     g = tc.dropout_backward(weights.copy(), tape)
-    results["dropout/x"] = check_gradient(dropout_value, x, g, h)
+    results["dropout/x"] = check_gradient(
+        lambda: _weighted_sum(dropout(x)[0], weights), x, g)
 
     x = rng.normal(size=(n, d_in)) + 1.0
     weights = rng.normal(size=x.shape)
     _, tape = tc.l2_normalize_rows(x)
     g = tc.l2_normalize_rows_backward(weights.copy(), tape)
     results["l2norm/x"] = check_gradient(
-        lambda: _weighted_sum(tc.l2_normalize_rows(x)[0], weights),
-        x, g, h)
+        lambda: _weighted_sum(tc.l2_normalize_rows(x)[0], weights), x, g)
 
     a = rng.normal(size=(n, d_in))
     bb = rng.normal(size=(n + 1, d_in)) + 2.0
@@ -159,10 +166,11 @@ def run_layer_checks(seed, h=1e-5):
     def dist_value():
         return _weighted_sum(tc.pairwise_distances(a, bb), weights)
 
-    dist = tc.pairwise_distances(a, bb)
-    ga, gb2 = tc.pairwise_distance_backward(a, bb, dist, weights)
-    results["pairwise/a"] = check_gradient(dist_value, a, ga, h)
-    results["pairwise/b"] = check_gradient(dist_value, bb, gb2, h)
+    wd = tc.distance_weights(tc.pairwise_distances(a, bb), weights)
+    results["pairwise/a"] = check_gradient(
+        dist_value, a, tc.distance_side_grad(wd, a, bb, "a"))
+    results["pairwise/b"] = check_gradient(
+        dist_value, bb, tc.distance_side_grad(wd, a, bb, "b"))
     return results
 
 
@@ -196,13 +204,12 @@ def _loss_fixture(seed):
     return params, inp_x, inp_y, batch, cfg, dropout_seed
 
 
-def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
+def run_full_loss_check(seed):
     """Check d(loss)/d(params) through both branches end to end.
 
     Triplets are mined once at the starting point and frozen, dropout
     masks are pinned by a fixed generator seed, and mined triplets
-    violating by less than kink_margin are dropped so no hinge kink
-    sits within reach of the probes.
+    violating by less than KINK_MARGIN are dropped.
 
     Returns:
         dict mapping parameter name to max relative error.
@@ -222,7 +229,7 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
     triplets = mine_triplets(emb_x, emb_y, batch, cfg)
     _, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
     for name, viol in viols.items():
-        setattr(triplets, name, getattr(triplets, name)[viol > kink_margin])
+        setattr(triplets, name, getattr(triplets, name)[viol > KINK_MARGIN])
 
     # Checking the per-triplet mean keeps the value near unit scale, so
     # the round-off in the central difference stays far below the
@@ -243,5 +250,5 @@ def run_full_loss_check(seed, h=1e-5, kink_margin=1e-3):
                               ("y", grads_y, params.y)):
         for attr, grad in grads.items():
             errors[f"loss/{branch}.{attr}"] = check_gradient(
-                loss_value, getattr(bp, attr), grad, h)
+                loss_value, getattr(bp, attr), grad)
     return errors

@@ -33,8 +33,9 @@ candidates is partitioned to its top_k-th largest violation, so only
 top_k entries are sorted.
 
 Every hinge is a difference of two entries of one pairwise distance
-matrix per view pair, and its gradient flows back through the two
-sides of pairwise_distance_backward (tensor_core.distance_side_grad).
+matrix per view pair, and its gradient flows back through that
+matrix's backward: tensor_core.distance_weights, then
+tensor_core.distance_side_grad for each of the pair's two views.
 
 At the paper shape both run on the CPUs a single-threaded BLAS leaves
 idle (see tensor_core.map_slabs): mining forms its view pairs'
@@ -389,8 +390,8 @@ def hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
 
     The loss's derivative with respect to the distances gathers +c at
     (a, p) and -c at (a, n) for every active triplet, in one
-    coefficient matrix per view pair; the two sides of
-    pairwise_distance_backward turn each into embedding gradients.  The
+    coefficient matrix per view pair; tc.distance_weights and the two
+    tc.distance_side_grad sides turn each into embedding gradients.  The
     view pairs are independent, so unless their distance matrices hold
     fewer than tc.SLAB_MIN_FLOATS floats in all, two tc.map_slabs calls
     run them beside one another: one forms each pair's distances,

@@ -30,7 +30,9 @@ rows, and a product over a slab of two or more rows has the bits of the
 same rows of the whole product.  The calling thread allocates every
 slab-sized buffer, which the layers fill through their ``out`` arrays,
 so that freed temporaries do not pile up in the workers' own malloc
-arenas.
+arenas.  One exception is left: an eval forward's ReLU mask, a bool
+array of the slab's hidden layer, which tc.relu_forward allocates in
+the worker for each slab.
 """
 
 import hashlib
@@ -84,6 +86,16 @@ SGD_BLOCK = 1 << 15
 # shape's 680 y rows split 256/256/168 and its 190 x rows not at all.
 GRAD_SLAB_FLOATS = 1 << 20
 
+# A checkpoint stores the seed as a float64 record, which holds every
+# integer up to 2^53 exactly; numpy's generators take no negative seed.
+MAX_SEED = 1 << 53
+
+
+def check_seed(seed):
+    """Raise ConfigError unless ``seed`` lies in [0, MAX_SEED]."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must lie in [0, 2^53], got {seed}")
+
 
 @dataclass(frozen=True)
 class BranchSpec:
@@ -130,6 +142,7 @@ class NetworkParams:
     bn_eps: float = tc.BN_EPS
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ConfigError(
                 f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
@@ -230,6 +243,7 @@ def init_params(spec_x, spec_y, seed=0, bn_momentum=tc.BN_MOMENTUM,
             f"branches must share embed_dim, got {spec_x.embed_dim} and "
             f"{spec_y.embed_dim}"
         )
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return NetworkParams(
         spec_x=spec_x,
@@ -260,7 +274,8 @@ def forward_branch(params, branch, inputs, mode, rng=None):
     (``_dense_layers``: affine, ReLU, dropout, affine) runs on row slabs
     on up to tc.SLAB_WORKERS threads, into buffers the calling thread
     allocates, so the workers free no slab-sized temporaries into their
-    own malloc arenas.
+    own malloc arenas; the one exception is eval mode's ReLU mask, which
+    tc.relu_forward allocates in the worker for each slab.
 
     In train mode there is one slab per worker, of equal heights
     (``tc.worker_slabs``; one slab of all rows when the hidden layer

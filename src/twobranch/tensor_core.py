@@ -1,24 +1,29 @@
 """Dense float64 tensor ops with hand-derived backward passes.
 
-Every differentiable op follows the same shape:
+Each op has one form, the one that training and evaluation run.  A
+layer's ops follow the same shape:
 
     out, tape = op_forward(...)
     grads     = op_backward(grad_out, tape)
 
 A tape caches exactly what the backward pass needs and may be consumed
 once; a second backward call on the same tape raises
-ContractViolationError.  Matrix inputs may be float32 (feature files
-load as float32): ``as_matrix`` widens them to C-contiguous float64,
-which is exact, and every op returns C-contiguous float64 results.
-The affine, ReLU, dropout, batch-norm and row L2 forwards, and the
-ReLU, dropout and affine input-gradient backwards, take an optional
-``out``, a C-contiguous float64 array of the result's shape that they
-fill and return with the bits of ``out=None``; only the L2 norm's must
-not overlap its input.  A caller that runs a backward in row slabs
-consumes the tape once (``consume``) and hands each slab a tape of its
-rows.  affine_param_backward returns its weight gradient as a
-WeightGrad, formed from two such arrays when it is read.  All results
-are deterministic for fixed inputs.
+ContractViolationError.  The affine layer's backward comes in two
+parts: affine_param_backward consumes the tape and returns the weight
+gradient as a WeightGrad, formed when it is read, and
+affine_input_backward needs only the weights.  pairwise_distances keeps
+no tape: its backward is distance_weights, then distance_side_grad for
+each input.  Dropout in train mode applies uniform draws that its
+caller makes.  Matrix inputs may be float32 (feature files load as
+float32): ``as_matrix`` widens them to C-contiguous float64, which is
+exact, and every op returns C-contiguous float64 results.  The affine,
+ReLU, dropout, batch-norm and row L2 forwards, and the ReLU, dropout
+and affine input-gradient backwards, take an optional ``out``, a
+C-contiguous float64 array of the result's shape that they fill and
+return with the bits of ``out=None``; only the L2 norm's must not
+overlap its input.  A caller that runs a backward in row slabs consumes
+the tape once (``consume``) and hands each slab a tape of its rows.
+All results are deterministic for fixed inputs.
 
 The package's one thread pool lives here too: ``map_slabs`` runs
 independent row slabs of a stage on SLAB_WORKERS threads, and
@@ -219,11 +224,11 @@ def check_finite(x, name="array"):
     return x
 
 
-def _check_out(out, shape):
+def _check_out(out, shape, name="out"):
     if out is not None and (out.shape != shape or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise ContractViolationError(
-            f"out must be a C-contiguous float64 array of shape {shape}")
+            f"{name} must be a C-contiguous float64 array of shape {shape}")
 
 
 def consume(tape):
@@ -292,29 +297,11 @@ def affine_forward(x, w, b, out=None):
     return out, AffineTape(x=x, w=w)
 
 
-def _affine_grad_out(grad_out, tape):
-    return _grad_out(grad_out, tape, (tape.x.shape[0], tape.w.shape[1]),
-                     "affine")
-
-
-def affine_backward(grad_out, tape):
-    """Backward for affine_forward.
-
-    Returns:
-        (grad_x, grad_w, grad_b).
-    """
-    grad_out = _affine_grad_out(grad_out, tape)
-    grad_x = affine_input_backward(grad_out, tape.w)
-    grad_w = np.asarray(WeightGrad(tape.x, grad_out))
-    grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w, grad_b
-
-
 def affine_input_backward(grad_out, w, out=None):
     """grad_out @ w.T, the input gradient of an affine layer of weights
     ``w``, into ``out`` when given.  It reads no tape, so a caller may
-    form it for any rows of grad_out after affine_param_backward has
-    consumed the layer's tape."""
+    form it for any rows of grad_out before or after
+    affine_param_backward has consumed the layer's tape."""
     grad_out = as_matrix(grad_out, "grad_out")
     _check_out(out, (grad_out.shape[0], w.shape[0]))
     return np.matmul(grad_out, w.T, out=out)
@@ -360,17 +347,18 @@ class WeightGrad:
 
 
 def affine_param_backward(grad_out, tape):
-    """affine_backward without grad_x, for a layer whose input is data
-    or whose input gradient affine_input_backward forms by rows.
+    """Backward for affine_forward's parameters; it consumes the tape.
 
-    grad_w is returned as a WeightGrad, which np.asarray forms with
-    affine_backward's expression, and grad_b is affine_backward's, so
-    the same bits.
+    The input gradient, which a layer whose input is data does not need,
+    is affine_input_backward's.
 
     Returns:
-        (grad_w, grad_b).
+        (grad_w, grad_b): grad_w is the WeightGrad of tape.x.T @
+        grad_out, which np.asarray forms whole, and grad_b is
+        grad_out.sum(axis=0).
     """
-    grad_out = _affine_grad_out(grad_out, tape)
+    grad_out = _grad_out(grad_out, tape, (tape.x.shape[0], tape.w.shape[1]),
+                         "affine")
     return WeightGrad(tape.x, grad_out), grad_out.sum(axis=0)
 
 
@@ -514,7 +502,7 @@ class DropoutTape:
         return DropoutTape(self.scaled_mask[start:stop])
 
 
-def dropout_forward(x, p, mode, rng=None, out=None, draws=None):
+def dropout_forward(x, p, mode, out=None, draws=None):
     """Inverted dropout.
 
     Train mode zeroes each entry independently with probability p and
@@ -526,14 +514,13 @@ def dropout_forward(x, p, mode, rng=None, out=None, draws=None):
         x: input, shape (n, d).
         p: drop probability in [0, 1).
         mode: "train" or "eval".
-        rng: numpy Generator, required in train mode when p > 0 and
-            ``draws`` is not given.
         out: optional output array of x's shape; may be x.
-        draws: optional C-contiguous float64 array of x's shape in which
-            the tape's scaled mask forms; when p > 0 it holds on entry
-            the uniform [0, 1) draws to use instead of rng's, so a
+        draws: required in train mode: a C-contiguous float64 array of
+            x's shape in which the tape's scaled mask forms.  When p > 0
+            it holds on entry the uniform [0, 1) draws to use, so a
             caller can draw a whole batch's mask with one rng call and
-            apply it a row slab at a time.
+            apply it a row slab at a time; when p is 0 its contents are
+            not read.
 
     Returns:
         (out, tape); tape is None in eval mode.
@@ -549,19 +536,13 @@ def dropout_forward(x, p, mode, rng=None, out=None, draws=None):
         return out, None
     if mode != "train":
         raise ContractViolationError(f"unknown dropout mode {mode!r}")
+    if draws is None:
+        raise ContractViolationError("dropout train mode requires draws")
+    _check_out(draws, x.shape, "draws")
     if p == 0.0:
-        if draws is None:
-            scaled_mask = np.ones_like(x)
-        else:
-            scaled_mask = draws
-            scaled_mask.fill(1.0)
+        scaled_mask = draws
+        scaled_mask.fill(1.0)
     else:
-        if draws is None:
-            if rng is None:
-                raise ContractViolationError(
-                    "dropout train mode with p > 0 requires an rng"
-                )
-            draws = rng.random(x.shape)
         # 1.0 where kept, then scaled: the bits of (draws >= p) / (1 - p)
         scaled_mask = np.greater_equal(draws, p, out=draws)
         scaled_mask /= 1.0 - p
@@ -690,40 +671,16 @@ def row_distances(a, rows_a, b, rows_b):
     return out
 
 
-def pairwise_distance_backward(a, b, dist, grad_dist):
-    """Backward for pairwise_distances.
-
-    d(i,j) = ||a_i - b_j||, so dd/da_i = (a_i - b_j) / d(i,j) and the
-    contributions are accumulated over j (and symmetrically for b).
-    Pairs at distance exactly zero coincide and contribute nothing;
-    other distances below EPS_DIST are clamped in the denominator.
-
-    Args:
-        a, b: the forward inputs.
-        dist: the forward output, shape (n, m).
-        grad_dist: upstream gradient, shape (n, m).
-
-    Returns:
-        (grad_a, grad_b).
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    dist = as_matrix(dist, "dist")
-    grad_dist = as_matrix(grad_dist, "grad_dist")
-    if dist.shape != (a.shape[0], b.shape[0]) or grad_dist.shape != dist.shape:
-        raise DimensionError(
-            "pairwise distance backward: shapes do not agree "
-            f"(a {a.shape}, b {b.shape}, dist {dist.shape}, "
-            f"grad {grad_dist.shape})"
-        )
-    w = distance_weights(dist, grad_dist)
-    return distance_side_grad(w, a, b, "a"), distance_side_grad(w, a, b, "b")
-
-
 def distance_weights(dist, grad_dist):
-    """pairwise_distance_backward's weights grad_dist / dist of float64
-    (n, m) matrices: 0 where the distance is 0, the distance clamped at
-    EPS_DIST elsewhere."""
+    """First half of pairwise_distances' backward: the weights
+    grad_dist / dist of float64 (n, m) matrices.
+
+    d(i,j) = ||a_i - b_j||, so dd/da_i = (a_i - b_j) / d(i,j), and
+    distance_side_grad accumulates the weighted differences over j (and
+    symmetrically for b).  Pairs at distance exactly zero coincide and
+    weigh 0; other distances below EPS_DIST are clamped in the
+    denominator.
+    """
     # a coincident pair's weight would multiply a_i - b_j = 0, but the
     # side gradients form it as w a_i - w b_j, where a weight of
     # 1/EPS_DIST leaves rounding noise of 1e-4 instead of zero
@@ -732,8 +689,9 @@ def distance_weights(dist, grad_dist):
 
 
 def distance_side_grad(w, a, b, side):
-    """pairwise_distance_backward's gradient of one input, ``side`` "a"
-    or "b", from distance_weights' w; the two sides are independent."""
+    """Second half of pairwise_distances' backward: the gradient of the
+    input ``side``, "a" or "b", from distance_weights' w; the two sides
+    are independent."""
     if side == "a":
         return w.sum(axis=1)[:, None] * a - w @ b
     return w.sum(axis=0)[:, None] * b - w.T @ a

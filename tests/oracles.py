@@ -322,10 +322,9 @@ def serial_hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
     grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
     for (va, vb), coeff in coeffs.items():
         if coeff.any():
-            ga, gb = tc.pairwise_distance_backward(emb[va], emb[vb],
-                                                   dists[va, vb], coeff)
-            grads[va] += ga
-            grads[vb] += gb
+            w = tc.distance_weights(dists[va, vb], coeff)
+            grads[va] += tc.distance_side_grad(w, emb[va], emb[vb], "a")
+            grads[vb] += tc.distance_side_grad(w, emb[va], emb[vb], "b")
     return loss, grads["x"], grads["y"]
 
 
@@ -963,16 +962,18 @@ def out_of_place_sgd_step(params, opt, grads):
 
 
 def full_backward_branch(tapes, grad_emb):
-    """backward_branch through affine_backward, input gradient dropped."""
+    """backward_branch as one pass of the tc backwards over all rows,
+    with out=None and both weight gradients formed whole."""
     g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
     g, g_gamma, g_beta = tc.batchnorm_backward(g, tapes.batchnorm)
-    g, g_w2, g_b2 = tc.affine_backward(g, tapes.affine2)
+    g_w2, g_b2 = tc.affine_param_backward(g, tapes.affine2)
+    g = tc.affine_input_backward(g, tapes.affine2.w)
     g = tc.dropout_backward(g, tapes.dropout)
     g = tc.relu_backward(g, tapes.relu)
-    _, g_w1, g_b1 = tc.affine_backward(g, tapes.affine1)
+    g_w1, g_b1 = tc.affine_param_backward(g, tapes.affine1)
     return {
-        "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
-        "gamma": g_gamma, "beta": g_beta,
+        "w1": np.asarray(g_w1), "b1": g_b1, "w2": np.asarray(g_w2),
+        "b2": g_b2, "gamma": g_gamma, "beta": g_beta,
     }
 
 
@@ -998,7 +999,12 @@ def chain_forward(params, branch, inputs, mode, rng=None):
                else (params.spec_y, params.y))
     h, t_aff1 = tc.affine_forward(as_matrix(inputs), p.w1, p.b1)
     h, t_relu = tc.relu_forward(h)
-    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, rng=rng)
+    draws = None
+    if mode == "train":
+        # one draw of the whole mask, as forward_branch makes
+        draws = (rng.random(h.shape) if spec.dropout_p > 0.0
+                 else np.empty(h.shape))
+    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, draws=draws)
     h, t_aff2 = tc.affine_forward(h, p.w2, p.b2)
     h, t_bn = tc.batchnorm_forward(h, p.gamma, p.beta, p.running_mean,
                                    p.running_var, mode,

@@ -376,7 +376,8 @@ class TestTrainCommand:
         ("--bn-momentum", "1.5"), ("--bn-momentum", "-0.1"),
         ("--max-x-per-y", "-3"), ("--lr0", "inf"), ("--weight-decay", "inf"),
         ("--margin", "inf"), ("--margin", "nan"), ("--lambda1", "inf"),
-        ("--lambda3", "nan")])
+        ("--lambda3", "nan"), ("--seed", "-1"),
+        ("--seed", "9007199254740993")])
     def test_out_of_range_setting_exits_one(self, workdir, tmp_path, flag,
                                             value, caplog):
         assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "1",
@@ -386,6 +387,17 @@ class TestTrainCommand:
         if flag == "--max-x-per-y":
             # the command-line range, where 0 is allowed
             assert ">= 0, 0 means no cap" in caplog.text
+
+    @pytest.mark.parametrize("seed", ["-1", "9007199254740993"])
+    def test_out_of_range_seed_with_checkpoint_in_exits_one(
+            self, workdir, tmp_path, seed, caplog):
+        # the seed still drives the batch draws of a resumed run
+        assert run_cli(*self.train_args(
+            workdir, tmp_path, "--epochs", "1", "--checkpoint-in",
+            str(workdir["ret"] / "model.ckpt"), "--seed", seed)) == 1
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "best.ckpt").exists()
+        assert "seed must lie in [0, 2^53]" in caplog.text
 
     def test_fine_tune_epochs_below_zero_exits_one(self, workdir, tmp_path):
         loc = workdir["loc"]
@@ -701,7 +713,9 @@ class TestGenSynthetic:
         ("--mode", "localization", "--dim-phrases", "0"),
         ("--mode", "localization", "--jitter-per-gt", "-1"),
         ("--mode", "localization", "--background-per-image", "-3"),
-        ("--mode", "localization", "--noise-sigma", "-0.1")])
+        ("--mode", "localization", "--noise-sigma", "-0.1"),
+        ("--seed", "-1"), ("--seed", "9007199254740993"),
+        ("--mode", "localization", "--seed", "-1")])
     def test_bad_input_exits_one(self, tmp_path, args):
         out = tmp_path / "out"
         assert run_cli("gen-synthetic", "--out-dir", str(out), *args) == 1

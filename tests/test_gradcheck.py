@@ -1,8 +1,11 @@
 """Tests for the finite-difference harness itself."""
 
+import inspect
+
 import numpy as np
 
 from twobranch import gradcheck
+from twobranch import tensor_core as tc
 
 
 def test_central_difference_on_polynomial():
@@ -63,3 +66,30 @@ def test_full_loss_suite_one_seed():
     results = gradcheck.run_full_loss_check(3)
     assert set(name.split("/")[0] for name in results) == {"loss"}
     assert max(results.values()) < 1e-4, results
+
+
+def test_layer_suite_checks_the_forms_training_runs(monkeypatch):
+    # the layer checks go through the backward forms that network and
+    # loss_mining call, and through dropout's caller-drawn mask
+    calls = []
+    for name in ("affine_param_backward", "affine_input_backward",
+                 "distance_weights", "distance_side_grad",
+                 "dropout_forward"):
+        real = getattr(tc, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            calls.append((_name, bound.arguments))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tc, name, spy)
+    gradcheck.run_layer_checks(0)
+    called = {name for name, _ in calls}
+    assert called == {"affine_param_backward", "affine_input_backward",
+                      "distance_weights", "distance_side_grad",
+                      "dropout_forward"}
+    assert {args["side"] for name, args in calls
+            if name == "distance_side_grad"} == {"a", "b"}
+    drops = [args for name, args in calls if name == "dropout_forward"]
+    assert all(args["mode"] == "train" and args.get("draws") is not None
+               for args in drops)

@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every public
+tensor_core function is used by the package.
 
 Read with the standard library's ``ast``: a name bound by a top-level
 ``import`` or ``from ... import`` must be read somewhere in its module,
-or be listed in the module's ``__all__`` (a re-export).
+or be listed in the module's ``__all__`` (a re-export).  A top-level
+public function of ``tensor_core`` must be referenced from another
+module of the package (tests do not count), so that each op keeps the
+one form that the package runs.
 """
 
 import ast
@@ -43,3 +47,49 @@ def test_checker_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def tensor_core_references(source):
+    """Names that ``source`` reads from tensor_core: imported from it by
+    name, or read as an attribute of the module under any alias."""
+    tree = ast.parse(source)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "tensor_core":
+                names.update(alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names
+                               if alias.name == "tensor_core")
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in aliases)
+    return names
+
+
+def public_functions(source):
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_"))
+
+
+def test_reference_finder_reads_both_import_forms():
+    source = ("from .tensor_core import a, b as c\n"
+              "def f():\n    from . import tensor_core as tc\n"
+              "    return tc.d(c)\n"
+              "other.e()\n")
+    assert tensor_core_references(source) == {"a", "b", "d"}
+    assert public_functions("def a(): pass\ndef _b(): pass\n"
+                            "class C:\n    def m(self): pass\n") == ["a"]
+
+
+def test_every_tensor_core_function_used_by_the_package():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "tensor_core.py":
+            used |= tensor_core_references(path.read_text(encoding="utf-8"))
+    source = (PACKAGE / "tensor_core.py").read_text(encoding="utf-8")
+    assert [name for name in public_functions(source)
+            if name not in used] == []

@@ -96,6 +96,20 @@ class TestInit:
             nw.init_params(nw.BranchSpec(6, 5, 4, 0.0),
                            nw.BranchSpec(7, 5, 3, 0.0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**53 + 1, 2**64])
+    def test_seed_outside_checkpoint_range_rejected(self, seed):
+        # a checkpoint stores the seed as a float64, exact up to 2^53
+        with pytest.raises(ConfigError, match="seed"):
+            small_params(seed=seed)
+        p = small_params()
+        with pytest.raises(ConfigError, match="seed"):
+            nw.NetworkParams(p.spec_x, p.spec_y, p.x, p.y, seed=seed)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        p = small_params(seed=2**53)
+        nw.save_checkpoint(p, nw.OptimizerState(), tmp_path / "m.ckpt")
+        assert nw.load_checkpoint(tmp_path / "m.ckpt")[0].seed == 2**53
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ConfigError):
             nw.BranchSpec(0, 5, 4, 0.0)
@@ -800,7 +814,7 @@ class TestBackward:
         with pytest.raises(ContractViolationError):
             nw.backward_branch(tapes, np.ones_like(emb))
 
-    def test_gradients_match_affine_backward_oracle(self):
+    def test_gradients_match_whole_pass_oracle(self):
         # two forward passes on one seed give two equal sets of tapes
         p = small_params(seed=16, dropout=0.3)
         x = np.random.default_rng(16).normal(size=(9, 6))
@@ -1141,7 +1155,8 @@ class TestCheckpointRecordFaults:
         ("meta.bn_momentum", 1.5), ("meta.bn_momentum", -0.1),
         ("opt.lr0", -1.0), ("opt.lr0", 0.0), ("opt.momentum", 5.0),
         ("opt.momentum", 1.0), ("opt.weight_decay", -1.0),
-        ("opt.epoch", -2.0)])
+        ("opt.epoch", -2.0), ("meta.seed", -1.0),
+        ("meta.seed", 2.0**53 + 2)])
     def test_setting_out_of_range(self, tmp_path, name, value):
         records = self.records()
         records[name] = np.full((1, 1), value)

@@ -36,6 +36,14 @@ def naive_distances(a, b):
     return out
 
 
+def distance_backward(a, b, dist, grad_dist):
+    """pairwise_distances' backward as the hinge loss runs it: the
+    weights, then each input's side."""
+    w = tc.distance_weights(dist, grad_dist)
+    return (tc.distance_side_grad(w, a, b, "a"),
+            tc.distance_side_grad(w, a, b, "b"))
+
+
 def assert_out_keeps_bits(run, x, in_place=False):
     """run(x, out), a layer forward with its other inputs bound, returns
     a given C-contiguous float64 ``out`` holding the bits of out=None;
@@ -55,7 +63,8 @@ FORWARDS = {
                                                np.zeros(2), out=out),
     "relu": lambda x, out: tc.relu_forward(x, out=out),
     "dropout": lambda x, out: tc.dropout_forward(
-        x, 0.5, "train", np.random.default_rng(0), out=out),
+        x, 0.5, "train", out=out,
+        draws=np.random.default_rng(0).random(np.shape(x))),
     "batchnorm": lambda x, out: tc.batchnorm_forward(
         x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval",
         out=out),
@@ -112,7 +121,9 @@ class TestAffine:
         g = rng.normal(size=(4, 3))
 
         out, tape = tc.affine_forward(inp, w, b)
-        gi, gw, gb = tc.affine_backward(g, tape)
+        gw, gb = tc.affine_param_backward(g, tape)
+        gw = np.asarray(gw)
+        gi = tc.affine_input_backward(g, w)
 
         def loss():
             o, _ = tc.affine_forward(inp, w, b)
@@ -123,12 +134,11 @@ class TestAffine:
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6
 
     def test_input_gradient_by_rows(self):
-        # affine_input_backward forms affine_backward's grad_x for any
-        # rows of grad_out, into a given buffer
+        # affine_input_backward forms the rows of the whole grad_x for
+        # any rows of grad_out, into a given buffer
         rng = np.random.default_rng(14)
-        x, w, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (7, 3)))
-        want, _, _ = tc.affine_backward(g, tc.affine_forward(x, w,
-                                                             np.zeros(3))[1])
+        w, g = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+        want = tc.affine_input_backward(g, w)
         got = np.empty((7, 5))
         for start, stop in ((0, 2), (2, 5), (5, 7)):
             tc.affine_input_backward(g[start:stop], w, out=got[start:stop])
@@ -136,9 +146,15 @@ class TestAffine:
 
     def test_backward_once_per_tape(self):
         out, tape = tc.affine_forward(np.ones((2, 2)), np.eye(2), np.zeros(2))
-        tc.affine_backward(np.ones((2, 2)), tape)
+        tc.affine_param_backward(np.ones((2, 2)), tape)
         with pytest.raises(ContractViolationError):
-            tc.affine_backward(np.ones((2, 2)), tape)
+            tc.affine_param_backward(np.ones((2, 2)), tape)
+
+    def test_param_backward_shape_mismatch(self):
+        _, tape = tc.affine_forward(np.ones((2, 3)), np.ones((3, 2)),
+                                    np.zeros(2))
+        with pytest.raises(DimensionError):
+            tc.affine_param_backward(np.ones((3, 2)), tape)
 
 
 class TestWeightGradSlabs:
@@ -404,46 +420,57 @@ class TestBatchNorm:
             gbeta, central_difference(loss, beta)) < 1e-6
 
 
+def uniform_draws(shape, seed):
+    return np.random.default_rng(seed).random(shape)
+
+
 class TestDropout:
     def test_p_zero_identity(self):
         x = np.random.default_rng(6).normal(size=(4, 4))
         out, _ = tc.dropout_forward(x, 0.0, "train",
-                                    np.random.default_rng(0))
+                                    draws=np.full(x.shape, np.nan))
         assert np.array_equal(out, x)
 
     def test_eval_identity(self):
         x = np.random.default_rng(7).normal(size=(4, 4))
-        out, tape = tc.dropout_forward(x, 0.9, "eval", None)
+        out, tape = tc.dropout_forward(x, 0.9, "eval")
         assert np.array_equal(out, x)
 
     def test_invalid_p(self):
         with pytest.raises(ConfigError):
             tc.dropout_forward(np.ones((2, 2)), 1.0, "train",
-                               np.random.default_rng(0))
+                               draws=uniform_draws((2, 2), 0))
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_train_requires_usable_draws(self, p):
+        x = np.ones((3, 2))
+        for draws in (None, np.full((2, 3), 0.5), np.full((3, 2), 0.5, "f4"),
+                      np.full((3, 2), 0.5, order="F")):
+            with pytest.raises(ContractViolationError):
+                tc.dropout_forward(x, p, "train", draws=draws)
 
     def test_monte_carlo_expectation(self):
         x = np.ones((2000, 50))
         out, _ = tc.dropout_forward(x, 0.5, "train",
-                                    np.random.default_rng(8))
+                                    draws=uniform_draws(x.shape, 8))
         assert abs(out.mean() - x.mean()) / abs(x.mean()) < 0.05
 
     def test_survivors_scaled(self):
         x = np.ones((10, 10))
         out, tape = tc.dropout_forward(x, 0.5, "train",
-                                       np.random.default_rng(9))
+                                       draws=uniform_draws(x.shape, 9))
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_given_draws_keep_bits(self, p):
         # a mask drawn whole and applied a row slab at a time, in place,
-        # has the bits of one rng-driven call, forward and backward
+        # has the bits of one call over all rows, forward and backward
         rng = np.random.default_rng(12)
         x, g = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
         want, want_tape = tc.dropout_forward(x, p, "train",
-                                             np.random.default_rng(13))
-        draws_rng = np.random.default_rng(13)
-        draws = draws_rng.random(x.shape) if p else np.empty(x.shape)
+                                             draws=uniform_draws(x.shape, 13))
+        draws = uniform_draws(x.shape, 13) if p else np.empty(x.shape)
         got = x.copy()
         for start, stop in ((0, 3), (3, 7)):
             rows = got[start:stop]
@@ -463,7 +490,7 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         x = np.random.default_rng(10).normal(size=(5, 5))
         out, tape = tc.dropout_forward(x, 0.5, "train",
-                                       np.random.default_rng(11))
+                                       draws=uniform_draws(x.shape, 11))
         mask = out != 0
         g = np.ones_like(x)
         gx = tc.dropout_backward(g, tape)
@@ -587,15 +614,14 @@ class TestPairwiseDistances:
         a = np.array([[1.0, 1.0]])
         b = np.array([[4.0, 5.0]])
         d = tc.pairwise_distances(a, b)
-        ga, gb = tc.pairwise_distance_backward(a, b, d, np.array([[1.0]]))
+        ga, gb = distance_backward(a, b, d, np.array([[1.0]]))
         assert np.allclose(ga, (a - b) / 5.0, atol=1e-12)
         assert np.allclose(gb, (b - a) / 5.0, atol=1e-12)
 
     def test_backward_identical_points_zero_gradient(self):
         a = np.array([[2.0, 3.0]])
         d = tc.pairwise_distances(a, a.copy())
-        ga, gb = tc.pairwise_distance_backward(a, a.copy(), d,
-                                               np.array([[1.0]]))
+        ga, gb = distance_backward(a, a.copy(), d, np.array([[1.0]]))
         assert np.array_equal(ga, np.zeros_like(a))
         assert np.array_equal(gb, np.zeros_like(a))
 
@@ -608,10 +634,10 @@ class TestPairwiseDistances:
         b[0] = a[0]
         g = rng.normal(size=(2, 3))
         d = tc.pairwise_distances(a, b)
-        ga, gb = tc.pairwise_distance_backward(a, b, d, g)
+        ga, gb = distance_backward(a, b, d, g)
         g_without = g.copy()
         g_without[0, 0] = 0.0
-        ga0, gb0 = tc.pairwise_distance_backward(a, b, d, g_without)
+        ga0, gb0 = distance_backward(a, b, d, g_without)
         assert np.abs(ga - ga0).max() < 1e-12
         assert np.abs(gb - gb0).max() < 1e-12
 
@@ -621,7 +647,7 @@ class TestPairwiseDistances:
         b = rng.normal(size=(6, 3)) + 2.0
         g = rng.normal(size=(5, 6))
         d = tc.pairwise_distances(a, b)
-        ga, gb = tc.pairwise_distance_backward(a, b, d, g)
+        ga, gb = distance_backward(a, b, d, g)
 
         def loss():
             return float((tc.pairwise_distances(a, b) * g).sum())
