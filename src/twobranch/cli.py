@@ -141,21 +141,20 @@ def _coerce(name, value):
 def parse_config_file(path):
     """Flat ``key = value`` lines, # comments; unknown keys rejected."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value'"
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, value)
+    for lineno, line in data_mod.text_lines(path, ConfigError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value'"
+            )
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = _coerce(key, value)
     return out
 
 

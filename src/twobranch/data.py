@@ -202,8 +202,8 @@ def load_feature_file(path):
             if fh.readinto(part) != part.nbytes:
                 raise FormatError(f"{path}: payload shrank while reading")
             check_finite(part, path)
-    with open(ids_path, encoding="utf-8") as fh:
-        ids = [line.rstrip("\n") for line in fh if line.strip() != ""]
+    ids = [line.rstrip("\n") for _, line in text_lines(ids_path)
+           if line.strip() != ""]
     if len(ids) != rows:
         raise ConsistencyError(
             f"{ids_path}: {len(ids)} ids for {rows} feature rows"
@@ -237,24 +237,40 @@ def save_pair_file(pairs, path):
             fh.write(tsv_line((x_id, y_id), path))
 
 
+def text_lines(path, error=FormatError):
+    """Yield (lineno, line) of each line of the UTF-8 text ``path``; a
+    byte that is not UTF-8 raises ``error`` naming ``path:lineno:``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # the reader decodes ahead of the lines it yields, so find the
+        # first line whose bytes do not decode
+        with open(path, "rb") as fh:
+            lineno = next((n for n, raw in enumerate(fh, start=1)
+                           if raw.decode("utf-8", "ignore").encode() != raw),
+                          "?")
+        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") \
+            from None
+
+
 def read_tsv(path, widths):
     """Yield (lineno, fields) for each line of a TSV file ``tsv_line``
     wrote: blank lines and lines that begin with ``#`` are skipped, and
     a line whose column count is not in ``widths`` raises FormatError
     with a ``path:lineno:`` prefix, as callers' own field errors do."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in widths:
-                raise FormatError(
-                    f"{path}:{lineno}: expected "
-                    f"{' or '.join(map(str, widths))} tab-separated "
-                    f"columns, got {len(parts)}"
-                )
-            yield lineno, parts
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in widths:
+            raise FormatError(
+                f"{path}:{lineno}: expected "
+                f"{' or '.join(map(str, widths))} tab-separated "
+                f"columns, got {len(parts)}"
+            )
+        yield lineno, parts
 
 
 def load_pair_file(path):

@@ -40,7 +40,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import inf, prod, sqrt
+from math import inf, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -52,15 +52,38 @@ from .data import atomic_write
 CHECKPOINT_MAGIC = b"DSPE"
 CHECKPOINT_VERSION = 1
 
-# Parameter names ending in these suffixes are affine weight matrices;
-# weight decay applies to them only.
-_DECAYED_SUFFIXES = (".w1", ".w2")
-
-# A branch's checkpoint records, one per BranchParams field; the first
-# six are the tensors the optimizer updates.
-_BRANCH_RECORDS = ("w1", "b1", "w2", "b2", "gamma", "beta",
-                   "running_mean", "running_var")
-_LEARNED_RECORDS = _BRANCH_RECORDS[:6]
+# The checkpoint record table, the one list of the records a network's
+# state is saved as (see the layout under "checkpoints").  Each branch
+# record is named "x.<field>" and "y.<field>", for one BranchParams
+# field: (its shape, as BranchSpec sizes; its initial value, a Glorot
+# draw or a constant; what SGD does with it: "decay" learns it with
+# weight decay, "learn" without, None leaves it alone).  The velocity
+# of a learned tensor, once SGD has made it, is the record "v.<name>".
+_BRANCH_TABLE = {
+    "w1": (("input_dim", "hidden_dim"), "glorot", "decay"),
+    "b1": (("hidden_dim",), 0.0, "learn"),
+    "w2": (("hidden_dim", "embed_dim"), "glorot", "decay"),
+    "b2": (("embed_dim",), 0.0, "learn"),
+    "gamma": (("embed_dim",), 1.0, "learn"),
+    "beta": (("embed_dim",), 0.0, "learn"),
+    "running_mean": (("embed_dim",), 0.0, None),
+    "running_var": (("embed_dim",), 1.0, None),
+}
+# Each scalar record: (its owner, its attribute, its kind).  A "finite"
+# one is a finite float; a "whole" one is an integer in [0, MAX_SEED],
+# all that a float64 record holds exactly.
+_SCALAR_TABLE = {
+    "meta.seed": ("params", "seed", "whole"),
+    "meta.bn_momentum": ("params", "bn_momentum", "finite"),
+    "meta.bn_eps": ("params", "bn_eps", "finite"),
+    "x.dropout_p": ("spec_x", "dropout_p", "finite"),
+    "y.dropout_p": ("spec_y", "dropout_p", "finite"),
+    "opt.lr0": ("opt", "lr0", "finite"),
+    "opt.lr": ("opt", "lr", "finite"),
+    "opt.momentum": ("opt", "momentum", "finite"),
+    "opt.weight_decay": ("opt", "weight_decay", "finite"),
+    "opt.epoch": ("opt", "epoch", "whole"),
+}
 
 # Floats per block of the SGD update: a block of each of theta, grad,
 # velocity and the scratch (256 KB apiece) stays in cache from the
@@ -218,16 +241,13 @@ def _glorot_uniform(rng, fan_in, fan_out):
 
 
 def _init_branch(rng, spec):
-    return BranchParams(
-        w1=_glorot_uniform(rng, spec.input_dim, spec.hidden_dim),
-        b1=np.zeros(spec.hidden_dim),
-        w2=_glorot_uniform(rng, spec.hidden_dim, spec.embed_dim),
-        b2=np.zeros(spec.embed_dim),
-        gamma=np.ones(spec.embed_dim),
-        beta=np.zeros(spec.embed_dim),
-        running_mean=np.zeros(spec.embed_dim),
-        running_var=np.ones(spec.embed_dim),
-    )
+    """A branch's fields as the record table starts them."""
+    arrays = {}
+    for attr, (dims, init, _) in _BRANCH_TABLE.items():
+        shape = tuple(getattr(spec, dim) for dim in dims)
+        arrays[attr] = (_glorot_uniform(rng, *shape) if init == "glorot"
+                        else np.full(shape, init))
+    return BranchParams(**arrays)
 
 
 def init_params(spec_x, spec_y, seed=0, bn_momentum=tc.BN_MOMENTUM,
@@ -449,8 +469,9 @@ def backward_branch(tapes, grad_emb):
 def _learned_tensors(params):
     """Yield (name, array) for every tensor the optimizer updates."""
     for prefix, bp in (("x", params.x), ("y", params.y)):
-        for attr in _LEARNED_RECORDS:
-            yield f"{prefix}.{attr}", getattr(bp, attr)
+        for attr, (_, _, sgd) in _BRANCH_TABLE.items():
+            if sgd:
+                yield f"{prefix}.{attr}", getattr(bp, attr)
 
 
 def _row_slabs(rows, row_floats, workers=1):
@@ -501,14 +522,14 @@ def sgd_step(params, opt, grads):
         from the blocks as the update reads them, for logging and
         divergence checks.
     """
-    expected = {name for name, _ in _learned_tensors(params)}
-    if set(grads) != expected:
-        missing = sorted(expected - set(grads))
-        extra = sorted(set(grads) - expected)
+    tensors = dict(_learned_tensors(params))
+    if set(grads) != set(tensors):
+        missing = sorted(set(tensors) - set(grads))
+        extra = sorted(set(grads) - set(tensors))
         raise ConfigError(
             f"gradient dict mismatch: missing {missing}, unknown {extra}"
         )
-    for name, theta in _learned_tensors(params):
+    for name, theta in tensors.items():
         # a velocity not yet made will be zeros_like(theta)
         vel = opt.velocity.get(name, theta)
         for what, arr in (("gradient", grads[name]), ("velocity", vel)):
@@ -520,7 +541,6 @@ def sgd_step(params, opt, grads):
         if not (theta.flags.c_contiguous and vel.flags.c_contiguous):
             raise ContractViolationError(
                 f"{name}: SGD updates C-contiguous tensors in place")
-    tensors = dict(_learned_tensors(params))
     # slab -> its work: the floats it updates, times the rows of its
     # product when it forms a WeightGrad
     work, formed, widen, block = {}, 0, 0, 0
@@ -539,9 +559,9 @@ def sgd_step(params, opt, grads):
                 widen = max(widen, grad.widen_floats(stop - start))
 
     def slab(name, start, stop, scratch):
+        _, _, sgd = _BRANCH_TABLE[name[2:]]
         return _step_slab(tensors[name], grads[name], opt.velocity[name],
-                          opt, name.endswith(_DECAYED_SUFFIXES), start,
-                          stop, scratch)
+                          opt, sgd == "decay", start, stop, scratch)
 
     # the largest slabs first, so that none runs alone at the end
     order = sorted(work, key=work.get, reverse=True)
@@ -611,9 +631,12 @@ def backward_and_step(params, opt, tapes_x, tapes_y, grad_emb_x, grad_emb_y):
 # where each record is
 #   u32 name length | name utf-8 | u64 rows | u64 cols | rows*cols f64
 # records are sorted by name, and the checksum is the first 8 bytes of
-# SHA-256 over everything before it.  The record "opt.epoch" counts the
-# epochs completed, in a best-epoch checkpoint as in a final one, so a
-# training run resumed from either starts at the next epoch.  A save
+# SHA-256 over everything before it.  The record table at the top of this
+# module (_BRANCH_TABLE and _SCALAR_TABLE) is the one list of the records,
+# their shapes and their kinds; a scalar is stored as a 1x1 record and a
+# vector as one row.  The optimizer's epoch record counts the epochs
+# completed, in a best-epoch checkpoint as in a final one, so a training
+# run resumed from either starts at the next epoch.  A save
 # replaces its file atomically and never edits it in place, so a path
 # that is a hard link of another checkpoint (the command line links the
 # final checkpoint to the best-epoch one when they hold the same state)
@@ -662,43 +685,22 @@ class _Checksum:
         return self._digest.digest()[:8]
 
 
-def _record_shapes(spec):
-    """In-memory shape of each of a branch's records, by field name."""
-    hidden, embed = spec.hidden_dim, spec.embed_dim
-    return {
-        "w1": (spec.input_dim, hidden), "b1": (hidden,),
-        "w2": (hidden, embed), "b2": (embed,),
-        "gamma": (embed,), "beta": (embed,),
-        "running_mean": (embed,), "running_var": (embed,),
-    }
-
-
 def _stored_shape(shape):
     """A record's on-disk (rows, cols): scalars are 1x1, vectors rows."""
     return (1,) * (2 - len(shape)) + tuple(shape)
 
 
 def _named_tensors(params, opt):
-    out = {}
-    for prefix, bp in (("x", params.x), ("y", params.y)):
-        for attr in _BRANCH_RECORDS:
-            out[f"{prefix}.{attr}"] = getattr(bp, attr)
+    """Every checkpoint record of (params, opt): name -> array."""
+    out = {f"{prefix}.{attr}": getattr(bp, attr)
+           for prefix, bp in (("x", params.x), ("y", params.y))
+           for attr in _BRANCH_TABLE}
     for name, vel in opt.velocity.items():
         out[f"v.{name}"] = vel
-    scalars = {
-        "meta.seed": float(params.seed),
-        "meta.bn_momentum": params.bn_momentum,
-        "meta.bn_eps": params.bn_eps,
-        "x.dropout_p": params.spec_x.dropout_p,
-        "y.dropout_p": params.spec_y.dropout_p,
-        "opt.lr0": opt.lr0,
-        "opt.lr": opt.lr,
-        "opt.momentum": opt.momentum,
-        "opt.weight_decay": opt.weight_decay,
-        "opt.epoch": float(opt.epoch),
-    }
-    for name, value in scalars.items():
-        out[name] = np.array([[value]], dtype=np.float64)
+    owners = {"params": params, "spec_x": params.spec_x,
+              "spec_y": params.spec_y, "opt": opt}
+    for name, (owner, attr, _) in _SCALAR_TABLE.items():
+        out[name] = np.array([[float(getattr(owners[owner], attr))]])
     return out
 
 
@@ -802,49 +804,44 @@ def load_checkpoint(path):
 def _rebuild(tensors, path):
     def take(name, shape):
         """Pop record ``name`` as an array of in-memory ``shape``."""
-        try:
-            mat = tensors.pop(name)
-        except KeyError:
-            raise FormatError(f"{path}: missing record {name}") from None
+        if name not in tensors:
+            raise FormatError(f"{path}: missing record {name}")
+        mat = tensors.pop(name)
         if mat.shape != _stored_shape(shape):
-            raise FormatError(
-                f"{path}: record {name} has shape {mat.shape}, expected "
-                f"{_stored_shape(shape)}"
-            )
+            raise FormatError(f"{path}: record {name} has shape {mat.shape}, "
+                              f"expected {_stored_shape(shape)}")
         return mat.reshape(shape)
 
+    # each scalar, checked for its kind, as a keyword of its owner
+    scalars = {owner: {} for owner, _, _ in _SCALAR_TABLE.values()}
+    for name, (owner, attr, kind) in _SCALAR_TABLE.items():
+        value = float(take(name, ()))
+        if not (isfinite(value) if kind == "finite"
+                else value.is_integer() and 0 <= value <= MAX_SEED):
+            raise FormatError(f"{path}: record {name} holds {value}, "
+                              f"expected a {kind} number"
+                              + (" in [0, 2^53]" if kind == "whole" else ""))
+        scalars[owner][attr] = value if kind == "finite" else int(value)
     specs, branches = {}, {}
     for prefix in ("x", "y"):
-        # the two weight matrices size the branch; take() checks the rest
-        try:
-            (input_dim, hidden_dim), (_, embed_dim) = (
-                tensors[f"{prefix}.{attr}"].shape for attr in ("w1", "w2"))
-        except KeyError as exc:
-            raise FormatError(
-                f"{path}: missing record {exc.args[0]}") from None
-        specs[prefix] = BranchSpec(
-            input_dim, hidden_dim, embed_dim,
-            dropout_p=float(take(f"{prefix}.dropout_p", ())))
-        shapes = _record_shapes(specs[prefix])
-        branches[prefix] = BranchParams(**{
-            attr: take(f"{prefix}.{attr}", shapes[attr])
-            for attr in _BRANCH_RECORDS})
+        # take() checks each record against the branch sizes its table
+        # entry names; a size not yet known is read from the record that
+        # first holds it, which in table order is a matrix
+        sizes, arrays = {}, {}
+        for attr, (dims, _, _) in _BRANCH_TABLE.items():
+            name = f"{prefix}.{attr}"
+            held = (tensors[name].shape[2 - len(dims):] if name in tensors
+                    else ())
+            arrays[attr] = take(name, tuple(
+                sizes.setdefault(dim, size) for dim, size in zip(dims, held)))
+        specs[prefix] = BranchSpec(**sizes, **scalars[f"spec_{prefix}"])
+        branches[prefix] = BranchParams(**arrays)
     if specs["x"].embed_dim != specs["y"].embed_dim:
         raise FormatError(f"{path}: branch embed dims differ")
-    params = NetworkParams(
-        spec_x=specs["x"], spec_y=specs["y"],
-        x=branches["x"], y=branches["y"],
-        seed=int(take("meta.seed", ())),
-        bn_momentum=float(take("meta.bn_momentum", ())),
-        bn_eps=float(take("meta.bn_eps", ())),
-    )
-    opt = OptimizerState(
-        lr0=float(take("opt.lr0", ())),
-        lr=float(take("opt.lr", ())),
-        momentum=float(take("opt.momentum", ())),
-        weight_decay=float(take("opt.weight_decay", ())),
-        epoch=int(take("opt.epoch", ())),
-    )
+    params = NetworkParams(spec_x=specs["x"], spec_y=specs["y"],
+                           x=branches["x"], y=branches["y"],
+                           **scalars["params"])
+    opt = OptimizerState(**scalars["opt"])
     learned = dict(_learned_tensors(params))
     for name in [n for n in tensors if n.startswith("v.")]:
         ref = learned.get(name[2:])

@@ -5,6 +5,7 @@ logic stays independent of the library code it checks.
 """
 
 import copy
+import dataclasses
 import hashlib
 import math
 import struct
@@ -890,9 +891,29 @@ def mine_hard_negatives(queries, phrase_emb, region_emb, cap,
 
 
 def checkpoint_records(params, opt):
-    """The records a checkpoint of (params, opt) holds: name -> 2-D array."""
-    return {name: nw._as_record_matrix(t)
-            for name, t in nw._named_tensors(params, opt).items()}
+    """The records a checkpoint of (params, opt) holds: name -> 2-D array.
+
+    Listed from the public dataclass fields, apart from the network's
+    record table: every BranchParams field and the dropout rate of each
+    branch, every velocity, every number field of NetworkParams ("meta.")
+    and of OptimizerState ("opt.").  A scalar is 1x1, a vector one row.
+    """
+    records = {}
+    for view in ("x", "y"):
+        branch = getattr(params, view)
+        for f in dataclasses.fields(branch):
+            records[f"{view}.{f.name}"] = getattr(branch, f.name)
+        spec = getattr(params, f"spec_{view}")
+        records[f"{view}.dropout_p"] = spec.dropout_p
+    for prefix, state in (("meta", params), ("opt", opt)):
+        for f in dataclasses.fields(state):
+            value = getattr(state, f.name)
+            if isinstance(value, (int, float)):
+                records[f"{prefix}.{f.name}"] = value
+    for name, vel in opt.velocity.items():
+        records[f"v.{name}"] = vel
+    return {name: np.atleast_2d(np.asarray(value, dtype=np.float64))
+            for name, value in records.items()}
 
 
 def records_checkpoint_bytes(records):
@@ -949,16 +970,20 @@ def out_of_place_sgd_step(params, opt, grads):
     The decay term applies to affine weight matrices only; every
     operation makes a new array, and a WeightGrad is formed whole.
     """
-    for name, theta in nw._learned_tensors(params):
-        grad = np.asarray(grads[name])
-        if name.endswith((".w1", ".w2")):
-            grad = grad + opt.weight_decay * theta
-        vel = opt.velocity.get(name)
-        if vel is None:
-            vel = np.zeros_like(theta)
-        vel = opt.momentum * vel + grad
-        opt.velocity[name] = vel
-        theta -= opt.lr * vel
+    for view in ("x", "y"):
+        branch = getattr(params, view)
+        # every BranchParams field but the batch-norm running statistics
+        for attr in ("w1", "b1", "w2", "b2", "gamma", "beta"):
+            name, theta = f"{view}.{attr}", getattr(branch, attr)
+            grad = np.asarray(grads[name])
+            if attr in ("w1", "w2"):
+                grad = grad + opt.weight_decay * theta
+            vel = opt.velocity.get(name)
+            if vel is None:
+                vel = np.zeros_like(theta)
+            vel = opt.momentum * vel + grad
+            opt.velocity[name] = vel
+            theta -= opt.lr * vel
 
 
 def full_backward_branch(tapes, grad_emb):

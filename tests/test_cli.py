@@ -110,6 +110,20 @@ class TestConfigParsing:
         assert f"config key {key}" in caplog.text
         assert value in caplog.text
 
+    @pytest.mark.parametrize("flag", ["--pairs", "--config"])
+    def test_non_utf8_input_exits_one(self, workdir, tmp_path, flag, caplog):
+        ret = workdir["ret"]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# a comment\n\xff\n")
+        args = {"--pairs": str(ret / "pairs.tsv"), flag: str(bad)}
+        assert run_cli("train",
+                       "--features-x", str(ret / "x.feat"),
+                       "--features-y", str(ret / "y.feat"),
+                       "--checkpoint-out", str(tmp_path / "model.ckpt"),
+                       *(arg for item in args.items() for arg in item)) == 1
+        assert f"{bad}:2: not UTF-8 text" in caplog.text
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_missing_required_key_exits_one(self, workdir):
         ret = workdir["ret"]
         assert run_cli("train",
@@ -398,6 +412,21 @@ class TestTrainCommand:
         assert not (tmp_path / "model.ckpt").exists()
         assert not (tmp_path / "best.ckpt").exists()
         assert "seed must lie in [0, 2^53]" in caplog.text
+
+    @pytest.mark.parametrize("name, value", [
+        ("meta.seed", np.nan), ("meta.seed", 1.5), ("opt.epoch", np.inf),
+        ("opt.epoch", 2.5), ("opt.lr", np.nan)])
+    def test_checkpoint_in_with_bad_scalar_exits_one(
+            self, workdir, tmp_path, name, value, caplog):
+        params, opt = nw.load_checkpoint(workdir["ret"] / "model.ckpt")
+        records = oracles.checkpoint_records(params, opt)
+        records[name] = np.full((1, 1), value)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(oracles.records_checkpoint_bytes(records))
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", "0",
+                                        "--checkpoint-in", str(bad))) == 1
+        assert not (tmp_path / "model.ckpt").exists()
+        assert f"record {name} holds" in caplog.text
 
     def test_fine_tune_epochs_below_zero_exits_one(self, workdir, tmp_path):
         loc = workdir["loc"]

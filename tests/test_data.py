@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twobranch import data, evaluation, hard_negatives
+from twobranch import cli, data, evaluation, hard_negatives
 from twobranch.errors import (ConfigError, ConsistencyError, DimensionError,
                               FormatError)
 
@@ -296,6 +296,34 @@ class TestPairFile:
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}:4: expected {widths} tab-separated columns, got")):
             load(str(path))
+
+
+@pytest.mark.parametrize("reader", ["pairs", "corpus", "hard negatives",
+                                    "ids", "config"])
+def test_non_utf8_byte_names_the_line(tmp_path, reader):
+    # one 0xff byte on the third line of each text input, after a
+    # comment line (or, in an .ids file, a first id)
+    feat = str(tmp_path / "x.feat")
+    path = feat + ".ids" if reader == "ids" else str(tmp_path / "in.txt")
+    load, error, good = {
+        "pairs": (data.load_pair_file, FormatError, "a\tb"),
+        "corpus": (evaluation.load_corpus_rows, FormatError,
+                   "im\tP\tph\t0\t0\t1\t1\t0"),
+        "hard negatives": (hard_negatives.load_hard_negatives, FormatError,
+                           "ph\t3\t0.5"),
+        "ids": (lambda _: data.load_feature_file(feat), FormatError,
+                "row_1"),
+        "config": (cli.parse_config_file, ConfigError, "epochs = 7"),
+    }[reader]
+    if reader == "ids":
+        data.save_feature_file(make_features(np.random.default_rng(0), 3, 2),
+                               feat)
+    raw = good.encode()
+    with open(path, "wb") as fh:
+        fh.write(b"# one\n" + raw + b"\n" + raw[:1] + b"\xff" + raw[1:]
+                 + b"\n" + raw + b"\n")
+    with pytest.raises(error, match=re.escape(f"{path}:3: not UTF-8 text")):
+        load(path)
 
 
 class TestAtomicWrite:

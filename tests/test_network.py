@@ -377,8 +377,9 @@ class TestSlabWorkers:
                 q = copy.deepcopy(p)
                 opt = nw.OptimizerState()
                 norms = nw.sgd_step(q, opt, {
-                    **{f"x.{k}": np.zeros_like(getattr(q.x, k))
-                       for k in nw._LEARNED_RECORDS},
+                    **{name: np.zeros_like(t)
+                       for name, t in nw._learned_tensors(q)
+                       if name.startswith("x.")},
                     **{f"y.{k}": g for k, g in grads.items()}})
                 emb, _ = nw.forward_branch(q, "y", inputs, "eval")
                 train, _ = nw.forward_branch(q, "y", inputs, "train",
@@ -1161,6 +1162,17 @@ class TestCheckpointRecordFaults:
         records = self.records()
         records[name] = np.full((1, 1), value)
         self.assert_rejected(tmp_path, records, name.split(".")[1])
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("meta.seed", "opt.epoch")
+        for value in (np.nan, np.inf, -np.inf, 1.5, 2.0**53 + 2)
+    ] + [("opt.lr", np.nan), ("opt.lr", np.inf)])
+    def test_scalar_of_wrong_kind(self, tmp_path, name, value):
+        # a seed or an epoch must be a whole number a float64 holds
+        # exactly, and every other scalar must be finite
+        records = self.records()
+        records[name] = np.full((1, 1), value)
+        self.assert_rejected(tmp_path, records, f"record {name} holds")
 
     def test_unrecognized_record(self, tmp_path):
         records = self.records()
