@@ -31,6 +31,7 @@ from .errors import (
 from .loss_mining import FAMILY_NAMES, LossConfig
 from .network import (
     BranchSpec,
+    NetworkParams,
     OptimizerState,
     check_seed,
     forward_branch,
@@ -51,30 +52,35 @@ _VALIDATION_ERRORS = (
     ChecksumError,
     EvaluationError,
     FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
 )
 
 
 @dataclass
 class ExperimentConfig:
-    """Every tunable of the pipeline, flat for config files and flags."""
+    """Every tunable of the pipeline, flat for config files and flags.
+
+    A default that a package class also holds is read from that class.
+    """
 
     # loss
-    margin: float = 0.1
-    lambda1: float = 2.0
-    lambda2: float = 0.0
-    lambda3: float = 0.2
-    top_k: int = 50
+    margin: float = LossConfig.margin
+    lambda1: float = LossConfig.lambda1
+    lambda2: float = LossConfig.lambda2
+    lambda3: float = LossConfig.lambda3
+    top_k: int = LossConfig.top_k
     # network
     x_hidden_dim: int = 2048
     y_hidden_dim: int = 2048
     embed_dim: int = 512
-    dropout: float = 0.5
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
+    dropout: float = BranchSpec.dropout_p
+    bn_momentum: float = NetworkParams.bn_momentum
+    bn_eps: float = NetworkParams.bn_eps
     # optimizer and schedule
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
+    lr0: float = OptimizerState.lr0
+    momentum: float = OptimizerState.momentum
+    weight_decay: float = OptimizerState.weight_decay
     # training
     epochs: int = 30
     fine_tune_epochs: int = 5

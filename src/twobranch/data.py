@@ -304,16 +304,16 @@ def _adjacency(rows, cols, num_rows):
 class CorrespondenceGraph:
     """Positive pairs over whole datasets, stored once per use.
 
-    Index spaces are the rows of the two FeatureSets the ids came from.
-    ``pos_pairs`` (P, 2) int64 lists the (x row, y row) positives in
-    input order, for sampling; ``y_of_x`` and ``x_of_y`` are the same
-    relation as one Adjacency per view.  Neighbourhoods, the rows that
-    share a partner, are not stored: ``_build_batch`` follows the
-    adjacencies from a batch's rows into the masks mining reads.
+    Index spaces are the rows of the two FeatureSets the ids came from;
+    the graph keeps no ids.  ``pos_pairs`` (P, 2) int64 lists the
+    (x row, y row) positives in input order, for sampling; ``y_of_x``
+    and ``x_of_y`` are the same relation as one Adjacency per view, and
+    each view's row count is its adjacency's ``len(offsets) - 1``.
+    Neighbourhoods, the rows that share a partner, are not stored:
+    ``_build_batch`` follows the adjacencies from a batch's rows into
+    the masks mining reads.
     """
 
-    x_ids: list
-    y_ids: list
     pos_pairs: np.ndarray
     y_of_x: Adjacency
     x_of_y: Adjacency
@@ -365,7 +365,6 @@ def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
         keep = np.sort(by_y[rank < max_x_per_y])
     xs, ys = xs[keep], ys[keep]
     return CorrespondenceGraph(
-        x_ids=list(x_ids), y_ids=list(y_ids),
         pos_pairs=np.stack([xs, ys], axis=1),
         y_of_x=_adjacency(xs, ys, nx), x_of_y=_adjacency(ys, xs, ny))
 
@@ -607,8 +606,11 @@ def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
 class LocalizationData:
     """Synthetic phrase-grounding corpus.
 
-    ``corpus_rows`` matches the proposal/GT TSV schema: (image_id,
-    kind "P"|"G", phrase_id, x1, y1, x2, y2, feature_row or None).
+    ``corpus_rows`` are the proposal/GT rows that
+    ``evaluation.save_corpus_file`` writes as the corpus TSV, which
+    ``evaluation.load_corpus_file`` reads into a LocalizationCorpus:
+    (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2, feature_row or
+    None).
     ``pairs`` links ground-truth region ids to their phrase for
     first-stage training.
     """

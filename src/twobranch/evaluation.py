@@ -6,10 +6,11 @@ each query's rank of its best positive, the positive with the lowest
 (distance, index): its rank is the number of candidates closer than it
 plus the number at the same distance with a lower index, and recall@k
 counts the queries whose rank is below k.  Box overlaps all come from
-``box_iou``.  The localization side reads a proposal/GT corpus in the
-TSV format documented at ``load_corpus_file`` into the columns of
-``LocalizationCorpus`` and scores the (P,) proposal distances of a
-region-phrase model on all queries at once.
+``box_iou``.  The localization side has one way into a
+``LocalizationCorpus``: ``load_corpus_file`` reads a proposal/GT TSV,
+the one that ``save_corpus_file`` writes, into its columns.  The
+metrics score the (P,) proposal distances of a region-phrase model on
+all queries at once.
 """
 
 from dataclasses import dataclass
@@ -73,23 +74,6 @@ def _recall_from_ranks(ranks, k):
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.shape[0]
-
-
-def recall_at_k(distances, positives, k):
-    """Percentage of queries with a positive among the k nearest.
-
-    Args:
-        distances: (num_queries, num_candidates) matrix.
-        positives: ``data.Adjacency`` with one row per query holding
-            its correct candidate indices; every query must have at
-            least one, each in [0, num_candidates).
-        k: cutoff, >= 1.
-
-    Returns:
-        float percentage in [0, 100].
-    """
-    distances = as_matrix(distances, "distances")
-    return _recall_from_ranks(_best_positive_ranks(distances, positives), k)
 
 
 @dataclass(frozen=True)
@@ -277,8 +261,9 @@ def _check_corpus_line(path, lineno, parts):
 
 
 def _read_corpus_columns(path):
-    """Parse the proposal/GT TSV into the columns _corpus_from_columns
-    takes, one split per line and one conversion per column.
+    """Parse the proposal/GT TSV into columns, one split per line and one
+    conversion per column: image ids, kinds and phrase ids (sequences),
+    (N, 4) boxes, (N,) feature rows and whether each line has one.
 
     FormatError names the first line that does not parse: a column
     count outside 7-8, a kind other than P or G or a field that is no
@@ -307,54 +292,39 @@ def _read_corpus_columns(path):
     return image_ids, kinds, phrase_ids, boxes, feat, has_feat
 
 
-def load_corpus_rows(path):
-    """Parse the proposal/GT TSV back into row tuples."""
-    image_ids, kinds, phrase_ids, boxes, feat, has_feat = \
-        _read_corpus_columns(path)
-    return [(image_id, kind, phrase_id, *box, f if has else None)
-            for image_id, kind, phrase_id, box, f, has in zip(
-                image_ids, kinds, phrase_ids, boxes.tolist(),
-                feat.tolist(), has_feat.tolist())]
+def load_corpus_file(path, phrases, regions):
+    """Read a proposal/GT TSV into a LocalizationCorpus.
 
+    This file is the one way into a LocalizationCorpus: rows written by
+    ``save_corpus_file`` are read back here.  One line per box,
+    tab-separated: image_id, kind (P for a proposal, G for a
+    ground-truth box), phrase_id, x1, y1, x2, y2 and the box's row in
+    the region feature file, which a GT box may leave out.  Blank lines
+    and lines starting with # are skipped.  The lines of one (image_id,
+    phrase_id) pair form a query.  Each line is split once and each
+    column converted at once; no row tuple of converted values is built.
 
-def corpus_from_rows(rows, phrases, regions):
-    """LocalizationCorpus of load_corpus_rows tuples.
-
-    ConsistencyError names the first row whose box is not finite or has
-    no area, whose proposal has no feature row, whose feature row lies
-    outside ``regions`` or whose kind is not P or G; then the first
-    query with no proposals, more than MAX_PROPOSALS_PER_QUERY or a
-    phrase id not in ``phrases``.
+    Raises:
+        FormatError: naming the first line that does not parse.
+        ConsistencyError: naming the query of the first line whose box
+            is not finite or has no area, whose proposal has no feature
+            row or whose feature row lies outside ``regions``; then the
+            first query with no proposals, more than
+            MAX_PROPOSALS_PER_QUERY or a phrase id not in ``phrases``.
     """
-    feat = [r[7] if len(r) > 7 else None for r in rows]
-    return _corpus_from_columns(
-        ([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
-         np.array([r[3:7] for r in rows], dtype=np.float64).reshape(-1, 4),
-         np.array([-1 if f is None else f for f in feat], dtype=np.int64),
-         np.array([f is not None for f in feat], dtype=bool)),
-        phrases, regions)
-
-
-def _corpus_from_columns(columns, phrases, regions):
-    """LocalizationCorpus of one row per box, given as columns: image
-    ids, kinds and phrase ids (sequences), (N, 4) boxes, (N,) feature
-    rows and whether each row has one.  The checks are
-    corpus_from_rows'."""
-    image, kind, phrase, boxes, feat, has_feat = columns
+    image, kind, phrase, boxes, feat, has_feat = _read_corpus_columns(path)
     keys, codes = {}, {}
     query = np.array([keys.setdefault(key, len(keys))
                       for key in zip(image, phrase)], dtype=np.int64)
     phrase_code = np.array([codes.setdefault(p, len(codes))
                             for p in phrase], dtype=np.int64)
-    kind = np.array(kind, dtype=object)
-    is_proposal = kind == "P"
+    is_proposal = np.array(kind, dtype=object) == "P"
 
     finite = np.isfinite(boxes).all(axis=1)
     flat = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
     unfed = is_proposal & ~has_feat
     outside = has_feat & ~((feat >= 0) & (feat < regions.n))
-    unknown = ~is_proposal & (kind != "G")
-    bad = ~finite | flat | unfed | outside | unknown
+    bad = ~finite | flat | unfed | outside
     if bad.any():
         i = int(np.argmax(bad))
         where = f"query ({image[i]}, {phrase[i]})"
@@ -364,8 +334,7 @@ def _corpus_from_columns(columns, phrases, regions):
             else f"{where}: {box} has no area" if flat[i]
             else f"{where}: proposal without a feature row" if unfed[i]
             else f"{where}: feature row {feat[i]} outside region set "
-                 f"of {regions.n} rows" if outside[i]
-            else f"{where}: kind must be P or G, got {kind[i]!r}")
+                 f"of {regions.n} rows")
 
     first_row = np.unique(query, return_index=True)[1]
     image_ids = np.array(image, dtype=str)[first_row]
@@ -398,22 +367,6 @@ def _corpus_from_columns(columns, phrases, regions):
         proposal_boxes=boxes[props], proposal_rows=feat[props],
         proposal_query=query[props], gt_boxes=boxes[gts],
         gt_rows=feat[gts], gt_query=query[gts])
-
-
-def load_corpus_file(path, phrases, regions):
-    """Read a proposal/GT TSV into a LocalizationCorpus.
-
-    One line per box, tab-separated: image_id, kind (P for a proposal,
-    G for a ground-truth box), phrase_id, x1, y1, x2, y2 and the box's
-    row in the region feature file, which a GT box may leave out.
-    Blank lines and lines starting with # are skipped.  The lines of
-    one (image_id, phrase_id) pair form a query.  A line that does not
-    parse raises FormatError; the rest is checked as ``corpus_from_rows``
-    checks it.  Each line is split once and each column converted at
-    once; no row tuple of converted values is built.
-    """
-    return _corpus_from_columns(_read_corpus_columns(path), phrases,
-                                regions)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import copy
 import dataclasses
 import hashlib
 import math
+import os
 import struct
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 
 from twobranch import data
+from twobranch import evaluation as ev
 from twobranch import network as nw
 from twobranch import tensor_core as tc
 from twobranch.errors import ConfigError, ConsistencyError, EvaluationError
@@ -436,8 +439,8 @@ def dataset_neighbors(graph):
     Returns:
         (x_neighbors, y_neighbors): one set per row.
     """
-    x_neighbors = [{i} for i in range(len(graph.x_ids))]
-    y_neighbors = [{j} for j in range(len(graph.y_ids))]
+    x_neighbors = [{i} for i in range(len(graph.y_of_x.offsets) - 1)]
+    y_neighbors = [{j} for j in range(len(graph.x_of_y.offsets) - 1)]
     x_of_y, y_of_x = {}, {}
     for x, y in graph.pos_pairs:
         x_of_y.setdefault(int(y), set()).add(int(x))
@@ -499,6 +502,15 @@ def batch_graph_masks(batch, graph, extra_negatives=None):
         for k in range(ny):
             y_nb[j, k] = j == k or y_rows[k] in y_neighbors[y_rows[j]]
     return pos, x_nb, y_nb
+
+
+def recall_at_k(distances, positives_of_query, k):
+    """Single-direction recall@k as ``evaluate_retrieval`` computes each
+    direction: ``evaluation._best_positive_ranks`` of per-query lists of
+    positives, read at k."""
+    ranks = ev._best_positive_ranks(np.asarray(distances, dtype=np.float64),
+                                    adjacency(positives_of_query))
+    return ev._recall_from_ranks(ranks, k)
 
 
 def naive_recall_at_k(dist_matrix, positives_of_query, k):
@@ -696,6 +708,16 @@ def corpus_queries(rows, phrases, regions):
                              dtype=np.int64),
         ))
     return queries
+
+
+def load_corpus(rows, phrases, regions):
+    """LocalizationCorpus of corpus rows as the command line builds one:
+    written by ``save_corpus_file`` and read back by
+    ``load_corpus_file``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.tsv")
+        ev.save_corpus_file(rows, path)
+        return ev.load_corpus_file(path, phrases, regions)
 
 
 def random_localization_case(rng, num_regions=40, num_phrases=4):

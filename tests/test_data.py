@@ -15,6 +15,13 @@ from twobranch.errors import (ConfigError, ConsistencyError, DimensionError,
                               FormatError)
 
 
+def load_corpus(path):
+    """load_corpus_file against a one-phrase, one-region feature pair."""
+    return evaluation.load_corpus_file(
+        path, data.FeatureSet(ids=["ph"], features=np.zeros((1, 2))),
+        data.FeatureSet(ids=["r0"], features=np.zeros((1, 2))))
+
+
 def make_features(rng, n, d):
     return data.FeatureSet(
         ids=[f"row_{i:03d}" for i in range(n)],
@@ -285,7 +292,7 @@ class TestPairFile:
 
     @pytest.mark.parametrize("load, good, widths", [
         (data.load_pair_file, "a\tb", "2"),
-        (evaluation.load_corpus_rows, "im\tP\tph\t0\t0\t1\t1\t0", "7 or 8"),
+        (load_corpus, "im\tP\tph\t0\t0\t1\t1\t0", "7 or 8"),
         (hard_negatives.load_hard_negatives, "ph\t3\t0.5", "3"),
     ])
     def test_tsv_loaders_name_the_line(self, tmp_path, load, good, widths):
@@ -307,7 +314,7 @@ def test_non_utf8_byte_names_the_line(tmp_path, reader):
     path = feat + ".ids" if reader == "ids" else str(tmp_path / "in.txt")
     load, error, good = {
         "pairs": (data.load_pair_file, FormatError, "a\tb"),
-        "corpus": (evaluation.load_corpus_rows, FormatError,
+        "corpus": (load_corpus, FormatError,
                    "im\tP\tph\t0\t0\t1\t1\t0"),
         "hard negatives": (hard_negatives.load_hard_negatives, FormatError,
                            "ph\t3\t0.5"),

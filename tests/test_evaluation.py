@@ -19,11 +19,6 @@ from twobranch.errors import (
 )
 
 
-def recall_at_k(d, positives, k):
-    """recall_at_k of per-query lists of positives."""
-    return ev.recall_at_k(d, oracles.adjacency(positives), k)
-
-
 def evaluate_retrieval(d, by_x, by_y, **kwargs):
     """evaluate_retrieval of per-row lists of positives."""
     return ev.evaluate_retrieval(d, oracles.adjacency(by_x),
@@ -35,14 +30,14 @@ class TestRecallAtK:
         d = np.full((3, 3), 0.9)
         np.fill_diagonal(d, 0.1)
         pos = [[0], [1], [2]]
-        assert recall_at_k(d, pos, 1) == 100.0
+        assert oracles.recall_at_k(d, pos, 1) == 100.0
 
     def test_positive_ranked_fifth(self):
         d = np.arange(10, dtype=np.float64).reshape(1, 10)
         pos = [[4]]
-        assert recall_at_k(d, pos, 1) == 0.0
-        assert recall_at_k(d, pos, 4) == 0.0
-        assert recall_at_k(d, pos, 5) == 100.0
+        assert oracles.recall_at_k(d, pos, 1) == 0.0
+        assert oracles.recall_at_k(d, pos, 4) == 0.0
+        assert oracles.recall_at_k(d, pos, 5) == 100.0
 
     def test_matches_sort_oracle(self):
         for seed in range(5):
@@ -51,20 +46,20 @@ class TestRecallAtK:
             pos = [rng.choice(100, size=int(rng.integers(1, 4)),
                               replace=False).tolist() for _ in range(20)]
             for k in (1, 5, 10):
-                assert recall_at_k(d, pos, k) == \
+                assert oracles.recall_at_k(d, pos, k) == \
                     oracles.naive_recall_at_k(d, pos, k)
 
     def test_ties_break_by_index(self):
         d = np.zeros((1, 4))
-        assert recall_at_k(d, [[0]], 1) == 100.0
-        assert recall_at_k(d, [[3]], 1) == 0.0
-        assert recall_at_k(d, [[3]], 4) == 100.0
+        assert oracles.recall_at_k(d, [[0]], 1) == 100.0
+        assert oracles.recall_at_k(d, [[3]], 1) == 0.0
+        assert oracles.recall_at_k(d, [[3]], 4) == 100.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(6)
         d = rng.random((12, 30))
         pos = [[int(rng.integers(30))] for _ in range(12)]
-        values = [recall_at_k(d, pos, k) for k in range(1, 31)]
+        values = [oracles.recall_at_k(d, pos, k) for k in range(1, 31)]
         for a, b in zip(values, values[1:]):
             assert a <= b
         assert values[-1] == 100.0
@@ -72,17 +67,17 @@ class TestRecallAtK:
     def test_errors(self):
         d = np.zeros((2, 3))
         with pytest.raises(ConfigError):
-            recall_at_k(d, [[0], [1]], 0)
+            oracles.recall_at_k(d, [[0], [1]], 0)
         with pytest.raises(EvaluationError):
-            recall_at_k(d, [[0], []], 1)
+            oracles.recall_at_k(d, [[0], []], 1)
         with pytest.raises(ConsistencyError):
-            recall_at_k(d, [[0]], 1)
+            oracles.recall_at_k(d, [[0]], 1)
 
     def test_positive_outside_candidates_rejected(self):
         d = np.zeros((1, 3))
         for bad in (-1, 3):
             with pytest.raises(ConsistencyError, match="outside"):
-                recall_at_k(d, [[bad]], 1)
+                oracles.recall_at_k(d, [[bad]], 1)
             with pytest.raises(ConsistencyError, match="outside"):
                 evaluate_retrieval(d, [[bad]], [[0], [0], [0]])
             with pytest.raises(ConsistencyError, match="outside"):
@@ -91,7 +86,7 @@ class TestRecallAtK:
     def test_nan_distance_rejected(self):
         d = np.array([[0.1, np.nan, 0.3]])
         with pytest.raises(EvaluationError):
-            recall_at_k(d, [[0]], 1)
+            oracles.recall_at_k(d, [[0]], 1)
 
     def test_heavy_ties_match_sort_oracle_at_every_k(self):
         for seed in range(20):
@@ -104,7 +99,7 @@ class TestRecallAtK:
             pos = [rng.choice(nc, size=int(rng.integers(1, min(nc, 4) + 1)),
                               replace=False).tolist() for _ in range(nq)]
             for k in range(1, nc + 2):
-                assert recall_at_k(d, pos, k) == \
+                assert oracles.recall_at_k(d, pos, k) == \
                     oracles.naive_recall_at_k(d, pos, k)
             pos_t = [[q for q in range(nq) if c in pos[q]]
                      for c in range(nc)]
@@ -120,8 +115,10 @@ class TestRecallAtK:
         by_x = [[int(rng.integers(9))] for _ in range(6)]
         by_y = [[int(rng.integers(6))] for _ in range(9)]
         report = evaluate_retrieval(d, by_x, by_y, ks=(1, 5))
-        assert report.image_to_sentence[5] == recall_at_k(d, by_x, 5)
-        assert report.sentence_to_image[1] == recall_at_k(d.T, by_y, 1)
+        assert report.image_to_sentence[5] == \
+            oracles.recall_at_k(d, by_x, 5)
+        assert report.sentence_to_image[1] == \
+            oracles.recall_at_k(d.T, by_y, 1)
         rows = report.rows()
         assert [r[1:3] for r in rows] == [
             ("image_to_sentence", 1), ("image_to_sentence", 5),
@@ -266,7 +263,7 @@ class TestNms:
         phrases = data.FeatureSet(ids=["cat"], features=np.zeros((1, 2)))
         regions = data.FeatureSet(ids=[f"r{i}" for i in range(200)],
                                   features=np.zeros((200, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = rng.random(corpus.proposal_query.shape[0])
         monkeypatch.setattr(ev, "DIRECT_CHUNK_FLOATS", 2 * 100 * 100)
         tracemalloc.start()
@@ -281,7 +278,7 @@ class TestNms:
         rng = np.random.default_rng(4)
         rows, phrases, regions, phrase_emb, region_emb = \
             oracles.random_localization_case(rng)
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = ev.query_distances(corpus, phrase_emb, region_emb)
         whole = ev._survivors(corpus, dist, 0.3, 0.5)
         # one query per block
@@ -309,21 +306,42 @@ def tiny_sets():
     return phrases, regions
 
 
+def load_tiny(path):
+    return ev.load_corpus_file(str(path), *tiny_sets())
+
+
+def rows_of(corpus):
+    """A corpus's boxes as save_corpus_file rows, proposals first."""
+    out = []
+    for kind, boxes, feat, query in (
+            ("P", corpus.proposal_boxes, corpus.proposal_rows,
+             corpus.proposal_query),
+            ("G", corpus.gt_boxes, corpus.gt_rows, corpus.gt_query)):
+        for box, row, q in zip(boxes.tolist(), feat.tolist(),
+                               query.tolist()):
+            out.append((str(corpus.image_ids[q]), kind,
+                        corpus.phrase_ids[corpus.query_phrase[q]], *box,
+                        None if row < 0 else row))
+    return out
+
+
 class TestCorpusIO:
     def test_rows_round_trip(self, tmp_path):
         rows = corpus_rows_fixture()
-        path = str(tmp_path / "corpus.tsv")
-        ev.save_corpus_file(rows, path)
-        assert ev.load_corpus_rows(path) == rows
+        path = tmp_path / "corpus.tsv"
+        ev.save_corpus_file(rows, str(path))
+        assert sorted(rows_of(load_tiny(path)), key=repr) == \
+            sorted(rows, key=repr)
 
     def test_round_trip_refuses_comment_rows(self, tmp_path):
         rows = corpus_rows_fixture()
-        path = str(tmp_path / "corpus.tsv")
-        ev.save_corpus_file(rows, path)
+        path = tmp_path / "corpus.tsv"
+        ev.save_corpus_file(rows, str(path))
+        written = path.read_bytes()
         bad = rows + [("#img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0)]
         with pytest.raises(ConsistencyError, match="'#img'"):
-            ev.save_corpus_file(bad, path)
-        assert ev.load_corpus_rows(path) == rows
+            ev.save_corpus_file(bad, str(path))
+        assert path.read_bytes() == written
 
     @pytest.mark.parametrize("bad", [
         ("im\ta", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0),
@@ -333,16 +351,17 @@ class TestCorpusIO:
         rows = corpus_rows_fixture()
         path = tmp_path / "corpus.tsv"
         ev.save_corpus_file(rows, str(path))
+        written = path.read_bytes()
         with pytest.raises(ConsistencyError, match="would not read back"):
             ev.save_corpus_file(rows + [bad], str(path))
-        assert ev.load_corpus_rows(str(path)) == rows
+        assert path.read_bytes() == written
         assert os.listdir(tmp_path) == ["corpus.tsv"]
 
     def test_comments_and_blanks(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:
             fh.write("# header\n\nim_a\tP\tcat\t0.0\t0.0\t5.0\t5.0\t0\n")
-        rows = ev.load_corpus_rows(path)
+        rows = rows_of(load_tiny(path))
         assert rows == [("im_a", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0)]
 
     def test_bad_column_count(self, tmp_path):
@@ -350,21 +369,21 @@ class TestCorpusIO:
         with open(path, "w") as fh:
             fh.write("im_a\tP\tcat\t0.0\n")
         with pytest.raises(FormatError):
-            ev.load_corpus_rows(path)
+            load_tiny(path)
 
     def test_bad_kind(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:
             fh.write("im_a\tQ\tcat\t0.0\t0.0\t5.0\t5.0\t0\n")
         with pytest.raises(FormatError):
-            ev.load_corpus_rows(path)
+            load_tiny(path)
 
     def test_bad_number(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:
             fh.write("im_a\tP\tcat\t0.0\t0.0\tfive\t5.0\t0\n")
         with pytest.raises(FormatError):
-            ev.load_corpus_rows(path)
+            load_tiny(path)
 
     @pytest.mark.parametrize("faults, first", [
         (("im_a\tQ\tcat\t0\t0\t5\t5\t0", "im_a\tP\tcat\t0"),
@@ -381,15 +400,13 @@ class TestCorpusIO:
         path = tmp_path / "corpus.tsv"
         path.write_text("\n".join(["im_a\tP\tcat\t0.0\t0.0\t5.0\t5.0\t0",
                                    *faults]) + "\n")
-        for load in (ev.load_corpus_rows, lambda p: ev.load_corpus_file(
-                p, *tiny_sets())):
-            with pytest.raises(FormatError) as got:
-                load(str(path))
-            assert str(got.value) == f"{path}{first}"
+        with pytest.raises(FormatError) as got:
+            load_tiny(path)
+        assert str(got.value) == f"{path}{first}"
 
     def test_grouping(self):
         phrases, regions = tiny_sets()
-        corpus = ev.corpus_from_rows(corpus_rows_fixture(), phrases, regions)
+        corpus = oracles.load_corpus(corpus_rows_fixture(), phrases, regions)
         assert corpus.image_ids.tolist() == ["im_a", "im_b", "im_b"]
         assert corpus.phrase_ids == ["cat", "dog"]
         assert corpus.query_phrase.tolist() == [0, 0, 1]
@@ -406,7 +423,7 @@ class TestCorpusIO:
     def test_interleaved_rows_group_in_first_appearance_order(self):
         rng = np.random.default_rng(3)
         rows, phrases, regions, _, _ = oracles.random_localization_case(rng)
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         queries = oracles.corpus_queries(rows, phrases, regions)
         assert corpus.image_ids.tolist() == [q.image_id for q in queries]
         assert corpus.phrase_ids == oracles.unique_phrases(queries)
@@ -446,46 +463,47 @@ class TestCorpusIO:
             with pytest.raises(ConsistencyError) as want:
                 oracles.corpus_queries(rows, phrases, regions)
             with pytest.raises(ConsistencyError) as got:
-                ev.corpus_from_rows(rows, phrases, regions)
+                oracles.load_corpus(rows, phrases, regions)
             assert str(got.value) == str(want.value)
 
     def test_proposal_without_feature_row(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "P", "cat", 0.0, 0.0, 5.0, 5.0, None)]
         with pytest.raises(ConsistencyError):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
     def test_feature_row_out_of_bounds(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "P", "cat", 0.0, 0.0, 5.0, 5.0, 9)]
         with pytest.raises(ConsistencyError):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
     def test_query_without_proposals(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "G", "cat", 0.0, 0.0, 5.0, 5.0, None)]
         with pytest.raises(ConsistencyError):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
     def test_too_many_proposals(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "P", "cat", float(i), 0.0, float(i) + 1.0, 5.0, 0)
                 for i in range(101)]
         with pytest.raises(ConsistencyError):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
-    def test_unknown_kind(self):
-        phrases, regions = tiny_sets()
-        rows = [("im_a", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0),
-                ("im_a", "Q", "cat", 0.0, 0.0, 5.0, 5.0, 1)]
-        with pytest.raises(ConsistencyError, match="kind must be P or G"):
-            ev.corpus_from_rows(rows, phrases, regions)
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("im_a\tP\tcat\t0.0\t0.0\t5.0\t5.0\t0\n"
+                        "im_a\tQ\tcat\t0.0\t0.0\t5.0\t5.0\t1\n")
+        with pytest.raises(FormatError) as got:
+            load_tiny(path)
+        assert str(got.value) == f"{path}:2: kind must be P or G, got 'Q'"
 
     def test_zero_area_box(self):
         phrases, regions = tiny_sets()
         rows = [("im_a", "P", "cat", 5.0, 0.0, 5.0, 5.0, 0)]
         with pytest.raises(ConsistencyError):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
     def test_non_finite_box(self):
         # an infinite corner has positive "area", but the IoU of the box
@@ -494,7 +512,7 @@ class TestCorpusIO:
         box = (0.0, 0.0, float("inf"), 10.0)
         rows = [("im_a", "P", "cat", *box, 0), ("im_a", "G", "cat", *box, 1)]
         with pytest.raises(ConsistencyError, match=r"\(im_a, cat\).*finite"):
-            ev.corpus_from_rows(rows, phrases, regions)
+            oracles.load_corpus(rows, phrases, regions)
 
     def test_generated_corpus_loads(self, tmp_path):
         d = data.gen_localization(3, 2, 8, 6, seed=1)
@@ -508,7 +526,7 @@ class TestCorpusIO:
 
     def test_empty_corpus(self):
         phrases, regions = tiny_sets()
-        corpus = ev.corpus_from_rows([], phrases, regions)
+        corpus = oracles.load_corpus([], phrases, regions)
         assert corpus.num_queries == 0
         assert corpus.proposal_boxes.shape == (0, 4)
         assert corpus.region_rows_by_image() == {}
@@ -549,7 +567,7 @@ def single_query_corpus(proposals, gts, phrase_id="cat"):
     phrases = data.FeatureSet(ids=[phrase_id], features=np.zeros((1, 2)))
     regions = data.FeatureSet(ids=[f"r{i}" for i in range(len(proposals))],
                               features=np.zeros((len(proposals), 2)))
-    return ev.corpus_from_rows(rows, phrases, regions)
+    return oracles.load_corpus(rows, phrases, regions)
 
 
 class TestLocalizationRecall:
@@ -584,7 +602,7 @@ class TestLocalizationRecall:
         phrases = data.FeatureSet(ids=list(boxes), features=np.zeros((3, 2)))
         regions = data.FeatureSet(ids=[f"r{i}" for i in range(feat)],
                                   features=np.zeros((feat, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = np.array([0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
         assert ev.localization_recall_at_k(corpus, dist, 1) == 100.0 / 3.0
         assert ev.localization_recall_at_k(corpus, dist, 2) == 200.0 / 3.0
@@ -593,7 +611,7 @@ class TestLocalizationRecall:
         rows = [("im_0", "P", "cat", 0.0, 0.0, 10.0, 10.0, 0)]
         phrases = data.FeatureSet(ids=["cat"], features=np.zeros((1, 2)))
         regions = data.FeatureSet(ids=["r0"], features=np.zeros((1, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = np.array([0.1])
         assert ev.localization_recall_at_k(corpus, dist, 1) == 0.0
 
@@ -639,7 +657,7 @@ class TestPhraseMap:
                                   features=np.zeros((2, 2)))
         regions = data.FeatureSet(ids=["r0", "r1", "r2"],
                                   features=np.zeros((3, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = np.array([0.1, 0.1, 0.2])
         map_value, per_phrase, _ = ev.phrase_map(corpus, dist)
         assert per_phrase["cat"] == 1.0
@@ -685,7 +703,7 @@ class TestPhraseMap:
         phrases = data.FeatureSet(ids=["cat", "dog"],
                                   features=np.zeros((2, 2)))
         regions = data.FeatureSet(ids=["r0", "r1"], features=np.zeros((2, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         dist = np.array([0.1, 0.1])
         map_value, per_phrase, skipped = ev.phrase_map(corpus, dist)
         assert skipped == ["dog"]
@@ -695,7 +713,7 @@ class TestPhraseMap:
         rows = [("im_0", "P", "cat", 0.0, 0.0, 10.0, 10.0, 0)]
         phrases = data.FeatureSet(ids=["cat"], features=np.zeros((1, 2)))
         regions = data.FeatureSet(ids=["r0"], features=np.zeros((1, 2)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         with pytest.raises(EvaluationError):
             ev.phrase_map(corpus, np.array([0.1]))
 
@@ -734,7 +752,7 @@ class TestPhraseMap:
             regions = data.FeatureSet(
                 ids=[f"r{i}" for i in range(feat)],
                 features=np.zeros((feat, 2)))
-            corpus = ev.corpus_from_rows(rows, phrases, regions)
+            corpus = oracles.load_corpus(rows, phrases, regions)
             _, per_phrase, _ = ev.phrase_map(corpus, np.array(dists))
             for phrase, entries in want_flags.items():
                 flags = [f for _, f in sorted(entries)]
@@ -748,7 +766,7 @@ class TestQueryDistances:
         rng = np.random.default_rng(0)
         phrase_emb = rng.normal(size=(d.phrases.n, 3))
         region_emb = rng.normal(size=(d.regions.n, 3))
-        corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
+        corpus = oracles.load_corpus(d.corpus_rows, d.phrases, d.regions)
         got = ev.query_distances(corpus, phrase_emb, region_emb)
         queries = oracles.corpus_queries(d.corpus_rows, d.phrases, d.regions)
         for q, vec in zip(queries, oracles.split_by_query(queries, got)):
@@ -762,7 +780,7 @@ class TestQueryDistances:
         rng = np.random.default_rng(1)
         phrase_emb = rng.normal(size=(d.phrases.n, 7))
         region_emb = rng.normal(size=(d.regions.n, 7))
-        corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
+        corpus = oracles.load_corpus(d.corpus_rows, d.phrases, d.regions)
         whole = ev.query_distances(corpus, phrase_emb, region_emb)
         # 3 rows of 7 floats a chunk
         monkeypatch.setattr(tc, "DIRECT_CHUNK_FLOATS", 21)
@@ -779,7 +797,7 @@ class TestLocalizationOracles:
         rng = np.random.default_rng(seed)
         rows, phrases, regions, phrase_emb, region_emb = \
             oracles.random_localization_case(rng)
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         queries = oracles.corpus_queries(rows, phrases, regions)
         dist = ev.query_distances(corpus, phrase_emb, region_emb)
         want = oracles.query_distances(queries, phrase_emb, region_emb)

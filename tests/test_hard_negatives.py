@@ -27,7 +27,7 @@ def localization_setup(seed=0, stage1_epochs=10):
         training.train(params, opt, graph, d.regions, d.phrases,
                        LossConfig(), stage1_epochs, 8, False,
                        np.random.default_rng(seed))
-    corpus = ev.corpus_from_rows(d.corpus_rows, d.phrases, d.regions)
+    corpus = oracles.load_corpus(d.corpus_rows, d.phrases, d.regions)
     return d, graph, params, opt, corpus
 
 
@@ -171,7 +171,7 @@ class TestMineHardNegatives:
                                   features=np.ones((1, 4)))
         regions = data.FeatureSet(ids=["r0"],
                                   features=np.ones((1, 5)))
-        corpus = ev.corpus_from_rows(rows, phrases, regions)
+        corpus = oracles.load_corpus(rows, phrases, regions)
         params = nw.init_params(nw.BranchSpec(5, 6, 4, 0.0),
                                 nw.BranchSpec(4, 6, 4, 0.0), seed=0)
         hn, skipped = hn_mod.mine_hard_negatives(

@@ -1,12 +1,15 @@
 """Every module-level import in the package is used, and every public
-tensor_core function is used by the package.
+name a package module defines is used by the package.
 
 Read with the standard library's ``ast``: a name bound by a top-level
 ``import`` or ``from ... import`` must be read somewhere in its module,
-or be listed in the module's ``__all__`` (a re-export).  A top-level
-public function of ``tensor_core`` must be referenced from another
-module of the package (tests do not count), so that each op keeps the
-one form that the package runs.
+or be listed in the module's ``__all__`` (a re-export).  A public
+(no leading underscore) top-level function or class of any package
+module must be referenced by package source outside its own
+definition: read by name in its own module, or imported by name from
+it or read as an attribute of it in another module.  Tests do not
+count, and neither do the re-exports of ``__init__``, so that the
+package keeps no entry point that only the tests call.
 """
 
 import ast
@@ -49,19 +52,19 @@ def test_no_unused_module_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def tensor_core_references(source):
-    """Names that ``source`` reads from tensor_core: imported from it by
-    name, or read as an attribute of the module under any alias."""
-    tree = ast.parse(source)
+def module_references(tree, module):
+    """Names that the parsed source ``tree`` reads from the package
+    module ``module``: imported from it by name, or read as an
+    attribute of the module under any alias."""
     names, aliases = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if node.module == "tensor_core":
+            if node.module == module:
                 names.update(alias.name for alias in node.names)
             elif node.module is None:
                 aliases.update(alias.asname or alias.name
                                for alias in node.names
-                               if alias.name == "tensor_core")
+                               if alias.name == module)
     names.update(node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name)
@@ -69,10 +72,27 @@ def tensor_core_references(source):
     return names
 
 
-def public_functions(source):
-    return sorted(node.name for node in ast.parse(source).body
-                  if isinstance(node, ast.FunctionDef)
-                  and not node.name.startswith("_"))
+def unused_public_names(sources):
+    """(module, name) of every public top-level function or class in
+    ``sources`` (module name -> source) that no source references
+    outside its own definition; ``__init__`` references count for
+    nothing."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    unused = []
+    for module, tree in sorted(trees.items()):
+        used = set()
+        for other, other_tree in trees.items():
+            if other not in (module, "__init__"):
+                used |= module_references(other_tree, module)
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in used):
+                continue
+            if not any(isinstance(ref, ast.Name) and ref.id == node.name
+                       for other in tree.body if other is not node
+                       for ref in ast.walk(other)):
+                unused.append((module, node.name))
+    return unused
 
 
 def test_reference_finder_reads_both_import_forms():
@@ -80,16 +100,25 @@ def test_reference_finder_reads_both_import_forms():
               "def f():\n    from . import tensor_core as tc\n"
               "    return tc.d(c)\n"
               "other.e()\n")
-    assert tensor_core_references(source) == {"a", "b", "d"}
-    assert public_functions("def a(): pass\ndef _b(): pass\n"
-                            "class C:\n    def m(self): pass\n") == ["a"]
+    assert module_references(ast.parse(source), "tensor_core") == \
+        {"a", "b", "d"}
 
 
-def test_every_tensor_core_function_used_by_the_package():
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "tensor_core.py":
-            used |= tensor_core_references(path.read_text(encoding="utf-8"))
-    source = (PACKAGE / "tensor_core.py").read_text(encoding="utf-8")
-    assert [name for name in public_functions(source)
-            if name not in used] == []
+def test_checker_finds_an_unused_public_name():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": ("def by_name(): pass\ndef by_attribute(): pass\n"
+              "def exported(): pass\ndef recursive(): return recursive()\n"
+              "def _private(): pass\nclass Local:\n    def m(self): pass\n"
+              "LOCAL = Local()\nclass Unused: pass\n"),
+        "b": ("from .a import by_name\nfrom . import a as alias\n"
+              "by_name(alias.by_attribute())\n"),
+    }
+    assert unused_public_names(sources) == [
+        ("a", "exported"), ("a", "recursive"), ("a", "Unused")]
+
+
+def test_every_public_name_used_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert unused_public_names(sources) == []
