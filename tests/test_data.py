@@ -292,7 +292,8 @@ class TestPairFile:
 
     @pytest.mark.parametrize("load, good, widths", [
         (data.load_pair_file, "a\tb", "2"),
-        (load_corpus, "im\tP\tph\t0\t0\t1\t1\t0", "7 or 8"),
+        pytest.param(load_corpus, "im\tP\tph\t0\t0\t1\t1\t0", "7 or 8",
+                     id="load_corpus"),
         (hard_negatives.load_hard_negatives, "ph\t3\t0.5", "3"),
     ])
     def test_tsv_loaders_name_the_line(self, tmp_path, load, good, widths):
