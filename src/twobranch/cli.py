@@ -114,13 +114,6 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _field_kind(f):
-    """Field type as a name, whether annotations are strings or types."""
-    if isinstance(f.type, str):
-        return f.type
-    return f.type.__name__
-
-
 def _parse_bool(text):
     low = str(text).strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -131,15 +124,11 @@ def _parse_bool(text):
 
 
 def _coerce(name, value):
-    kind = _field_kind(_CONFIG_FIELDS[name])
+    """``value`` as the type of config field ``name``: bool, int, float
+    or str."""
+    kind = _CONFIG_FIELDS[name].type
     try:
-        if kind == "bool":
-            return _parse_bool(value)
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return str(value)
+        return _parse_bool(value) if kind is bool else kind(value)
     except ValueError as exc:
         raise ConfigError(f"config key {name}: {exc}") from exc
 
@@ -251,6 +240,11 @@ def _load_localization(features_x, features_y, corpus, checkpoint, what):
 
 def cmd_train(cfg):
     """Train, or fine-tune on hard negatives, and write the checkpoints.
+
+    ``--epochs`` counts the epochs this run adds: a run resumed with
+    ``--checkpoint-in`` from a checkpoint of k completed epochs trains
+    ``epochs`` more and ends at epoch k + epochs.  (A fine-tune on hard
+    negatives restarts the count at 0 and runs ``fine_tune_epochs``.)
 
     The best-epoch checkpoint (``best_checkpoint_out``) is written from
     ``train``'s epoch callback, which runs once ``opt.epoch`` counts the

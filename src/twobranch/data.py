@@ -532,9 +532,6 @@ class SyntheticData:
     graph: CorrespondenceGraph
     x_labels: np.ndarray
     y_labels: np.ndarray
-    latents: np.ndarray
-    map_x: np.ndarray
-    map_y: np.ndarray
 
 
 def _check_noise_sigma(noise_sigma):
@@ -596,9 +593,6 @@ def gen_synthetic(num_clusters, images_per_cluster, sents_per_image,
         graph=graph,
         x_labels=np.array(x_labels, dtype=np.int64),
         y_labels=np.array(y_labels, dtype=np.int64),
-        latents=latents,
-        map_x=map_x,
-        map_y=map_y,
     )
 
 
@@ -619,7 +613,6 @@ class LocalizationData:
     phrases: FeatureSet
     corpus_rows: list
     pairs: list
-    region_labels: np.ndarray
 
 
 def _jittered_box(rng, box):
@@ -707,14 +700,12 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
         size=(num_phrases, LATENT_DIM))
     region_ids = []
     region_lat = []
-    region_labels = []
     corpus_rows = []
     pairs = []
 
-    def add_region(rid, lat, label):
+    def add_region(rid, lat):
         region_ids.append(rid)
         region_lat.append(lat)
-        region_labels.append(label)
         return len(region_ids) - 1
 
     for p in range(num_phrases):
@@ -728,7 +719,6 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
             gt_row = add_region(
                 f"reg_{p:03d}_{i:02d}_gt",
                 latents[p] + noise_sigma * rng.normal(size=LATENT_DIM),
-                p,
             )
             corpus_rows.append((image_id, "G", phrase_ids[p]) + gt + (gt_row,))
             corpus_rows.append((image_id, "P", phrase_ids[p]) + gt + (gt_row,))
@@ -738,7 +728,6 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
                 jrow = add_region(
                     f"reg_{p:03d}_{i:02d}_j{j}",
                     latents[p] + noise_sigma * rng.normal(size=LATENT_DIM),
-                    p,
                 )
                 corpus_rows.append(
                     (image_id, "P", phrase_ids[p]) + jbox + (jrow,))
@@ -749,7 +738,6 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
                     f"reg_{p:03d}_{i:02d}_b{b}",
                     latents[p] + offset * off_dir
                     + BG_NOISE_SIGMA * rng.normal(size=LATENT_DIM),
-                    -1,
                 )
                 corpus_rows.append(
                     (image_id, "P", phrase_ids[p]) + bbox + (brow,))
@@ -763,5 +751,4 @@ def gen_localization(num_phrases, images_per_phrase, feat_dim_region,
         phrases=phrases,
         corpus_rows=corpus_rows,
         pairs=pairs,
-        region_labels=np.array(region_labels, dtype=np.int64),
     )

@@ -230,11 +230,17 @@ class LocalizationCorpus:
 def save_corpus_file(rows, path):
     """Write proposal/GT rows as TSV in the ``load_corpus_file`` format.
 
-    Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2,
-    feature_row_index or None).
+    Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2), and
+    optionally an eighth field, feature_row_index or None.  A row of
+    another width or kind, or one that ``tsv_line`` refuses, would not
+    read back and raises ConsistencyError; the old file keeps its bytes.
     """
     with atomic_write(path) as fh:
         for row in rows:
+            if len(row) not in (7, 8) or row[1] not in ("P", "G"):
+                raise ConsistencyError(
+                    f"{path}: corpus row {tuple(row)!r} would not read "
+                    "back: it needs 7 or 8 fields and a kind of P or G")
             image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
             cols = [image_id, kind, phrase_id,
                     repr(float(x1)), repr(float(y1)),

@@ -101,10 +101,9 @@ def run_layer_checks(seed):
     weights = rng.normal(size=(n, d_out))
 
     def affine_value():
-        return _weighted_sum(tc.affine_forward(x, w, b)[0], weights)
+        return _weighted_sum(tc.affine_forward(x, w, b), weights)
 
-    _, tape = tc.affine_forward(x, w, b)
-    gw, gb = tc.affine_param_backward(weights.copy(), tape)
+    gw, gb = tc.affine_param_backward(weights.copy(), x)
     gx = tc.affine_input_backward(weights, w)
     results["affine/x"] = check_gradient(affine_value, x, gx)
     results["affine/w"] = check_gradient(affine_value, w, np.asarray(gw))
@@ -114,10 +113,11 @@ def run_layer_checks(seed):
     x = rng.normal(size=(n, d_in))
     x += np.sign(x) * 0.2
     weights = rng.normal(size=x.shape)
-    _, tape = tc.relu_forward(x)
-    g = tc.relu_backward(weights.copy(), tape)
+    mask = np.empty(x.shape, dtype=bool)
+    tc.relu_forward(x, mask=mask)
+    g = tc.relu_backward(weights, mask)
     results["relu/x"] = check_gradient(
-        lambda: _weighted_sum(tc.relu_forward(x)[0], weights), x, g)
+        lambda: _weighted_sum(tc.relu_forward(x), weights), x, g)
 
     x = rng.normal(size=(5, d_in))
     gamma = rng.uniform(0.5, 1.5, size=d_in)
@@ -142,15 +142,16 @@ def run_layer_checks(seed):
     weights = rng.normal(size=x.shape)
     mask_seed = int(rng.integers(1 << 31))
 
-    def dropout(x):
-        return tc.dropout_forward(
-            x, 0.5, "train",
-            draws=np.random.default_rng(mask_seed).random(x.shape))
+    def draws():
+        return np.random.default_rng(mask_seed).random(x.shape)
 
-    _, tape = dropout(x)
-    g = tc.dropout_backward(weights.copy(), tape)
+    scaled_mask = draws()
+    tc.dropout_forward(x, 0.5, "train", draws=scaled_mask)
+    g = tc.dropout_backward(weights, scaled_mask)
     results["dropout/x"] = check_gradient(
-        lambda: _weighted_sum(dropout(x)[0], weights), x, g)
+        lambda: _weighted_sum(
+            tc.dropout_forward(x, 0.5, "train", draws=draws()), weights),
+        x, g)
 
     x = rng.normal(size=(n, d_in)) + 1.0
     weights = rng.normal(size=x.shape)

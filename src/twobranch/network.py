@@ -7,7 +7,8 @@ Each branch maps one view (image features or text features) through
 into a shared embedding space where Euclidean distance compares items
 across views.  Both forward modes run one chain of the tensor_core
 layer forwards, and the backward pass chains their backwards in
-reverse.  Parameters live in plain dataclasses of float64 arrays.
+reverse, reading what a train forward keeps in a BranchTapes.
+Parameters live in plain dataclasses of float64 arrays.
 Checkpoints serialize every tensor, the running batch-norm statistics
 and the optimizer state to a single binary file.
 
@@ -278,10 +279,18 @@ def init_params(spec_x, spec_y, seed=0, bn_momentum=tc.BN_MOMENTUM,
 
 @dataclass
 class BranchTapes:
-    affine1: tc.AffineTape
-    relu: tc.ReluTape
-    dropout: tc.DropoutTape
-    affine2: tc.AffineTape
+    """What backward_branch reads of a train forward: the arrays the
+    affine, ReLU and dropout backwards take, which the forward allocated
+    (``inputs`` as gathered, a float32 batch kept float32, and
+    ``hidden``, the output of dropout), and the batch-norm and L2 tapes.
+    backward_branch drops both masks once read; the L2 tape refuses a
+    second backward."""
+
+    inputs: np.ndarray
+    relu_mask: np.ndarray
+    drop_mask: np.ndarray
+    hidden: np.ndarray
+    w2: np.ndarray
     batchnorm: tc.BatchNormTape
     l2norm: tc.L2NormTape
 
@@ -307,9 +316,8 @@ def forward_branch(params, branch, inputs, mode, rng=None):
     drawn on the calling thread with the branch's one ``rng.random``
     call, so the RNG stream is the same at any worker count.  Batch norm
     and the L2 norm then run once over all rows, since batch norm needs
-    every row.  The first layer's tape keeps the inputs as given (a
-    float32 batch is not widened as a whole), the second's the dropout
-    output.
+    every row.  The BranchTapes keep the inputs as given (a float32
+    batch is not widened as a whole).
 
     In eval mode the chain runs on each row slab of ``_row_slabs``
     (about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats), through
@@ -379,8 +387,8 @@ def forward_branch(params, branch, inputs, mode, rng=None):
 
 def _train_forward(params, spec, p, inputs, rng):
     """forward_branch's train mode (see there): (embeddings, tapes)."""
-    # the first layer's tape keeps a float32 batch as gathered, and each
-    # slab widens its own rows
+    # a float32 batch is kept as gathered, and each slab widens its own
+    # rows
     x = (np.ascontiguousarray(inputs) if inputs.dtype == np.float32
          else tc.as_matrix(inputs, "inputs"))
     n, hidden = x.shape[0], spec.hidden_dim
@@ -410,10 +418,7 @@ def _train_forward(params, spec, p, inputs, rng):
         pre, p.gamma, p.beta, p.running_mean, p.running_var, "train",
         momentum=params.bn_momentum, eps=params.bn_eps, out=pre)
     emb, t_norm = tc.l2_normalize_rows(out)
-    return emb, BranchTapes(
-        tc.AffineTape(x=x, w=p.w1), tc.ReluTape(mask=relu_mask),
-        tc.DropoutTape(scaled_mask=drop_mask), tc.AffineTape(x=h, w=p.w2),
-        t_bn, t_norm)
+    return emb, BranchTapes(x, relu_mask, drop_mask, h, p.w2, t_bn, t_norm)
 
 
 def _dense_layers(p, spec, x, mode, hidden, pre, relu_mask=None,
@@ -423,7 +428,7 @@ def _dense_layers(p, spec, x, mode, hidden, pre, relu_mask=None,
     write ``hidden`` in place, the second affine layer ``pre``.
     ``relu_mask`` and ``drop_mask`` take the ReLU mask and dropout's
     scaled mask (see tc.dropout_forward's ``draws``)."""
-    h, _ = tc.affine_forward(x, p.w1, p.b1, out=hidden)
+    h = tc.affine_forward(x, p.w1, p.b1, out=hidden)
     tc.relu_forward(h, out=h, mask=relu_mask)
     tc.dropout_forward(h, spec.dropout_p, mode, out=h, draws=drop_mask)
     tc.affine_forward(h, p.w2, p.b2, out=pre)
@@ -435,31 +440,30 @@ def backward_branch(tapes, grad_emb):
     The L2 norm and batch norm run once over all rows.  Then each of
     tc.worker_slabs' row slabs forms the second affine layer's input
     gradient and runs the dropout and ReLU backwards in place over it,
-    into its rows of one (n, hidden_dim) array; the bits are those of
-    one pass, as in forward_branch.  Both weight gradients are returned
-    as unformed tc.WeightGrads, which sgd_step forms in row slabs.  The
-    inputs are data, so no gradient flows into them.
+    with its rows of the masks, into its rows of one (n, hidden_dim)
+    array; the bits are those of one pass, as in forward_branch.  The
+    masks then leave ``tapes``, before the SGD step.  Both weight
+    gradients are returned as unformed tc.WeightGrads, which sgd_step
+    forms in row slabs.  The inputs are data, so no gradient flows into
+    them.
     """
     if tapes is None:
         raise ConfigError("backward requires train-mode tapes")
     g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
     g, g_gamma, g_beta = tc.batchnorm_backward(g, tapes.batchnorm)
-    g_w2, g_b2 = tc.affine_param_backward(g, tapes.affine2)
-    tc.consume(tapes.dropout)
-    tc.consume(tapes.relu)
-    w2 = tapes.affine2.w
-    grad_h = np.empty(tapes.affine2.x.shape)
+    g_w2, g_b2 = tc.affine_param_backward(g, tapes.hidden)
+    grad_h = np.empty(tapes.hidden.shape)
 
     def slab(start, stop, _):
-        gh = tc.affine_input_backward(g[start:stop], w2,
+        gh = tc.affine_input_backward(g[start:stop], tapes.w2,
                                       out=grad_h[start:stop])
-        tc.dropout_backward(gh, tapes.dropout.rows(start, stop), out=gh)
-        tc.relu_backward(gh, tapes.relu.rows(start, stop), out=gh)
+        tc.dropout_backward(gh, tapes.drop_mask[start:stop], out=gh)
+        tc.relu_backward(gh, tapes.relu_mask[start:stop], out=gh)
 
     tc.map_slabs(slab, tc.worker_slabs(len(grad_h), grad_h.size), ())
-    # consumed: let the masks go before the SGD step forms the WeightGrads
-    tapes.dropout.scaled_mask = tapes.relu.mask = None
-    g_w1, g_b1 = tc.affine_param_backward(grad_h, tapes.affine1)
+    # let the masks go before the SGD step forms the WeightGrads
+    tapes.drop_mask = tapes.relu_mask = None
+    g_w1, g_b1 = tc.affine_param_backward(grad_h, tapes.inputs)
     return {
         "w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
         "gamma": g_gamma, "beta": g_beta,

@@ -1,29 +1,32 @@
 """Dense float64 tensor ops with hand-derived backward passes.
 
-Each op has one form, the one that training and evaluation run.  A
-layer's ops follow the same shape:
+Each op has one form, the one that training and evaluation run.  The
+row-local layers' backwards take the arrays their caller already
+holds: affine_param_backward the layer's input, relu_backward the mask
+that relu_forward forms in the caller's ``mask`` and dropout_backward
+the scaled mask that dropout_forward forms in the caller's ``draws``,
+so a caller that runs a backward in row slabs hands each slab a slice
+of them.  Only batch norm and the row L2 norm compute values that their
+backward needs, so only they keep a tape:
 
     out, tape = op_forward(...)
     grads     = op_backward(grad_out, tape)
 
-A tape caches exactly what the backward pass needs and may be consumed
-once; a second backward call on the same tape raises
-ContractViolationError.  The affine layer's backward comes in two
-parts: affine_param_backward consumes the tape and returns the weight
-gradient as a WeightGrad, formed when it is read, and
-affine_input_backward needs only the weights.  pairwise_distances keeps
-no tape: its backward is distance_weights, then distance_side_grad for
-each input.  Dropout in train mode applies uniform draws that its
-caller makes.  Matrix inputs may be float32 (feature files load as
-float32): ``as_matrix`` widens them to C-contiguous float64, which is
-exact, and every op returns C-contiguous float64 results.  The affine,
-ReLU, dropout, batch-norm and row L2 forwards, and the ReLU, dropout
-and affine input-gradient backwards, take an optional ``out``, a
-C-contiguous float64 array of the result's shape that they fill and
-return with the bits of ``out=None``; only the L2 norm's must not
-overlap its input.  A caller that runs a backward in row slabs consumes
-the tape once (``consume``) and hands each slab a tape of its rows.
-All results are deterministic for fixed inputs.
+A tape may be consumed once; a second backward call on the same tape
+raises ContractViolationError.  The affine layer's backward comes in
+two parts: affine_param_backward returns the weight gradient as a
+WeightGrad, formed when it is read, and affine_input_backward needs
+only the weights.  pairwise_distances keeps no tape: its backward is
+distance_weights, then distance_side_grad for each input.  Dropout in
+train mode applies uniform draws that its caller makes.  Matrix inputs
+may be float32 (feature files load as float32): ``as_matrix`` widens
+them to C-contiguous float64, which is exact, and every op returns
+C-contiguous float64 results.  The affine, ReLU, dropout, batch-norm
+and row L2 forwards, and the ReLU, dropout and affine input-gradient
+backwards, take an optional ``out``, a C-contiguous float64 array of
+the result's shape that they fill and return with the bits of
+``out=None``; only the L2 norm's must not overlap its input.  All
+results are deterministic for fixed inputs.
 
 The package's one thread pool lives here too: ``map_slabs`` runs
 independent row slabs of a stage on SLAB_WORKERS threads, and
@@ -231,20 +234,15 @@ def _check_out(out, shape, name="out"):
             f"{name} must be a C-contiguous float64 array of shape {shape}")
 
 
-def consume(tape):
-    """Mark ``tape`` consumed by a backward pass; raises if it was.  A
-    caller that runs a backward over row slabs consumes the tape once
-    and hands each slab ``tape.rows(start, stop)``."""
-    if tape.used:
-        raise ContractViolationError(
-            f"{type(tape).__name__} already consumed by a backward pass")
-    tape.used = True
-
-
-def _grad_out(grad_out, tape, shape, op):
-    """Consume ``tape`` and return ``grad_out`` as a float64 matrix of
-    ``shape``, the shape of the forward's output."""
-    consume(tape)
+def _grad_out(grad_out, shape, op, tape=None):
+    """``grad_out`` as a float64 matrix of ``shape``, the shape of the
+    forward's output.  A given ``tape`` is consumed first: a second
+    backward over it raises."""
+    if tape is not None:
+        if tape.used:
+            raise ContractViolationError(
+                f"{type(tape).__name__} already consumed by a backward pass")
+        tape.used = True
     grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != shape:
         raise DimensionError(
@@ -257,15 +255,6 @@ def _grad_out(grad_out, tape, shape, op):
 # affine
 
 
-@dataclass
-class AffineTape:
-    """x may be float32 when it is a layer's data input (see WeightGrad)."""
-
-    x: np.ndarray
-    w: np.ndarray
-    used: bool = False
-
-
 def affine_forward(x, w, b, out=None):
     """Compute out = x @ w + b.
 
@@ -276,7 +265,7 @@ def affine_forward(x, w, b, out=None):
         out: optional output array, shape (n, d_out).
 
     Returns:
-        (out, tape) with out of shape (n, d_out).
+        out, of shape (n, d_out).
     """
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
@@ -294,14 +283,12 @@ def affine_forward(x, w, b, out=None):
     _check_out(out, (x.shape[0], w.shape[1]))
     out = np.matmul(x, w, out=out)
     out += b
-    return out, AffineTape(x=x, w=w)
+    return out
 
 
 def affine_input_backward(grad_out, w, out=None):
     """grad_out @ w.T, the input gradient of an affine layer of weights
-    ``w``, into ``out`` when given.  It reads no tape, so a caller may
-    form it for any rows of grad_out before or after
-    affine_param_backward has consumed the layer's tape."""
+    ``w``, into ``out`` when given, for any rows of grad_out."""
     grad_out = as_matrix(grad_out, "grad_out")
     _check_out(out, (grad_out.shape[0], w.shape[0]))
     return np.matmul(grad_out, w.T, out=out)
@@ -346,51 +333,44 @@ class WeightGrad:
         return np.asarray(as_matrix(self.x).T @ self.grad_out, dtype=dtype)
 
 
-def affine_param_backward(grad_out, tape):
-    """Backward for affine_forward's parameters; it consumes the tape.
+def affine_param_backward(grad_out, x):
+    """Backward for the parameters of an affine layer whose input was
+    ``x``, which may be float32 (see WeightGrad).
 
     The input gradient, which a layer whose input is data does not need,
     is affine_input_backward's.
 
     Returns:
-        (grad_w, grad_b): grad_w is the WeightGrad of tape.x.T @
-        grad_out, which np.asarray forms whole, and grad_b is
-        grad_out.sum(axis=0).
+        (grad_w, grad_b): grad_w is the WeightGrad of x.T @ grad_out,
+        which np.asarray forms whole, and grad_b is grad_out.sum(axis=0).
     """
-    grad_out = _grad_out(grad_out, tape, (tape.x.shape[0], tape.w.shape[1]),
-                         "affine")
-    return WeightGrad(tape.x, grad_out), grad_out.sum(axis=0)
+    grad_out = as_matrix(grad_out, "grad_out")
+    if x.ndim != 2 or grad_out.shape[0] != x.shape[0]:
+        raise DimensionError(
+            f"affine backward: grad_out shape {grad_out.shape} does not "
+            f"match input shape {x.shape}")
+    return WeightGrad(x, grad_out), grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # relu
 
 
-@dataclass
-class ReluTape:
-    mask: np.ndarray
-    used: bool = False
-
-    def rows(self, start, stop):
-        """A fresh tape of rows start:stop (see consume)."""
-        return ReluTape(self.mask[start:stop])
-
-
 def relu_forward(x, out=None, mask=None):
     """Elementwise max(x, 0), into ``out`` when given (which may be x);
-    the tape's mask forms in ``mask`` when given, a C-contiguous bool
-    array of x's shape."""
+    the mask x > 0 that relu_backward reads forms in ``mask`` when
+    given, a C-contiguous bool array of x's shape."""
     x = as_matrix(x, "x")
     _check_out(out, x.shape)
     mask = np.greater(x, 0.0, out=mask)
-    return np.multiply(x, mask, out=out), ReluTape(mask=mask)
+    return np.multiply(x, mask, out=out)
 
 
-def relu_backward(grad_out, tape, out=None):
-    """grad_out times the mask, into ``out`` when given (which may be
-    grad_out)."""
-    grad_out = _grad_out(grad_out, tape, tape.mask.shape, "relu")
-    return np.multiply(grad_out, tape.mask, out=out)
+def relu_backward(grad_out, mask, out=None):
+    """grad_out times relu_forward's ``mask``, into ``out`` when given
+    (which may be grad_out)."""
+    grad_out = _grad_out(grad_out, mask.shape, "relu")
+    return np.multiply(grad_out, mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +454,7 @@ def batchnorm_backward(grad_out, tape):
         raise ContractViolationError(
             "batchnorm backward requires a train-mode tape"
         )
-    grad_out = _grad_out(grad_out, tape, tape.x_hat.shape, "batchnorm")
+    grad_out = _grad_out(grad_out, tape.x_hat.shape, "batchnorm", tape)
     n = grad_out.shape[0]
     x_hat = tape.x_hat
     grad_gamma = (grad_out * x_hat).sum(axis=0)
@@ -492,16 +472,6 @@ def batchnorm_backward(grad_out, tape):
 # dropout
 
 
-@dataclass
-class DropoutTape:
-    scaled_mask: np.ndarray
-    used: bool = False
-
-    def rows(self, start, stop):
-        """A fresh tape of rows start:stop (see consume)."""
-        return DropoutTape(self.scaled_mask[start:stop])
-
-
 def dropout_forward(x, p, mode, out=None, draws=None):
     """Inverted dropout.
 
@@ -516,14 +486,14 @@ def dropout_forward(x, p, mode, out=None, draws=None):
         mode: "train" or "eval".
         out: optional output array of x's shape; may be x.
         draws: required in train mode: a C-contiguous float64 array of
-            x's shape in which the tape's scaled mask forms.  When p > 0
-            it holds on entry the uniform [0, 1) draws to use, so a
-            caller can draw a whole batch's mask with one rng call and
-            apply it a row slab at a time; when p is 0 its contents are
-            not read.
+            x's shape in which the scaled mask that dropout_backward
+            reads forms.  When p > 0 it holds on entry the uniform
+            [0, 1) draws to use, so a caller can draw a whole batch's
+            mask with one rng call and apply it a row slab at a time;
+            when p is 0 its contents are not read.
 
     Returns:
-        (out, tape); tape is None in eval mode.
+        out.
     """
     x = as_matrix(x, "x")
     if not 0.0 <= p < 1.0:
@@ -531,34 +501,29 @@ def dropout_forward(x, p, mode, out=None, draws=None):
     _check_out(out, x.shape)
     if mode == "eval":
         if out is None or out is x:
-            return x, None
+            return x
         np.copyto(out, x)
-        return out, None
+        return out
     if mode != "train":
         raise ContractViolationError(f"unknown dropout mode {mode!r}")
     if draws is None:
         raise ContractViolationError("dropout train mode requires draws")
     _check_out(draws, x.shape, "draws")
     if p == 0.0:
-        scaled_mask = draws
-        scaled_mask.fill(1.0)
+        draws.fill(1.0)
     else:
         # 1.0 where kept, then scaled: the bits of (draws >= p) / (1 - p)
-        scaled_mask = np.greater_equal(draws, p, out=draws)
-        scaled_mask /= 1.0 - p
-    return (np.multiply(x, scaled_mask, out=out),
-            DropoutTape(scaled_mask=scaled_mask))
+        np.greater_equal(draws, p, out=draws)
+        draws /= 1.0 - p
+    return np.multiply(x, draws, out=out)
 
 
-def dropout_backward(grad_out, tape, out=None):
-    """grad_out times the scaled mask, into ``out`` when given (which
-    may be grad_out)."""
-    if tape is None:
-        raise ContractViolationError(
-            "dropout backward requires a train-mode tape"
-        )
-    grad_out = _grad_out(grad_out, tape, tape.scaled_mask.shape, "dropout")
-    return np.multiply(grad_out, tape.scaled_mask, out=out)
+def dropout_backward(grad_out, scaled_mask, out=None):
+    """grad_out times dropout_forward's scaled mask (its ``draws`` after
+    a train-mode call), into ``out`` when given (which may be
+    grad_out)."""
+    grad_out = _grad_out(grad_out, scaled_mask.shape, "dropout")
+    return np.multiply(grad_out, scaled_mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +570,7 @@ def l2_normalize_rows_backward(grad_out, tape):
     not change the output, so it is projected away.  Clamped rows are a
     constant scaling and pass the gradient through divided by EPS_NORM.
     """
-    grad_out = _grad_out(grad_out, tape, tape.out.shape, "l2 normalize")
+    grad_out = _grad_out(grad_out, tape.out.shape, "l2 normalize", tape)
     dots = (grad_out * tape.out).sum(axis=1)
     grad_x = (grad_out - tape.out * dots[:, None]) / tape.norms[:, None]
     if np.any(tape.clamped):

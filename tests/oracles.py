@@ -1013,11 +1013,11 @@ def full_backward_branch(tapes, grad_emb):
     with out=None and both weight gradients formed whole."""
     g = tc.l2_normalize_rows_backward(grad_emb, tapes.l2norm)
     g, g_gamma, g_beta = tc.batchnorm_backward(g, tapes.batchnorm)
-    g_w2, g_b2 = tc.affine_param_backward(g, tapes.affine2)
-    g = tc.affine_input_backward(g, tapes.affine2.w)
-    g = tc.dropout_backward(g, tapes.dropout)
-    g = tc.relu_backward(g, tapes.relu)
-    g_w1, g_b1 = tc.affine_param_backward(g, tapes.affine1)
+    g_w2, g_b2 = tc.affine_param_backward(g, tapes.hidden)
+    g = tc.affine_input_backward(g, tapes.w2)
+    g = tc.dropout_backward(g, tapes.drop_mask)
+    g = tc.relu_backward(g, tapes.relu_mask)
+    g_w1, g_b1 = tc.affine_param_backward(g, tapes.inputs)
     return {
         "w1": np.asarray(g_w1), "b1": g_b1, "w2": np.asarray(g_w2),
         "b2": g_b2, "gamma": g_gamma, "beta": g_beta,
@@ -1041,21 +1041,23 @@ def serial_glorot_weights(spec_x, spec_y, seed):
 
 def chain_forward(params, branch, inputs, mode, rng=None):
     """forward_branch as one chain of the tc layers with out=None over
-    all rows, widened to float64 first: (embeddings, BranchTapes)."""
+    all rows, widened to float64 first: (embeddings, BranchTapes, or
+    None in eval mode)."""
     spec, p = ((params.spec_x, params.x) if branch == "x"
                else (params.spec_y, params.y))
-    h, t_aff1 = tc.affine_forward(as_matrix(inputs), p.w1, p.b1)
-    h, t_relu = tc.relu_forward(h)
+    x = as_matrix(inputs)
+    relu_mask = np.empty((len(x), spec.hidden_dim), dtype=bool)
+    h = tc.relu_forward(tc.affine_forward(x, p.w1, p.b1), mask=relu_mask)
     draws = None
     if mode == "train":
         # one draw of the whole mask, as forward_branch makes
         draws = (rng.random(h.shape) if spec.dropout_p > 0.0
                  else np.empty(h.shape))
-    h, t_drop = tc.dropout_forward(h, spec.dropout_p, mode, draws=draws)
-    h, t_aff2 = tc.affine_forward(h, p.w2, p.b2)
-    h, t_bn = tc.batchnorm_forward(h, p.gamma, p.beta, p.running_mean,
-                                   p.running_var, mode,
-                                   momentum=params.bn_momentum,
-                                   eps=params.bn_eps)
-    emb, t_norm = tc.l2_normalize_rows(h)
-    return emb, nw.BranchTapes(t_aff1, t_relu, t_drop, t_aff2, t_bn, t_norm)
+    h = tc.dropout_forward(h, spec.dropout_p, mode, draws=draws)
+    out, t_bn = tc.batchnorm_forward(
+        tc.affine_forward(h, p.w2, p.b2), p.gamma, p.beta, p.running_mean,
+        p.running_var, mode, momentum=params.bn_momentum, eps=params.bn_eps)
+    emb, t_norm = tc.l2_normalize_rows(out)
+    if mode != "train":
+        return emb, None
+    return emb, nw.BranchTapes(x, relu_mask, draws, h, p.w2, t_bn, t_norm)

@@ -673,9 +673,10 @@ class TestGenSynthetic:
 
     def test_nearest_centroid_classification(self):
         d = data.gen_synthetic(16, 4, 3, 32, 24, 0.05, seed=2)
-        for feats, mapping, labels in ((d.x.features, d.map_x, d.x_labels),
-                                       (d.y.features, d.map_y, d.y_labels)):
-            centroids = d.latents @ mapping
+        for feats, labels in ((d.x.features, d.x_labels),
+                              (d.y.features, d.y_labels)):
+            centroids = np.array([feats[labels == c].mean(axis=0)
+                                  for c in range(16)])
             dist = np.linalg.norm(
                 feats[:, None, :] - centroids[None, :, :], axis=2)
             pred = np.argmin(dist, axis=1)
@@ -706,13 +707,15 @@ class TestGenLocalization:
         assert len(self.d.corpus_rows) == 4 * 2 * (per_image + 1)
 
     def test_labels(self):
-        labels = self.d.region_labels
+        # a region's id names the phrase of its corpus rows, and a
+        # background region ("_b") is no ground truth and no pair
         ids = self.d.regions.ids
-        for rid, lab in zip(ids, labels):
+        paired = {rid for rid, _ in self.d.pairs}
+        for _, kind, phrase_id, *_, row in self.d.corpus_rows:
+            rid = ids[row]
+            assert rid.split("_")[1] == phrase_id.split("_")[1]
             if rid.rsplit("_", 1)[-1].startswith("b"):
-                assert lab == -1
-            else:
-                assert lab == int(rid.split("_")[1])
+                assert kind == "P" and rid not in paired
 
     def test_gt_listed_as_annotation_and_proposal(self):
         by_image = {}

@@ -357,6 +357,22 @@ class TestCorpusIO:
         assert path.read_bytes() == written
         assert os.listdir(tmp_path) == ["corpus.tsv"]
 
+    @pytest.mark.parametrize("bad", [
+        ("img", "Q", "cat", 0.0, 0.0, 5.0, 5.0, 0),
+        ("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 0, "extra"),
+        ("img", "G", "cat", 0.0, 0.0, 5.0)], ids=["kind", "nine", "six"])
+    def test_round_trip_refuses_kind_and_width(self, tmp_path, bad):
+        # the reader would refuse the kind and the widths, and a ninth
+        # field would otherwise be lost without a word
+        rows = corpus_rows_fixture()
+        path = tmp_path / "corpus.tsv"
+        ev.save_corpus_file(rows, str(path))
+        written = path.read_bytes()
+        with pytest.raises(ConsistencyError, match="7 or 8 fields"):
+            ev.save_corpus_file(rows + [bad], str(path))
+        assert path.read_bytes() == written
+        assert os.listdir(tmp_path) == ["corpus.tsv"]
+
     def test_comments_and_blanks(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:

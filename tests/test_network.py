@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -447,13 +448,16 @@ class TestSlabWorkers:
 
 
 def tape_arrays(tapes):
-    """(layer.field, array) for every array a BranchTapes holds."""
-    for layer in dataclasses.fields(tapes):
-        tape = getattr(tapes, layer.name)
-        for f in dataclasses.fields(tape):
-            value = getattr(tape, f.name)
-            if isinstance(value, np.ndarray):
-                yield f"{layer.name}.{f.name}", value
+    """(name, array) for every array a BranchTapes holds, a tape's as
+    tape.field."""
+    for held in dataclasses.fields(tapes):
+        value = getattr(tapes, held.name)
+        if isinstance(value, np.ndarray):
+            yield held.name, value
+            continue
+        for f in dataclasses.fields(value):
+            if isinstance(getattr(value, f.name), np.ndarray):
+                yield f"{held.name}.{f.name}", getattr(value, f.name)
 
 
 class TestTrainSlabs:
@@ -510,7 +514,7 @@ class TestTrainSlabs:
                 for (name, a), (_, b) in zip(tape_arrays(got_tapes),
                                              tape_arrays(want_tapes),
                                              strict=True):
-                    if name == "affine1.x":
+                    if name == "inputs":
                         # the inputs as given, never widened as a whole
                         assert a.dtype == dtype, (n, branch)
                         a = a.astype(np.float64)
@@ -814,6 +818,21 @@ class TestBackward:
         nw.backward_branch(tapes, np.ones_like(emb))
         with pytest.raises(ContractViolationError):
             nw.backward_branch(tapes, np.ones_like(emb))
+
+    def test_masks_released(self):
+        # the SGD step after backward_branch forms the weight gradients
+        # without the two hidden-layer masks held
+        p = small_params(seed=21, dropout=0.3)
+        x = np.random.default_rng(21).normal(size=(5, 6))
+        emb, tapes = nw.forward_branch(p, "x", x, "train",
+                                       rng=np.random.default_rng(22))
+        masks = [weakref.ref(tapes.relu_mask), weakref.ref(tapes.drop_mask)]
+        grads = nw.backward_branch(tapes, np.ones_like(emb))
+        assert tapes.relu_mask is None and tapes.drop_mask is None
+        assert [ref() for ref in masks] == [None, None]
+        # the weight gradients still read the inputs and hidden layer
+        assert grads["w1"].x is tapes.inputs
+        assert grads["w2"].x is tapes.hidden
 
     def test_gradients_match_whole_pass_oracle(self):
         # two forward passes on one seed give two equal sets of tapes

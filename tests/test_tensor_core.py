@@ -45,16 +45,17 @@ def distance_backward(a, b, dist, grad_dist):
 
 
 def assert_out_keeps_bits(run, x, in_place=False):
-    """run(x, out), a layer forward with its other inputs bound, returns
-    a given C-contiguous float64 ``out`` holding the bits of out=None;
-    with ``in_place`` also when ``out`` is (a float64 copy of) x."""
-    want, _ = run(x, None)
+    """run(x, out), a layer forward's output with its other inputs
+    bound, is a given C-contiguous float64 ``out`` holding the bits of
+    out=None; with ``in_place`` also when ``out`` is (a float64 copy of)
+    x."""
+    want = run(x, None)
     buf = np.full(want.shape, np.nan)
-    got, _ = run(x, buf)
+    got = run(x, buf)
     assert got is buf and buf.tobytes() == want.tobytes()
     if in_place:
         x = np.array(x, dtype=np.float64)
-        got, _ = run(x, x)
+        got = run(x, x)
         assert got is x and x.tobytes() == want.tobytes()
 
 
@@ -67,8 +68,8 @@ FORWARDS = {
         draws=np.random.default_rng(0).random(np.shape(x))),
     "batchnorm": lambda x, out: tc.batchnorm_forward(
         x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval",
-        out=out),
-    "l2": lambda x, out: tc.l2_normalize_rows(x, out=out),
+        out=out)[0],
+    "l2": lambda x, out: tc.l2_normalize_rows(x, out=out)[0],
 }
 
 
@@ -76,7 +77,7 @@ FORWARDS = {
 @pytest.mark.parametrize("bad", ["float32", "shape", "fortran"])
 def test_forward_rejects_unusable_out(forward, bad):
     x = np.random.default_rng(22).normal(size=(4, 3))
-    want, _ = FORWARDS[forward](x, None)
+    want = FORWARDS[forward](x, None)
     out = {"float32": np.empty(want.shape, np.float32),
            "shape": np.empty((want.shape[0] + 1, want.shape[1])),
            "fortran": np.empty(want.shape, order="F")}[bad]
@@ -86,14 +87,14 @@ def test_forward_rejects_unusable_out(forward, bad):
 
 class TestAffine:
     def test_identity_weight(self):
-        out, _ = tc.affine_forward(np.array([[1.0, 2.0]]),
-                                   np.eye(2), np.zeros(2))
+        out = tc.affine_forward(np.array([[1.0, 2.0]]),
+                                np.eye(2), np.zeros(2))
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_hand_example(self):
-        out, _ = tc.affine_forward(np.array([[1.0, 2.0]]),
-                                   np.array([[3.0], [4.0]]),
-                                   np.array([1.0]))
+        out = tc.affine_forward(np.array([[1.0, 2.0]]),
+                                np.array([[3.0], [4.0]]),
+                                np.array([1.0]))
         assert np.array_equal(out, [[12.0]])
 
     def test_matches_naive_oracle(self):
@@ -101,7 +102,7 @@ class TestAffine:
         inp = rng.normal(size=(5, 7))
         w = rng.normal(size=(7, 3))
         b = rng.normal(size=3)
-        out, _ = tc.affine_forward(inp, w, b)
+        out = tc.affine_forward(inp, w, b)
         assert np.allclose(out, naive_matmul_bias(inp, w, b), atol=1e-12)
         for x in (inp, inp.astype(np.float32)):
             assert_out_keeps_bits(
@@ -120,14 +121,12 @@ class TestAffine:
         b = rng.normal(size=3)
         g = rng.normal(size=(4, 3))
 
-        out, tape = tc.affine_forward(inp, w, b)
-        gw, gb = tc.affine_param_backward(g, tape)
+        gw, gb = tc.affine_param_backward(g, inp)
         gw = np.asarray(gw)
         gi = tc.affine_input_backward(g, w)
 
         def loss():
-            o, _ = tc.affine_forward(inp, w, b)
-            return float((o * g).sum())
+            return float((tc.affine_forward(inp, w, b) * g).sum())
 
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert max_relative_error(gi, central_difference(loss, inp)) < 1e-6
@@ -144,17 +143,9 @@ class TestAffine:
             tc.affine_input_backward(g[start:stop], w, out=got[start:stop])
         assert got.tobytes() == want.tobytes()
 
-    def test_backward_once_per_tape(self):
-        out, tape = tc.affine_forward(np.ones((2, 2)), np.eye(2), np.zeros(2))
-        tc.affine_param_backward(np.ones((2, 2)), tape)
-        with pytest.raises(ContractViolationError):
-            tc.affine_param_backward(np.ones((2, 2)), tape)
-
     def test_param_backward_shape_mismatch(self):
-        _, tape = tc.affine_forward(np.ones((2, 3)), np.ones((3, 2)),
-                                    np.zeros(2))
         with pytest.raises(DimensionError):
-            tc.affine_param_backward(np.ones((3, 2)), tape)
+            tc.affine_param_backward(np.ones((3, 2)), np.ones((2, 3)))
 
 
 class TestWeightGradSlabs:
@@ -280,7 +271,7 @@ class TestWeightGradSlabs:
 
 class TestRelu:
     def test_hand_example(self):
-        out, _ = tc.relu_forward(np.array([[-1.0, 0.0, 2.0]]))
+        out = tc.relu_forward(np.array([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -291,35 +282,40 @@ class TestRelu:
                               x, in_place=True)
 
     def test_all_negative(self):
-        out, _ = tc.relu_forward(-np.ones((3, 3)))
+        out = tc.relu_forward(-np.ones((3, 3)))
         assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_backward_mask_and_zero_at_kink(self):
         inp = np.array([[-1.0, 0.0, 2.0]])
-        _, tape = tc.relu_forward(inp)
-        g = tc.relu_backward(np.array([[5.0, 7.0, 9.0]]), tape)
+        mask = np.empty(inp.shape, dtype=bool)
+        tc.relu_forward(inp, mask=mask)
+        g = tc.relu_backward(np.array([[5.0, 7.0, 9.0]]), mask)
         assert np.array_equal(g, [[0.0, 0.0, 9.0]])
 
     def test_given_mask_and_out_keep_bits(self):
-        # the mask forms in a given array, the backward runs in place
-        # over grad_out, and a tape's rows serve a row slab's backward
+        # the mask forms in a given array a row slab at a time, and the
+        # backward runs in place over each slab of grad_out with the
+        # same rows of the mask, with the bits of one call over all rows
         rng = np.random.default_rng(24)
         x, g = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-        want, want_tape = tc.relu_forward(x)
+        want_mask = np.empty(x.shape, dtype=bool)
+        want = tc.relu_forward(x, mask=want_mask)
+        assert np.array_equal(want_mask, x > 0.0)
         mask = np.empty(x.shape, dtype=bool)
-        got, tape = tc.relu_forward(x.copy(), mask=mask)
-        assert tape.mask is mask and np.array_equal(mask, want_tape.mask)
-        assert got.tobytes() == want.tobytes()
-        want_g = tc.relu_backward(g, want_tape)
-        tc.consume(tape)
-        got_g = g.copy()
+        got = x.copy()
         for start, stop in ((0, 2), (2, 6)):
-            rows = got_g[start:stop]
-            assert tc.relu_backward(rows, tape.rows(start, stop),
-                                    out=rows) is rows
-        assert got_g.tobytes() == want_g.tobytes()
-        with pytest.raises(ContractViolationError):
-            tc.relu_backward(g, tape)
+            rows = got[start:stop]
+            assert tc.relu_forward(rows, out=rows,
+                                   mask=mask[start:stop]) is rows
+        assert got.tobytes() == want.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
+        want_g = tc.relu_backward(g, want_mask)
+        for start, stop in ((0, 2), (2, 6)):
+            rows = g[start:stop]
+            assert tc.relu_backward(rows, mask[start:stop], out=rows) is rows
+        assert g.tobytes() == want_g.tobytes()
+        with pytest.raises(DimensionError):
+            tc.relu_backward(g[:2], mask)
 
 
 class TestBatchNorm:
@@ -358,7 +354,7 @@ class TestBatchNorm:
             m, v = r_mean.copy(), r_var.copy()
             stats.append((m, v))
             return tc.batchnorm_forward(x, gamma, beta, m, v, mode, 0.1,
-                                        1e-5, out=out)
+                                        1e-5, out=out)[0]
 
         assert_out_keeps_bits(run, x, in_place=True)
         for m, v in stats[1:]:
@@ -419,6 +415,13 @@ class TestBatchNorm:
         assert max_relative_error(
             gbeta, central_difference(loss, beta)) < 1e-6
 
+    def test_backward_once_per_tape(self):
+        _, tape = tc.batchnorm_forward(np.eye(3), np.ones(3), np.zeros(3),
+                                       np.zeros(3), np.ones(3), "train")
+        tc.batchnorm_backward(np.ones((3, 3)), tape)
+        with pytest.raises(ContractViolationError, match="BatchNormTape"):
+            tc.batchnorm_backward(np.ones((3, 3)), tape)
+
 
 def uniform_draws(shape, seed):
     return np.random.default_rng(seed).random(shape)
@@ -427,13 +430,13 @@ def uniform_draws(shape, seed):
 class TestDropout:
     def test_p_zero_identity(self):
         x = np.random.default_rng(6).normal(size=(4, 4))
-        out, _ = tc.dropout_forward(x, 0.0, "train",
-                                    draws=np.full(x.shape, np.nan))
+        out = tc.dropout_forward(x, 0.0, "train",
+                                 draws=np.full(x.shape, np.nan))
         assert np.array_equal(out, x)
 
     def test_eval_identity(self):
         x = np.random.default_rng(7).normal(size=(4, 4))
-        out, tape = tc.dropout_forward(x, 0.9, "eval")
+        out = tc.dropout_forward(x, 0.9, "eval")
         assert np.array_equal(out, x)
 
     def test_invalid_p(self):
@@ -451,49 +454,48 @@ class TestDropout:
 
     def test_monte_carlo_expectation(self):
         x = np.ones((2000, 50))
-        out, _ = tc.dropout_forward(x, 0.5, "train",
-                                    draws=uniform_draws(x.shape, 8))
+        out = tc.dropout_forward(x, 0.5, "train",
+                                 draws=uniform_draws(x.shape, 8))
         assert abs(out.mean() - x.mean()) / abs(x.mean()) < 0.05
 
     def test_survivors_scaled(self):
         x = np.ones((10, 10))
-        out, tape = tc.dropout_forward(x, 0.5, "train",
-                                       draws=uniform_draws(x.shape, 9))
+        out = tc.dropout_forward(x, 0.5, "train",
+                                 draws=uniform_draws(x.shape, 9))
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_given_draws_keep_bits(self, p):
         # a mask drawn whole and applied a row slab at a time, in place,
-        # has the bits of one call over all rows, forward and backward
+        # has the bits of one call over all rows, forward and backward,
+        # the backward reading each slab's rows of the scaled mask
         rng = np.random.default_rng(12)
         x, g = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
-        want, want_tape = tc.dropout_forward(x, p, "train",
-                                             draws=uniform_draws(x.shape, 13))
+        want_mask = uniform_draws(x.shape, 13)
+        want = tc.dropout_forward(x, p, "train", draws=want_mask)
         draws = uniform_draws(x.shape, 13) if p else np.empty(x.shape)
         got = x.copy()
         for start, stop in ((0, 3), (3, 7)):
             rows = got[start:stop]
-            out, tape = tc.dropout_forward(rows, p, "train", out=rows,
-                                           draws=draws[start:stop])
-            assert out is rows and tape.scaled_mask.base is draws
+            assert tc.dropout_forward(rows, p, "train", out=rows,
+                                      draws=draws[start:stop]) is rows
         assert got.tobytes() == want.tobytes()
-        assert draws.tobytes() == want_tape.scaled_mask.tobytes()
-        want_g = tc.dropout_backward(g, want_tape)
-        tape = tc.DropoutTape(scaled_mask=draws)
-        tc.consume(tape)
+        assert draws.tobytes() == want_mask.tobytes()
+        want_g = tc.dropout_backward(g, want_mask)
         for start, stop in ((0, 3), (3, 7)):
             rows = g[start:stop]
-            tc.dropout_backward(rows, tape.rows(start, stop), out=rows)
+            assert tc.dropout_backward(rows, draws[start:stop],
+                                       out=rows) is rows
         assert g.tobytes() == want_g.tobytes()
 
     def test_backward_uses_same_mask(self):
         x = np.random.default_rng(10).normal(size=(5, 5))
-        out, tape = tc.dropout_forward(x, 0.5, "train",
-                                       draws=uniform_draws(x.shape, 11))
+        scaled_mask = uniform_draws(x.shape, 11)
+        out = tc.dropout_forward(x, 0.5, "train", draws=scaled_mask)
         mask = out != 0
         g = np.ones_like(x)
-        gx = tc.dropout_backward(g, tape)
+        gx = tc.dropout_backward(g, scaled_mask)
         assert np.array_equal(gx != 0, mask)
         assert np.allclose(gx[mask], 2.0)
 
@@ -513,9 +515,9 @@ class TestL2Normalize:
         v = np.random.default_rng(25).normal(size=(7, 5))
         v[3] = 0.0
         assert_out_keeps_bits(
-            lambda x, out: tc.l2_normalize_rows(x, out=out), v)
+            lambda x, out: tc.l2_normalize_rows(x, out=out)[0], v)
         assert_out_keeps_bits(
-            lambda x, out: tc.l2_normalize_rows(x, out=out),
+            lambda x, out: tc.l2_normalize_rows(x, out=out)[0],
             v.astype(np.float32))
 
     def test_out_overlapping_x_rejected(self):
@@ -551,6 +553,12 @@ class TestL2Normalize:
             return float((tc.l2_normalize_rows(v)[0] * g).sum())
 
         assert max_relative_error(gx, central_difference(loss, v)) < 1e-6
+
+    def test_backward_once_per_tape(self):
+        _, tape = tc.l2_normalize_rows(np.eye(3))
+        tc.l2_normalize_rows_backward(np.ones((3, 3)), tape)
+        with pytest.raises(ContractViolationError, match="L2NormTape"):
+            tc.l2_normalize_rows_backward(np.ones((3, 3)), tape)
 
 
 class TestPairwiseDistances:
@@ -679,7 +687,7 @@ def test_l2_normalize_row_norm_property(n, d, seed):
     rows = np.random.default_rng(seed).normal(size=(n, d)) * 3.0
     out, _ = tc.l2_normalize_rows(rows)
     assert_out_keeps_bits(
-        lambda x, out: tc.l2_normalize_rows(x, out=out), rows)
+        lambda x, out: tc.l2_normalize_rows(x, out=out)[0], rows)
     norms = np.linalg.norm(out, axis=1)
     big = np.linalg.norm(rows, axis=1) > 1e-12
     assert np.allclose(norms[big], 1.0, atol=1e-12)
