@@ -423,14 +423,14 @@ def _expand(adjacency, rows):
     return which, adjacency.partners[at]
 
 
-def _reach(rows, targets, hops):
+def _reach(rows, targets, order, hops):
     """Bool (len(rows), len(targets)) mask of the distinct ``targets``
-    that each row reaches through the adjacencies ``hops`` in turn."""
+    that each row reaches through the adjacencies ``hops`` in turn;
+    ``order`` is np.argsort(targets)."""
     which, at = np.arange(rows.shape[0]), rows
     for adjacency in hops:
         step, at = _expand(adjacency, at)
         which = which[step]
-    order = np.argsort(targets)
     slot = order[np.minimum(np.searchsorted(targets, at, sorter=order),
                             targets.shape[0] - 1)]
     hit = targets[slot] == at
@@ -474,9 +474,11 @@ def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
     x_rows = np.array(list(x_local), dtype=np.int64)
     y_rows = np.array(list(y_local), dtype=np.int64)
     owner = np.array(owner, dtype=np.int64)
-    pos = _reach(x_rows, y_rows, (graph.y_of_x,))
-    x_nb = _reach(x_rows, x_rows, (graph.y_of_x, graph.x_of_y))
-    y_nb = _reach(y_rows, y_rows, (graph.x_of_y, graph.y_of_x))
+    # each view's rows sorted once, to find their batch-local rows
+    x_order, y_order = np.argsort(x_rows), np.argsort(y_rows)
+    pos = _reach(x_rows, y_rows, y_order, (graph.y_of_x,))
+    x_nb = _reach(x_rows, x_rows, x_order, (graph.y_of_x, graph.x_of_y))
+    y_nb = _reach(y_rows, y_rows, y_order, (graph.x_of_y, graph.y_of_x))
     pos[owner >= 0] = x_nb[owner >= 0] = False
     np.fill_diagonal(x_nb, True)
     np.fill_diagonal(y_nb, True)
@@ -486,18 +488,24 @@ def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
                      y_nb=y_nb, owner=owner)
 
 
+def check_batch_pairs(batch_pairs):
+    """Raise ConfigError unless ``batch_pairs`` is at least 2."""
+    if batch_pairs < 2:
+        raise ConfigError(f"batch_pairs must be >= 2, got {batch_pairs}")
+
+
 def epoch_batches(graph, batch_pairs, augment, rng, extra_negatives=None,
                   negatives_per_anchor=10):
     """Partition one epoch into disjoint batches of batch_pairs pairs.
 
     The pair list is shuffled, chunked, and a trailing chunk of fewer
-    than 2 pairs is dropped (it cannot feed batch statistics).
+    than 2 pairs is dropped (it cannot feed batch statistics), so a
+    ``batch_pairs`` below 2 raises ConfigError.
 
     Yields:
         MiniBatch.
     """
-    if batch_pairs < 1:
-        raise ConfigError(f"batch_pairs must be >= 1, got {batch_pairs}")
+    check_batch_pairs(batch_pairs)
     perm = rng.permutation(graph.num_pairs)
     for start in range(0, graph.num_pairs, batch_pairs):
         chunk = perm[start:start + batch_pairs]

@@ -210,12 +210,13 @@ def run_full_loss_check(seed):
 
     Triplets are mined once at the starting point and frozen, dropout
     masks are pinned by a fixed generator seed, and mined triplets
-    violating by less than KINK_MARGIN are dropped.
+    violating by less than KINK_MARGIN are dropped.  The loss at each
+    perturbed point reads its own view_distances.
 
     Returns:
         dict mapping parameter name to max relative error.
     """
-    from .loss_mining import hinge_loss, mine_triplets, triplet_violations
+    from . import loss_mining as lm
     from .network import backward_branch, forward_branch
 
     params, inp_x, inp_y, batch, cfg, dropout_seed = _loss_fixture(seed)
@@ -227,9 +228,9 @@ def run_full_loss_check(seed):
         return emb_x, emb_y, tapes_x, tapes_y
 
     emb_x, emb_y, tapes_x, tapes_y = forward()
-    triplets = mine_triplets(emb_x, emb_y, batch, cfg)
-    _, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
-    for name, viol in viols.items():
+    triplets = lm.mine_triplets(emb_x, emb_y, batch, cfg)
+    for name, viol in lm.triplet_violations(triplets.dists, triplets,
+                                            cfg.margin).items():
         setattr(triplets, name, getattr(triplets, name)[viol > KINK_MARGIN])
 
     # Checking the per-triplet mean keeps the value near unit scale, so
@@ -240,9 +241,10 @@ def run_full_loss_check(seed):
 
     def loss_value():
         ex, ey, _, _ = forward()
-        return hinge_loss(ex, ey, triplets, cfg).loss * scale
+        return lm.hinge_loss(ex, ey, lm.view_distances(ex, ey, cfg),
+                             triplets, cfg).loss * scale
 
-    result = hinge_loss(emb_x, emb_y, triplets, cfg)
+    result = lm.hinge_loss(emb_x, emb_y, triplets.dists, triplets, cfg)
     grads_x = backward_branch(tapes_x, result.grad_x * scale)
     grads_y = backward_branch(tapes_y, result.grad_y * scale)
 

@@ -15,7 +15,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write, read_tsv, tsv_line
+from .data import atomic_write, check_batch_pairs, read_tsv, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import check_unit_interval, query_distances
 from .network import learning_rate
@@ -156,11 +156,13 @@ def fine_tune(params, opt, graph, features_x, features_y, hn, loss_cfg,
     their phrase whenever that phrase is sampled.
 
     Raises:
-        ConfigError: ``negatives_per_anchor`` below 1.
+        ConfigError: ``negatives_per_anchor`` below 1 or ``batch_pairs``
+            below 2, before ``opt`` restarts.
 
     Returns:
         list of EpochStats.
     """
+    check_batch_pairs(batch_pairs)
     if negatives_per_anchor < 1:
         raise ConfigError(f"negatives_per_anchor must be >= 1, got "
                           f"{negatives_per_anchor}")

@@ -32,17 +32,20 @@ first, ties by lower candidate index; a pair with more than top_k
 candidates is partitioned to its top_k-th largest violation, so only
 top_k entries are sorted.
 
-Every hinge is a difference of two entries of one pairwise distance
-matrix per view pair, and its gradient flows back through that
-matrix's backward: tensor_core.distance_weights, then
+Mining and the loss read the same distances: view_distances forms one
+pairwise distance matrix per view pair that a weighted family reads,
+mine_triplets hands them on in its TripletSet, and every hinge is a
+difference of two entries of one of them.  Its gradient flows back
+through that matrix's backward: tensor_core.distance_weights, then
 tensor_core.distance_side_grad for each of the pair's two views.
 
-At the paper shape both run on the CPUs a single-threaded BLAS leaves
-idle (see tensor_core.map_slabs): mining forms its view pairs'
-distance matrices beside one another and splits every family's pair
-rows into row slabs, and the hinge works each view pair (distances,
-coefficients, backward) beside the others.  Results are combined in one
-fixed order, so their bits do not depend on the worker count.
+At the paper shape the heavy stages run on the CPUs a single-threaded
+BLAS leaves idle (see tensor_core.map_slabs): view_distances forms its
+matrices beside one another, mining splits every family's pair rows
+into row slabs, and the hinge forms the side gradients of its view
+pairs beside one another, largest first.  The hinge's coefficients and
+distance weights run on the calling thread.  Results are combined in
+one fixed order, so their bits do not depend on the worker count.
 """
 
 from dataclasses import dataclass, field
@@ -113,12 +116,16 @@ class TripletSet:
     4 anchor in the y view.  Positive/negative columns live in the y
     view for family 1, the x view for family 2, and the anchor's own
     view for families 3 and 4.
+
+    ``dists`` holds the matrices the triplets were mined on, as
+    view_distances returns them; a set built by hand holds none.
     """
 
     image_to_sentence: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     sentence_to_image: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     image_structure: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     sentence_structure: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
+    dists: dict = field(default_factory=dict)
 
     def counts(self):
         return {name: int(getattr(self, name).shape[0])
@@ -243,6 +250,20 @@ def _excluded(pos, opp_nb):
     return pos.astype(np.float64) @ opp_nb.astype(np.float64) > 0.0
 
 
+def view_distances(emb_x, emb_y, cfg):
+    """View pair ("x", "y"), ("x", "x") or ("y", "y") -> its
+    pairwise_distances matrix, for each pair that a family weighted in
+    ``cfg`` reads, formed beside one another unless small."""
+    weights = cfg.family_weights()
+    emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
+    pairs = list(dict.fromkeys(_view_pair(name) for name in FAMILY_NAMES
+                               if weights[name] > 0))
+    return dict(zip(pairs, tc.map_slabs(
+        lambda va, vb, _: pairwise_distances(emb[va], emb[vb]), pairs, (),
+        inline=not tc.worth_splitting(sum(len(emb[va]) * len(emb[vb])
+                                          for va, vb in pairs)))))
+
+
 def mine_triplets(emb_x, emb_y, batch, cfg):
     """Enumerate the top_k most violated triplets of every family.
 
@@ -267,25 +288,17 @@ def mine_triplets(emb_x, emb_y, batch, cfg):
             with an entry outside [-1, ny).
 
     Returns:
-        TripletSet.
+        TripletSet, whose ``dists`` are the view_distances it was mined
+        on.
     """
     emb_x = as_matrix(emb_x, "emb_x")
     emb_y = as_matrix(emb_y, "emb_y")
     nx, ny = emb_x.shape[0], emb_y.shape[0]
     pos, x_nb, y_nb, owner = _checked_masks(batch, nx, ny)
     reserved = owner >= 0
-
-    # the distance matrices of the view pairs the mined families read,
-    # beside one another unless they are small
-    weights = cfg.family_weights()
-    names = [name for name in FAMILY_NAMES if weights[name] > 0]
-    emb = {"x": emb_x, "y": emb_y}
-    pairs = list(dict.fromkeys(_view_pair(name) for name in names))
-    dists = dict(zip(pairs, tc.map_slabs(
-        lambda va, vb, _: pairwise_distances(emb[va], emb[vb]), pairs, (),
-        inline=not tc.worth_splitting(sum(len(emb[va]) * len(emb[vb])
-                                          for va, vb in pairs)))))
-    # each family's (anchor, positive) pairs and allowed candidates
+    dists = view_distances(emb_x, emb_y, cfg)
+    # each weighted family's (anchor, positive) pairs and allowed
+    # candidates, in family order
     masks = {"image_to_sentence": (pos, ~_excluded(pos, y_nb))}
     if cfg.lambda1 > 0:
         own = ~reserved | (owner == np.arange(ny)[:, None])
@@ -297,13 +310,10 @@ def mine_triplets(emb_x, emb_y, batch, cfg):
         masks["sentence_structure"] = (y_nb & ~np.eye(ny, dtype=bool),
                                        ~y_nb)
     mined = _top_violations(
-        [(_oriented(dists[_view_pair(name)], name),
-          *np.nonzero(masks[name][0]), masks[name][1]) for name in names],
+        [(_oriented(dists[_view_pair(name)], name), *np.nonzero(pairs),
+          allowed) for name, (pairs, allowed) in masks.items()],
         cfg.margin, cfg.top_k)
-    out = TripletSet()
-    for name, triplets in zip(names, mined):
-        setattr(out, name, triplets)
-    return out
+    return TripletSet(**dict(zip(masks, mined)), dists=dists)
 
 
 # ---------------------------------------------------------------------------
@@ -339,45 +349,23 @@ def _view_pair(name):
     return tuple(sorted(FAMILY_VIEWS[name]))
 
 
-def _view_pairs(triplets):
-    """View pair -> the families with mined triplets that read its
-    distances, both in family order."""
-    pairs = {}
-    for name in FAMILY_NAMES:
-        if getattr(triplets, name).shape[0]:
-            pairs.setdefault(_view_pair(name), []).append(name)
-    return pairs
-
-
-def _pair_violations(emb, pair, names, triplets, margin):
-    """(distances, {family: hinge arguments}) of one view pair."""
-    dist = pairwise_distances(emb[pair[0]], emb[pair[1]])
-    viols = {}
-    for name in names:
-        d = _oriented(dist, name)
-        a, p, n = getattr(triplets, name).T
-        viols[name] = margin + d[a, p] - d[a, n]
-    return dist, viols
-
-
-def triplet_violations(emb_x, emb_y, triplets, margin):
-    """Hinge arguments m + d(a, p) - d(a, n) of every mined triplet.
-
-    One pairwise_distances matrix is computed per view pair that a
-    family with mined triplets uses.
+def triplet_violations(dists, triplets, margin):
+    """Hinge arguments m + d(a, p) - d(a, n) of every mined triplet,
+    read from ``dists``, view pair -> distance matrix (see
+    view_distances).
 
     Returns:
-        (dists, viols): ``dists`` maps a view pair ("x", "y"),
-        ("x", "x") or ("y", "y") to its distance matrix, ``viols`` maps
-        each family with mined triplets to one value per triplet.
+        family -> one value per triplet, for each family with mined
+        triplets, in family order.
     """
-    emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
-    dists, viols = {}, {}
-    for pair, names in _view_pairs(triplets).items():
-        dists[pair], pair_viols = _pair_violations(emb, pair, names,
-                                                   triplets, margin)
-        viols.update(pair_viols)
-    return dists, viols
+    viols = {}
+    for name in FAMILY_NAMES:
+        mined = getattr(triplets, name)
+        if mined.shape[0]:
+            d = _oriented(dists[_view_pair(name)], name)
+            a, p, n = mined.T
+            viols[name] = margin + d[a, p] - d[a, n]
+    return viols
 
 
 def _entry_counts(shape, rows, cols):
@@ -385,78 +373,66 @@ def _entry_counts(shape, rows, cols):
     return flat.reshape(shape)
 
 
-def hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
+def hinge_loss(emb_x, emb_y, dists, triplets, cfg, scales=None):
     """Weighted hinge loss over a TripletSet, with embedding gradients.
 
-    The loss's derivative with respect to the distances gathers +c at
-    (a, p) and -c at (a, n) for every active triplet, in one
-    coefficient matrix per view pair; tc.distance_weights and the two
-    tc.distance_side_grad sides turn each into embedding gradients.  The
-    view pairs are independent, so unless their distance matrices hold
-    fewer than tc.SLAB_MIN_FLOATS floats in all, two tc.map_slabs calls
-    run them beside one another: one forms each pair's distances,
-    hinge arguments, coefficients and distance weights (the y-y pair
-    beside the x-y one), the next each pair's two side gradients, the
-    largest first.  The results combine in one order at any worker
-    count: the loss in family order, each view's gradient x-y pair
-    first.
+    Every hinge reads its two distances from ``dists``, which the loss
+    never forms itself.  The loss's derivative with respect to the
+    distances gathers +c at (a, p) and -c at (a, n) for every active
+    triplet, in one coefficient matrix per view pair, which
+    tc.distance_weights turns into weights on the calling thread.  The
+    two tc.distance_side_grad sides of every view pair then run beside
+    one another, the largest first, unless the weights hold fewer than
+    tc.SLAB_MIN_FLOATS floats in all.  The results combine in one order
+    at any worker count: the loss in family order, each view's gradient
+    x-y pair first.
 
     Args:
+        dists: view pair -> distance matrix of these embeddings, as
+            view_distances returns it, for each pair the triplets read.
         scales: optional family name -> factor s_f.  Family f adds
             w_f * s_f times its hinge sum to the loss, so c = w_f * s_f;
             a family not named has s_f = 1.
+
+    Raises:
+        DimensionError: a matrix not sized to the embeddings' rows.
 
     Returns:
         LossResult.
     """
     scales = scales or {}
     emb = {"x": as_matrix(emb_x, "emb_x"), "y": as_matrix(emb_y, "emb_y")}
+    for (va, vb), dist in dists.items():
+        if dist.shape != (len(emb[va]), len(emb[vb])):
+            raise DimensionError(f"{va}-{vb} distances of shape {dist.shape}"
+                                 f" for {len(emb[va])} x {len(emb[vb])} rows")
     weights = cfg.family_weights()
-    pairs = _view_pairs(triplets)
-    inline = not tc.worth_splitting(sum(len(emb[va]) * len(emb[vb])
-                                        for va, vb in pairs))
-
-    def pair_terms(va, vb, _):
-        """({family: (c, hinge sum)}, the distance weights or None)."""
-        dist, viols = _pair_violations(emb, (va, vb), pairs[va, vb],
-                                       triplets, cfg.margin)
-        coeff = np.zeros_like(dist)
-        terms = {}
-        for name, h in viols.items():
-            active = h > 0.0
-            c = weights[name] * scales.get(name, 1.0)
-            terms[name] = c, float(h[active].sum())
-            if c != 0.0 and active.any():
-                a, p, n = getattr(triplets, name)[active].T
-                oriented = _oriented(coeff, name)
-                oriented += c * (_entry_counts(oriented.shape, a, p)
-                                 - _entry_counts(oriented.shape, a, n))
-        return terms, (tc.distance_weights(dist, coeff) if coeff.any()
-                       else None)
-
-    by_pair = dict(zip(pairs, tc.map_slabs(pair_terms, list(pairs), (),
-                                           inline=inline)))
-    # then each side's gradient of each view pair, the largest first
-    sides = sorted(((va, vb, side) for (va, vb), (_, w) in by_pair.items()
-                    if w is not None for side in "ab"),
+    sums = dict.fromkeys(FAMILY_NAMES, 0.0)
+    loss = 0.0
+    coeffs = {pair: np.zeros_like(dist) for pair, dist in dists.items()}
+    for name, h in triplet_violations(dists, triplets, cfg.margin).items():
+        active = h > 0.0
+        c = weights[name] * scales.get(name, 1.0)
+        sums[name] = float(h[active].sum())
+        loss += c * sums[name]
+        if c != 0.0 and active.any():
+            a, p, n = getattr(triplets, name)[active].T
+            oriented = _oriented(coeffs[_view_pair(name)], name)
+            oriented += c * (_entry_counts(oriented.shape, a, p)
+                             - _entry_counts(oriented.shape, a, n))
+    # a pair may have no active triplet, or coefficients that cancel
+    dist_weights = {pair: tc.distance_weights(dists[pair], coeff)
+                    for pair, coeff in coeffs.items() if coeff.any()}
+    sides = sorted(((va, vb, side) for va, vb in dist_weights
+                    for side in "ab"),
                    key=lambda job: -len(emb[job[0]]) * len(emb[job[1]]))
     side_grads = dict(zip(sides, tc.map_slabs(
         lambda va, vb, side, _: tc.distance_side_grad(
-            by_pair[va, vb][1], emb[va], emb[vb], side),
-        sides, (), inline=inline)))
-    sums = dict.fromkeys(FAMILY_NAMES, 0.0)
-    loss = 0.0
+            dist_weights[va, vb], emb[va], emb[vb], side),
+        sides, (), inline=not tc.worth_splitting(
+            sum(w.size for w in dist_weights.values())))))
     grads = {"x": np.zeros_like(emb["x"]), "y": np.zeros_like(emb["y"])}
-    for (va, vb), (terms, w) in by_pair.items():
-        for name, (c, fam_sum) in terms.items():
-            sums[name] = fam_sum
-            loss += c * fam_sum
-        if w is not None:
-            grads[va] += side_grads[va, vb, "a"]
-            grads[vb] += side_grads[va, vb, "b"]
-    return LossResult(
-        loss=loss,
-        grad_x=grads["x"],
-        grad_y=grads["y"],
-        family_sums=sums,
-    )
+    for va, vb in dist_weights:
+        grads[va] += side_grads[va, vb, "a"]
+        grads[vb] += side_grads[va, vb, "b"]
+    return LossResult(loss, grads["x"], grads["y"], sums)

@@ -31,9 +31,7 @@ rows, and a product over a slab of two or more rows has the bits of the
 same rows of the whole product.  The calling thread allocates every
 slab-sized buffer, which the layers fill through their ``out`` arrays,
 so that freed temporaries do not pile up in the workers' own malloc
-arenas.  One exception is left: an eval forward's ReLU mask, a bool
-array of the slab's hidden layer, which tc.relu_forward allocates in
-the worker for each slab.
+arenas.
 """
 
 import hashlib
@@ -41,7 +39,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import inf, isfinite, prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -303,8 +301,7 @@ def forward_branch(params, branch, inputs, mode, rng=None):
     (``_dense_layers``: affine, ReLU, dropout, affine) runs on row slabs
     on up to tc.SLAB_WORKERS threads, into buffers the calling thread
     allocates, so the workers free no slab-sized temporaries into their
-    own malloc arenas; the one exception is eval mode's ReLU mask, which
-    tc.relu_forward allocates in the worker for each slab.
+    own malloc arenas.
 
     In train mode there is one slab per worker, of equal heights
     (``tc.worker_slabs``; one slab of all rows when the hidden layer
@@ -321,9 +318,10 @@ def forward_branch(params, branch, inputs, mode, rng=None):
 
     In eval mode the chain runs on each row slab of ``_row_slabs``
     (about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats), through
-    ``out`` into a widened-input, a hidden and a pre-norm buffer and
-    into the slab's rows of one (n, embed_dim) output, so the pass never
-    holds a widened copy of all inputs or their whole hidden layer.
+    ``out`` into a widened-input, a hidden and a pre-norm buffer, with
+    the ReLU mask in the bytes of a fourth, and into the slab's rows of
+    one (n, embed_dim) output, so the pass never holds a widened copy of
+    all inputs or their whole hidden layer.
 
     The bits are those of one pass over all rows, whatever the worker
     count and slab bounds: every slabbed layer is row-local, a layer
@@ -374,14 +372,17 @@ def forward_branch(params, branch, inputs, mode, rng=None):
         x_buf, h_buf, o_buf = (
             buf[:(stop - start) * cols].reshape(stop - start, cols)
             for buf, cols in zip(scratch, widths))
+        mask = scratch[3].view(bool)[:h_buf.size].reshape(h_buf.shape)
         np.copyto(x_buf, inputs[start:stop])
-        _dense_layers(p, spec, x_buf, "eval", h_buf, o_buf)
+        _dense_layers(p, spec, x_buf, "eval", h_buf, o_buf, relu_mask=mask)
         h, _ = tc.batchnorm_forward(
             o_buf, p.gamma, p.beta, p.running_mean, p.running_var, "eval",
             momentum=params.bn_momentum, eps=params.bn_eps, out=o_buf)
         tc.l2_normalize_rows(h, out=emb[start:stop])
 
-    tc.map_slabs(slab, slabs, [rows * cols for cols in widths])
+    # and a float64 scratch whose bytes hold the slab's ReLU mask
+    tc.map_slabs(slab, slabs, [rows * cols for cols in widths]
+                 + [-(-rows * spec.hidden_dim // 8)])
     return emb, None
 
 
@@ -748,7 +749,9 @@ def load_checkpoint(path):
     is about one file size.  The checksum is verified before anything
     is returned and before any format fault is reported: a truncated or
     corrupted file raises ChecksumError, and a header that claims more
-    bytes than the file has left is never allocated.
+    bytes than the file has left is never allocated.  A record holding
+    NaN or infinity is a FormatError, as training never saves one; each
+    is checked while the worker hashes it.
 
     Returns:
         (params, opt).
@@ -784,6 +787,9 @@ def load_checkpoint(path):
                 mat = read(rows * cols * 8, f"{name} data", (rows, cols))
                 if name in tensors:
                     raise FormatError(f"{path}: duplicate record {name}")
+                if not np.isfinite(mat).all():
+                    raise FormatError(f"{path}: record {name} holds "
+                                      f"{mat[~np.isfinite(mat)][0]}")
                 tensors[name] = mat
         except (FormatError, ValueError) as exc:
             # a corrupt header can also fail to decode as UTF-8 or claim
@@ -819,12 +825,12 @@ def _rebuild(tensors, path):
     # each scalar, checked for its kind, as a keyword of its owner
     scalars = {owner: {} for owner, _, _ in _SCALAR_TABLE.values()}
     for name, (owner, attr, kind) in _SCALAR_TABLE.items():
+        # every record is finite by now
         value = float(take(name, ()))
-        if not (isfinite(value) if kind == "finite"
-                else value.is_integer() and 0 <= value <= MAX_SEED):
+        if kind == "whole" and not (value.is_integer()
+                                    and 0 <= value <= MAX_SEED):
             raise FormatError(f"{path}: record {name} holds {value}, "
-                              f"expected a {kind} number"
-                              + (" in [0, 2^53]" if kind == "whole" else ""))
+                              "expected a whole number in [0, 2^53]")
         scalars[owner][attr] = value if kind == "finite" else int(value)
     specs, branches = {}, {}
     for prefix in ("x", "y"):

@@ -1,12 +1,13 @@
 """Epoch-driven SGD training over a correspondence graph.
 
 One training step runs a single train-mode forward per branch, mines
-triplets on those embeddings, computes the hinge loss in one call, and
-applies one momentum-SGD update.  Each constraint family is normalized
-by its own mined-triplet count, passed to hinge_loss as the family's
-scale 1/count, so a family's force on the parameters does not depend on
-how many triplets the other families happened to yield; the recorded
-loss is the same weighted per-family mean.
+triplets on those embeddings, computes the hinge loss in one call on
+mining's distance matrices, and applies one momentum-SGD update.  Each
+constraint family is normalized by its own mined-triplet count, passed
+to hinge_loss as the family's scale 1/count, so a family's force on the
+parameters does not depend on how many triplets the other families
+happened to yield; the recorded loss is the same weighted per-family
+mean.
 
 Training stops with DivergenceError, naming the epoch and step, as soon
 as an embedding, the loss or a gradient norm is NaN or infinite, and at
@@ -44,7 +45,8 @@ class EpochStats:
 
 
 def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
-    """One forward/mine/loss/backward/update cycle.
+    """One forward/mine/loss/backward/update cycle, whose hinge loss
+    reads the distance matrices that mining formed.
 
     Raises:
         DivergenceError: an embedding, the loss or a gradient norm is
@@ -68,7 +70,8 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
     if triplets.total == 0:
         return 0.0, counts
     scales = {name: 1.0 / n for name, n in counts.items() if n}
-    result = hinge_loss(emb_x, emb_y, triplets, loss_cfg, scales=scales)
+    result = hinge_loss(emb_x, emb_y, triplets.dists, triplets, loss_cfg,
+                        scales=scales)
     if not np.isfinite(result.loss):
         raise DivergenceError(f"loss is {result.loss}")
     norms = backward_and_step(params, opt, tapes_x, tapes_y, result.grad_x,
@@ -99,7 +102,8 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
             the last call and the return.
 
     Raises:
-        ConfigError: ``epochs`` below 0.
+        ConfigError: ``epochs`` below 0 or ``batch_pairs`` below 2,
+            before the first epoch.
         DivergenceError: a value went non-finite; the message names the
             epoch and, for a step's check, the step (both 0-based).
 
@@ -108,6 +112,7 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    data_mod.check_batch_pairs(batch_pairs)
     history = []
     for _ in range(epochs):
         opt.lr = learning_rate(opt.epoch, opt.lr0)

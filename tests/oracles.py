@@ -274,8 +274,9 @@ def gathered_hinge_loss(emb_x, emb_y, triplets, cfg):
 def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
     """The weighted per-family mean loss, one hinge_loss call per family.
 
-    Each family with mined triplets gets its own one-family TripletSet;
-    its loss and gradients are divided by its triplet count and summed.
+    Each family with mined triplets gets its own one-family TripletSet,
+    scored on the mined set's distances; its loss and gradients are
+    divided by its triplet count and summed.
 
     Returns:
         (loss, grad_x, grad_y).
@@ -289,7 +290,7 @@ def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
             continue
         only = TripletSet()
         setattr(only, name, mined)
-        part = hinge_loss(emb_x, emb_y, only, cfg)
+        part = hinge_loss(emb_x, emb_y, triplets.dists, only, cfg)
         scale = 1.0 / mined.shape[0]
         loss += part.loss * scale
         grad_x += part.grad_x * scale
@@ -298,12 +299,17 @@ def per_family_hinge_loss(emb_x, emb_y, triplets, cfg):
 
 
 def serial_hinge_loss(emb_x, emb_y, triplets, cfg, scales=None):
-    """hinge_loss with its view pairs worked one after another, the
-    loss summed in family order and each gradient accumulated in view
-    pair order: (loss, grad_x, grad_y)."""
+    """hinge_loss with its view pairs worked one after another on
+    distances of its own, the loss summed in family order and each
+    gradient accumulated in view pair order: (loss, grad_x, grad_y)."""
     scales = scales or {}
     emb = {"x": as_matrix(emb_x), "y": as_matrix(emb_y)}
-    dists, viols = triplet_violations(emb_x, emb_y, triplets, cfg.margin)
+    dists = {}
+    for name in FAMILY_NAMES:
+        pair = tuple(sorted(FAMILY_VIEWS[name]))
+        if getattr(triplets, name).shape[0] and pair not in dists:
+            dists[pair] = pairwise_distances(emb[pair[0]], emb[pair[1]])
+    viols = triplet_violations(dists, triplets, cfg.margin)
     coeffs = {pair: np.zeros_like(d) for pair, d in dists.items()}
     weights = cfg.family_weights()
     loss = 0.0

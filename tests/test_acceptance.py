@@ -88,10 +88,8 @@ def test_criterion_2_mining_oracle():
         emb_x = unit_rows(rng, nx, 8)
         emb_y = unit_rows(rng, ny, 8)
 
-        mined = lm.hinge_loss(emb_x, emb_y,
-                              lm.mine_triplets(emb_x, emb_y, graph,
-                                               cfg_full),
-                              cfg_full).loss
+        trip = lm.mine_triplets(emb_x, emb_y, graph, cfg_full)
+        mined = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg_full).loss
         brute = oracles.brute_force_loss(emb_x, emb_y, graph, cfg_full)
         rel = abs(mined - brute) / max(1.0, abs(brute))
         worst_rel = max(worst_rel, rel)
@@ -177,10 +175,10 @@ def test_criterion_5_loss_term_algebra():
         cfg_on = lm.LossConfig(lambda1=2.0, lambda2=0.5, lambda3=0.2)
         cfg_off = lm.LossConfig(lambda1=2.0, lambda2=0.0, lambda3=0.0)
         trip_on = lm.mine_triplets(emb_x, emb_y, graph, cfg_on)
-        res_on = lm.hinge_loss(emb_x, emb_y, trip_on, cfg_on)
-        res_off = lm.hinge_loss(
-            emb_x, emb_y, lm.mine_triplets(emb_x, emb_y, graph, cfg_off),
-            cfg_off)
+        res_on = lm.hinge_loss(emb_x, emb_y, trip_on.dists, trip_on, cfg_on)
+        trip_off = lm.mine_triplets(emb_x, emb_y, graph, cfg_off)
+        res_off = lm.hinge_loss(emb_x, emb_y, trip_off.dists, trip_off,
+                                cfg_off)
         assert res_on.loss >= res_off.loss
 
         sums = res_on.family_sums
@@ -191,7 +189,7 @@ def test_criterion_5_loss_term_algebra():
         assert abs(res_on.loss - recombined) < 1e-12
 
         cfg_l4 = lm.LossConfig(lambda1=4.0, lambda2=0.5, lambda3=0.2)
-        res_l4 = lm.hinge_loss(emb_x, emb_y, trip_on, cfg_l4)
+        res_l4 = lm.hinge_loss(emb_x, emb_y, trip_on.dists, trip_on, cfg_l4)
         assert res_l4.family_sums == sums
         assert abs((res_l4.loss - res_on.loss)
                    - 2.0 * sums["sentence_to_image"]) < 1e-12

@@ -6,11 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twobranch import cli, data, evaluation, hard_negatives, training
 from twobranch import network as nw
-from twobranch.errors import ConfigError, DivergenceError
+from twobranch.errors import ConfigError, DivergenceError, TwoBranchError
 
 
 def run_cli(*argv):
@@ -478,6 +480,30 @@ class TestTrainCommand:
         assert not (tmp_path / "model.ckpt").exists()
         assert f"record {name} holds" in caplog.text
 
+    @pytest.mark.parametrize("epochs", ["2", "0"])
+    def test_one_pair_batches_exit_one(self, workdir, tmp_path, epochs,
+                                       caplog):
+        # every one-pair chunk would be dropped, so the run would train
+        # nothing and save the untrained state
+        assert run_cli(*self.train_args(workdir, tmp_path, "--epochs", epochs,
+                                        "--batch-pairs", "1")) == 1
+        assert os.listdir(tmp_path) == []
+        assert "batch_pairs must be >= 2, got 1" in caplog.text
+
+    def test_one_pair_fine_tune_exits_one(self, workdir, tmp_path):
+        loc = workdir["loc"]
+        negatives = tmp_path / "hn.tsv"
+        negatives.write_text("phrase_000\t5\t0.5\n")
+        assert run_cli("train",
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--pairs", str(loc / "pairs.tsv"),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--checkpoint-out", str(tmp_path / "ft.ckpt"),
+                       "--hard-negatives", str(negatives),
+                       "--fine-tune-epochs", "1", "--batch-pairs", "1") == 1
+        assert not (tmp_path / "ft.ckpt").exists()
+
     def test_fine_tune_epochs_below_zero_exits_one(self, workdir, tmp_path):
         loc = workdir["loc"]
         negatives = tmp_path / "hn.tsv"
@@ -830,3 +856,81 @@ class TestGradCheckCommand:
                        f"--tolerance={tolerance}") == 1
         assert "tolerance must be finite and > 0" in caplog.text
         assert "passed" not in caplog.text
+
+
+# A scalar setting, a weight or a velocity may hold any of these.
+HOSTILE_VALUES = (np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324, 0.5,
+                  1.5, 2.0**53, 2.0**53 + 2, 1e300, -1e300)
+
+
+def fuzzed_checkpoint(draw, good):
+    """Bytes of a hostile checkpoint drawn from the checkpoint ``good``:
+    arbitrary bytes, a truncation, one flipped byte, or records edited
+    into hostile ones behind a forged checksum."""
+    # record edits twice as often: only they get past the checksum
+    kind = draw(st.sampled_from(["bytes", "truncated", "flipped",
+                                 "records", "records"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    raw = good.read_bytes()
+    if kind == "truncated":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flipped":
+        at = draw(st.integers(0, len(raw) - 1))
+        return (raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))])
+                + raw[at + 1:])
+    records = oracles.checkpoint_records(*nw.load_checkpoint(good))
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly a record the loader knows, now and then a new name
+        name = draw(st.sampled_from(sorted(records) + [""]))
+        name = name or draw(st.text(max_size=12))
+        held = records.get(name, np.zeros((1, 1)))
+        edit = draw(st.sampled_from(["drop", "fill", "entry", "shape"]))
+        if edit == "drop":
+            records.pop(name, None)
+        elif edit == "shape":
+            records[name] = np.full(
+                (draw(st.integers(0, 20)), draw(st.integers(0, 20))),
+                draw(st.sampled_from(HOSTILE_VALUES)))
+        elif edit == "fill":
+            records[name] = np.full(held.shape,
+                                    draw(st.sampled_from(HOSTILE_VALUES)))
+        elif held.size:
+            records[name] = held.copy()
+            records[name].flat[draw(st.integers(0, held.size - 1))] = \
+                draw(st.sampled_from(HOSTILE_VALUES))
+    return oracles.records_checkpoint_bytes(records)
+
+
+class TestHostileCheckpoint:
+    # bounded: about 1.5 s of tier-1 time on 2 CPUs
+    @settings(max_examples=60, deadline=5000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_loads_or_fails_with_package_error(self, workdir, data):
+        # A hostile file either loads or raises a TwoBranchError, and a
+        # resumed train exits 0 or 1, never 2.  It runs no epoch, so
+        # the file's settings are not trained with: a finite but huge
+        # learning rate diverges, which exits 2 by design.
+        root = workdir["root"]
+        ret = workdir["ret"]
+        bad, out = root / "hostile.ckpt", root / "hostile_out.ckpt"
+        bad.write_bytes(fuzzed_checkpoint(data.draw, ret / "model.ckpt"))
+        out.unlink(missing_ok=True)
+        try:
+            nw.load_checkpoint(bad)
+            loaded = True
+        except TwoBranchError:
+            loaded = False
+        code = run_cli("train", "--features-x", str(ret / "x.feat"),
+                       "--features-y", str(ret / "y.feat"),
+                       "--pairs", str(ret / "pairs.tsv"),
+                       "--checkpoint-in", str(bad),
+                       "--checkpoint-out", str(out), "--epochs", "0",
+                       "--batch-pairs", "6")
+        assert code in (0, 1)
+        assert code == 1 or loaded
+        assert out.exists() == (code == 0)
+        if code == 0:
+            # non-finite values never reach a checkpoint
+            assert nw.non_finite_tensors(*nw.load_checkpoint(out)) == []

@@ -636,6 +636,15 @@ class TestEpochBatches:
         assert len(batches) == 1
         assert batches[0].pair_indices.shape == (per,)
 
+    @pytest.mark.parametrize("per", [1, 0])
+    def test_fewer_than_two_pairs_refused(self, per):
+        # a one-pair chunk cannot feed batch statistics, so every chunk
+        # would be dropped and the epoch would train nothing
+        d = small_corpus()
+        with pytest.raises(ConfigError, match="batch_pairs must be >= 2"):
+            next(data.epoch_batches(d.graph, per, False,
+                                    np.random.default_rng(0)))
+
     def test_deterministic(self):
         d = small_corpus()
         a = [b.pair_indices for b in

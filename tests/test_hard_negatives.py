@@ -10,7 +10,7 @@ import pytest
 import oracles
 from twobranch import data, evaluation as ev, hard_negatives as hn_mod
 from twobranch import network as nw, training
-from twobranch.errors import ConsistencyError, FormatError
+from twobranch.errors import ConfigError, ConsistencyError, FormatError
 from twobranch.loss_mining import LossConfig
 
 
@@ -353,6 +353,18 @@ class TestFineTune:
             assert h.family_counts["sentence_structure"] == 0
         assert sum(h.family_counts["sentence_to_image"]
                    for h in history) > 0
+
+    def test_one_pair_batches_refused_before_restart(self):
+        # every one-pair chunk would be dropped; opt keeps its schedule
+        d, graph, params, opt, _ = localization_setup(seed=7,
+                                                      stage1_epochs=0)
+        opt.epoch, opt.lr = 5, 0.01
+        with pytest.raises(ConfigError, match="batch_pairs must be >= 2"):
+            hn_mod.fine_tune(params, opt, graph, d.regions, d.phrases,
+                             hn_mod.HardNegativeSet(),
+                             LossConfig(lambda2=0.0, lambda3=0.0), 1, 1,
+                             False, np.random.default_rng(3))
+        assert (opt.epoch, opt.lr) == (5, 0.01)
 
     def test_out_of_range_negative_rejected(self):
         d, graph, params, opt, _ = localization_setup(seed=7,

@@ -93,7 +93,8 @@ class TestMineTriplets:
         cfg = lm.LossConfig(margin=0.1, top_k=50)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
         only = lm.TripletSet(image_to_sentence=np.array([[0, 0, 1]]))
-        res = lm.hinge_loss(emb_x, emb_y, only, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, lm.view_distances(emb_x, emb_y, cfg),
+                            only, cfg)
         assert abs(res.loss - 0.05) < 1e-12
 
     def test_neighborhood_never_negative(self):
@@ -302,7 +303,8 @@ class TestHingeLoss:
     def test_empty_triplets(self):
         emb_x = np.ones((3, 4))
         emb_y = np.ones((5, 4))
-        res = lm.hinge_loss(emb_x, emb_y, lm.TripletSet(), lm.LossConfig())
+        res = lm.hinge_loss(emb_x, emb_y, {}, lm.TripletSet(),
+                            lm.LossConfig())
         assert res.loss == 0.0
         assert np.array_equal(res.grad_x, np.zeros_like(emb_x))
         assert np.array_equal(res.grad_y, np.zeros_like(emb_y))
@@ -313,7 +315,8 @@ class TestHingeLoss:
         emb_x = np.array([[0.2, 0.0], [0.25, 0.0]])
         trip = lm.TripletSet(sentence_to_image=np.array([[0, 0, 1]]))
         cfg = lm.LossConfig(margin=0.1, lambda1=2.0)
-        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, lm.view_distances(emb_x, emb_y, cfg),
+                            trip, cfg)
         assert abs(res.loss - 0.10) < 1e-12
 
     def test_loss_matches_enumerated_sums(self):
@@ -324,7 +327,7 @@ class TestHingeLoss:
         emb_x = unit_rows(rng, 10, 5)
         emb_y = unit_rows(rng, 12, 5)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
-        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg)
         fam = oracles.enumerate_family_triplets(emb_x, emb_y, graph,
                                                 cfg.margin, cfg.top_k)
         want = oracles.loss_of_families(fam, cfg.family_weights())
@@ -338,7 +341,7 @@ class TestHingeLoss:
         emb_x = unit_rows(rng, 9, 4)
         emb_y = unit_rows(rng, 11, 4)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
-        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg)
         recombined = sum(cfg.family_weights()[n] * res.family_sums[n]
                          for n in lm.FAMILY_NAMES)
         assert abs(res.loss - recombined) < 1e-12
@@ -353,8 +356,8 @@ class TestHingeLoss:
         cfg_b = lm.LossConfig(margin=0.1, lambda1=4.0, lambda2=0.3,
                               lambda3=0.2)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg_a)
-        res_a = lm.hinge_loss(emb_x, emb_y, trip, cfg_a)
-        res_b = lm.hinge_loss(emb_x, emb_y, trip, cfg_b)
+        res_a = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg_a)
+        res_b = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg_b)
         for name in lm.FAMILY_NAMES:
             assert res_a.family_sums[name] == res_b.family_sums[name]
         assert abs((res_b.loss - res_a.loss)
@@ -368,16 +371,20 @@ class TestHingeLoss:
         with_structure = lm.LossConfig(margin=0.1, lambda2=0.3, lambda3=0.2)
         without = lm.LossConfig(margin=0.1, lambda2=0.0, lambda3=0.0)
         trip = lm.mine_triplets(emb_x, emb_y, graph, with_structure)
-        loss_with = lm.hinge_loss(emb_x, emb_y, trip, with_structure).loss
+        loss_with = lm.hinge_loss(emb_x, emb_y, trip.dists, trip,
+                                  with_structure).loss
         trip0 = lm.mine_triplets(emb_x, emb_y, graph, without)
-        loss_without = lm.hinge_loss(emb_x, emb_y, trip0, without).loss
+        loss_without = lm.hinge_loss(emb_x, emb_y, trip0.dists, trip0,
+                                     without).loss
         assert loss_with >= loss_without
 
     def test_gradient_sparsity(self):
         emb_x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
         emb_y = np.array([[0.2, 0.0], [0.0, 0.25], [7.0, 7.0]])
         trip = lm.TripletSet(image_to_sentence=np.array([[0, 0, 1]]))
-        res = lm.hinge_loss(emb_x, emb_y, trip, lm.LossConfig())
+        cfg = lm.LossConfig()
+        res = lm.hinge_loss(emb_x, emb_y, lm.view_distances(emb_x, emb_y, cfg),
+                            trip, cfg)
         assert np.array_equal(res.grad_x[1], np.zeros(2))
         assert np.array_equal(res.grad_x[2], np.zeros(2))
         assert np.array_equal(res.grad_y[2], np.zeros(2))
@@ -394,10 +401,13 @@ class TestHingeLoss:
         emb_x = unit_rows(rng, 8, 4)
         emb_y = unit_rows(rng, 9, 4)
         trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
-        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg)
 
         def loss():
-            return lm.hinge_loss(emb_x, emb_y, trip, cfg).loss
+            # the distances of the perturbed embeddings
+            return lm.hinge_loss(emb_x, emb_y,
+                                 lm.view_distances(emb_x, emb_y, cfg), trip,
+                                 cfg).loss
 
         assert max_relative_error(
             res.grad_x, central_difference(loss, emb_x)) < 1e-5
@@ -426,7 +436,8 @@ class TestViewPairSlabs:
                 trip.image_structure = trip.image_structure[:0]
             scales = {name: 1.0 / (n + 1)
                       for name, n in trip.counts().items()}
-            res = lm.hinge_loss(emb_x, emb_y, trip, cfg, scales=scales)
+            res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg,
+                                scales=scales)
             loss, gx, gy = oracles.serial_hinge_loss(emb_x, emb_y, trip, cfg,
                                                      scales=scales)
             assert res.loss == loss, seed
@@ -445,7 +456,7 @@ class TestAgainstGatheredOracle:
             emb_y = unit_rows(rng, 14, 6)
             trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
             assert all(c > 0 for c in trip.counts().values())
-            res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+            res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg)
             loss, gx, gy = oracles.gathered_hinge_loss(emb_x, emb_y, trip,
                                                        cfg)
             assert abs(res.loss - loss) <= 1e-12 * abs(loss)
@@ -469,7 +480,8 @@ class TestAgainstGatheredOracle:
             image_to_sentence=np.array([[0, 0, 1], [0, 0, 2], [1, 1, 3]]),
             sentence_to_image=np.array([[0, 0, 1], [0, 0, 2]]))
         cfg = lm.LossConfig(margin=0.5)
-        res = lm.hinge_loss(emb_x, emb_y, trip, cfg)
+        res = lm.hinge_loss(emb_x, emb_y, lm.view_distances(emb_x, emb_y, cfg),
+                            trip, cfg)
         loss, gx, gy = oracles.gathered_hinge_loss(emb_x, emb_y, trip, cfg)
         assert abs(res.loss - loss) < 1e-12
         assert np.isfinite(res.grad_x).all() and np.isfinite(res.grad_y).all()
@@ -494,7 +506,8 @@ class TestAgainstPerFamilyOracle:
         for seed in range(12):
             emb_x, emb_y, trip = self.mined_batch(seed)
             scales = {name: 1.0 / n for name, n in trip.counts().items()}
-            res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG, scales=scales)
+            res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, self.CFG,
+                                scales=scales)
             loss, gx, gy = oracles.per_family_hinge_loss(emb_x, emb_y, trip,
                                                          self.CFG)
             assert abs(res.loss - loss) <= 1e-12 * abs(loss)
@@ -503,18 +516,19 @@ class TestAgainstPerFamilyOracle:
 
     def test_unnamed_families_keep_unit_scale(self):
         emb_x, emb_y, trip = self.mined_batch(0)
-        plain = lm.hinge_loss(emb_x, emb_y, trip, self.CFG)
+        plain = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, self.CFG)
         for scales in ({}, dict.fromkeys(lm.FAMILY_NAMES, 1.0),
                        {"image_structure": 1.0}):
-            res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG, scales=scales)
+            res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, self.CFG,
+                                scales=scales)
             assert res.loss == plain.loss
             assert np.array_equal(res.grad_x, plain.grad_x)
             assert np.array_equal(res.grad_y, plain.grad_y)
 
     def test_scale_multiplies_one_family(self):
         emb_x, emb_y, trip = self.mined_batch(1)
-        plain = lm.hinge_loss(emb_x, emb_y, trip, self.CFG)
-        res = lm.hinge_loss(emb_x, emb_y, trip, self.CFG,
+        plain = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, self.CFG)
+        res = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, self.CFG,
                             scales={"sentence_structure": 3.0})
         assert res.family_sums == plain.family_sums
         extra = 2.0 * self.CFG.lambda3 * plain.family_sums[
@@ -531,9 +545,8 @@ class TestBruteForce:
             graph = oracles.random_graph(rng, 11, 13)
             emb_x = unit_rows(rng, 11, 5)
             emb_y = unit_rows(rng, 13, 5)
-            mined = lm.hinge_loss(
-                emb_x, emb_y,
-                lm.mine_triplets(emb_x, emb_y, graph, cfg), cfg).loss
+            trip = lm.mine_triplets(emb_x, emb_y, graph, cfg)
+            mined = lm.hinge_loss(emb_x, emb_y, trip.dists, trip, cfg).loss
             brute = oracles.brute_force_loss(emb_x, emb_y, graph, cfg)
             assert abs(mined - brute) <= 1e-9 * max(1.0, brute)
 

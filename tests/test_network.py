@@ -300,6 +300,26 @@ class TestSlabWorkers:
                 got, _ = nw.forward_branch(p, "y", inputs, "eval")
                 assert same_bits(got, want), (n, workers)
 
+    def test_eval_relu_mask_in_scratch(self, monkeypatch):
+        # each slab's ReLU mask forms in the bytes of a scratch buffer
+        # that the calling thread allocated, not in a worker's array
+        monkeypatch.setattr(nw, "GRAD_SLAB_FLOATS", 12 * 64)
+        monkeypatch.setattr(tc, "SLAB_WORKERS", 2)
+        masks = []
+        real_relu = tc.relu_forward
+
+        def relu_forward(x, out=None, mask=None):
+            masks.append(mask)
+            return real_relu(x, out=out, mask=mask)
+
+        monkeypatch.setattr(tc, "relu_forward", relu_forward)
+        inputs = np.random.default_rng(3).normal(size=(50, 40))
+        nw.forward_branch(self.eval_params(), "y", inputs, "eval")
+        assert len(masks) == len(nw._row_slabs(50, 64, 2)) > 1
+        assert all(m is not None and m.dtype == bool
+                   and m.base is not None and m.base.dtype == np.float64
+                   for m in masks)
+
     def test_sgd_bits_independent_of_workers(self, monkeypatch):
         # slabs of 2 rows of 5 floats and blocks of 7: both first-layer
         # gradients are WeightGrads walked in several slabs
@@ -1192,6 +1212,17 @@ class TestCheckpointRecordFaults:
         records = self.records()
         records[name] = np.full((1, 1), value)
         self.assert_rejected(tmp_path, records, f"record {name} holds")
+
+    @pytest.mark.parametrize("name, value", [
+        ("x.w1", np.nan), ("y.running_var", np.inf), ("v.x.b1", -np.inf)])
+    def test_non_finite_entry(self, tmp_path, name, value):
+        # training never saves NaN or infinity, so a file holding one
+        # is not a checkpoint a run wrote
+        records = self.records()
+        records[name] = records[name].copy()
+        records[name].flat[-1] = value
+        self.assert_rejected(tmp_path, records,
+                             f"record {name} holds {value}")
 
     def test_unrecognized_record(self, tmp_path):
         records = self.records()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twobranch import data, network as nw, training
+from twobranch import data, loss_mining, network as nw, training
 from twobranch.errors import DivergenceError
 from twobranch.loss_mining import FAMILY_NAMES, LossConfig, mine_triplets
 
@@ -179,6 +179,38 @@ class TestTrainStep:
                                  r"y\.w2, y\.b2, y\.gamma, y\.beta$"):
             training.train_step(params, opt, batch, d.x, d.y, LossConfig(),
                                 np.random.default_rng(11))
+
+    @pytest.mark.parametrize("cfg, pairs", [
+        (LossConfig(), [("x", "y"), ("y", "y")]),
+        (LossConfig(lambda2=0.3), [("x", "y"), ("x", "x"), ("y", "y")])])
+    def test_one_distance_pass_per_view_pair(self, monkeypatch, cfg, pairs):
+        # mining forms the matrix of each view pair a weighted family
+        # reads, and the hinge reads those very arrays
+        formed, read = [], []
+        real_distances = loss_mining.pairwise_distances
+        real_hinge_loss = training.hinge_loss
+
+        def distances(a, b):
+            formed.append(real_distances(a, b))
+            return formed[-1]
+
+        def hinge_loss(emb_x, emb_y, dists, *args, **kwargs):
+            read.append(dists)
+            return real_hinge_loss(emb_x, emb_y, dists, *args, **kwargs)
+
+        monkeypatch.setattr(loss_mining, "pairwise_distances", distances)
+        monkeypatch.setattr(training, "hinge_loss", hinge_loss)
+        d, params, opt = setup_problem(9)
+        batch = oracles.sample_minibatch(d.graph, 5, True,
+                                         np.random.default_rng(9))
+        loss, counts = training.train_step(params, opt, batch, d.x, d.y,
+                                           cfg, np.random.default_rng(9))
+        assert loss > 0.0
+        assert counts["sentence_structure"] > 0
+        assert len(formed) == len(pairs)
+        assert len(read) == 1 and list(read[0]) == pairs
+        assert all(dist is read[0][pair]
+                   for dist, pair in zip(formed, pairs))
 
     def test_loss_is_weighted_family_mean(self):
         d, params, opt = setup_problem(7, dropout=0.0)
