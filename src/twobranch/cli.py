@@ -51,6 +51,7 @@ _VALIDATION_ERRORS = (
     FormatError,
     ChecksumError,
     EvaluationError,
+    FileExistsError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,

@@ -15,12 +15,12 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write, check_batch_pairs, read_tsv, tsv_line
+from .data import atomic_write, read_tsv, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import check_unit_interval, query_distances
 from .network import learning_rate
 from .tensor_core import row_distances
-from .training import train
+from .training import check_epoch_plan, train
 
 log = logging.getLogger("twobranch")
 
@@ -155,33 +155,32 @@ def fine_tune(params, opt, graph, features_x, features_y, hn, loss_cfg,
     from epoch 0.  Mined negatives join batches as reserved rows for
     their phrase whenever that phrase is sampled.
 
-    Raises:
-        ConfigError: ``negatives_per_anchor`` below 1 or ``batch_pairs``
-            below 2, before ``opt`` restarts.
+    Raises, before ``opt`` restarts:
+        ConfigError: ``epochs`` below 0, ``negatives_per_anchor`` below
+            1 or ``batch_pairs`` below 2.
+        ConsistencyError: a mined phrase id ``features_y`` lacks, or a
+            mined region row outside ``features_x``.
 
     Returns:
         list of EpochStats.
     """
-    check_batch_pairs(batch_pairs)
+    check_epoch_plan(epochs, batch_pairs)
     if negatives_per_anchor < 1:
         raise ConfigError(f"negatives_per_anchor must be >= 1, got "
                           f"{negatives_per_anchor}")
+    extra = negatives_by_anchor_row(hn, features_y)
+    outside = [r for rows in extra.values() for r in rows
+               if not 0 <= r < features_x.n]
+    if outside:
+        raise ConsistencyError(
+            f"hard negative region row {outside[0]} outside feature set "
+            f"of {features_x.n} rows")
     if loss_cfg.lambda2 != 0.0 or loss_cfg.lambda3 != 0.0:
-        log.warning(
-            "fine-tuning forces lambda2/lambda3 to 0 (was %g/%g)",
-            loss_cfg.lambda2, loss_cfg.lambda3,
-        )
+        log.warning("fine-tuning forces lambda2/lambda3 to 0 (was %g/%g)",
+                    loss_cfg.lambda2, loss_cfg.lambda3)
         loss_cfg = dc_replace(loss_cfg, lambda2=0.0, lambda3=0.0)
     opt.epoch = 0
     opt.lr = learning_rate(0, opt.lr0)
-    extra = negatives_by_anchor_row(hn, features_y)
-    for row, rows in extra.items():
-        for r in rows:
-            if not 0 <= r < features_x.n:
-                raise ConsistencyError(
-                    f"hard negative region row {r} outside feature set of "
-                    f"{features_x.n} rows"
-                )
     return train(params, opt, graph, features_x, features_y, loss_cfg,
                  epochs, batch_pairs, augment, rng,
                  extra_negatives=extra,

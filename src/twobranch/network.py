@@ -8,7 +8,9 @@ into a shared embedding space where Euclidean distance compares items
 across views.  Both forward modes run one chain of the tensor_core
 layer forwards, and the backward pass chains their backwards in
 reverse, reading what a train forward keeps in a BranchTapes.
-Parameters live in plain dataclasses of float64 arrays.
+Parameters live in plain dataclasses of float64 arrays.  A train
+forward widens its batch to float64 once, the one cast point of a
+training step, and every later stage reads that copy.
 Checkpoints serialize every tensor, the running batch-norm statistics
 and the optimizer state to a single binary file.
 
@@ -278,11 +280,10 @@ def init_params(spec_x, spec_y, seed=0, bn_momentum=tc.BN_MOMENTUM,
 @dataclass
 class BranchTapes:
     """What backward_branch reads of a train forward: the arrays the
-    affine, ReLU and dropout backwards take, which the forward allocated
-    (``inputs`` as gathered, a float32 batch kept float32, and
-    ``hidden``, the output of dropout), and the batch-norm and L2 tapes.
-    backward_branch drops both masks once read; the L2 tape refuses a
-    second backward."""
+    affine, ReLU and dropout backwards take (``inputs``, the batch
+    widened to float64, the masks and ``hidden``, dropout's output) and
+    the batch-norm and L2 tapes.  backward_branch drops both masks once
+    read; the L2 tape refuses a second backward."""
 
     inputs: np.ndarray
     relu_mask: np.ndarray
@@ -296,12 +297,13 @@ class BranchTapes:
 def forward_branch(params, branch, inputs, mode, rng=None):
     """Run one branch.
 
-    Inputs may be float32 or float64; each row slab widens its own rows.
-    Both modes run one chain of the tc layers, whose dense part
-    (``_dense_layers``: affine, ReLU, dropout, affine) runs on row slabs
-    on up to tc.SLAB_WORKERS threads, into buffers the calling thread
-    allocates, so the workers free no slab-sized temporaries into their
-    own malloc arenas.
+    Inputs may be float32 or float64.  A train pass widens them once,
+    with tc.as_matrix, and its slabs and tapes read that float64 copy;
+    an eval pass widens each row slab into a buffer.  Both modes run one
+    chain of the tc layers, whose dense part (``_dense_layers``: affine,
+    ReLU, dropout, affine) runs on row slabs on up to tc.SLAB_WORKERS
+    threads, into buffers the calling thread allocates, so the workers
+    free no slab-sized temporaries into their own malloc arenas.
 
     In train mode there is one slab per worker, of equal heights
     (``tc.worker_slabs``; one slab of all rows when the hidden layer
@@ -313,8 +315,7 @@ def forward_branch(params, branch, inputs, mode, rng=None):
     drawn on the calling thread with the branch's one ``rng.random``
     call, so the RNG stream is the same at any worker count.  Batch norm
     and the L2 norm then run once over all rows, since batch norm needs
-    every row.  The BranchTapes keep the inputs as given (a float32
-    batch is not widened as a whole).
+    every row.
 
     In eval mode the chain runs on each row slab of ``_row_slabs``
     (about GRAD_SLAB_FLOATS / SLAB_WORKERS hidden-layer floats), through
@@ -388,10 +389,7 @@ def forward_branch(params, branch, inputs, mode, rng=None):
 
 def _train_forward(params, spec, p, inputs, rng):
     """forward_branch's train mode (see there): (embeddings, tapes)."""
-    # a float32 batch is kept as gathered, and each slab widens its own
-    # rows
-    x = (np.ascontiguousarray(inputs) if inputs.dtype == np.float32
-         else tc.as_matrix(inputs, "inputs"))
+    x = tc.as_matrix(inputs, "inputs")
     n, hidden = x.shape[0], spec.hidden_dim
     h = np.empty((n, hidden))
     relu_mask = np.empty((n, hidden), dtype=bool)
@@ -404,17 +402,13 @@ def _train_forward(params, spec, p, inputs, rng):
     else:
         drop_mask = rng.random((n, hidden))
     pre = np.empty((n, spec.embed_dim))
-    slabs = tc.worker_slabs(n, h.size)
-    rows = max(stop - start for start, stop in slabs)
 
-    def slab(start, stop, scratch):
+    def slab(start, stop, _):
         part = slice(start, stop)
-        _dense_layers(p, spec, tc.widen_rows(x[part], *scratch), "train",
-                      h[part], pre[part], relu_mask=relu_mask[part],
-                      drop_mask=drop_mask[part])
+        _dense_layers(p, spec, x[part], "train", h[part], pre[part],
+                      relu_mask=relu_mask[part], drop_mask=drop_mask[part])
 
-    widen = 0 if x.dtype == np.float64 else rows * spec.input_dim
-    tc.map_slabs(slab, slabs, (widen,))
+    tc.map_slabs(slab, tc.worker_slabs(n, h.size), ())
     out, t_bn = tc.batchnorm_forward(
         pre, p.gamma, p.beta, p.running_mean, p.running_var, "train",
         momentum=params.bn_momentum, eps=params.bn_eps, out=pre)
@@ -490,24 +484,22 @@ def sgd_step(params, opt, grads):
     """Apply one momentum-SGD update in place.
 
     Each tensor is walked in row slabs of about GRAD_SLAB_FLOATS floats,
-    and each slab in contiguous flat blocks of SGD_BLOCK floats through a
-    small scratch, so the update streams through memory once instead of
-    once per operation.  The slabs of all tensors run in one
-    tc.map_slabs call on up to tc.SLAB_WORKERS threads, so a tensor of
-    one slab (a second-layer weight) runs beside another's slabs; a
-    step whose tensors hold fewer than tc.SLAB_MIN_FLOATS floats in all
-    runs on the calling thread.  A slab's gradient is a view of an array
-    gradient or one product of a tc.WeightGrad, formed into a buffer the
-    calling thread allocated for its worker (a float32 input widened
-    into another), so beyond the parameters and velocities the step
-    holds one slab of a weight gradient per worker (8 MB), never the
-    whole matrix (98 MB for y.w1 at the paper shape).  Every element
-    sees the formula's operations in the formula's order, a slab writes
-    only its own rows of theta and velocity, and a WeightGrad slab has
-    the bits of the whole product's rows, so the bits depend on neither
-    size nor on the worker count.  The slab bounds do not depend on
-    the worker count either, and each slab returns its per-block sums,
-    which are added in block order, so the norms keep their bits too.
+    each slab in flat blocks of SGD_BLOCK floats through a small
+    scratch, so the update streams through memory once rather than once
+    per operation.  The slabs of all tensors run in one tc.map_slabs
+    call, so a second-layer weight's one slab runs beside another
+    tensor's slabs (on the calling thread when the tensors hold fewer
+    than tc.SLAB_MIN_FLOATS floats in all).  A slab of a tc.WeightGrad
+    (a first layer's reads the float64 batch its train forward widened)
+    forms in a buffer the calling thread allocated for its worker, so
+    the step holds one slab of a weight gradient per worker (8 MB),
+    never the whole matrix (98 MB for y.w1 at the paper shape).  Every
+    element sees the formula's operations in the formula's order, a slab
+    writes only its own rows and a WeightGrad slab has the bits of the
+    whole product's rows, so neither the slab bounds, which do not
+    depend on the worker count, nor the worker count change a bit; each
+    slab returns its per-block sums, added in block order, so the norms
+    keep their bits too.
 
     Every shape and contiguity is checked before the first write: a
     rejected call leaves the parameters and velocities as they were and
@@ -548,7 +540,7 @@ def sgd_step(params, opt, grads):
                 f"{name}: SGD updates C-contiguous tensors in place")
     # slab -> its work: the floats it updates, times the rows of its
     # product when it forms a WeightGrad
-    work, formed, widen, block = {}, 0, 0, 0
+    work, formed, block = {}, 0, 0
     for name, theta in tensors.items():
         if name not in opt.velocity:
             # a zero start, not a copy of grad: 0 + -0.0 is +0.0
@@ -561,7 +553,6 @@ def sgd_step(params, opt, grads):
             if isinstance(grad, tc.WeightGrad):
                 work[name, start, stop] *= 1 + grad.x.shape[0]
                 formed = max(formed, floats)
-                widen = max(widen, grad.widen_floats(stop - start))
 
     def slab(name, start, stop, scratch):
         _, _, sgd = _BRANCH_TABLE[name[2:]]
@@ -571,7 +562,7 @@ def sgd_step(params, opt, grads):
     # the largest slabs first, so that none runs alone at the end
     order = sorted(work, key=work.get, reverse=True)
     sums = dict(zip(order, tc.map_slabs(
-        slab, order, (formed, widen, block),
+        slab, order, (formed, block),
         inline=not tc.worth_splitting(sum(t.size for t in tensors.values())))))
     sq = dict.fromkeys(tensors, 0.0)
     for key in work:
@@ -584,10 +575,10 @@ def sgd_step(params, opt, grads):
 def _step_slab(theta, grad, vel, opt, decayed, start, stop, scratch):
     """Update rows start:stop of one tensor in place; returns the slab's
     list of per-block sums of squared gradient entries."""
-    formed_buf, widen_buf, block_buf = scratch
+    formed_buf, block_buf = scratch
     if isinstance(grad, tc.WeightGrad):
         cols = theta.shape[1]
-        rows = grad.rows(start, stop, scratch=widen_buf, out=formed_buf[
+        rows = grad.rows(start, stop, out=formed_buf[
             :(stop - start) * cols].reshape(stop - start, cols))
     else:
         rows = grad[start:stop]

@@ -21,8 +21,10 @@ distance_weights, then distance_side_grad for each input.  Dropout in
 train mode applies uniform draws that its caller makes.  Matrix inputs
 may be float32 (feature files load as float32): ``as_matrix`` widens
 them to C-contiguous float64, which is exact, and every op returns
-C-contiguous float64 results.  The affine, ReLU, dropout, batch-norm
-and row L2 forwards, and the ReLU, dropout and affine input-gradient
+C-contiguous float64 results.  It is the one cast point: the
+network's train forward widens a batch once, and its first layer's
+WeightGrad reads that copy.  The affine, ReLU, dropout, batch-norm and
+row L2 forwards, and the ReLU, dropout and affine input-gradient
 backwards, take an optional ``out``, a C-contiguous float64 array of
 the result's shape that they fill and return with the bits of
 ``out=None``; only the L2 norm's must not overlap its input.  All
@@ -118,16 +120,6 @@ def as_matrix(x, name="array"):
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
-
-
-def widen_rows(x, buf):
-    """``x`` as float64: itself when it already is, else widened into
-    the front of the flat float64 scratch ``buf``, C-contiguous."""
-    if x.dtype == np.float64:
-        return x
-    out = buf[:x.size].reshape(x.shape)
-    np.copyto(out, x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +287,15 @@ def affine_input_backward(grad_out, w, out=None):
 
 
 class WeightGrad:
-    """The weight gradient x.T @ grad_out of an affine layer, unformed.
+    """An affine layer's weight gradient x.T @ grad_out, unformed, of
+    float64 matrices.
 
     ``rows(start, stop)`` forms rows start:stop of it, into ``out``
     when given, so a consumer that walks it in slabs never holds the
     whole (d_in, d_out) matrix; ``np.asarray`` forms all of it.  A slab
     of two or more rows has the bits of the same rows of the whole
     product (a one-row operand takes numpy's matrix-vector path, whose
-    bits can differ).  ``x`` may be float32 (a layer's data input, kept
-    as gathered): it is widened, exactly, before it meets grad_out,
-    never by a mixed-dtype product.
+    bits can differ).
     """
 
     def __init__(self, x, grad_out):
@@ -315,27 +306,16 @@ class WeightGrad:
     def shape(self):
         return (self.x.shape[1], self.grad_out.shape[1])
 
-    def widen_floats(self, rows):
-        """Floats of the scratch that rows() needs for ``rows`` rows."""
-        return 0 if self.x.dtype == np.float64 else self.x.shape[0] * rows
-
-    def rows(self, start, stop, out=None, scratch=None):
-        """Rows start:stop, a float32 x's columns widened into the flat
-        float64 ``scratch`` of widen_floats(stop - start) floats (None:
-        allocated)."""
-        x = self.x[:, start:stop]
-        if x.dtype != np.float64:
-            x = widen_rows(x, np.empty(x.size) if scratch is None
-                           else scratch)
-        return np.matmul(x.T, self.grad_out, out=out)
+    def rows(self, start, stop, out=None):
+        return np.matmul(self.x[:, start:stop].T, self.grad_out, out=out)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(as_matrix(self.x).T @ self.grad_out, dtype=dtype)
+        return np.asarray(self.x.T @ self.grad_out, dtype=dtype)
 
 
 def affine_param_backward(grad_out, x):
     """Backward for the parameters of an affine layer whose input was
-    ``x``, which may be float32 (see WeightGrad).
+    ``x``, which as_matrix widens.
 
     The input gradient, which a layer whose input is data does not need,
     is affine_input_backward's.
@@ -345,7 +325,8 @@ def affine_param_backward(grad_out, x):
         which np.asarray forms whole, and grad_b is grad_out.sum(axis=0).
     """
     grad_out = as_matrix(grad_out, "grad_out")
-    if x.ndim != 2 or grad_out.shape[0] != x.shape[0]:
+    x = as_matrix(x, "x")
+    if grad_out.shape[0] != x.shape[0]:
         raise DimensionError(
             f"affine backward: grad_out shape {grad_out.shape} does not "
             f"match input shape {x.shape}")

@@ -44,6 +44,13 @@ class EpochStats:
     skipped_batches: int
 
 
+def check_epoch_plan(epochs, batch_pairs):
+    """Raise ConfigError for epochs below 0 or batch_pairs below 2."""
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    data_mod.check_batch_pairs(batch_pairs)
+
+
 def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
     """One forward/mine/loss/backward/update cycle, whose hinge loss
     reads the distance matrices that mining formed.
@@ -56,10 +63,12 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
         (weighted per-family mean loss, mined family counts) for the
         batch.
     """
-    inp_x = features_x.features[batch.x_rows]
-    inp_y = features_y.features[batch.y_rows]
-    emb_x, tapes_x = forward_branch(params, "x", inp_x, "train", rng=rng)
-    emb_y, tapes_y = forward_branch(params, "y", inp_y, "train", rng=rng)
+    # each gather goes straight in: the forward widens it to the float64
+    # batch its tapes keep, and a float32 gather is freed on return
+    emb_x, tapes_x = forward_branch(params, "x", features_x.features[
+        batch.x_rows], "train", rng=rng)
+    emb_y, tapes_y = forward_branch(params, "y", features_y.features[
+        batch.y_rows], "train", rng=rng)
     # NaN embeddings would mine no triplets and pass for a quiet batch
     for view, emb in (("x", emb_x), ("y", emb_y)):
         if not np.all(np.isfinite(emb)):
@@ -110,9 +119,7 @@ def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
     Returns:
         list of EpochStats.
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    data_mod.check_batch_pairs(batch_pairs)
+    check_epoch_plan(epochs, batch_pairs)
     history = []
     for _ in range(epochs):
         opt.lr = learning_rate(opt.epoch, opt.lr0)

@@ -835,6 +835,19 @@ class TestGenSynthetic:
                        mode, "--noise-sigma", sigma) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["retrieval", "localization"])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_dir_at_a_file_exits_one(self, tmp_path, mode, under):
+        # makedirs raises FileExistsError at the file itself and
+        # NotADirectoryError under it: both name a bad --out-dir
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept")
+        out = blocker / under if under else blocker
+        assert run_cli("gen-synthetic", "--out-dir", str(out), "--mode",
+                       mode) == 1
+        assert blocker.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["blocker"]
+
 
 class TestGradCheckCommand:
     def test_passes_on_fresh_init(self):

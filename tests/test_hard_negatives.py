@@ -354,17 +354,41 @@ class TestFineTune:
         assert sum(h.family_counts["sentence_to_image"]
                    for h in history) > 0
 
-    def test_one_pair_batches_refused_before_restart(self):
-        # every one-pair chunk would be dropped; opt keeps its schedule
+    # case -> (error, message, mined negatives, fine_tune settings)
+    REFUSALS = {
+        "out_of_range_row": (ConsistencyError, "region row",
+                             {"phrase_000": [(10 ** 6, 0.1)]}, {}),
+        "unknown_phrase": (ConsistencyError, "unknown feature id",
+                           {"phrase_missing": [(0, 0.1)]}, {}),
+        "negative_epochs": (ConfigError, "epochs must be >= 0", {},
+                            {"epochs": -1}),
+        "no_negatives_per_anchor": (ConfigError, "negatives_per_anchor", {},
+                                    {"negatives_per_anchor": 0}),
+        "one_pair_batches": (ConfigError, "batch_pairs must be >= 2", {},
+                             {"batch_pairs": 1}),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_before_restart(self, case):
+        # a refused call leaves the caller's schedule, parameters and
+        # velocities as they were, whichever check refuses it
         d, graph, params, opt, _ = localization_setup(seed=7,
-                                                      stage1_epochs=0)
+                                                      stage1_epochs=1)
         opt.epoch, opt.lr = 5, 0.01
-        with pytest.raises(ConfigError, match="batch_pairs must be >= 2"):
+        before = {name: t.tobytes()
+                  for name, t in nw._named_tensors(params, opt).items()}
+        error, match, mined, settings = self.REFUSALS[case]
+        kwargs = {"epochs": 1, "batch_pairs": 8, "negatives_per_anchor": 10,
+                  **settings}
+        with pytest.raises(error, match=match):
             hn_mod.fine_tune(params, opt, graph, d.regions, d.phrases,
-                             hn_mod.HardNegativeSet(),
-                             LossConfig(lambda2=0.0, lambda3=0.0), 1, 1,
-                             False, np.random.default_rng(3))
+                             hn_mod.HardNegativeSet(by_phrase=mined),
+                             LossConfig(lambda2=0.0, lambda3=0.0),
+                             augment=False, rng=np.random.default_rng(3),
+                             **kwargs)
         assert (opt.epoch, opt.lr) == (5, 0.01)
+        assert {name: t.tobytes() for name, t in
+                nw._named_tensors(params, opt).items()} == before
 
     def test_out_of_range_negative_rejected(self):
         d, graph, params, opt, _ = localization_setup(seed=7,

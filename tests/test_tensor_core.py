@@ -151,22 +151,24 @@ class TestAffine:
 class TestWeightGradSlabs:
     """network.sgd_step forms a weight gradient in row slabs of two or
     more rows, and its bits match the whole product's only while every
-    such slab has the bits of the whole product's rows.  A first layer's
-    x is the float32 batch as gathered, and each slab widens its columns
-    into a buffer: the bits must be those of the product over the whole
+    such slab has the bits of the whole product's rows.  A float32 x
+    reaches a WeightGrad only through affine_param_backward, which
+    widens it once: the bits must be those of the product over the
     widened x.  A BLAS that breaks these assumptions fails here first."""
 
     @staticmethod
     def assert_slabs_match(n, d_in, d_out, heights, starts=None,
                            dtype=np.float64):
-        """rows() of every slab of 2 or more rows, in slabs of each
-        height from row 0 on, equals those rows of x.T @ g bitwise, also
-        when formed into a given buffer; the slabs checked may be
+        """rows() of every slab of 2 or more rows of
+        affine_param_backward's WeightGrad, in slabs of each height from
+        row 0 on, equals those rows of x.T @ g over float64 bitwise,
+        also when formed into a given buffer; the slabs checked may be
         limited to those whose start is in ``starts``."""
         rng = np.random.default_rng(d_in)
         x = rng.normal(size=(n, d_in)).astype(dtype)
         g = rng.normal(size=(n, d_out))
-        lazy = tc.WeightGrad(x, g)
+        lazy, _ = tc.affine_param_backward(g, x)
+        assert lazy.x.dtype == np.float64
         whole = x.astype(np.float64).T @ g
         assert lazy.shape == whole.shape
         assert np.asarray(lazy).tobytes() == whole.tobytes()
@@ -178,12 +180,9 @@ class TestWeightGradSlabs:
                     continue
                 assert lazy.rows(start, stop).tobytes() == \
                     whole[start:stop].tobytes(), (height, start)
-                # sgd_step forms slabs into buffers of its own, widening
-                # a float32 x into a scratch of its own
+                # sgd_step forms slabs into buffers of its own
                 out = np.empty((stop - start, d_out))
-                scratch = np.empty(lazy.widen_floats(stop - start))
-                assert lazy.rows(start, stop, out=out,
-                                 scratch=scratch) is out
+                assert lazy.rows(start, stop, out=out) is out
                 assert out.tobytes() == whole[start:stop].tobytes()
 
     TEST_SHAPES = [(7, 6, 5), (7, 7, 5), (6, 20, 24), (6, 16, 24),
@@ -197,12 +196,6 @@ class TestWeightGradSlabs:
     def test_every_height_of_float32_input(self, n, d_in, d_out):
         self.assert_slabs_match(n, d_in, d_out, range(2, d_in + 1),
                                 dtype=np.float32)
-
-    def test_widen_floats(self):
-        g = np.ones((5, 3))
-        assert tc.WeightGrad(np.ones((5, 4)), g).widen_floats(3) == 0
-        assert tc.WeightGrad(np.ones((5, 4), np.float32),
-                             g).widen_floats(3) == 15
 
     @staticmethod
     def assert_paper_shape_slabs_match(dtype):
