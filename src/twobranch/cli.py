@@ -3,7 +3,14 @@
 Subcommands: train, eval-retrieval, eval-localization, mine-negatives,
 fuse, gen-synthetic, grad-check.  Configuration comes from defaults, an
 optional flat ``key = value`` file, then command-line flags, in that
-order.  Logs go to stderr; data goes to the files named in the config.
+order.  ``COMMAND_KEYS`` names the keys each command reads, and
+``TRAIN_PARTS`` those train adds for a fresh or a resumed run and for a
+plain run or a fine-tune.  A flag the command does not read exits 1,
+whatever its value, before any data file is read; a key in the config
+file that it does not read is ignored, so one file can serve a
+pipeline.  The ``#`` lines of a train CSV or a report echo the keys
+read, with the values the run used.  Logs go to stderr; data goes to
+the files named in the config.
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
 
@@ -11,7 +18,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -114,6 +121,34 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
+# The config keys each command reads; train also reads one part of
+# TRAIN_PARTS by whether checkpoint_in is set and one by hard_negatives.
+_XY = "features_x features_y pairs max_x_per_y "
+_LOC = "features_x features_y corpus checkpoint_in iou_thresh "
+COMMAND_KEYS = {name: frozenset(keys.split()) for name, keys in {
+    "train": _XY + "checkpoint_in hard_negatives checkpoint_out seed "
+             "best_checkpoint_out train_csv batch_pairs augment margin "
+             "lambda1 top_k",
+    "eval-retrieval": _XY + "checkpoint_in report",
+    "eval-localization": _LOC + "nms_overlap report",
+    "mine-negatives": _LOC + "hn_cap hard_negatives",
+    "fuse": _XY + "checkpoint_in rp_checkpoint rp_features_x rp_features_y "
+            "corpus membership alpha report"}.items()}
+TRAIN_PARTS = {  # a checkpoint holds the settings of a fresh run
+    ("checkpoint_in", False): "x_hidden_dim y_hidden_dim embed_dim dropout "
+                              "bn_momentum bn_eps lr0 momentum weight_decay",
+    ("checkpoint_in", True): "",
+    ("hard_negatives", False): "epochs lambda2 lambda3",
+    ("hard_negatives", True): "fine_tune_epochs hn_cap negatives_per_anchor",
+}
+
+
+def keys_read(command, cfg):
+    """The config keys ``command`` reads under the resolved ``cfg``."""
+    parts = ("checkpoint_in", "hard_negatives") if command == "train" else ()
+    return COMMAND_KEYS[command].union(
+        *(TRAIN_PARTS[key, bool(getattr(cfg, key))].split() for key in parts))
+
 
 def _parse_bool(text):
     low = str(text).strip().lower()
@@ -157,21 +192,29 @@ def parse_config_file(path):
 def resolve_config(args):
     """defaults <- config file <- explicit command-line flags.
 
-    Flag values arrive as strings and are coerced like file values.
+    Flag values arrive as strings and are coerced like file values.  A
+    flag naming a key the command does not read is a ConfigError.
     """
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         values.update(parse_config_file(config_path))
-    for name in _CONFIG_FIELDS:
-        if hasattr(args, name):
-            values[name] = _coerce(name, getattr(args, name))
-    return ExperimentConfig(**values)
+    flags = [name for name in _CONFIG_FIELDS if hasattr(args, name)]
+    for name in flags:
+        values[name] = _coerce(name, getattr(args, name))
+    cfg = ExperimentConfig(**values)
+    keys = keys_read(args.command, cfg)
+    refused = ["--" + n.replace("_", "-") for n in flags if n not in keys]
+    if refused:
+        raise ConfigError(f"{args.command} does not read "
+                          f"{', '.join(refused)} here")
+    return cfg
 
 
-def config_echo(cfg):
+def config_echo(cfg, keys):
+    """``key = value`` lines of ``keys`` as ``cfg`` holds them, sorted."""
     lines = []
-    for key in sorted(asdict(cfg)):
+    for key in sorted(keys):
         value = getattr(cfg, key)
         if isinstance(value, float):
             value = repr(value)
@@ -179,10 +222,16 @@ def config_echo(cfg):
     return lines
 
 
-def _loss_config(cfg):
-    return LossConfig(margin=cfg.margin, lambda1=cfg.lambda1,
-                      lambda2=cfg.lambda2, lambda3=cfg.lambda3,
-                      top_k=cfg.top_k)
+def _model_settings(params, opt):
+    """The keys a resumed train takes from its checkpoint, as the model
+    holds them; two branch dropout rates that differ read ``x r, y s``."""
+    x, y = params.spec_x, params.spec_y
+    return dict(x_hidden_dim=x.hidden_dim, y_hidden_dim=y.hidden_dim,
+                embed_dim=x.embed_dim, bn_momentum=params.bn_momentum,
+                bn_eps=params.bn_eps, lr0=opt.lr0, momentum=opt.momentum,
+                weight_decay=opt.weight_decay,
+                dropout=x.dropout_p if x.dropout_p == y.dropout_p
+                else f"x {x.dropout_p!r}, y {y.dropout_p!r}")
 
 
 def _require(cfg, *keys):
@@ -239,13 +288,16 @@ def _load_localization(features_x, features_y, corpus, checkpoint, what):
 # subcommands
 
 
-def cmd_train(cfg):
+def cmd_train(cfg, keys):
     """Train, or fine-tune on hard negatives, and write the checkpoints.
 
     ``--epochs`` counts the epochs this run adds: a run resumed with
     ``--checkpoint-in`` from a checkpoint of k completed epochs trains
     ``epochs`` more and ends at epoch k + epochs.  (A fine-tune on hard
-    negatives restarts the count at 0 and runs ``fine_tune_epochs``.)
+    negatives restarts the count at 0, runs ``fine_tune_epochs`` and
+    sets both structure weights to 0.)  A resumed run reads ``--seed``,
+    and its batch draws come from it; the CSV echoes the model settings
+    of its checkpoint.
 
     The best-epoch checkpoint (``best_checkpoint_out``) is written from
     ``train``'s epoch callback, which runs once ``opt.epoch`` counts the
@@ -260,10 +312,13 @@ def cmd_train(cfg):
     other.
     """
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_out")
-    # it seeds the batch draws also when the parameters are loaded
     check_seed(cfg.seed)
     fx, fy, graph = _load_xy(cfg)
-    loss_cfg = _loss_config(cfg)
+    tune = bool(cfg.hard_negatives)
+    loss_cfg = LossConfig(margin=cfg.margin, lambda1=cfg.lambda1,
+                          lambda2=0.0 if tune else cfg.lambda2,
+                          lambda3=0.0 if tune else cfg.lambda3,
+                          top_k=cfg.top_k)
     if cfg.checkpoint_in:
         params, opt = load_checkpoint(cfg.checkpoint_in)
         _check_dims(params, fx, fy, "train")
@@ -291,7 +346,7 @@ def cmd_train(cfg):
                 save_checkpoint(params, opt, cfg.best_checkpoint_out)
                 saved_epoch = stats.epoch
 
-    if cfg.hard_negatives:
+    if tune:
         hn = hn_mod.load_hard_negatives(cfg.hard_negatives, cap=cfg.hn_cap)
         log.info("fine-tuning with %d hard negatives", hn.total)
         history = hn_mod.fine_tune(
@@ -317,7 +372,8 @@ def cmd_train(cfg):
         save_checkpoint(params, opt, cfg.checkpoint_out)
     if cfg.train_csv:
         with data_mod.atomic_write(cfg.train_csv) as fh:
-            for line in config_echo(cfg):
+            held = _model_settings(params, opt)
+            for line in config_echo(replace(cfg, **held), keys | held.keys()):
                 fh.write(f"# {line}\n")
             fh.write("epoch,lr,mean_loss," + ",".join(FAMILY_NAMES)
                      + ",batches,skipped_batches\n")
@@ -330,20 +386,20 @@ def cmd_train(cfg):
     return 0
 
 
-def cmd_eval_retrieval(cfg):
+def cmd_eval_retrieval(cfg, keys):
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_in",
              "report")
     fx, fy, graph = _load_xy(cfg)
     emb_x, emb_y = _embed(cfg.checkpoint_in, fx, fy, "eval-retrieval")
     dist = pairwise_distances(emb_x, emb_y)
     report = ev.evaluate_retrieval(dist, graph.y_of_x, graph.x_of_y)
-    ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))
+    ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg, keys))
     for metric, direction, k, value in report.rows():
         log.info("%s %s @%d = %.2f", metric, direction, k, value)
     return 0
 
 
-def cmd_eval_localization(cfg):
+def cmd_eval_localization(cfg, keys):
     _require(cfg, "features_x", "features_y", "corpus", "checkpoint_in",
              "report")
     corpus, _, region_emb, phrase_emb = _load_localization(
@@ -360,13 +416,13 @@ def cmd_eval_localization(cfg):
         iou_thresh=cfg.iou_thresh)
     rows.append(("map", "phrase_to_region", 0, map_value))
     rows.append(("skipped_phrases", "phrase_to_region", 0, len(skipped)))
-    ev.write_report_csv(cfg.report, rows, config_echo(cfg))
+    ev.write_report_csv(cfg.report, rows, config_echo(cfg, keys))
     for metric, direction, k, value in rows:
         log.info("%s %s @%s = %s", metric, direction, k, value)
     return 0
 
 
-def cmd_mine_negatives(cfg):
+def cmd_mine_negatives(cfg, keys):
     _require(cfg, "features_x", "features_y", "corpus", "checkpoint_in",
              "hard_negatives")
     corpus, _, region_emb, phrase_emb = _load_localization(
@@ -384,7 +440,7 @@ def cmd_mine_negatives(cfg):
     return 0
 
 
-def cmd_fuse(cfg):
+def cmd_fuse(cfg, keys):
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_in",
              "rp_checkpoint", "rp_features_x", "rp_features_y", "corpus",
              "membership", "report")
@@ -410,7 +466,7 @@ def cmd_fuse(cfg):
         d_global, phrase_emb, region_emb, corpus.region_rows_by_image(),
         fx.ids, phrase_rows_by_sentence, cfg.alpha)
     report = ev.evaluate_retrieval(fused, graph.y_of_x, graph.x_of_y)
-    ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg))
+    ev.write_report_csv(cfg.report, report.rows(), config_echo(cfg, keys))
     for metric, direction, k, value in report.rows():
         log.info("fused %s %s @%d = %.2f", metric, direction, k, value)
     return 0
@@ -569,7 +625,7 @@ def main(argv=None):
     try:
         if args.needs_config:
             cfg = resolve_config(args)
-            return args.func(cfg)
+            return args.func(cfg, keys_read(args.command, cfg))
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         log.error("%s", exc)

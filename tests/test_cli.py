@@ -19,6 +19,23 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+# train's four modes: fresh or resumed, plain or fine-tune
+TRAIN_MODES = {
+    "fresh": {},
+    "resumed": {"checkpoint_in": "in.ckpt"},
+    "fine_tune": {"hard_negatives": "hn.tsv"},
+    "resumed_fine_tune": {"checkpoint_in": "in.ckpt",
+                          "hard_negatives": "hn.tsv"},
+}
+COMMAND_MODES = [("train", mode) for mode in TRAIN_MODES] + [
+    (command, "") for command in cli.COMMAND_KEYS if command != "train"]
+
+
+def keys_read(command, mode):
+    return cli.keys_read(command,
+                         cli.ExperimentConfig(**TRAIN_MODES.get(mode, {})))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Generated data plus trained checkpoints shared by the tests."""
@@ -113,6 +130,39 @@ class TestConfigParsing:
             == {cfg.iou_thresh}
         assert default(evaluation.phrase_map, "nms_overlap") == \
             cfg.nms_overlap
+
+    def test_every_key_read_by_some_command(self):
+        # no config key that nothing reads, and no table key that is not
+        # a config key
+        read = set().union(*(keys_read(command, mode)
+                             for command, mode in COMMAND_MODES))
+        assert read == set(cli._CONFIG_FIELDS)
+
+    def test_key_counts(self):
+        counts = {(command, mode): len(keys_read(command, mode))
+                  for command, mode in COMMAND_MODES}
+        assert counts == {
+            ("train", "fresh"): 27, ("train", "fine_tune"): 27,
+            ("train", "resumed"): 18, ("train", "resumed_fine_tune"): 18,
+            ("eval-retrieval", ""): 6, ("eval-localization", ""): 7,
+            ("mine-negatives", ""): 7, ("fuse", ""): 12}
+
+    @pytest.mark.parametrize("command, mode", COMMAND_MODES)
+    def test_required_keys_are_read(self, command, mode, monkeypatch):
+        # each cmd_* checks its required keys first; stop it there
+        class Required(Exception):
+            pass
+
+        def record(cfg, *keys):
+            raise Required(keys)
+
+        monkeypatch.setattr(cli, "_require", record)
+        cfg = cli.ExperimentConfig(**TRAIN_MODES.get(mode, {}))
+        func = cli.build_parser().parse_args([command]).func
+        with pytest.raises(Required) as required:
+            func(cfg, cli.keys_read(command, cfg))
+        assert required.value.args[0]
+        assert set(required.value.args[0]) <= cli.keys_read(command, cfg)
 
     def test_unknown_key_exits_one(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -222,14 +272,18 @@ class TestTrainCommand:
 
     def train_args(self, workdir, tmp_path, *extra):
         ret = workdir["ret"]
+        # a resumed run takes its sizes from the checkpoint and refuses
+        # them as flags
+        sizes = () if "--checkpoint-in" in extra else (
+            "--x-hidden-dim", "16", "--y-hidden-dim", "16",
+            "--embed-dim", "8")
         return ("train",
                 "--features-x", str(ret / "x.feat"),
                 "--features-y", str(ret / "y.feat"),
                 "--pairs", str(ret / "pairs.tsv"),
                 "--checkpoint-out", str(tmp_path / "model.ckpt"),
                 "--best-checkpoint-out", str(tmp_path / "best.ckpt"),
-                "--x-hidden-dim", "16", "--y-hidden-dim", "16",
-                "--embed-dim", "8", "--batch-pairs", "6") + extra
+                *sizes, "--batch-pairs", "6") + extra
 
     def test_best_checkpoint_of_earlier_epoch(self, workdir, tmp_path,
                                               monkeypatch):
@@ -694,13 +748,14 @@ class TestLocalizationPipeline:
                                                      caplog):
         loc = workdir["loc"]
         out = tmp_path / "out"
+        output = {"eval-localization": "--report",
+                  "mine-negatives": "--hard-negatives"}[command]
         assert run_cli(command,
                        "--features-x", str(loc / "regions.feat"),
                        "--features-y", str(loc / "phrases.feat"),
                        "--corpus", str(loc / "corpus.tsv"),
                        "--checkpoint-in", str(loc / "model.ckpt"),
-                       "--report", str(out), "--hard-negatives", str(out),
-                       flag, value) == 1
+                       output, str(out), flag, value) == 1
         assert "must lie in [0, 1]" in caplog.text
         assert not out.exists()
 
@@ -809,6 +864,165 @@ class TestFuse:
                                        0.7)) == 1
         assert "'sent_missing'" in caplog.text
         assert not report.exists()
+
+
+# (command, train mode, flags that command does not read)
+UNREAD_FLAGS = [
+    ("train", "fresh", ["--hn-cap", "2"]),
+    ("train", "fresh", ["--report", "r.csv"]),
+    ("train", "fine_tune", ["--epochs", "3"]),
+    ("train", "resumed", ["--lr0", "0.5"]),
+    # a flag is refused whatever its value, the default included
+    ("train", "resumed_fine_tune", ["--lambda3", "0.2"]),
+    # the probes that found such flags accepted and ignored, verbatim
+    ("train", "resumed", ["--lr0", "0.5", "--momentum", "0.1",
+                          "--x-hidden-dim", "999", "--dropout", "0.9"]),
+    ("eval-retrieval", "", ["--lambda1", "7", "--epochs", "3",
+                            "--hn-cap", "2"]),
+    ("eval-retrieval", "", ["--alpha", "0.7"]),
+    ("eval-localization", "", ["--pairs", "pairs.tsv"]),
+    ("mine-negatives", "", ["--report", "r.csv"]),
+    ("fuse", "", ["--epochs", "3"]),
+]
+
+
+class TestKeysRead:
+    """A command refuses every flag it does not read, and echoes only
+    the keys it read."""
+
+    @staticmethod
+    def args(workdir, tmp_path, command, mode):
+        """Flags of a run of ``command`` in train ``mode`` that exits 0,
+        with every output under ``tmp_path / "out"``."""
+        ret, loc = workdir["ret"], workdir["loc"]
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        rp = ["--features-x", str(loc / "regions.feat"),
+              "--features-y", str(loc / "phrases.feat"),
+              "--corpus", str(loc / "corpus.tsv"),
+              "--checkpoint-in", str(loc / "model.ckpt")]
+        xy = ["--features-x", str(ret / "x.feat"),
+              "--features-y", str(ret / "y.feat"),
+              "--pairs", str(ret / "pairs.tsv")]
+        if command == "eval-retrieval":
+            return xy + ["--checkpoint-in", str(ret / "model.ckpt"),
+                         "--report", str(out / "r.csv")]
+        if command == "eval-localization":
+            return rp + ["--report", str(out / "r.csv")]
+        if command == "mine-negatives":
+            return rp + ["--hard-negatives", str(out / "hn.tsv")]
+        if command == "fuse":
+            fuse = TestFuse()
+            corpus, membership = fuse.build_bridge_files(workdir, tmp_path)
+            return fuse.fuse_args(workdir, corpus, membership,
+                                  out / "r.csv", 0.7)[1:]
+        argv = ["--features-x", str(loc / "regions.feat"),
+                "--features-y", str(loc / "phrases.feat"),
+                "--pairs", str(loc / "pairs.tsv"),
+                "--checkpoint-out", str(out / "m.ckpt"),
+                "--train-csv", str(out / "t.csv"), "--batch-pairs", "6"]
+        if "resumed" in mode:
+            argv += ["--checkpoint-in", str(loc / "model.ckpt")]
+        else:
+            argv += ["--x-hidden-dim", "16", "--y-hidden-dim", "16",
+                     "--embed-dim", "8"]
+        if "fine_tune" in mode:
+            negatives = tmp_path / "hn.tsv"
+            negatives.write_text("phrase_000\t5\t0.5\n")
+            argv += ["--hard-negatives", str(negatives),
+                     "--fine-tune-epochs", "1"]
+        else:
+            argv += ["--epochs", "1"]
+        return argv
+
+    @pytest.mark.parametrize("command, mode, refused", UNREAD_FLAGS, ids=[
+        "-".join(filter(None, (c, m, "+".join(f[2:] for f in r[::2]))))
+        for c, m, r in UNREAD_FLAGS])
+    def test_unread_flag_exits_one(self, workdir, tmp_path, command, mode,
+                                   refused, caplog):
+        argv = [command, *self.args(workdir, tmp_path, command, mode)]
+        assert run_cli(*argv, *refused) == 1
+        for flag in refused[::2]:
+            assert flag in caplog.text
+        assert os.listdir(tmp_path / "out") == []
+        # the same run without the refused flags works
+        assert run_cli(*argv) == 0
+        assert os.listdir(tmp_path / "out")
+
+    def test_mode_from_config_file(self, workdir, tmp_path, caplog):
+        # --checkpoint-in given in the file makes --lr0 a refused flag
+        argv = self.args(workdir, tmp_path, "train", "fresh")
+        cut = argv.index("--x-hidden-dim")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"checkpoint_in = {workdir['loc'] / 'model.ckpt'}\n")
+        assert run_cli("train", *argv[:cut], "--config", str(path),
+                       "--lr0", "0.5") == 1
+        assert "--lr0" in caplog.text
+        assert os.listdir(tmp_path / "out") == []
+
+    @staticmethod
+    def echo(path):
+        """The ``# key = value`` lines of a CSV, as a dict."""
+        return dict(line[2:].split(" = ", 1)
+                    for line in path.read_text().splitlines()
+                    if line.startswith("# "))
+
+    def test_pipeline_config_file(self, workdir, tmp_path):
+        # one file may hold keys for the other commands of a pipeline
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("alpha = 0.5\nlambda1 = 7\nhn_cap = 2\n")
+        argv = self.args(workdir, tmp_path, "eval-retrieval", "")
+        assert run_cli("eval-retrieval", "--config", str(path), *argv) == 0
+        echo = self.echo(tmp_path / "out" / "r.csv")
+        assert set(echo) == keys_read("eval-retrieval", "")
+        assert not {"alpha", "lambda1", "hn_cap"} & set(echo)
+
+    @pytest.mark.parametrize("dropout_y", [0.25, 0.5])
+    def test_resumed_echo_is_the_checkpoint(self, workdir, tmp_path,
+                                            dropout_y):
+        # settings unlike the config defaults, each branch its own dropout
+        params = nw.init_params(nw.BranchSpec(12, 16, 8, 0.5),
+                                nw.BranchSpec(10, 24, 8, dropout_y),
+                                seed=5, bn_momentum=0.2, bn_eps=1e-4)
+        opt = nw.OptimizerState(lr0=0.05, lr=0.05, momentum=0.8,
+                                weight_decay=0.001)
+        ckpt = tmp_path / "in.ckpt"
+        nw.save_checkpoint(params, opt, ckpt)
+        ret = workdir["ret"]
+        csv = tmp_path / "t.csv"
+        assert run_cli("train", "--features-x", str(ret / "x.feat"),
+                       "--features-y", str(ret / "y.feat"),
+                       "--pairs", str(ret / "pairs.tsv"),
+                       "--checkpoint-in", str(ckpt),
+                       "--checkpoint-out", str(tmp_path / "out.ckpt"),
+                       "--train-csv", str(csv), "--epochs", "1",
+                       "--batch-pairs", "6", "--seed", "3") == 0
+        params, opt = nw.load_checkpoint(ckpt)
+        x, y = params.spec_x, params.spec_y
+        held = {"x_hidden_dim": str(x.hidden_dim),
+                "y_hidden_dim": str(y.hidden_dim),
+                "embed_dim": str(x.embed_dim),
+                "dropout": (repr(x.dropout_p) if x.dropout_p == y.dropout_p
+                            else f"x {x.dropout_p!r}, y {y.dropout_p!r}"),
+                "bn_momentum": repr(params.bn_momentum),
+                "bn_eps": repr(params.bn_eps), "lr0": repr(opt.lr0),
+                "momentum": repr(opt.momentum),
+                "weight_decay": repr(opt.weight_decay)}
+        echo = self.echo(csv)
+        # the resumed run's keys, plus those a fresh run reads
+        assert set(echo) == (keys_read("train", "resumed")
+                             | keys_read("train", "fresh"))
+        assert {key: echo[key] for key in held} == held
+        assert echo["seed"] == "3" and echo["epochs"] == "1"
+
+    def test_fine_tune_reads_no_structure_weight(self, workdir, tmp_path,
+                                                 caplog):
+        argv = self.args(workdir, tmp_path, "train", "resumed_fine_tune")
+        assert run_cli("train", *argv) == 0
+        assert "forces lambda2/lambda3" not in caplog.text
+        echo = self.echo(tmp_path / "out" / "t.csv")
+        assert not {"lambda2", "lambda3", "epochs"} & set(echo)
+        assert echo["fine_tune_epochs"] == "1"
 
 
 class TestGenSynthetic:
