@@ -9,6 +9,17 @@ On-disk formats:
     lines and ``#`` comments allowed, so no x_id may begin with ``#``
     and no id may hold a tab or a line break (``tsv_line``).
 
+Each on-disk format has one rule that its writer and its reader both
+apply: a writer refuses what its reader would refuse, and a refused
+write leaves the old file's bytes (``atomic_write``).
+``save_feature_file`` runs the reader's finiteness check on each
+float32 chunk it writes.  Every TSV writer refuses a field that
+``tsv_line`` could not read back.  ``evaluation.save_corpus_file``
+checks its rows by the corpus reader's value rule, less the checks that
+need feature sets; ``hard_negatives.save_hard_negatives`` checks each
+line's fields by the reader's line rule; ``network.save_checkpoint``
+refuses a NaN or infinite record, as ``load_checkpoint`` does.
+
 A FeatureSet keeps float32 or float64 features as given (a file loads
 as float32, the generators make float64); consumers widen what they
 compute on with ``tensor_core.as_matrix``, which is exact.
@@ -150,7 +161,10 @@ def save_feature_file(fs, path):
     The ids are checked and their text built before either file is
     touched, so a bad id cannot leave new features beside old ids.  The
     payload is converted and written in row chunks of about IO_FLOATS
-    floats, so beyond the FeatureSet the save holds one chunk.
+    floats, so beyond the FeatureSet the save holds one chunk.  Each
+    converted chunk goes through ``load_feature_file``'s check: NaN, or
+    a value that is infinite as float32, raises DimensionError, and
+    neither file changes.
     """
     _check_ids(fs.ids)
     ids_text = "".join(fid + "\n" for fid in fs.ids)
@@ -160,8 +174,12 @@ def save_feature_file(fs, path):
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQQ", FEATURE_VERSION, rows, cols))
         for start in range(0, rows, step):
-            fh.write(np.ascontiguousarray(fs.features[start:start + step],
-                                          dtype="<f4"))
+            # a float64 beyond float32's range becomes inf, which the
+            # check refuses as the reader would
+            with np.errstate(over="ignore"):
+                chunk = np.ascontiguousarray(fs.features[start:start + step],
+                                             dtype="<f4")
+            fh.write(check_finite(chunk, path))
     with atomic_write(path + ".ids") as fh:
         fh.write(ids_text)
 

@@ -227,109 +227,39 @@ class LocalizationCorpus:
         return (valid & (iou >= iou_thresh)).any(axis=-1)
 
 
-def save_corpus_file(rows, path):
-    """Write proposal/GT rows as TSV in the ``load_corpus_file`` format.
-
-    Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2), and
-    optionally an eighth field, feature_row_index or None.  A row of
-    another width or kind, or one that ``tsv_line`` refuses, would not
-    read back and raises ConsistencyError; the old file keeps its bytes.
-    """
-    with atomic_write(path) as fh:
-        for row in rows:
-            if len(row) not in (7, 8) or row[1] not in ("P", "G"):
-                raise ConsistencyError(
-                    f"{path}: corpus row {tuple(row)!r} would not read "
-                    "back: it needs 7 or 8 fields and a kind of P or G")
-            image_id, kind, phrase_id, x1, y1, x2, y2 = row[:7]
-            cols = [image_id, kind, phrase_id,
-                    repr(float(x1)), repr(float(y1)),
-                    repr(float(x2)), repr(float(y2))]
-            if len(row) > 7 and row[7] is not None:
-                cols.append(str(int(row[7])))
-            fh.write(tsv_line(cols, path))
-
-
-def _check_corpus_line(path, lineno, parts):
-    """Raise the FormatError of a corpus line whose kind or numbers do
-    not parse; the messages name ``path:lineno``."""
+def _corpus_row(parts):
+    """The row tuple, as ``save_corpus_file`` takes one, of one corpus
+    line's text fields; ValueError for a kind other than P or G or a
+    field that is no number."""
     if parts[1] not in ("P", "G"):
-        raise FormatError(
-            f"{path}:{lineno}: kind must be P or G, got {parts[1]!r}"
-        )
-    try:
-        for v in parts[3:7]:
-            float(v)
-        if len(parts) == 8:
-            int(parts[7])
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        raise ValueError(f"kind must be P or G, got {parts[1]!r}")
+    return (*parts[:3], *map(float, parts[3:7]),
+            int(parts[7]) if len(parts) == 8 else None)
 
 
-def _read_corpus_columns(path):
-    """Parse the proposal/GT TSV into columns, one split per line and one
-    conversion per column: image ids, kinds and phrase ids (sequences),
-    (N, 4) boxes, (N,) feature rows and whether each line has one.
-
-    FormatError names the first line that does not parse: a column
-    count outside 7-8, a kind other than P or G or a field that is no
-    number.
-    """
-    try:
-        # tuples of strings, unlike lists, drop out of the collector
-        lines = [tuple(parts) for _, parts in read_tsv(path, (7, 8))]
-        # zip stops at the shortest line: the seven columns all lines have
-        image_ids, kinds, phrase_ids, *coords = \
-            list(zip(*lines)) or [()] * 7
-        if not set(kinds) <= {"P", "G"}:
-            raise ValueError("unknown kind")
-        boxes = np.array([list(map(float, c)) for c in coords[:4]],
-                         dtype=np.float64).reshape(4, -1).T
-        has_feat = np.array([len(parts) == 8 for parts in lines],
-                            dtype=bool)
-        feat = np.full(len(lines), -1, dtype=np.int64)
-        feat[has_feat] = [int(parts[7]) for parts in lines
-                          if len(parts) == 8]
-    except (FormatError, ValueError):
-        # read again line by line to report the first fault in the file
-        for lineno, parts in read_tsv(path, (7, 8)):
-            _check_corpus_line(path, lineno, parts)
-        raise
-    return image_ids, kinds, phrase_ids, boxes, feat, has_feat
-
-
-def load_corpus_file(path, phrases, regions):
-    """Read a proposal/GT TSV into a LocalizationCorpus.
-
-    This file is the one way into a LocalizationCorpus: rows written by
-    ``save_corpus_file`` are read back here.  One line per box,
-    tab-separated: image_id, kind (P for a proposal, G for a
-    ground-truth box), phrase_id, x1, y1, x2, y2 and the box's row in
-    the region feature file, which a GT box may leave out.  Blank lines
-    and lines starting with # are skipped.  The lines of one (image_id,
-    phrase_id) pair form a query.  Each line is split once and each
-    column converted at once; no row tuple of converted values is built.
-
-    Raises:
-        FormatError: naming the first line that does not parse.
-        ConsistencyError: naming the query of the first line whose box
-            is not finite or has no area, whose proposal has no feature
-            row or whose feature row lies outside ``regions``; then the
-            first query with no proposals, more than
-            MAX_PROPOSALS_PER_QUERY or a phrase id not in ``phrases``.
-    """
-    image, kind, phrase, boxes, feat, has_feat = _read_corpus_columns(path)
+def _corpus(rows, phrases=None, regions=None):
+    """The LocalizationCorpus of ``_corpus_row`` tuples, checked by the
+    value rule of the corpus file; it raises the ConsistencyError that
+    ``load_corpus_file`` names.  Without feature sets, as
+    ``save_corpus_file`` applies it, the checks that need one are
+    skipped, a negative feature row is refused on its own and every
+    ``phrase_rows`` entry is -1."""
+    image, kind, phrase, *coords, feats = list(zip(*rows)) or [()] * 8
     keys, codes = {}, {}
     query = np.array([keys.setdefault(key, len(keys))
                       for key in zip(image, phrase)], dtype=np.int64)
     phrase_code = np.array([codes.setdefault(p, len(codes))
                             for p in phrase], dtype=np.int64)
     is_proposal = np.array(kind, dtype=object) == "P"
+    boxes = np.array(coords, dtype=np.float64).reshape(4, -1).T
+    has_feat = np.array([f is not None for f in feats], dtype=bool)
+    feat = np.array([-1 if f is None else f for f in feats], dtype=np.int64)
 
     finite = np.isfinite(boxes).all(axis=1)
     flat = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
     unfed = is_proposal & ~has_feat
-    outside = has_feat & ~((feat >= 0) & (feat < regions.n))
+    limit = np.inf if regions is None else regions.n
+    outside = has_feat & ~((feat >= 0) & (feat < limit))
     bad = ~finite | flat | unfed | outside
     if bad.any():
         i = int(np.argmax(bad))
@@ -339,6 +269,8 @@ def load_corpus_file(path, phrases, regions):
             f"{where}: {box} is not finite" if not finite[i]
             else f"{where}: {box} has no area" if flat[i]
             else f"{where}: proposal without a feature row" if unfed[i]
+            else f"{where}: feature row {feat[i]} is negative"
+            if regions is None
             else f"{where}: feature row {feat[i]} outside region set "
                  f"of {regions.n} rows")
 
@@ -346,11 +278,13 @@ def load_corpus_file(path, phrases, regions):
     image_ids = np.array(image, dtype=str)[first_row]
     query_phrase = phrase_code[first_row]
     phrase_ids = list(codes)
-    known = dict(zip(phrases.ids, range(phrases.n)))
+    known = {} if phrases is None else dict(zip(phrases.ids,
+                                                range(phrases.n)))
     phrase_rows = np.array([known.get(p, -1) for p in phrase_ids],
                            dtype=np.int64)[query_phrase]
     count = np.bincount(query[is_proposal], minlength=len(keys))
-    bad = (count == 0) | (count > MAX_PROPOSALS_PER_QUERY) | (phrase_rows < 0)
+    bad = (count == 0) | (count > MAX_PROPOSALS_PER_QUERY) | (
+        (phrase_rows < 0) & (phrases is not None))
     if bad.any():
         q = int(np.argmax(bad))
         phrase_id = phrase_ids[query_phrase[q]]
@@ -373,6 +307,69 @@ def load_corpus_file(path, phrases, regions):
         proposal_boxes=boxes[props], proposal_rows=feat[props],
         proposal_query=query[props], gt_boxes=boxes[gts],
         gt_rows=feat[gts], gt_query=query[gts])
+
+
+def save_corpus_file(rows, path):
+    """Write proposal/GT rows as TSV in the ``load_corpus_file`` format.
+
+    Row tuple: (image_id, kind "P"|"G", phrase_id, x1, y1, x2, y2), and
+    optionally an eighth field, feature_row_index or None.  The writer
+    refuses what the reader refuses, with ConsistencyError, and the old
+    file keeps its bytes: a row of another width or kind, a field that
+    ``tsv_line`` refuses, a line the reader's line rule refuses and rows
+    its value rule refuses without feature sets, with its messages.
+    """
+    written = []
+    with atomic_write(path) as fh:
+        for row in rows:
+            if len(row) not in (7, 8) or row[1] not in ("P", "G"):
+                raise ConsistencyError(
+                    f"{path}: corpus row {tuple(row)!r} would not read "
+                    "back: it needs 7 or 8 fields and a kind of P or G")
+            box = list(map(float, row[3:7]))
+            parts = [str(row[0]), row[1], str(row[2]), *map(repr, box)]
+            if len(row) > 7 and row[7] is not None:
+                parts.append(str(row[7]))
+            fh.write(tsv_line(parts, path))
+            try:
+                # a float's repr reads back as the float, so the line
+                # rule takes the floats themselves
+                written.append(_corpus_row([*parts[:3], *box, *parts[7:]]))
+            except ValueError as exc:
+                raise ConsistencyError(
+                    f"{path}: corpus row {tuple(row)!r} would not read "
+                    f"back: {exc}") from exc
+        _corpus(written)
+
+
+def load_corpus_file(path, phrases, regions):
+    """Read a proposal/GT TSV into a LocalizationCorpus.
+
+    This file is the one way into a LocalizationCorpus: rows written by
+    ``save_corpus_file`` are read back here.  One line per box,
+    tab-separated: image_id, kind (P for a proposal, G for a
+    ground-truth box), phrase_id, x1, y1, x2, y2 and the box's row in
+    the region feature file, which a GT box may leave out.  Blank lines
+    and lines starting with # are skipped.  The lines of one (image_id,
+    phrase_id) pair form a query.  One pass converts each line; the
+    rows are then checked by the value rule ``save_corpus_file`` also
+    applies, here with ``phrases`` and ``regions``.
+
+    Raises:
+        FormatError: naming the first line that does not parse.
+        ConsistencyError: naming the query of the first line whose box
+            is not finite or has no area, whose proposal has no feature
+            row or whose feature row lies outside ``regions``; then the
+            first query with no proposals, more than
+            MAX_PROPOSALS_PER_QUERY or a phrase id not in ``phrases``.
+    """
+    rows = []
+    for lineno, parts in read_tsv(path, (7, 8)):
+        try:
+            rows.append(_corpus_row(parts))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    return _corpus(rows, phrases, regions)
 
 
 # ---------------------------------------------------------------------------

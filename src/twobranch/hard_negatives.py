@@ -107,30 +107,52 @@ def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
     return HardNegativeSet(by_phrase=out), skipped
 
 
+def _entry(row, dist):
+    """(region row, distance) of one line's row and distance fields, by
+    the rule ``save_hard_negatives`` and ``load_hard_negatives`` both
+    apply: ValueError unless the row is an integer and the distance a
+    finite float."""
+    row, value = int(row), float(dist)
+    if not math.isfinite(value):
+        raise ValueError(f"distance {dist!r} is not finite")
+    return row, value
+
+
 def save_hard_negatives(hn, path):
-    """TSV: phrase_id, region row, distance; one line per negative."""
+    """TSV: phrase_id, region row, distance; one line per negative.
+
+    The writer refuses what ``load_hard_negatives`` refuses: each line's
+    fields go through the reader's rule first, so a row that is no
+    integer or a distance that is not finite raises ConsistencyError,
+    as does a phrase id ``tsv_line`` refuses; the old file then keeps
+    its bytes.
+    """
     with atomic_write(path) as fh:
         for phrase_id in sorted(hn.by_phrase):
             for row, dist in hn.by_phrase[phrase_id]:
-                fh.write(tsv_line((phrase_id, row, repr(float(dist))), path))
+                fields = (phrase_id, str(row), repr(float(dist)))
+                try:
+                    _entry(*fields[1:])
+                except ValueError as exc:
+                    raise ConsistencyError(
+                        f"{path}: negative {(row, dist)!r} of phrase "
+                        f"{phrase_id!r} would not read back: {exc}") from exc
+                fh.write(tsv_line(fields, path))
 
 
 def load_hard_negatives(path, cap=50):
     """Read a save_hard_negatives TSV, keeping each phrase's ``cap``
-    closest entries by (distance, row); ``cap`` must be at least 1."""
+    closest entries by (distance, row); ``cap`` must be at least 1.
+    A line whose row is no integer or whose distance is not finite
+    raises FormatError naming ``path:lineno``."""
     _check_cap(cap)
     by_phrase = {}
     for lineno, parts in read_tsv(path, (3,)):
         try:
-            row = int(parts[1])
-            dist = float(parts[2])
+            entry = _entry(parts[1], parts[2])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(dist):
-            raise FormatError(
-                f"{path}:{lineno}: distance {parts[2]!r} is not finite"
-            )
-        by_phrase.setdefault(parts[0], []).append((row, dist))
+        by_phrase.setdefault(parts[0], []).append(entry)
     return HardNegativeSet(by_phrase={
         phrase_id: [(r, d) for d, r in sorted(
             (d, r) for r, d in entries)[:cap]]

@@ -713,8 +713,22 @@ def _as_record_matrix(arr):
     return arr.reshape(_stored_shape(arr.shape))
 
 
+def _check_record(path, name, mat):
+    """FormatError naming record ``name`` of ``path`` if it holds NaN or
+    infinity: training never saves one, so ``save_checkpoint`` refuses
+    to write such a record and ``load_checkpoint`` to read one."""
+    if not np.isfinite(mat).all():
+        raise FormatError(f"{path}: record {name} holds "
+                          f"{mat[~np.isfinite(mat)][0]}")
+
+
 def save_checkpoint(params, opt, path):
-    """Write params + optimizer state to ``path`` (see layout above)."""
+    """Write params + optimizer state to ``path`` (see layout above).
+
+    Each record is checked as ``load_checkpoint`` checks it, while the
+    worker hashes it: one holding NaN or infinity raises FormatError
+    naming it, and the old file keeps its bytes.
+    """
     tensors = _named_tensors(params, opt)
     with _Checksum() as checksum, atomic_write(path, "wb") as fh:
 
@@ -729,6 +743,7 @@ def save_checkpoint(params, opt, path):
             put(struct.pack("<I", len(raw_name)) + raw_name
                 + struct.pack("<QQ", mat.shape[0], mat.shape[1]))
             put(mat)
+            _check_record(path, name, mat)
         fh.write(checksum.value())
 
 
@@ -778,9 +793,7 @@ def load_checkpoint(path):
                 mat = read(rows * cols * 8, f"{name} data", (rows, cols))
                 if name in tensors:
                     raise FormatError(f"{path}: duplicate record {name}")
-                if not np.isfinite(mat).all():
-                    raise FormatError(f"{path}: record {name} holds "
-                                      f"{mat[~np.isfinite(mat)][0]}")
+                _check_record(path, name, mat)
                 tensors[name] = mat
         except (FormatError, ValueError) as exc:
             # a corrupt header can also fail to decode as UTF-8 or claim

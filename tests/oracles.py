@@ -716,6 +716,18 @@ def corpus_queries(rows, phrases, regions):
     return queries
 
 
+def poke_feature(path, row, col, value):
+    """Overwrite entry (row, col) of the feature file ``path`` with the
+    float32 ``value`` in place; ``save_feature_file`` would refuse a
+    non-finite one."""
+    header = len(data.FEATURE_MAGIC) + 4 + 16
+    with open(path, "r+b") as fh:
+        fh.seek(header - 8)
+        (cols,) = struct.unpack("<Q", fh.read(8))
+        fh.seek(header + 4 * (row * cols + col))
+        fh.write(struct.pack("<f", value))
+
+
 def load_corpus(rows, phrases, regions):
     """LocalizationCorpus of corpus rows as the command line builds one:
     written by ``save_corpus_file`` and read back by

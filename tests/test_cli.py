@@ -236,9 +236,9 @@ class TestConfigParsing:
     def test_non_finite_features_exit_one(self, workdir, tmp_path, caplog):
         ret = workdir["ret"]
         feats = data.load_feature_file(str(ret / "x.feat"))
-        feats.features[3, 1] = np.nan
         bad = str(tmp_path / "x.feat")
         data.save_feature_file(feats, bad)
+        oracles.poke_feature(bad, 3, 1, np.nan)
         ckpt = tmp_path / "m.ckpt"
         assert run_cli("train",
                        "--features-x", bad,

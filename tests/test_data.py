@@ -1,18 +1,22 @@
 """Tests for feature files, pair files, graphs, batching, generators."""
 
 import errno
+import math
 import os
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twobranch import cli, data, evaluation, hard_negatives
 from twobranch.errors import (ConfigError, ConsistencyError, DimensionError,
-                              FormatError)
+                              FormatError, TwoBranchError)
 
 
 def load_corpus(path):
@@ -76,6 +80,24 @@ class TestFeatureFile:
         back = data.load_feature_file(path)
         assert back.ids == fs.ids
         assert np.array_equal(back.features, fs.features)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39],
+                             ids=["nan", "inf", "beyond_float32"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, value):
+        # 1e39 is finite as float64 but infinite once cast to float32
+        path = str(tmp_path / "feat.bin")
+        data.save_feature_file(make_features(np.random.default_rng(4), 5, 3),
+                               path)
+        before = [open(p, "rb").read() for p in (path, path + ".ids")]
+        fs = data.FeatureSet(ids=[f"new_{i}" for i in range(5)],
+                             features=np.ones((5, 3)))
+        fs.features[4, 2] = value
+        with pytest.raises(DimensionError, match="^" + re.escape(
+                f"{path} contains non-finite values") + "$"):
+            data.save_feature_file(fs, path)
+        assert [open(p, "rb").read() for p in (path, path + ".ids")] == \
+            before
+        assert sorted(os.listdir(tmp_path)) == ["feat.bin", "feat.bin.ids"]
 
     def test_wide_rows_accepted(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -189,16 +211,15 @@ class TestFeatureFile:
         back = data.load_feature_file(path)
         assert back.features.dtype == np.float32
         assert back.features.tobytes() == fs.features.tobytes()
-        fs.features[6, 4] = np.nan
-        data.save_feature_file(fs, path)
+        oracles.poke_feature(path, 6, 4, np.nan)
         with pytest.raises(DimensionError, match="non-finite"):
             data.load_feature_file(path)
 
     def test_missing_id_file_reported_before_payload_read(self, tmp_path):
         fs = make_features(np.random.default_rng(7), 200, 300)
-        fs.features[5, 7] = np.nan
         path = str(tmp_path / "feat.bin")
         data.save_feature_file(fs, path)
+        oracles.poke_feature(path, 5, 7, np.nan)
         (tmp_path / "feat.bin.ids").unlink()
         tracemalloc.start()
         try:
@@ -222,10 +243,10 @@ class TestFeatureFile:
     ])
     def test_fault_messages(self, tmp_path, fault, message):
         fs = make_features(np.random.default_rng(8), 4, 3)
-        if fault == "non_finite":
-            fs.features[3, 2] = np.inf
         path = str(tmp_path / "feat.bin")
         data.save_feature_file(fs, path)
+        if fault == "non_finite":
+            oracles.poke_feature(path, 3, 2, np.inf)
         blob = bytearray(open(path, "rb").read())
         if fault == "short_header":
             blob = blob[:19]
@@ -244,6 +265,58 @@ class TestFeatureFile:
                            match="^" + re.escape(message.format(path=path))
                            + "$"):
             data.load_feature_file(path)
+
+
+@st.composite
+def feature_case(draw):
+    """(FeatureSet, fault): float64 features and ids, and with fault not
+    None, one value or id that the reader would refuse.  3.4e38 is
+    finite as float32, 3.5e38 is not; -1e-46 reads back as -0.0."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                     st.sampled_from([3.4e38, -1e-46])),
+                           min_size=rows * cols, max_size=rows * cols))
+    fs = data.FeatureSet(ids=[f"id_{i}" for i in range(rows)],
+                         features=np.array(values).reshape(rows, cols))
+    fault = draw(st.one_of(st.none(), st.sampled_from(
+        (math.nan, math.inf, -math.inf, 1e39, -3.5e38, "id"))))
+    if fault is not None and rows:
+        if fault == "id":
+            fs.ids[draw(st.integers(0, rows - 1))] = "line\nbreak"
+        else:
+            fs.features.reshape(-1)[draw(
+                st.integers(0, rows * cols - 1))] = fault
+    return fs, (fault if rows else None)
+
+
+class TestFeatureFileProperty:
+    # bounded: about 0.6 s of tier-1 time on 2 CPUs
+    @settings(max_examples=100, deadline=2000)
+    @given(feature_case())
+    def test_writer_refuses_exactly_what_the_reader_refuses(self, case):
+        # a set the writer accepts reads back as its float32 cast; one
+        # it refuses raises a package error and leaves both previous
+        # files as they were
+        fs, fault = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "feat.bin")
+            data.save_feature_file(
+                make_features(np.random.default_rng(0), 3, 2), path)
+            files = (path, path + ".ids")
+            before = [open(p, "rb").read() for p in files]
+            try:
+                data.save_feature_file(fs, path)
+            except TwoBranchError:
+                assert fault is not None
+                assert [open(p, "rb").read() for p in files] == before
+                assert sorted(os.listdir(tmp)) == ["feat.bin",
+                                                   "feat.bin.ids"]
+            else:
+                assert fault is None
+                back = data.load_feature_file(path)
+                assert back.ids == fs.ids
+                assert back.features.tobytes() == \
+                    fs.features.astype("<f4").tobytes()
 
 
 class TestPairFile:

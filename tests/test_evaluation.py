@@ -1,10 +1,14 @@
 """Tests for retrieval metrics, localization metrics, and fusion."""
 
+import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twobranch import data
@@ -16,6 +20,7 @@ from twobranch.errors import (
     ConsistencyError,
     EvaluationError,
     FormatError,
+    TwoBranchError,
 )
 
 
@@ -373,6 +378,34 @@ class TestCorpusIO:
         assert path.read_bytes() == written
         assert os.listdir(tmp_path) == ["corpus.tsv"]
 
+    @pytest.mark.parametrize("bad, message", [
+        (("img", "P", "cat", 0.0, float("nan"), 5.0, 5.0, 0),
+         "query (img, cat): box (0.0, nan, 5.0, 5.0) is not finite"),
+        (("img", "P", "cat", 5.0, 0.0, 5.0, 5.0, 0),
+         "query (img, cat): box (5.0, 0.0, 5.0, 5.0) has no area"),
+        (("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, None),
+         "query (img, cat): proposal without a feature row"),
+        (("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, -2),
+         "query (img, cat): feature row -2 is negative"),
+        (("img", "G", "cat", 0.0, 0.0, 5.0, 5.0, None),
+         "query (img, cat) has no proposals"),
+        (("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 1.5),
+         "invalid literal for int() with base 10: '1.5'")],
+        ids=["nan", "flat", "no_feature", "negative_row", "no_proposals",
+             "fractional_row"])
+    def test_round_trip_refuses_what_the_reader_refuses(self, tmp_path, bad,
+                                                        message):
+        # each of these would be written and then refused on load
+        rows = corpus_rows_fixture()
+        path = tmp_path / "corpus.tsv"
+        ev.save_corpus_file(rows, str(path))
+        written = path.read_bytes()
+        with pytest.raises(ConsistencyError) as got:
+            ev.save_corpus_file(rows + [bad], str(path))
+        assert str(got.value).endswith(message)
+        assert path.read_bytes() == written
+        assert os.listdir(tmp_path) == ["corpus.tsv"]
+
     def test_comments_and_blanks(self, tmp_path):
         path = str(tmp_path / "corpus.tsv")
         with open(path, "w") as fh:
@@ -465,10 +498,14 @@ class TestCorpusIO:
     @pytest.mark.parametrize("fault", [
         "inf", "nan", "flat", "no_feature", "row_high", "row_negative",
         "no_proposals", "too_many", "unknown_phrase"])
-    def test_first_fault_reads_like_the_per_query_build(self, fault):
+    def test_first_fault_reads_like_the_per_query_build(self, tmp_path,
+                                                         fault):
         # the fault lands on a random row or query of a valid corpus;
         # a later copy of the corpus, under other image ids, holds a
-        # query with too many proposals
+        # query with too many proposals.  save_corpus_file refuses such
+        # rows, so the file is written without it; the writer's own
+        # refusal reads the same wherever the fault needs no feature set
+        path, saved = tmp_path / "corpus.tsv", tmp_path / "saved.tsv"
         for seed in range(6):
             rng = np.random.default_rng(seed)
             rows, phrases, regions, _, _ = \
@@ -478,9 +515,15 @@ class TestCorpusIO:
             rows = corrupt(rows, fault, rng) + later
             with pytest.raises(ConsistencyError) as want:
                 oracles.corpus_queries(rows, phrases, regions)
+            path.write_text(unchecked_corpus_text(rows))
             with pytest.raises(ConsistencyError) as got:
-                oracles.load_corpus(rows, phrases, regions)
+                ev.load_corpus_file(str(path), phrases, regions)
             assert str(got.value) == str(want.value)
+            with pytest.raises(ConsistencyError) as refused:
+                ev.save_corpus_file(rows, str(saved))
+            if fault not in ("row_high", "row_negative", "unknown_phrase"):
+                assert str(refused.value) == str(want.value)
+            assert os.listdir(tmp_path) == ["corpus.tsv"]
 
     def test_proposal_without_feature_row(self):
         phrases, regions = tiny_sets()
@@ -550,6 +593,16 @@ class TestCorpusIO:
             ev.localization_recall_at_k(corpus, np.zeros(0), 1)
 
 
+def unchecked_corpus_text(rows):
+    """Corpus TSV text of rows, written without save_corpus_file's
+    checks."""
+    lines = []
+    for row in rows:
+        fields = row if row[7] is not None else row[:7]
+        lines.append("\t".join(map(str, fields)) + "\n")
+    return "".join(lines)
+
+
 def corrupt(rows, fault, rng):
     """A copy of rows with one fault at a random row or query."""
     rows = list(rows)
@@ -571,6 +624,79 @@ def corrupt(rows, fault, rng):
     else:
         rows.insert(i, (image_id, "P", "nobody", x1, y1, x2, y2, 0))
     return rows
+
+
+CORPUS_FAULTS = ("nan", "inf", "flat", "no_feature", "negative_row",
+                 "fractional_row", "kind", "comment", "tab", "line_break",
+                 "no_proposals", "too_many")
+
+
+@st.composite
+def corpus_case(draw):
+    """(rows, fault): corpus rows that load against ``tiny_sets``, and
+    with fault not None, one change that the reader would refuse."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        image = draw(st.sampled_from(("im_a", "im_b")))
+        phrase = draw(st.sampled_from(("cat", "dog")))
+        for kind in ["P"] + draw(st.lists(st.sampled_from("PG"), max_size=3)):
+            x1, y1, w, h = (float(draw(st.integers(lo, 20)))
+                            for lo in (0, 0, 1, 1))
+            feat = draw(st.integers(0, 3)) if kind == "P" else \
+                draw(st.one_of(st.none(), st.integers(0, 3)))
+            rows.append((image, kind, phrase, x1, y1, x1 + w, y1 + h, feat))
+    rows = list(draw(st.permutations(rows)))
+    fault = draw(st.one_of(st.none(), st.sampled_from(CORPUS_FAULTS)))
+    i = draw(st.integers(0, len(rows) - 1))
+    image, kind, phrase, x1, y1, x2, y2, feat = rows[i]
+    box = [x1, y1, x2, y2]
+    if fault in ("nan", "inf"):
+        box[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            [math.nan] if fault == "nan" else [math.inf, -math.inf]))
+    elif fault == "flat":
+        box[2] = box[0]
+    elif fault == "no_feature":
+        kind, feat = "P", None
+    elif fault in ("negative_row", "fractional_row"):
+        feat = -1 if fault == "negative_row" else 1.5
+    elif fault == "kind":
+        kind = "Q"
+    elif fault == "comment":
+        image = "#" + image
+    elif fault in ("tab", "line_break"):
+        phrase = "c\tt" if fault == "tab" else "c\nt"
+    elif fault == "no_proposals":
+        rows.append(("im_c", "G", "cat", 0.0, 0.0, 1.0, 1.0, None))
+    elif fault == "too_many":
+        rows += [("im_c", "P", "cat", 0.0, 0.0, 1.0, 1.0, 0)] * 101
+    rows[i] = (image, kind, phrase, *box, feat)
+    return rows, fault
+
+
+class TestCorpusFileProperty:
+    # bounded: about 0.5 s of tier-1 time on 2 CPUs
+    @settings(max_examples=100, deadline=2000)
+    @given(corpus_case())
+    def test_writer_refuses_exactly_what_the_reader_refuses(self, case):
+        # rows the writer accepts read back equal; rows it refuses
+        # raise a package error and leave the previous file as it was
+        rows, fault = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.tsv")
+            ev.save_corpus_file(corpus_rows_fixture(), path)
+            with open(path, "rb") as fh:
+                before = fh.read()
+            try:
+                ev.save_corpus_file(rows, path)
+            except TwoBranchError:
+                assert fault is not None
+                with open(path, "rb") as fh:
+                    assert fh.read() == before
+                assert os.listdir(tmp) == ["corpus.tsv"]
+            else:
+                assert fault is None
+                assert sorted(rows_of(load_tiny(path)), key=repr) == \
+                    sorted(rows, key=repr)
 
 
 def single_query_corpus(proposals, gts, phrase_id="cat"):

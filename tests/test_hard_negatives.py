@@ -2,15 +2,20 @@
 
 import copy
 import logging
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twobranch import data, evaluation as ev, hard_negatives as hn_mod
 from twobranch import network as nw, training
-from twobranch.errors import ConfigError, ConsistencyError, FormatError
+from twobranch.errors import (ConfigError, ConsistencyError, FormatError,
+                              TwoBranchError)
 from twobranch.loss_mining import LossConfig
 
 
@@ -246,6 +251,25 @@ class TestHardNegativeIO:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["negatives.tsv"]
 
+    @pytest.mark.parametrize("entry, message", [
+        ((4, float("nan")), "distance 'nan' is not finite"),
+        ((4, float("-inf")), "distance '-inf' is not finite"),
+        ((1.5, 0.25), "invalid literal for int() with base 10: '1.5'")],
+        ids=["nan", "inf", "fractional_row"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, entry, message):
+        path = tmp_path / "negatives.tsv"
+        hn_mod.save_hard_negatives(
+            hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)]}), path)
+        before = path.read_bytes()
+        bad = hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)],
+                                                "b": [entry]})
+        with pytest.raises(ConsistencyError, match="would not read back") \
+                as got:
+            hn_mod.save_hard_negatives(bad, path)
+        assert str(got.value).endswith(message)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["negatives.tsv"]
+
     def test_malformed_lines(self, tmp_path):
         path = str(tmp_path / "negatives.tsv")
         with open(path, "w") as fh:
@@ -270,6 +294,63 @@ class TestHardNegativeIO:
             by_phrase={"b": [(4, 0.1), (7, 0.2)], "a": [(1, 0.3)]})
         got = hn_mod.negatives_by_anchor_row(hn, phrases)
         assert got == {1: [4, 7], 0: [1]}
+
+
+@st.composite
+def negatives_case(draw):
+    """(by_phrase, fault): mined negatives that read back, and with
+    fault not None, one change that the reader would refuse."""
+    phrases = draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=1,
+                            max_size=3, unique=True))
+    entry = st.tuples(st.integers(-5, 50),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    by_phrase = {p: draw(st.lists(entry, min_size=1, max_size=4))
+                 for p in phrases}
+    fault = draw(st.one_of(st.none(), st.sampled_from(
+        ("nan", "inf", "fractional_row", "comment", "tab"))))
+    phrase = draw(st.sampled_from(phrases))
+    entries = by_phrase[phrase]
+    i = draw(st.integers(0, len(entries) - 1))
+    row, dist = entries[i]
+    if fault in ("nan", "inf"):
+        entries[i] = (row, draw(st.sampled_from(
+            [math.nan] if fault == "nan" else [math.inf, -math.inf])))
+    elif fault == "fractional_row":
+        entries[i] = (row + 0.5, dist)
+    elif fault in ("comment", "tab"):
+        renamed = "#" + phrase if fault == "comment" else phrase + "\tx"
+        by_phrase[renamed] = by_phrase.pop(phrase)
+    return by_phrase, fault
+
+
+class TestHardNegativeFileProperty:
+    # bounded: about 0.5 s of tier-1 time on 2 CPUs
+    @settings(max_examples=100, deadline=2000)
+    @given(negatives_case())
+    def test_writer_refuses_exactly_what_the_reader_refuses(self, case):
+        # entries the writer accepts read back equal, each phrase's in
+        # (distance, row) order; entries it refuses raise a package
+        # error and leave the previous file as it was
+        by_phrase, fault = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "negatives.tsv")
+            hn_mod.save_hard_negatives(
+                hn_mod.HardNegativeSet(by_phrase={"a": [(3, 0.5)]}), path)
+            with open(path, "rb") as fh:
+                before = fh.read()
+            try:
+                hn_mod.save_hard_negatives(
+                    hn_mod.HardNegativeSet(by_phrase=by_phrase), path)
+            except TwoBranchError:
+                assert fault is not None
+                with open(path, "rb") as fh:
+                    assert fh.read() == before
+                assert os.listdir(tmp) == ["negatives.tsv"]
+            else:
+                assert fault is None
+                assert hn_mod.load_hard_negatives(path).by_phrase == {
+                    p: [(r, d) for d, r in sorted((d, r) for r, d in e)]
+                    for p, e in by_phrase.items()}
 
 
 class TestFineTune:

@@ -1108,6 +1108,19 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
+    def test_non_finite_record_refused_old_file_kept(self, tmp_path):
+        # load_checkpoint would refuse the record, so the save does too
+        p, opt = self.trained_state()
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(p, opt, path)
+        before = path.read_bytes()
+        p.x.b1[1] = np.nan
+        with pytest.raises(FormatError, match="^" + re.escape(
+                f"{path}: record x.b1 holds nan") + "$"):
+            nw.save_checkpoint(p, opt, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
     def test_truncated_file_fails_checksum(self, tmp_path):
         p, opt = self.trained_state(seed=2)
         path = tmp_path / "model.ckpt"
