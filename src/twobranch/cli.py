@@ -1,17 +1,20 @@
 """Command-line entry point.
 
 Subcommands: train, eval-retrieval, eval-localization, mine-negatives,
-fuse, gen-synthetic, grad-check.  Configuration comes from defaults, an
-optional flat ``key = value`` file, then command-line flags, in that
-order.  ``COMMAND_KEYS`` names the keys each command reads, and
-``TRAIN_PARTS`` those train adds for a fresh or a resumed run and for a
-plain run or a fine-tune.  A flag the command does not read exits 1,
-whatever its value, before any data file is read; a key in the config
-file that it does not read is ignored, so one file can serve a
-pipeline.  The ``#`` lines of a train CSV or a report echo the keys
-read, with the values the run used.  Logs go to stderr; data goes to
-the files named in the config.
-Exit codes: 0 success, 1 validation failure, 2 runtime error.
+fuse, gen-synthetic, gen-localization, grad-check.  The first five take
+their configuration from defaults, an optional flat ``key = value``
+file, then command-line flags, in that order.  ``COMMAND_KEYS`` names
+the keys each command reads, and ``TRAIN_PARTS`` those train adds for a
+fresh or a resumed run and for a plain run or a fine-tune.  A flag the
+command does not read exits 1, whatever its value, before any data file
+is read; a key in the config file that it does not read is ignored, so
+one file can serve a pipeline.  The ``#`` lines of a train CSV or a
+report echo the keys read, with the values the run used.  The
+generators (gen-synthetic writes a retrieval set, gen-localization a
+localization corpus) and grad-check take flags alone, only their own:
+any other is argparse's usage error, exit 2, before a file is written.
+Logs go to stderr; data goes to the files named in the config or flags.
+Exit codes: 0 success, 1 validation failure, 2 runtime or usage error.
 """
 
 import argparse
@@ -69,7 +72,8 @@ _VALIDATION_ERRORS = (
 class ExperimentConfig:
     """Every tunable of the pipeline, flat for config files and flags.
 
-    A default that a package class also holds is read from that class.
+    A default that the package also applies is read from the class or
+    the module that applies it.
     """
 
     # loss
@@ -96,12 +100,12 @@ class ExperimentConfig:
     seed: int = 0
     augment: bool = True
     max_x_per_y: int = 0
-    negatives_per_anchor: int = 10
-    hn_cap: int = 50
+    negatives_per_anchor: int = data_mod.NEGATIVES_PER_ANCHOR
+    hn_cap: int = hn_mod.CAP_PER_PHRASE
     # evaluation
     alpha: float = 0.7
-    nms_overlap: float = 0.3
-    iou_thresh: float = 0.5
+    nms_overlap: float = ev.NMS_OVERLAP
+    iou_thresh: float = ev.IOU_THRESH
     # paths
     features_x: str = ""
     features_y: str = ""
@@ -294,8 +298,10 @@ def cmd_train(cfg, keys):
     ``--epochs`` counts the epochs this run adds: a run resumed with
     ``--checkpoint-in`` from a checkpoint of k completed epochs trains
     ``epochs`` more and ends at epoch k + epochs.  (A fine-tune on hard
-    negatives restarts the count at 0, runs ``fine_tune_epochs`` and
-    sets both structure weights to 0.)  A resumed run reads ``--seed``,
+    negatives restarts the count at 0 and runs ``fine_tune_epochs``;
+    it reads no structure weight, and ``fine_tune`` sets both to 0.)
+    The ``LossConfig`` holds the loss keys the run read and its own
+    defaults for the rest.  A resumed run reads ``--seed``,
     and its batch draws come from it; the CSV echoes the model settings
     of its checkpoint.
 
@@ -314,11 +320,8 @@ def cmd_train(cfg, keys):
     _require(cfg, "features_x", "features_y", "pairs", "checkpoint_out")
     check_seed(cfg.seed)
     fx, fy, graph = _load_xy(cfg)
-    tune = bool(cfg.hard_negatives)
-    loss_cfg = LossConfig(margin=cfg.margin, lambda1=cfg.lambda1,
-                          lambda2=0.0 if tune else cfg.lambda2,
-                          lambda3=0.0 if tune else cfg.lambda3,
-                          top_k=cfg.top_k)
+    loss_cfg = LossConfig(**{f.name: getattr(cfg, f.name)
+                             for f in fields(LossConfig) if f.name in keys})
     if cfg.checkpoint_in:
         params, opt = load_checkpoint(cfg.checkpoint_in)
         _check_dims(params, fx, fy, "train")
@@ -346,7 +349,7 @@ def cmd_train(cfg, keys):
                 save_checkpoint(params, opt, cfg.best_checkpoint_out)
                 saved_epoch = stats.epoch
 
-    if tune:
+    if cfg.hard_negatives:
         hn = hn_mod.load_hard_negatives(cfg.hard_negatives, cap=cfg.hn_cap)
         log.info("fine-tuning with %d hard negatives", hn.total)
         history = hn_mod.fine_tune(
@@ -371,17 +374,15 @@ def cmd_train(cfg, keys):
     if not linked:
         save_checkpoint(params, opt, cfg.checkpoint_out)
     if cfg.train_csv:
-        with data_mod.atomic_write(cfg.train_csv) as fh:
-            held = _model_settings(params, opt)
-            for line in config_echo(replace(cfg, **held), keys | held.keys()):
-                fh.write(f"# {line}\n")
-            fh.write("epoch,lr,mean_loss," + ",".join(FAMILY_NAMES)
-                     + ",batches,skipped_batches\n")
-            for st in history:
-                counts = ",".join(str(st.family_counts[n])
-                                  for n in FAMILY_NAMES)
-                fh.write(f"{st.epoch},{repr(st.lr)},{repr(st.mean_loss)},"
-                         f"{counts},{st.batches},{st.skipped_batches}\n")
+        held = _model_settings(params, opt)
+        ev.write_report_csv(
+            cfg.train_csv,
+            [(st.epoch, st.lr, st.mean_loss,
+              *(st.family_counts[n] for n in FAMILY_NAMES), st.batches,
+              st.skipped_batches) for st in history],
+            config_echo(replace(cfg, **held), keys | held.keys()),
+            header=("epoch", "lr", "mean_loss", *FAMILY_NAMES, "batches",
+                    "skipped_batches"))
     log.info("saved checkpoint to %s", cfg.checkpoint_out)
     return 0
 
@@ -407,7 +408,7 @@ def cmd_eval_localization(cfg, keys):
         "eval-localization")
     dists = ev.query_distances(corpus, phrase_emb, region_emb)
     rows = []
-    for k in (1, 5, 10):
+    for k in ev.RECALL_KS:
         value = ev.localization_recall_at_k(corpus, dists, k,
                                             iou_thresh=cfg.iou_thresh)
         rows.append(("localization_recall", "phrase_to_region", k, value))
@@ -479,38 +480,42 @@ def cmd_gen_synthetic(args):
             f"heldout_clusters must be >= 0, got {args.heldout_clusters}")
     # the generators check the other arguments; a rejected one leaves
     # no directory behind
-    if args.mode == "retrieval":
-        total = args.clusters + args.heldout_clusters
-        syn = data_mod.gen_synthetic(
-            total, args.images_per_cluster, args.sents_per_image,
-            args.dim_x, args.dim_y, args.noise_sigma, args.seed)
-        os.makedirs(args.out_dir, exist_ok=True)
-        train_mask_x = syn.x_labels < args.clusters
-        train_mask_y = syn.y_labels < args.clusters
-        _write_split(args.out_dir, "", syn, train_mask_x, train_mask_y)
-        if args.heldout_clusters > 0:
-            _write_split(args.out_dir, "heldout_", syn, ~train_mask_x,
-                         ~train_mask_y)
-        log.info("wrote retrieval data for %d clusters to %s",
-                 total, args.out_dir)
-    else:
-        loc = data_mod.gen_localization(
-            args.phrases, args.images_per_phrase, args.dim_regions,
-            args.dim_phrases, args.seed,
-            jitter_per_gt=args.jitter_per_gt,
-            background_per_image=args.background_per_image,
-            noise_sigma=args.noise_sigma)
-        os.makedirs(args.out_dir, exist_ok=True)
-        data_mod.save_feature_file(
-            loc.regions, os.path.join(args.out_dir, "regions.feat"))
-        data_mod.save_feature_file(
-            loc.phrases, os.path.join(args.out_dir, "phrases.feat"))
-        data_mod.save_pair_file(
-            loc.pairs, os.path.join(args.out_dir, "pairs.tsv"))
-        ev.save_corpus_file(
-            loc.corpus_rows, os.path.join(args.out_dir, "corpus.tsv"))
-        log.info("wrote localization corpus (%d rows) to %s",
-                 len(loc.corpus_rows), args.out_dir)
+    total = args.clusters + args.heldout_clusters
+    syn = data_mod.gen_synthetic(
+        total, args.images_per_cluster, args.sents_per_image,
+        args.dim_x, args.dim_y, args.noise_sigma, args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    train_mask_x = syn.x_labels < args.clusters
+    train_mask_y = syn.y_labels < args.clusters
+    _write_split(args.out_dir, "", syn, train_mask_x, train_mask_y)
+    if args.heldout_clusters > 0:
+        _write_split(args.out_dir, "heldout_", syn, ~train_mask_x,
+                     ~train_mask_y)
+    log.info("wrote retrieval data for %d clusters to %s",
+             total, args.out_dir)
+    return 0
+
+
+def cmd_gen_localization(args):
+    check_seed(args.seed)
+    # the generator checks the other arguments; a rejected one leaves
+    # no directory behind
+    loc = data_mod.gen_localization(
+        args.phrases, args.images_per_phrase, args.dim_regions,
+        args.dim_phrases, args.seed, jitter_per_gt=args.jitter_per_gt,
+        background_per_image=args.background_per_image,
+        noise_sigma=args.noise_sigma)
+    os.makedirs(args.out_dir, exist_ok=True)
+    data_mod.save_feature_file(
+        loc.regions, os.path.join(args.out_dir, "regions.feat"))
+    data_mod.save_feature_file(
+        loc.phrases, os.path.join(args.out_dir, "phrases.feat"))
+    data_mod.save_pair_file(
+        loc.pairs, os.path.join(args.out_dir, "pairs.tsv"))
+    ev.save_corpus_file(
+        loc.corpus_rows, os.path.join(args.out_dir, "corpus.tsv"))
+    log.info("wrote localization corpus (%d rows) to %s",
+             len(loc.corpus_rows), args.out_dir)
     return 0
 
 
@@ -590,25 +595,22 @@ def build_parser():
         _add_config_flags(p)
         p.set_defaults(func=func, needs_config=True)
 
-    g = sub.add_parser("gen-synthetic")
-    g.add_argument("--mode", choices=("retrieval", "localization"),
-                   default="retrieval")
-    g.add_argument("--out-dir", required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--clusters", type=int, default=32)
-    g.add_argument("--heldout-clusters", type=int, default=0)
-    g.add_argument("--images-per-cluster", type=int, default=1)
-    g.add_argument("--sents-per-image", type=int, default=5)
-    g.add_argument("--dim-x", type=int, default=64)
-    g.add_argument("--dim-y", type=int, default=48)
-    g.add_argument("--noise-sigma", type=float, default=0.05)
-    g.add_argument("--phrases", type=int, default=12)
-    g.add_argument("--images-per-phrase", type=int, default=6)
-    g.add_argument("--dim-regions", type=int, default=48)
-    g.add_argument("--dim-phrases", type=int, default=32)
-    g.add_argument("--jitter-per-gt", type=int, default=2)
-    g.add_argument("--background-per-image", type=int, default=6)
-    g.set_defaults(func=cmd_gen_synthetic, needs_config=False)
+    for name, func, own in (
+        ("gen-synthetic", cmd_gen_synthetic,
+         dict(clusters=32, heldout_clusters=0, images_per_cluster=1,
+              sents_per_image=5, dim_x=64, dim_y=48)),
+        ("gen-localization", cmd_gen_localization,
+         dict(phrases=12, images_per_phrase=6, dim_regions=48,
+              dim_phrases=32, jitter_per_gt=2, background_per_image=6)),
+    ):
+        g = sub.add_parser(name)
+        g.add_argument("--out-dir", required=True)
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--noise-sigma", type=float, default=0.05)
+        for flag, default in own.items():
+            g.add_argument("--" + flag.replace("_", "-"), type=int,
+                           default=default)
+        g.set_defaults(func=func, needs_config=False)
 
     c = sub.add_parser("grad-check")
     c.add_argument("--seeds", type=int, default=20)

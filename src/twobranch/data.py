@@ -390,6 +390,9 @@ def build_graph(pairs, x_ids, y_ids, max_x_per_y=None):
 # ---------------------------------------------------------------------------
 # mini-batches
 
+# The most mined negatives a batch reserves for one anchor, by default.
+NEGATIVES_PER_ANCHOR = 10
+
 
 @dataclass
 class MiniBatch:
@@ -458,7 +461,7 @@ def _reach(rows, targets, order, hops):
 
 
 def _build_batch(graph, pair_rows, augment, rng, extra_negatives=None,
-                 negatives_per_anchor=10):
+                 negatives_per_anchor=NEGATIVES_PER_ANCHOR):
     # dataset row -> batch-local row, in order of first appearance
     x_local, y_local = {}, {}
     for xi, yi in graph.pos_pairs[pair_rows].tolist():
@@ -513,7 +516,7 @@ def check_batch_pairs(batch_pairs):
 
 
 def epoch_batches(graph, batch_pairs, augment, rng, extra_negatives=None,
-                  negatives_per_anchor=10):
+                  negatives_per_anchor=NEGATIVES_PER_ANCHOR):
     """Partition one epoch into disjoint batches of batch_pairs pairs.
 
     The pair list is shuffled, chunked, and a trailing chunk of fewer

@@ -29,6 +29,13 @@ from .tensor_core import (DIRECT_CHUNK_FLOATS, as_matrix, pairwise_distances,
 
 MAX_PROPOSALS_PER_QUERY = 100
 
+# The defaults of the metrics, which the command line reads too: the
+# recall cutoffs, the IoU at which a box localizes a ground truth and
+# the overlap above which NMS suppresses a box.
+RECALL_KS = (1, 5, 10)
+IOU_THRESH = 0.5
+NMS_OVERLAP = 0.3
+
 
 # ---------------------------------------------------------------------------
 # retrieval
@@ -94,7 +101,7 @@ class RetrievalReport:
         return out
 
 
-def evaluate_retrieval(distances, y_of_x, x_of_y, ks=(1, 5, 10)):
+def evaluate_retrieval(distances, y_of_x, x_of_y, ks=RECALL_KS):
     """Recall@k in both directions from one cross-view distance matrix.
 
     Each direction ranks its queries once and reads every k from those
@@ -229,12 +236,15 @@ class LocalizationCorpus:
 
 def _corpus_row(parts):
     """The row tuple, as ``save_corpus_file`` takes one, of one corpus
-    line's text fields; ValueError for a kind other than P or G or a
-    field that is no number."""
+    line's text fields; ValueError for a kind other than P or G, a
+    field that is no number or a feature row outside int64, the column
+    it fills."""
     if parts[1] not in ("P", "G"):
         raise ValueError(f"kind must be P or G, got {parts[1]!r}")
-    return (*parts[:3], *map(float, parts[3:7]),
-            int(parts[7]) if len(parts) == 8 else None)
+    row = int(parts[7]) if len(parts) == 8 else None
+    if row is not None and not -2**63 <= row < 2**63:
+        raise ValueError(f"feature row {row} lies outside int64")
+    return (*parts[:3], *map(float, parts[3:7]), row)
 
 
 def _corpus(rows, phrases=None, regions=None):
@@ -413,7 +423,7 @@ def _ranked(corpus, distances):
     return _padded(query, corpus.num_queries, order)
 
 
-def localization_recall_at_k(corpus, distances, k, iou_thresh=0.5):
+def localization_recall_at_k(corpus, distances, k, iou_thresh=IOU_THRESH):
     """Percentage of queries whose k nearest proposals hit a GT box.
 
     A proposal hits when its IoU with any of the query's GT boxes is
@@ -478,7 +488,8 @@ def _survivors(corpus, distances, nms_overlap, iou_thresh):
     return kept, correct
 
 
-def phrase_map(corpus, distances, nms_overlap=0.3, iou_thresh=0.5):
+def phrase_map(corpus, distances, nms_overlap=NMS_OVERLAP,
+               iou_thresh=IOU_THRESH):
     """Average precision of box ranking per unique phrase, and mAP.
 
     Per query, proposals first pass greedy NMS at nms_overlap.  The
@@ -611,16 +622,18 @@ def fused_distance_matrix(d_global, phrase_emb, region_emb,
 # reports
 
 
-def write_report_csv(path, rows, config_lines=()):
-    """CSV of (metric, direction, k, value) rows with a config echo.
+def write_report_csv(path, rows, config_lines=(),
+                     header=("metric", "direction", "k", "value")):
+    """CSV of rows under ``header``, after a ``# `` config echo.
 
-    Floats are written with repr so re-runs are byte-comparable.
+    A report's rows are (metric, direction, k, value); a training run
+    passes its epoch columns.  Floats are written with repr so re-runs
+    are byte-comparable.
     """
     with atomic_write(path) as fh:
         for line in config_lines:
             fh.write(f"# {line}\n")
-        fh.write("metric,direction,k,value\n")
-        for metric, direction, k, value in rows:
-            if isinstance(value, float):
-                value = repr(value)
-            fh.write(f"{metric},{direction},{k},{value}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

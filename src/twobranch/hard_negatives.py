@@ -2,27 +2,28 @@
 
 A proposal is a hard negative for a phrase when the model scores it
 closer than the phrase's closest ground-truth region while it overlaps
-no ground-truth box of its own image at IoU >= 0.5.  Mined negatives
-re-enter training as reserved region rows: they may only serve as
-negatives for the phrase they were mined for, and fine-tuning drops
-the structure-preserving terms entirely.
+no ground-truth box of its own image at the IoU threshold
+(``evaluation.IOU_THRESH`` by default).  Mined negatives re-enter
+training as reserved region rows: they may only serve as negatives for
+the phrase they were mined for, and fine-tuning drops the
+structure-preserving terms entirely.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .data import atomic_write, read_tsv, tsv_line
+from .data import NEGATIVES_PER_ANCHOR, atomic_write, read_tsv, tsv_line
 from .errors import ConfigError, ConsistencyError, FormatError
-from .evaluation import check_unit_interval, query_distances
+from .evaluation import IOU_THRESH, check_unit_interval, query_distances
 from .network import learning_rate
 from .tensor_core import row_distances
 from .training import check_epoch_plan, train
 
-log = logging.getLogger("twobranch")
+# The most negatives kept per phrase, by default.
+CAP_PER_PHRASE = 50
 
 
 @dataclass
@@ -45,8 +46,8 @@ def _check_cap(cap):
         raise ConfigError(f"hard-negative cap must be >= 1, got {cap}")
 
 
-def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=50,
-                        iou_thresh=0.5):
+def mine_hard_negatives(corpus, phrase_emb, region_emb, cap=CAP_PER_PHRASE,
+                        iou_thresh=IOU_THRESH):
     """Collect the closest qualifying proposals per unique phrase.
 
     Args:
@@ -140,7 +141,7 @@ def save_hard_negatives(hn, path):
                 fh.write(tsv_line(fields, path))
 
 
-def load_hard_negatives(path, cap=50):
+def load_hard_negatives(path, cap=CAP_PER_PHRASE):
     """Read a save_hard_negatives TSV, keeping each phrase's ``cap``
     closest entries by (distance, row); ``cap`` must be at least 1.
     A line whose row is no integer or whose distance is not finite
@@ -168,13 +169,13 @@ def negatives_by_anchor_row(hn, phrase_features):
 
 
 def fine_tune(params, opt, graph, features_x, features_y, hn, loss_cfg,
-              epochs, batch_pairs, augment, rng, negatives_per_anchor=10,
-              on_epoch=None):
+              epochs, batch_pairs, augment, rng,
+              negatives_per_anchor=NEGATIVES_PER_ANCHOR, on_epoch=None):
     """Continue training with ranking constraints only.
 
-    The structure weights are forced to zero (with a warning if the
-    caller passed nonzero ones) and the learning-rate schedule restarts
-    from epoch 0.  Mined negatives join batches as reserved rows for
+    Both structure weights of ``loss_cfg`` are set to zero, whatever
+    the caller passed, and the learning-rate schedule restarts from
+    epoch 0.  Mined negatives join batches as reserved rows for
     their phrase whenever that phrase is sampled.
 
     Raises, before ``opt`` restarts:
@@ -197,10 +198,7 @@ def fine_tune(params, opt, graph, features_x, features_y, hn, loss_cfg,
         raise ConsistencyError(
             f"hard negative region row {outside[0]} outside feature set "
             f"of {features_x.n} rows")
-    if loss_cfg.lambda2 != 0.0 or loss_cfg.lambda3 != 0.0:
-        log.warning("fine-tuning forces lambda2/lambda3 to 0 (was %g/%g)",
-                    loss_cfg.lambda2, loss_cfg.lambda3)
-        loss_cfg = dc_replace(loss_cfg, lambda2=0.0, lambda3=0.0)
+    loss_cfg = dc_replace(loss_cfg, lambda2=0.0, lambda3=0.0)
     opt.epoch = 0
     opt.lr = learning_rate(0, opt.lr0)
     return train(params, opt, graph, features_x, features_y, loss_cfg,

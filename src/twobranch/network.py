@@ -187,7 +187,7 @@ class OptimizerState:
     """
 
     lr0: float = 0.1
-    lr: float = 0.1
+    lr: float = lr0
     momentum: float = 0.9
     weight_decay: float = 0.0005
     epoch: int = 0
@@ -206,7 +206,7 @@ class OptimizerState:
             raise ConfigError(f"epoch must be >= 0, got {self.epoch}")
 
 
-def learning_rate(epoch, lr0=0.1):
+def learning_rate(epoch, lr0=OptimizerState.lr0):
     """Step schedule: divide by 10 every 10 epochs."""
     if epoch < 0:
         raise ConfigError(f"epoch must be non-negative, got {epoch}")
@@ -527,7 +527,7 @@ def sgd_step(params, opt, grads):
             f"gradient dict mismatch: missing {missing}, unknown {extra}"
         )
     for name, theta in tensors.items():
-        # a velocity not yet made will be zeros_like(theta)
+        # a velocity not yet made will be zeros of theta's shape
         vel = opt.velocity.get(name, theta)
         for what, arr in (("gradient", grads[name]), ("velocity", vel)):
             if arr.shape != theta.shape:
@@ -543,8 +543,10 @@ def sgd_step(params, opt, grads):
     work, formed, block = {}, 0, 0
     for name, theta in tensors.items():
         if name not in opt.velocity:
-            # a zero start, not a copy of grad: 0 + -0.0 is +0.0
-            opt.velocity[name] = np.zeros_like(theta)
+            # a zero start, not a copy of grad: 0 + -0.0 is +0.0; the
+            # kernel zeroes its pages as the slab workers first write
+            # them, where zeros_like would memset them on this thread
+            opt.velocity[name] = np.zeros(theta.shape)
         grad, cols = grads[name], prod(theta.shape[1:])
         for start, stop in _row_slabs(theta.shape[0], cols):
             floats = (stop - start) * cols

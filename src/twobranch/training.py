@@ -93,7 +93,8 @@ def train_step(params, opt, batch, features_x, features_y, loss_cfg, rng):
 
 def train(params, opt, graph, features_x, features_y, loss_cfg, epochs,
           batch_pairs, augment, rng, extra_negatives=None,
-          negatives_per_anchor=10, on_epoch=None):
+          negatives_per_anchor=data_mod.NEGATIVES_PER_ANCHOR,
+          on_epoch=None):
     """Run ``epochs`` epochs, each a disjoint partition of the pairs.
 
     Batches that end up with fewer than 2 rows in either view are

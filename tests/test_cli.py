@@ -47,7 +47,7 @@ def workdir(tmp_path_factory):
                    "--clusters", "6", "--images-per-cluster", "2",
                    "--sents-per-image", "3", "--dim-x", "12", "--dim-y",
                    "10", "--seed", "0") == 0
-    assert run_cli("gen-synthetic", "--mode", "localization",
+    assert run_cli("gen-localization",
                    "--out-dir", str(loc), "--phrases", "4",
                    "--images-per-phrase", "3", "--dim-regions", "14",
                    "--dim-phrases", "9", "--seed", "0") == 0
@@ -111,25 +111,36 @@ class TestConfigParsing:
         assert cfg.lambda1 == 2.0
 
     def test_shared_defaults_agree(self):
-        # a default the config shares with a function's keyword is kept
-        # in both places; the two must not drift apart
+        # each default the command line shares with the package has one
+        # named owner, which the config and every defaulting keyword read
         cfg = cli.ExperimentConfig()
 
         def default(func, name):
             return inspect.signature(func).parameters[name].default
 
-        assert {default(hard_negatives.mine_hard_negatives, "cap"),
-                default(hard_negatives.load_hard_negatives, "cap")} == \
-            {cfg.hn_cap}
-        assert {default(training.train, "negatives_per_anchor"),
-                default(hard_negatives.fine_tune, "negatives_per_anchor")} \
-            == {cfg.negatives_per_anchor}
-        assert {default(evaluation.phrase_map, "iou_thresh"),
-                default(evaluation.localization_recall_at_k, "iou_thresh"),
-                default(hard_negatives.mine_hard_negatives, "iou_thresh")} \
-            == {cfg.iou_thresh}
-        assert default(evaluation.phrase_map, "nms_overlap") == \
-            cfg.nms_overlap
+        owners = {
+            ("negatives_per_anchor", data.NEGATIVES_PER_ANCHOR): (
+                data._build_batch, data.epoch_batches, training.train,
+                hard_negatives.fine_tune),
+            ("cap", hard_negatives.CAP_PER_PHRASE): (
+                hard_negatives.mine_hard_negatives,
+                hard_negatives.load_hard_negatives),
+            ("iou_thresh", evaluation.IOU_THRESH): (
+                evaluation.localization_recall_at_k, evaluation.phrase_map,
+                hard_negatives.mine_hard_negatives),
+            ("nms_overlap", evaluation.NMS_OVERLAP): (evaluation.phrase_map,),
+            ("ks", evaluation.RECALL_KS): (evaluation.evaluate_retrieval,),
+            ("lr0", nw.OptimizerState.lr0): (nw.learning_rate,),
+        }
+        for (name, value), funcs in owners.items():
+            for func in funcs:
+                assert default(func, name) is value, (func, name)
+        assert nw.OptimizerState().lr is nw.OptimizerState.lr0
+        assert (cfg.negatives_per_anchor, cfg.hn_cap, cfg.iou_thresh,
+                cfg.nms_overlap, cfg.lr0) == (
+            data.NEGATIVES_PER_ANCHOR, hard_negatives.CAP_PER_PHRASE,
+            evaluation.IOU_THRESH, evaluation.NMS_OVERLAP,
+            nw.OptimizerState.lr0)
 
     def test_every_key_read_by_some_command(self):
         # no config key that nothing reads, and no table key that is not
@@ -721,6 +732,25 @@ class TestLocalizationPipeline:
             first = outputs
         assert negatives.read_text().count("\n") > 0
 
+    def test_corpus_row_beyond_int64_exits_one(self, workdir, tmp_path,
+                                               caplog):
+        loc = workdir["loc"]
+        lines = (loc / "corpus.tsv").read_text().splitlines()
+        first = lines[0].split("\t")
+        lines[0] = "\t".join(first[:7] + ["99999999999999999999"])
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "loc.csv"
+        assert run_cli("eval-localization",
+                       "--features-x", str(loc / "regions.feat"),
+                       "--features-y", str(loc / "phrases.feat"),
+                       "--corpus", str(corpus),
+                       "--checkpoint-in", str(loc / "model.ckpt"),
+                       "--report", str(report)) == 1
+        assert f"{corpus}:1: feature row 99999999999999999999 lies " \
+            "outside int64" in caplog.text
+        assert not report.exists()
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_mine_negatives_cap_below_one_exits_one(self, workdir, tmp_path,
                                                      cap):
@@ -1025,19 +1055,33 @@ class TestKeysRead:
         assert echo["fine_tune_epochs"] == "1"
 
 
+# each generator and the flags it alone takes; both take these three
+GENERATOR_FLAGS = {
+    "gen-synthetic": {"--clusters", "--heldout-clusters",
+                      "--images-per-cluster", "--sents-per-image",
+                      "--dim-x", "--dim-y"},
+    "gen-localization": {"--phrases", "--images-per-phrase",
+                         "--dim-regions", "--dim-phrases", "--jitter-per-gt",
+                         "--background-per-image"},
+}
+COMMON_GENERATOR_FLAGS = {"--out-dir", "--seed", "--noise-sigma"}
+GENERATOR = {"retrieval": "gen-synthetic", "localization": "gen-localization"}
+
+
 class TestGenSynthetic:
     @pytest.mark.parametrize("args", [
-        ("--clusters", "4", "--heldout-clusters", "-2"),
-        ("--mode", "localization", "--dim-regions", "0"),
-        ("--mode", "localization", "--dim-phrases", "0"),
-        ("--mode", "localization", "--jitter-per-gt", "-1"),
-        ("--mode", "localization", "--background-per-image", "-3"),
-        ("--mode", "localization", "--noise-sigma", "-0.1"),
-        ("--seed", "-1"), ("--seed", "9007199254740993"),
-        ("--mode", "localization", "--seed", "-1")])
+        ("gen-synthetic", "--clusters", "4", "--heldout-clusters", "-2"),
+        ("gen-localization", "--dim-regions", "0"),
+        ("gen-localization", "--dim-phrases", "0"),
+        ("gen-localization", "--jitter-per-gt", "-1"),
+        ("gen-localization", "--background-per-image", "-3"),
+        ("gen-localization", "--noise-sigma", "-0.1"),
+        ("gen-synthetic", "--seed", "-1"),
+        ("gen-synthetic", "--seed", "9007199254740993"),
+        ("gen-localization", "--seed", "-1")])
     def test_bad_input_exits_one(self, tmp_path, args):
         out = tmp_path / "out"
-        assert run_cli("gen-synthetic", "--out-dir", str(out), *args) == 1
+        assert run_cli(args[0], "--out-dir", str(out), *args[1:]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["retrieval", "localization"])
@@ -1045,8 +1089,8 @@ class TestGenSynthetic:
     def test_non_finite_noise_exits_one(self, tmp_path, mode, sigma):
         # the parent wrote feature files that load_feature_file rejects
         out = tmp_path / "out"
-        assert run_cli("gen-synthetic", "--out-dir", str(out), "--mode",
-                       mode, "--noise-sigma", sigma) == 1
+        assert run_cli(GENERATOR[mode], "--out-dir", str(out),
+                       "--noise-sigma", sigma) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["retrieval", "localization"])
@@ -1057,10 +1101,33 @@ class TestGenSynthetic:
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"kept")
         out = blocker / under if under else blocker
-        assert run_cli("gen-synthetic", "--out-dir", str(out), "--mode",
-                       mode) == 1
+        assert run_cli(GENERATOR[mode], "--out-dir", str(out)) == 1
         assert blocker.read_bytes() == b"kept"
         assert os.listdir(tmp_path) == ["blocker"]
+
+    @pytest.mark.parametrize("command", sorted(GENERATOR_FLAGS))
+    def test_parser_holds_its_nine_flags(self, command):
+        sub = next(action for action in cli.build_parser()._actions
+                   if action.dest == "command")
+        flags = {flag for action in sub.choices[command]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == GENERATOR_FLAGS[command] | COMMON_GENERATOR_FLAGS
+        assert len(flags) == 9
+
+    @pytest.mark.parametrize("command, other", [
+        ("gen-synthetic", "gen-localization"),
+        ("gen-localization", "gen-synthetic")])
+    def test_other_generators_flag_exits_two(self, tmp_path, command, other,
+                                             capsys):
+        # argparse refuses it before any directory exists
+        for flag in sorted(GENERATOR_FLAGS[other]) + ["--mode"]:
+            out = tmp_path / "out"
+            with pytest.raises(SystemExit) as exited:
+                run_cli(command, "--out-dir", str(out), flag, "3")
+            assert exited.value.code == 2
+            assert f"unrecognized arguments: {flag} 3" in \
+                capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestGradCheckCommand:

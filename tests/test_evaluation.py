@@ -390,9 +390,11 @@ class TestCorpusIO:
         (("img", "G", "cat", 0.0, 0.0, 5.0, 5.0, None),
          "query (img, cat) has no proposals"),
         (("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 1.5),
-         "invalid literal for int() with base 10: '1.5'")],
+         "invalid literal for int() with base 10: '1.5'"),
+        (("img", "P", "cat", 0.0, 0.0, 5.0, 5.0, 99999999999999999999),
+         "feature row 99999999999999999999 lies outside int64")],
         ids=["nan", "flat", "no_feature", "negative_row", "no_proposals",
-             "fractional_row"])
+             "fractional_row", "row_beyond_int64"])
     def test_round_trip_refuses_what_the_reader_refuses(self, tmp_path, bad,
                                                         message):
         # each of these would be written and then refused on load
@@ -442,7 +444,9 @@ class TestCorpusIO:
         (("im_a\tG\tcat\t0\t0\t5\t5\t1.5", "im_a\tQ\tcat\t0\t0\t5\t5"),
          ":2: invalid literal for int() with base 10: '1.5'"),
         (("im_a\tG\tcat\t0\t0\t5\t5", "im_a\tP\tcat\t0\t0\t5\tfive\t0"),
-         ":3: could not convert string to float: 'five'")])
+         ":3: could not convert string to float: 'five'"),
+        (("im_a\tG\tcat\t0\t0\t5\t5\t99999999999999999999",),
+         ":2: feature row 99999999999999999999 lies outside int64")])
     def test_first_faulty_line_is_named(self, tmp_path, faults, first):
         # the file is parsed a column at a time, but the message is
         # still the first faulty line's, whatever its fault

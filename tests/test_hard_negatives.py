@@ -354,16 +354,26 @@ class TestHardNegativeFileProperty:
 
 
 class TestFineTune:
-    def test_forces_structure_weights_to_zero(self, caplog):
+    def test_forces_structure_weights_to_zero(self, caplog, monkeypatch):
+        # fine_tune alone zeroes the structure weights, and says nothing
         d, graph, params, opt, _ = localization_setup(seed=4,
                                                       stage1_epochs=4)
         hn = hn_mod.HardNegativeSet()
         cfg = LossConfig(lambda2=0.1, lambda3=0.2)
-        with caplog.at_level(logging.WARNING, logger="twobranch"):
+        trained_with = []
+
+        def recording_train(*args, **kwargs):
+            trained_with.append(args[5])
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(hn_mod, "train", recording_train)
+        with caplog.at_level(logging.DEBUG, logger="twobranch"):
             history = hn_mod.fine_tune(params, opt, graph, d.regions,
                                        d.phrases, hn, cfg, 2, 8, False,
                                        np.random.default_rng(0))
-        assert any("lambda" in rec.message for rec in caplog.records)
+        assert trained_with == [LossConfig(lambda2=0.0, lambda3=0.0)]
+        assert not [rec for rec in caplog.records
+                    if rec.levelno >= logging.WARNING]
         assert cfg.lambda3 == 0.2
         for h in history:
             assert h.family_counts["image_structure"] == 0
